@@ -85,6 +85,9 @@ class SystemConfig:
             raise ValueError("subcarrier count must be at least the longest tap profile")
         if self.rician_k < 0:
             raise ValueError("Rician factor must be nonnegative")
+        n_max = min(self.n_t, self.n_r)
+        if self.n_streams is not None and not 1 <= self.n_streams <= n_max:
+            raise ValueError(f"n_streams must lie in 1..min(n_t, n_r) = 1..{n_max}")
 
     @property
     def n_t(self) -> int:

@@ -35,11 +35,12 @@ class PgaResult:
 def gradient_phi(channels, q, phi: RisPhases | None = None, noise_var: float = 1.0, meter=None) -> np.ndarray:
     """Wirtinger gradient of sum_k log2 det A_k w.r.t. the phase diagonal.
 
-    With A_k = I + H_eq[k] Q[k] H_eq[k]^H / noise_var, X_k = H2[k]/noise_var,
-    Y_k = H1[k] Q[k] H3[k]^H and Z_k = H1[k] Q[k] H1[k]^H Phi^H H2[k]^H, the
-    i-th component is sum_k [(Y_k + Z_k) A_k^{-1} X_k]_{ii} / ln 2 (the
-    derivative holds Phi^H fixed; the ascent direction in the complex plane is
-    the conjugate of the returned vector).
+    With A_k = I + H_eq[k] Q[k] H_eq[k]^H / noise_var, the i-th component is
+    sum_k [H1[k] (Q[k] H_eq[k]^H) A_k^{-1} H2[k]]_{ii} / (noise_var ln 2).
+    H1 Q H_eq^H is the sum of the paper's two terms Y = H1 Q H3^H and
+    Z = H1 Q H1^H Phi^H H2^H, and the product Q H_eq^H is shared with A_k
+    (the derivative holds Phi^H fixed; the ascent direction in the complex
+    plane is the conjugate of the returned vector).
 
     `channels` is a FreqChannelSet with pathloss already folded into h1/h3
     (then `phi` is required) or an EquivalentChannel (its phases are used).
@@ -59,14 +60,12 @@ def gradient_phi(channels, q, phi: RisPhases | None = None, noise_var: float = 1
     if meter is not None:
         flops.record_gradient(meter, k, n_r, n_t, n_ris)
 
-    h2h = eq.h2.conj().transpose(0, 2, 1)
-    h1q = eq.h1 @ q_stack
-    y = h1q @ eq.h3.conj().transpose(0, 2, 1)
-    z = (h1q @ eq.h1.conj().transpose(0, 2, 1) * eq.phi.diag.conj()[None, None, :]) @ h2h
-    a = np.eye(n_r) + (eq.heq @ q_stack @ eq.heq.conj().transpose(0, 2, 1)) / noise_var
-    ainv_x = np.linalg.solve(a, eq.h2) / noise_var
-    per_k = np.einsum("kir,kri->ki", y + z, ainv_x)
-    return per_k.sum(axis=0) / LN2
+    q_heqh = q_stack @ eq.heq.conj().transpose(0, 2, 1)
+    a = np.eye(n_r) + (eq.heq @ q_heqh) / noise_var
+    # A_k = I + PSD is well conditioned; inverting the N_r x N_r matrix beats
+    # a batched solve against N_RIS right-hand sides
+    ainv_x = np.linalg.inv(a) @ eq.h2
+    return np.einsum("kir,kri->i", eq.h1 @ q_heqh, ainv_x) / (noise_var * LN2)
 
 
 def project_unit_modulus(values, fallback=None) -> RisPhases:

@@ -1,8 +1,10 @@
 """Spatial-frequency waterfilling over all (subcarrier, eigen-stream) pairs.
 
-Per subcarrier, the equivalent channel's noise-normalized Gram matrix is
-eigen-decomposed; a single cutoff shared by every (k, g) pair is found by
-bisection so the allocated powers meet the total budget, and the transmit
+Per subcarrier, the eigenbasis of the equivalent channel's noise-normalized
+Gram matrix comes from a thin SVD of the N_r x N_t channel; a single cutoff
+shared by every (k, g) pair is found exactly by sorting the inverse gains and
+scanning their prefix sums for the water level (Palomar and Fonollosa, IEEE
+TSP 2005), so the allocated powers meet the total budget, and the transmit
 covariances are rebuilt in the per-subcarrier eigenbases.
 """
 
@@ -13,9 +15,6 @@ import numpy as np
 # Streams with eigenvalues at or below these thresholds get zero power.
 ABS_EIG_FLOOR = 1e-15
 REL_EIG_FLOOR = 1e-12
-
-BISECT_MAX_ITER = 200
-BUDGET_RTOL = 1e-12
 
 
 @dataclass
@@ -36,22 +35,31 @@ class PowerAllocation:
 def channel_eigvals(heq, noise_var: float, n_streams: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenpairs of (1/noise_var) * H_eq[k]^H H_eq[k] per subcarrier.
 
-    `heq` is a (K, N_r, N_t) stack or an EquivalentChannel. Returns
-    (eigenvalues (K, N_s) in descending order, eigenvectors (K, N_t, N_s)).
+    `heq` is a (K, N_r, N_t) stack or an EquivalentChannel. The pairs come
+    from the thin SVD H_eq[k] = U S V^H: eigenvalues s^2 / noise_var and
+    eigenvectors the columns of V. `n_streams` must lie in 1..min(N_r, N_t)
+    (default: all of them). Returns (eigenvalues (K, N_s) in descending
+    order, eigenvectors (K, N_t, N_s)).
     """
     h = np.asarray(getattr(heq, "heq", heq), dtype=complex)
-    gram = h.conj().transpose(0, 2, 1) @ h / noise_var
-    vals, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().transpose(0, 2, 1)))
-    n_s = min(h.shape[1], h.shape[2]) if n_streams is None else n_streams
-    return vals[:, ::-1][:, :n_s], vecs[:, :, ::-1][:, :, :n_s]  # eigh is ascending
+    n_max = min(h.shape[1], h.shape[2])
+    n_s = n_max if n_streams is None else n_streams
+    if not 1 <= n_s <= n_max:
+        raise ValueError(f"n_streams must lie in 1..{n_max}, got {n_streams}")
+    _, s, vh = np.linalg.svd(h, full_matrices=False)  # s is descending
+    return s[:, :n_s] ** 2 / noise_var, vh[:, :n_s, :].conj().transpose(0, 2, 1)
 
 
 def waterfill(eigenvalues, total_power: float, meter=None) -> tuple[np.ndarray, float]:
     """Waterfill a power budget over channel eigenvalues.
 
-    Solves P_i = max(0, 1/cutoff - 1/lam_i) with the single cutoff chosen by
-    bisection so that sum(P) equals `total_power`. Eigenvalues at or below
-    the numerical floor are excluded and receive zero power.
+    Solves P_i = max(0, 1/cutoff - 1/lam_i) with the single cutoff chosen so
+    that sum(P) equals `total_power`. The water level 1/cutoff is exact: with
+    the inverse gains sorted ascending, the level with the m strongest
+    streams active is (total_power + their inverse-gain sum) / m, and the
+    optimum keeps the largest m whose weakest stream does not lie above its
+    level. Eigenvalues at or below the numerical floor are excluded and
+    receive zero power.
 
     Returns (powers in the input's shape, cutoff).
     """
@@ -63,42 +71,24 @@ def waterfill(eigenvalues, total_power: float, meter=None) -> tuple[np.ndarray, 
     if not np.any(active):
         raise ValueError("waterfilling needs at least one positive eigenvalue")
 
-    lam = flat[active]
-    inv_lam = 1.0 / lam
+    inv_lam = 1.0 / flat[active]
     if meter is not None:
-        meter.real_ops += lam.size  # stream-gain reciprocals
-
-    def allocated(cutoff):
-        return np.maximum(0.0, 1.0 / cutoff - inv_lam)
-
-    # The optimum satisfies 1/cutoff <= total_power + sum(1/lam) (at least one
-    # active stream), so [that bound, max(lam)] brackets the root of the
-    # decreasing map cutoff -> sum(allocated).
-    lo = 1.0 / (total_power + inv_lam.sum())
-    hi = float(np.max(lam))
-    cutoff = hi
-    powers = allocated(cutoff)
-    for _ in range(BISECT_MAX_ITER):
-        cutoff = 0.5 * (lo + hi)
-        powers = allocated(cutoff)
-        if meter is not None:
-            meter.real_ops += 1 + lam.size  # water level + per-stream fill
-        total = powers.sum()
-        if abs(total - total_power) < BUDGET_RTOL * total_power:
-            break
-        if total > total_power:
-            lo = cutoff
-        else:
-            hi = cutoff
+        # per stream: reciprocal, sort slot, prefix sum, candidate level and its test
+        meter.real_ops += 5 * inv_lam.size
+    inv_sorted = np.sort(inv_lam)
+    levels = (total_power + np.cumsum(inv_sorted)) / np.arange(1, inv_sorted.size + 1)
+    # the strongest stream always passes (total_power > 0); a tie at the
+    # boundary gives the same level with or without that stream
+    level = levels[np.flatnonzero(inv_sorted <= levels)[-1]]
 
     out = np.zeros(flat.shape)
-    out[active] = powers
-    return out.reshape(lams.shape), float(cutoff)
+    out[active] = np.maximum(0.0, level - inv_lam)
+    return out.reshape(lams.shape), float(1.0 / level)
 
 
 def build_covariances(u: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Q[k] = U[k] diag(p[k]) U[k]^H from eigenbases (K, N_t, N_s) and powers (K, N_s)."""
-    return np.einsum("ktg,kg,ksg->kts", u, p, u.conj())
+    return (u * p[:, None, :]) @ u.conj().transpose(0, 2, 1)
 
 
 def waterfill_covariances(heq, total_power: float, noise_var: float = 1.0,

@@ -77,6 +77,17 @@ def test_parse_config_rejects_unknown_and_malformed(tmp_path):
         parse_config(None, overrides={"mc_trials": "0"})
 
 
+def test_config_rejects_out_of_range_n_streams():
+    # small_config has n_t = 4 and n_r = 2, so at most two streams
+    for n_s in (None, 1, 2):
+        assert small_config(n_streams=n_s).n_streams == n_s
+    for n_s in (0, -1, 3):
+        with pytest.raises(ValueError, match="n_streams"):
+            small_config(n_streams=n_s)
+    with pytest.raises(ValueError, match="n_streams"):
+        parse_config(None, overrides={"n_streams": "5"}, preset="desk")
+
+
 def test_presets():
     cfg, _ = preset_config("desk")
     assert (cfg.n_t, cfg.n_r, cfg.n_ris) == (16, 4, 16)

@@ -3,7 +3,7 @@ import pytest
 
 from rislink.channel import FreqChannelSet
 from rislink.pga import gradient_phi, pga_optimize, project_unit_modulus
-from rislink.rate import RisPhases, combine_links, rate_from_heq
+from rislink.rate import RisPhases, combine_links, equivalent_channel, rate_from_heq
 from rislink.rng import substream
 
 
@@ -53,6 +53,28 @@ def test_gradient_matches_finite_differences():
             fd = (sum_rate(ch, q, tp) - sum_rate(ch, q, tm)) / (2 * delta)
             analytic = -2.0 * np.imag(phi.diag[i] * g[i])
             assert abs(fd - analytic) <= 1e-5 * max(abs(fd), abs(analytic), 1e-9)
+
+
+def yz_gradient(ch, q, phi, noise_var):
+    """Reference gradient with the paper's separate Y and Z terms."""
+    eq = equivalent_channel(ch, phi)
+    h1q = eq.h1 @ q
+    y = h1q @ eq.h3.conj().transpose(0, 2, 1)
+    z = (h1q @ eq.h1.conj().transpose(0, 2, 1) * phi.diag.conj()[None, None, :]) \
+        @ eq.h2.conj().transpose(0, 2, 1)
+    a = np.eye(eq.heq.shape[1]) + eq.heq @ q @ eq.heq.conj().transpose(0, 2, 1) / noise_var
+    ainv_x = np.linalg.solve(a, eq.h2) / noise_var
+    return np.einsum("kir,kri->ki", y + z, ainv_x).sum(axis=0) / np.log(2.0)
+
+
+def test_collapsed_gradient_matches_yz_reference():
+    rng = substream(91)
+    for k, n_r, n_t, n_ris, noise_var in ((2, 2, 4, 4, 1.0), (3, 4, 16, 16, 0.3),
+                                          (1, 3, 2, 9, 2.5), (2, 1, 1, 5, 1.0)):
+        ch, q, phi = random_instance(rng, k=k, n_r=n_r, n_t=n_t, n_ris=n_ris)
+        g = gradient_phi(ch, q, phi, noise_var)
+        ref = yz_gradient(ch, q, phi, noise_var)
+        np.testing.assert_allclose(g, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
 
 def test_gradient_additive_over_subcarriers():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from rislink.power import (
+    ABS_EIG_FLOOR,
+    REL_EIG_FLOOR,
     build_covariances,
     channel_eigvals,
     waterfill,
@@ -12,6 +14,36 @@ from rislink.rng import substream
 
 def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def eigh_eigvals(heq, noise_var):
+    """Reference eigenbasis: eigh of the full N_t x N_t noise-normalized Gram."""
+    gram = heq.conj().transpose(0, 2, 1) @ heq / noise_var
+    vals, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().transpose(0, 2, 1)))
+    n_s = min(heq.shape[1], heq.shape[2])
+    return vals[:, ::-1][:, :n_s], vecs[:, :, ::-1][:, :, :n_s]
+
+
+def bisection_waterfill(lam, total_power):
+    """Reference waterfill: bisection on the water level to machine precision.
+
+    Applies the same eigenvalue floors as `waterfill`; the level lies between
+    the smallest inverse gain and total_power plus it. Returns (powers, level).
+    """
+    lam = np.asarray(lam, dtype=float)
+    keep = lam > max(ABS_EIG_FLOOR, REL_EIG_FLOOR * lam.max())
+    inv = 1.0 / np.where(keep, lam, 1.0)
+    lo, hi = inv[keep].min(), total_power + inv[keep].min()
+    for _ in range(2000):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.maximum(0.0, mid - inv[keep]).sum() > total_power:
+            hi = mid
+        else:
+            lo = mid
+    level = 0.5 * (lo + hi)
+    return np.where(keep, np.maximum(0.0, level - inv), 0.0), level
 
 
 def test_eigvals_identity_channel():
@@ -38,6 +70,61 @@ def test_eigvals_match_svd_oracle():
         # eigenvectors diagonalize the Gram matrix
         gram = heq[k].conj().T @ heq[k] / sigma2
         np.testing.assert_allclose(u[k].conj().T @ gram @ u[k], np.diag(lams[k]), atol=1e-9)
+
+
+def test_eigvals_reject_out_of_range_n_streams():
+    heq = crandn(substream(76), 2, 3, 5)
+    lams, u = channel_eigvals(heq, 1.0, n_streams=2)
+    assert lams.shape == (2, 2) and u.shape == (2, 5, 2)
+    for n_s in (0, 4):
+        with pytest.raises(ValueError, match="n_streams"):
+            channel_eigvals(heq, 1.0, n_streams=n_s)
+
+
+def test_svd_basis_rebuilds_eigh_covariances():
+    rng = substream(77)
+    rank_one = crandn(rng, 2, 2, 1) @ crandn(rng, 2, 1, 4)
+    for heq, sigma2, pt in ((crandn(rng, 3, 4, 16), 1.0, 30.0), (crandn(rng, 2, 3, 2), 0.7, 2.0),
+                            (rank_one, 1.3, 5.0), (crandn(rng, 4, 2, 5), 2.0, 0.05)):
+        lams, u = channel_eigvals(heq, sigma2)
+        ref_lams, ref_u = eigh_eigvals(heq, sigma2)
+        np.testing.assert_allclose(lams, ref_lams, rtol=1e-10, atol=1e-12 * lams.max())
+        p, _ = waterfill(lams, pt)
+        ref_p, _ = waterfill(ref_lams, pt)
+        np.testing.assert_allclose(p, ref_p, rtol=1e-10, atol=1e-12 * pt)
+        np.testing.assert_allclose(build_covariances(u, p), build_covariances(ref_u, ref_p),
+                                   rtol=0, atol=1e-10 * pt)
+
+
+@pytest.mark.parametrize("lam, pt", [
+    ([4.0, 1.0], 1.0),  # the hand example
+    ([2.0, 2.0, 2.0], 3.0),  # tie, all active
+    ([5.0, 1.0, 1.0], 0.5),  # tie below the level, one active
+    ([5.0, 1.0, 1.0], 2.0),  # tie above the level, all active
+    ([1.0, 0.5], 1.0),  # the weaker stream sits exactly at the level
+    ([100.0, 1e-3], 1.0),  # a single active stream
+    ([1.0, REL_EIG_FLOOR, 0.0], 1e14),  # at the relative floor: no power at any budget
+    ([1.0, 1.5 * REL_EIG_FLOOR], 1e14),  # just above it: active
+    ([ABS_EIG_FLOOR, 2 * ABS_EIG_FLOOR], 1.0),  # at the absolute floor
+    ([[3.0, 1e-2], [0.5, 3.0]], 4.0),  # subcarrier-by-stream grid with a tie
+])
+def test_waterfill_matches_bisection_reference(lam, pt):
+    p, cutoff = waterfill(np.asarray(lam), pt)
+    ref_p, level = bisection_waterfill(lam, pt)
+    assert abs(1.0 / cutoff - level) <= 1e-12 * level
+    np.testing.assert_allclose(p, ref_p, rtol=1e-12, atol=1e-12 * level)
+    assert abs(p.sum() - pt) <= 1e-12 * pt
+
+
+def test_waterfill_matches_bisection_reference_random():
+    rng = substream(78)
+    for _ in range(200):
+        lam = 10.0 ** rng.uniform(-6.0, 4.0, size=(int(rng.integers(1, 9)), int(rng.integers(1, 5))))
+        pt = 10.0 ** rng.uniform(-3.0, 3.0)
+        p, cutoff = waterfill(lam, pt)
+        ref_p, level = bisection_waterfill(lam, pt)
+        assert abs(1.0 / cutoff - level) <= 1e-12 * level
+        np.testing.assert_allclose(p, ref_p, rtol=1e-12, atol=1e-12 * level)
 
 
 def test_waterfill_equal_gains():

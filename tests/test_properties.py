@@ -1,0 +1,78 @@
+"""Property-based checks of the waterfilling and phase-gradient kernels.
+
+Examples are derandomized so the suite draws the same cases on every run.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from rislink.channel import FreqChannelSet  # noqa: E402
+from rislink.pga import gradient_phi  # noqa: E402
+from rislink.power import ABS_EIG_FLOOR, REL_EIG_FLOOR, waterfill  # noqa: E402
+from rislink.rate import RisPhases, combine_links, rate_from_heq  # noqa: E402
+from rislink.rng import substream  # noqa: E402
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+eigenvalue_grids = arrays(
+    float,
+    st.tuples(st.integers(1, 6), st.integers(1, 4)),
+    elements=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+)
+
+
+@PROPERTY_SETTINGS
+@given(lam=eigenvalue_grids, total_power=st.floats(1e-3, 1e4))
+def test_waterfill_kkt_and_budget(lam, total_power):
+    floor = max(ABS_EIG_FLOOR, REL_EIG_FLOOR * lam.max())
+    hypothesis.assume(np.any(lam > floor))
+    p, cutoff = waterfill(lam, total_power)
+    level = 1.0 / cutoff
+    # p_i = level - 1/lam_i cancels digits when both terms dwarf p_i, so the
+    # tolerances scale with the water level
+    tol = 1e-12 * level
+    assert p.shape == lam.shape and np.all(p >= 0.0)
+    assert abs(p.sum() - total_power) <= 1e-12 * total_power + lam.size * tol
+    assert np.all(p[lam <= floor] == 0.0)
+    on = p > 0
+    np.testing.assert_allclose(p[on] + 1.0 / lam[on], level, rtol=0, atol=tol)
+    off = ~on & (lam > floor)
+    assert np.all(1.0 / lam[off] >= level - tol)
+
+
+def crandn(rng, *shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), n_r=st.integers(1, 4),
+       n_t=st.integers(1, 5), n_ris=st.integers(1, 6), noise_var=st.floats(0.1, 10.0),
+       power=st.floats(0.01, 100.0))
+def test_gradient_matches_central_differences(seed, k, n_r, n_t, n_ris, noise_var, power):
+    rng = substream(seed)
+    ch = FreqChannelSet(h1=crandn(rng, k, n_ris, n_t), h2=crandn(rng, k, n_r, n_ris),
+                        h3=crandn(rng, k, n_r, n_t))
+    a = crandn(rng, k, n_t, n_t)
+    q = power * a @ a.conj().transpose(0, 2, 1) / n_t
+    theta = rng.uniform(0.0, 2.0 * np.pi, n_ris)
+    phi = RisPhases.from_angles(theta)
+    g = gradient_phi(ch, q, phi, noise_var)
+
+    def sum_rate(th):
+        return rate_from_heq(combine_links(ch.h1, ch.h2, ch.h3, np.exp(1j * th)), q, noise_var) * k
+
+    # C01's check: the phase derivative is -2 Im(phi_i g_i); the absolute term
+    # covers the central difference's rounding, about eps * rate / delta
+    delta = 1e-5
+    slack = 1e-8 * max(1.0, sum_rate(theta))
+    for i in range(n_ris):
+        tp, tm = theta.copy(), theta.copy()
+        tp[i] += delta
+        tm[i] -= delta
+        fd = (sum_rate(tp) - sum_rate(tm)) / (2 * delta)
+        analytic = -2.0 * np.imag(phi.diag[i] * g[i])
+        assert abs(fd - analytic) <= 1e-5 * max(abs(fd), abs(analytic)) + slack
