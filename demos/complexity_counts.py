@@ -4,20 +4,13 @@ Run: python demos/complexity_counts.py
 """
 import numpy as np
 
-from rislink import FlopMeter, preset_config, report
+from rislink import preset_config
 from rislink.harness import complexity_table
 
-# The meter tallies complex multiplies (6 flops), complex divides (8 flops)
-# and scalar real ops, following a fixed per-step analytical accounting.
-meter = FlopMeter()
-meter.record_gemm(4, 16, 16)          # one (4x16)(16x16) product
-meter.record_divs(8)                  # eight complex divisions
-print(f"hand-filled meter: {meter.complex_mults:.0f} complex mults, "
-      f"{meter.complex_divs:.0f} divs -> {meter.flop_total:.0f} flops")
-print(f"as a table record: {report(meter, n_ris=16)}")
-
+# The meter tallies complex multiplies (6 flops) and scalar real ops,
+# following a fixed per-step analytical accounting.
 cfg, geom = preset_config("desk")
-print("\ninstrumented optimizer runs (10 seeded trials per size, SNR 10 dB):")
+print("instrumented optimizer runs (10 seeded trials per size, SNR 10 dB):")
 rows = complexity_table(cfg, geom, [4, 16, 36, 64], seed=7, trials=10, snr_db=10.0)
 print(f"{'n_ris':>6} {'iter_count':>11} {'flop_count':>12} {'runtime_s':>10}")
 for r in rows:

@@ -5,7 +5,7 @@ Run: python demos/phase_optimization.py
 import numpy as np
 from dataclasses import replace
 
-from rislink import FreqChannelSet, RisPhases, equivalent_channel, pga_optimize, preset_config, spectral_efficiency
+from rislink import RisPhases, equivalent_channel, fold_gains, pga_optimize, preset_config, spectral_efficiency
 from rislink.harness import SCENARIOS, draw_trial, total_power_for_snr
 from rislink.power import waterfill_covariances
 from rislink.propagation import LinkGains
@@ -21,9 +21,7 @@ power = total_power_for_snr(cfg, geom, snr_db=10.0)
 print(f"trial: N_t={cfg.n_t}, N_r={cfg.n_r}, N_RIS={cfg.n_ris}, K={cfg.n_subcarriers}, "
       f"direct path {'LOS' if gains.los else 'blocked (NLOS)'}")
 
-folded = FreqChannelSet(h1=np.sqrt(gains.rho_indirect) * channels.h1, h2=channels.h2,
-                        h3=np.sqrt(gains.rho_direct) * channels.h3)
-result = pga_optimize(folded, power, rng=substream(*key, SITE_PHASES))
+result = pga_optimize(fold_gains(channels, gains), power, rng=substream(*key, SITE_PHASES))
 
 print(f"optimizer: {result.iterations} iterations, converged={result.converged}")
 print(f"rate trace (bits/s/Hz): start {result.trace[0]:.4f} -> "

@@ -19,7 +19,7 @@ from .channel import (
     taps_to_subcarriers,
     ura_response,
 )
-from .flops import FlopMeter, report
+from .flops import FlopMeter
 from .harness import (
     GeometryConfig,
     ScenarioResult,
@@ -50,6 +50,7 @@ from .rate import (
     EquivalentChannel,
     RisPhases,
     equivalent_channel,
+    fold_gains,
     received_signal,
     spectral_efficiency,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "direct_gain",
     "draw_cluster_rays",
     "equivalent_channel",
+    "fold_gains",
     "geometric_tap",
     "gradient_phi",
     "indirect_gain",
@@ -87,7 +89,6 @@ __all__ = [
     "preset_config",
     "project_unit_modulus",
     "received_signal",
-    "report",
     "rician_tap",
     "run_scenario",
     "run_trial",

@@ -35,8 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override any configuration key (repeatable)")
 
     sim = sub.add_parser("simulate", parents=[common], help="run a Monte Carlo scenario")
-    sim.add_argument("--scenario", required=True,
-                     choices=sorted(s for s in SCENARIOS if s != "complexity_table"))
+    sim.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
     sim.add_argument("--out", default="results.csv", help="output CSV path")
 
     comp = sub.add_parser("complexity", parents=[common],
@@ -77,8 +76,7 @@ def main(argv=None) -> int:
     else:
         n_ris_list = [int(p) for p in args.n_ris.split(",") if p.strip()]
         trials = cfg.mc_trials if args.trials is not None else 10
-        rows = complexity_table(cfg, geom, n_ris_list, trials=trials,
-                                snr_db=cfg.snr_db[0] if cfg.snr_db else -5.0)
+        rows = complexity_table(cfg, geom, n_ris_list, trials=trials, snr_db=cfg.snr_db[0])
         text = complexity_rows_to_csv(rows)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -2,15 +2,14 @@
 
 Counting is explicit at the optimizer's call sites and mirrors an analytical
 per-step accounting of the named matrix products (complex multiply = 6 real
-flops, complex divide = 8, everything else tallied as single real ops), not
-hardware-measured arithmetic. In particular the eigen-decomposition is costed
-as m^2*n + n^3 complex multiplies for an m x n factorization and the
-covariance rebuild at 2*N_RIS^3 per subcarrier, matching the accounting the
-complexity trends are compared against.
+flops, everything else tallied as single real ops), not hardware-measured
+arithmetic. In particular the eigen-decomposition is costed as m^2*n + n^3
+complex multiplies for an m x n factorization and the covariance rebuild at
+2*N_RIS^3 per subcarrier, matching the accounting the complexity trends are
+compared against.
 """
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -18,35 +17,15 @@ class FlopMeter:
     """Monotone counters for one optimization run."""
 
     complex_mults: float = 0.0
-    complex_divs: float = 0.0
     real_ops: float = 0.0
-    wall_time: float = 0.0
     iterations: int = 0
-    _t0: float | None = field(default=None, repr=False)
 
     @property
     def flop_total(self) -> float:
-        return 6.0 * self.complex_mults + 8.0 * self.complex_divs + self.real_ops
-
-    def record_gemm(self, m: int, n: int, p: int) -> None:
-        """An (m x n) @ (n x p) product costs m*n*p complex multiplies."""
-        if m < 1 or n < 1 or p < 1:
-            raise ValueError("matrix dimensions must be positive")
-        self.complex_mults += m * n * p
+        return 6.0 * self.complex_mults + self.real_ops
 
     def record_mults(self, n: float) -> None:
         self.complex_mults += n
-
-    def record_divs(self, n: float) -> None:
-        self.complex_divs += n
-
-    def start(self) -> None:
-        self._t0 = time.perf_counter()
-
-    def stop(self) -> None:
-        if self._t0 is not None:
-            self.wall_time += time.perf_counter() - self._t0
-            self._t0 = None
 
 
 def record_equivalent_channel(meter: FlopMeter, k: int, n_r: int, n_t: int, n_ris: int) -> None:
@@ -77,13 +56,3 @@ def record_rate_eval(meter: FlopMeter, k: int, n_r: int, n_t: int, n_ris: int) -
 def record_waterfilling(meter: FlopMeter, k: int, n_r: int, n_t: int, n_ris: int) -> None:
     """Gram matrices, their eigen-factorizations and the covariance rebuild."""
     meter.record_mults(k * (n_t**2 * n_r + 2 * n_t**3 + 2 * n_ris**3))
-
-
-def report(meter: FlopMeter, n_ris: int) -> dict:
-    """One complexity-table record for a finished run."""
-    return {
-        "n_ris": int(n_ris),
-        "iter_count": int(meter.iterations),
-        "flop_count": float(meter.flop_total),
-        "runtime_s": float(meter.wall_time),
-    }

@@ -1,17 +1,19 @@
 """Seeded Monte Carlo experiments over three method arms with CSV output.
 
-Each trial draws the blockage state and the three link channels from
-counter-based substreams keyed by (seed, scenario, trial, site), so results
-are independent of execution order and identical channels are replayed for
-every method arm and sweep point of a trial (common random numbers). The
-three arms are the full phase/power optimization, a single random phase draw
-with waterfilling, and a system with the reflected path removed.
+Blockage, link channels and random start phases come from counter-based
+substreams keyed by (seed, scenario, trial, site), so results are independent
+of execution order. Trials run outermost, and each trial is drawn once per
+(RIS size, blockage state) and shared by every method arm and sweep point
+(common random numbers). The three arms are the full phase/power
+optimization, the random start phases with waterfilling, and a system with
+the reflected path removed.
 """
 
 import csv
 import io
 import time
 from dataclasses import dataclass, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -20,11 +22,12 @@ from .channel import FreqChannelSet, UraSpec, synthesize_link, taps_to_subcarrie
 from .pga import pga_optimize
 from .power import waterfill_covariances
 from .propagation import GeometryConfig, LinkGains, direct_gain, indirect_gain, link_distances, p_los, sample_blockage
-from .rate import RisPhases, equivalent_channel, rate_from_heq
+from .rate import RisPhases, combine_links, fold_gains, rate_from_heq
 from .rng import SITE_BLOCKAGE, SITE_LINK, SITE_PHASES, substream
 
 ARMS = ("pga", "random_phases", "no_ris")
-SCENARIOS = {"se_vs_snr": 1, "plos_vs_se": 2, "distance_vs_se": 3, "complexity_table": 4}
+SCENARIOS = {"se_vs_snr": 1, "plos_vs_se": 2, "distance_vs_se": 3}
+_COMPLEXITY_SCENARIO_ID = 4  # substream id of the complexity table's trials
 
 CSV_COLUMNS = ("scenario", "sweep_name", "sweep_value", "arm", "n_ris", "snr_db",
                "mean_se", "stderr_se", "trials", "seed", "d2")
@@ -88,6 +91,16 @@ class SystemConfig:
         n_max = min(self.n_t, self.n_r)
         if self.n_streams is not None and not 1 <= self.n_streams <= n_max:
             raise ValueError(f"n_streams must lie in 1..min(n_t, n_r) = 1..{n_max}")
+        for name in ("noise_var", "mu0", "epsilon"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("snr_db", "n_ris_list", "plos_grid", "distance_grid"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must hold at least one value")
+        if not all(0.0 <= p <= 1.0 for p in self.plos_grid):
+            raise ValueError("plos_grid entries must lie in [0, 1]")
+        if min(self.n_ris_list) < 1:
+            raise ValueError("n_ris_list entries must be at least 1")
 
     @property
     def n_t(self) -> int:
@@ -178,67 +191,74 @@ def _draw_channels(cfg: SystemConfig, key: tuple, los: bool) -> FreqChannelSet:
     return FreqChannelSet(h1=stacks[0], h2=stacks[1], h3=stacks[2])
 
 
+def _trial_los(geom: GeometryConfig, key: tuple) -> bool:
+    """Blockage state of the trial at `key` in this geometry (True = LOS)."""
+    prob = geom.p_los_override if geom.p_los_override is not None else p_los(geom)
+    return sample_blockage(prob, substream(*key, SITE_BLOCKAGE))
+
+
+def _link_gains(geom: GeometryConfig, los: bool) -> LinkGains:
+    return LinkGains(rho_direct=direct_gain(geom, los), rho_indirect=indirect_gain(geom), los=los)
+
+
+def _start_phases(n_ris: int, key: tuple) -> RisPhases:
+    """Random phases of the trial: the random arm's phases and the optimizer's start."""
+    return RisPhases.random(n_ris, substream(*key, SITE_PHASES))
+
+
 def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[FreqChannelSet, LinkGains]:
     """Blockage state, link channels and pathloss gains of one Monte Carlo trial.
 
     `key` is the (seed, scenario index, trial) substream key; everything drawn
     here is shared by all method arms and sweep points of the trial.
     """
-    prob = geom.p_los_override if geom.p_los_override is not None else p_los(geom)
-    los = sample_blockage(prob, substream(*key, SITE_BLOCKAGE))
-    channels = _draw_channels(cfg, key, los)
-    gains = LinkGains(rho_direct=direct_gain(geom, los),
-                      rho_indirect=indirect_gain(geom), los=los)
-    return channels, gains
+    los = _trial_los(geom, key)
+    return _draw_channels(cfg, key, los), _link_gains(geom, los)
+
+
+def _arm_rate(cfg: SystemConfig, arm: str, folded: FreqChannelSet, phi0: RisPhases,
+              total_power: float, meter=None) -> float:
+    """Spectral efficiency of one arm on gain-folded link stacks.
+
+    `pga` optimizes from `phi0`, `random_phases` keeps `phi0`, and `no_ris`
+    drops the reflected path, leaving the folded direct channel.
+    """
+    if arm == "pga":
+        return pga_optimize(folded, total_power, noise_var=cfg.noise_var, mu0=cfg.mu0,
+                            epsilon=cfg.epsilon, max_iter=cfg.max_iter,
+                            n_streams=cfg.n_streams, phi0=phi0, meter=meter).rate
+    heq = folded.h3 if arm == "no_ris" else combine_links(folded.h1, folded.h2, folded.h3, phi0.diag)
+    alloc = waterfill_covariances(heq, total_power, cfg.noise_var, cfg.n_streams)
+    return rate_from_heq(heq, alloc.q, cfg.noise_var)
 
 
 def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple,
               snr_db: float, meter=None) -> float:
     """Spectral efficiency of one Monte Carlo trial for one method arm.
 
-    `key` is the (seed, scenario index, trial) substream key. Arms share the
-    trial's blockage draw and channel realizations; the random-phase arm uses
-    the same phase substream that initializes the optimizer.
+    `key` is the (seed, scenario index, trial) substream key. The result
+    equals the trial's cell in `run_scenario`, which draws once per trial.
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}; choose from {ARMS}")
     channels, gains = draw_trial(cfg, geom, key)
-    if arm == "no_ris":
-        gains = LinkGains(rho_direct=gains.rho_direct, rho_indirect=0.0, los=gains.los)
-    total_power = total_power_for_snr(cfg, geom, snr_db)
-    phases_rng = substream(*key, SITE_PHASES)
-
-    if arm == "no_ris":
-        phi = RisPhases(np.ones(cfg.n_ris, dtype=complex))
-        eq = equivalent_channel(channels, phi, gains)
-        alloc = waterfill_covariances(eq.heq, total_power, cfg.noise_var, cfg.n_streams)
-        return rate_from_heq(eq.heq, alloc.q, cfg.noise_var)
-    if arm == "random_phases":
-        phi = RisPhases.random(cfg.n_ris, phases_rng)
-        eq = equivalent_channel(channels, phi, gains)
-        alloc = waterfill_covariances(eq.heq, total_power, cfg.noise_var, cfg.n_streams)
-        return rate_from_heq(eq.heq, alloc.q, cfg.noise_var)
-
-    folded = FreqChannelSet(h1=np.sqrt(gains.rho_indirect) * channels.h1,
-                            h2=channels.h2,
-                            h3=np.sqrt(gains.rho_direct) * channels.h3)
-    result = pga_optimize(folded, total_power, noise_var=cfg.noise_var, mu0=cfg.mu0,
-                          epsilon=cfg.epsilon, max_iter=cfg.max_iter,
-                          n_streams=cfg.n_streams, rng=phases_rng, meter=meter)
-    return result.rate
+    return _arm_rate(cfg, arm, fold_gains(channels, gains), _start_phases(cfg.n_ris, key),
+                     total_power_for_snr(cfg, geom, snr_db), meter)
 
 
-def _aggregate(cfg: SystemConfig, geom: GeometryConfig, scenario: str, arm: str,
-               sweep_name: str, sweep_value: float, snr_db: float, seed: int) -> ScenarioResult:
-    scen_id = SCENARIOS[scenario]
-    values = np.array([run_trial(cfg, geom, arm, (seed, scen_id, t), snr_db)
-                       for t in range(cfg.mc_trials)])
-    stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    _, d2, _ = link_distances(geom)
-    return ScenarioResult(scenario=scenario, sweep_name=sweep_name, sweep_value=float(sweep_value),
-                          arm=arm, n_ris=cfg.n_ris, snr_db=float(snr_db),
-                          mean_se=float(values.mean()), stderr_se=stderr,
-                          trials=cfg.mc_trials, seed=seed, d2=float(d2))
+def _sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[tuple]:
+    """(cfg, geometry, sweep name, sweep value, SNR) of each sweep point, in row order."""
+    if scenario == "se_vs_snr":
+        g = replace(geom, bs_height=10.0, d_ris=2.2)
+        return [(cfg.with_n_ris(n_ris), g, "snr_db", float(snr), float(snr))
+                for n_ris in cfg.n_ris_list for snr in cfg.snr_db]
+    if scenario == "plos_vs_se":
+        base = replace(geom, d_bs_ue=200.0, bs_height=5.0, d_ris=2.2)
+        return [(cfg, replace(base, p_los_override=float(p)), "p_los", float(p), float(snr))
+                for snr in cfg.snr_db for p in cfg.plos_grid]
+    base = replace(geom, bs_height=20.0, d_ris=30.0)  # distance_vs_se
+    return [(cfg, replace(base, d_bs_ue=float(d)), "d_bs_ue", float(d), 5.0)
+            for d in cfg.distance_grid]
 
 
 def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str,
@@ -249,33 +269,37 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str,
     bs_height=10, d_ris=2.2 geometry; plos_vs_se sweeps the LOS-probability
     override grid for each configured SNR at D=200, bs_height=5, d_ris=2.2;
     distance_vs_se sweeps the BS-UE distance grid at bs_height=20, d_ris=30,
-    SNR=5 dB.
+    SNR=5 dB. Trials run outermost; each trial's links are drawn once per
+    (RIS size, blockage state) and scored for every sweep point and arm.
     """
-    if scenario not in SCENARIOS or scenario == "complexity_table":
-        raise ValueError(f"unknown scenario {scenario!r}; choose from "
-                         f"{sorted(s for s in SCENARIOS if s != 'complexity_table')}")
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
     seed = cfg.seed if seed is None else int(seed)
+    points = _sweep_points(cfg, geom, scenario)
+    powers = [total_power_for_snr(c, g, snr) for c, g, _, _, snr in points]
+    se = np.empty((len(points), len(ARMS), cfg.mc_trials))
+    for t in range(cfg.mc_trials):
+        key = (seed, SCENARIOS[scenario], t)
+        draws, starts = {}, {}
+        for i, (c, g, _, _, _) in enumerate(points):
+            los = _trial_los(g, key)
+            if (c.n_ris, los) not in draws:
+                draws[c.n_ris, los] = draw_trial(c, g, key)[0]
+            if c.n_ris not in starts:
+                starts[c.n_ris] = _start_phases(c.n_ris, key)
+            folded = fold_gains(draws[c.n_ris, los], _link_gains(g, los))
+            for j, arm in enumerate(ARMS):
+                se[i, j, t] = _arm_rate(c, arm, folded, starts[c.n_ris], powers[i])
+
     rows: list[ScenarioResult] = []
-    if scenario == "se_vs_snr":
-        g = replace(geom, bs_height=10.0, d_ris=2.2)
-        for n_ris in cfg.n_ris_list:
-            c = cfg.with_n_ris(n_ris)
-            for snr in cfg.snr_db:
-                for arm in ARMS:
-                    rows.append(_aggregate(c, g, scenario, arm, "snr_db", snr, snr, seed))
-    elif scenario == "plos_vs_se":
-        base = replace(geom, d_bs_ue=200.0, bs_height=5.0, d_ris=2.2)
-        for snr in cfg.snr_db:
-            for override in cfg.plos_grid:
-                g = replace(base, p_los_override=float(override))
-                for arm in ARMS:
-                    rows.append(_aggregate(cfg, g, scenario, arm, "p_los", override, snr, seed))
-    else:  # distance_vs_se
-        base = replace(geom, bs_height=20.0, d_ris=30.0)
-        for d in cfg.distance_grid:
-            g = replace(base, d_bs_ue=float(d))
-            for arm in ARMS:
-                rows.append(_aggregate(cfg, g, scenario, arm, "d_bs_ue", d, 5.0, seed))
+    for (c, g, sweep_name, sweep_value, snr), per_arm in zip(points, se):
+        _, d2, _ = link_distances(g)
+        for arm, values in zip(ARMS, per_arm):
+            stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+            rows.append(ScenarioResult(scenario=scenario, sweep_name=sweep_name,
+                                       sweep_value=sweep_value, arm=arm, n_ris=c.n_ris,
+                                       snr_db=snr, mean_se=float(values.mean()), stderr_se=stderr,
+                                       trials=cfg.mc_trials, seed=seed, d2=float(d2)))
     return rows
 
 
@@ -287,7 +311,6 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
     reproducible; runtimes are wall-clock measurements.
     """
     seed = cfg.seed if seed is None else int(seed)
-    scen_id = SCENARIOS["complexity_table"]
     rows = []
     for n_ris in n_ris_list:
         c = cfg.with_n_ris(int(n_ris))
@@ -295,7 +318,7 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
         for t in range(trials):
             meter = flops.FlopMeter()
             t0 = time.perf_counter()
-            run_trial(c, geom, "pga", (seed, scen_id, t), snr_db, meter=meter)
+            run_trial(c, geom, "pga", (seed, _COMPLEXITY_SCENARIO_ID, t), snr_db, meter=meter)
             runtimes.append(time.perf_counter() - t0)
             iters.append(meter.iterations)
             flop_counts.append(meter.flop_total)
@@ -332,15 +355,17 @@ def complexity_rows_to_csv(rows: list[dict]) -> str:
 # config dataclasses. Tuples are comma-separated; booleans/None are literal.
 _SYSTEM_FIELDS = {f.name: f for f in fields(SystemConfig)}
 _GEOMETRY_FIELDS = {f.name: f for f in fields(GeometryConfig)}
+# item type of every tuple-typed field, read from the dataclass annotations
+_TUPLE_ITEM_TYPES = {name: get_args(hint)[0]
+                     for cls in (SystemConfig, GeometryConfig)
+                     for name, hint in get_type_hints(cls).items() if get_origin(hint) is tuple}
 
 
 def _parse_value(name: str, text: str):
     text = text.strip()
-    if name in ("n_taps", "snr_db", "n_ris_list", "plos_grid", "distance_grid"):
-        parts = [p for p in text.split(",") if p.strip()]
-        if name in ("n_taps", "n_ris_list"):
-            return tuple(int(p) for p in parts)
-        return tuple(float(p) for p in parts)
+    item_type = _TUPLE_ITEM_TYPES.get(name)
+    if item_type is not None:
+        return tuple(item_type(p) for p in text.split(",") if p.strip())
     if text.lower() == "none":
         return None
     try:

@@ -111,7 +111,6 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
 
     k, n_r, n_t = channels.h3.shape
     if meter is not None:
-        meter.start()
         flops.record_rate_eval(meter, k, n_r, n_t, n_ris)
         flops.record_waterfilling(meter, k, n_r, n_t, n_ris)
 
@@ -159,6 +158,5 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
 
     if meter is not None:
         meter.iterations += iterations
-        meter.stop()
     return PgaResult(phi=phi, power=alloc, rate=rate, trace=np.asarray(trace),
                      iterations=iterations, converged=converged)

@@ -70,23 +70,26 @@ def combine_links(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, phi_diag: np.n
     return h3 + (h2 * phi_diag[None, None, :]) @ h1
 
 
+def fold_gains(channels: FreqChannelSet, gains: LinkGains) -> FreqChannelSet:
+    """Link stacks with sqrt(rho_indirect) folded into h1 and sqrt(rho_direct) into h3."""
+    return FreqChannelSet(h1=np.sqrt(gains.rho_indirect) * channels.h1, h2=channels.h2,
+                          h3=np.sqrt(gains.rho_direct) * channels.h3)
+
+
 def equivalent_channel(channels: FreqChannelSet, phi: RisPhases, gains: LinkGains | None = None) -> EquivalentChannel:
     """Assemble the equivalent channel from link stacks, phases and gains.
 
-    With `gains` given, sqrt(rho) amplitudes are folded into the h1/h3 stacks;
-    with gains=None the stacks are used as-is (already folded or unit-gain).
+    With `gains` given, the stacks are folded by `fold_gains` first; with
+    gains=None they are used as-is (already folded or unit-gain).
     """
     if phi.n_elements != channels.h1.shape[1]:
         raise ValueError(
             f"phase count {phi.n_elements} does not match RIS element count {channels.h1.shape[1]}"
         )
-    if gains is None:
-        h1, h3 = channels.h1, channels.h3
-    else:
-        h1 = np.sqrt(gains.rho_indirect) * channels.h1
-        h3 = np.sqrt(gains.rho_direct) * channels.h3
-    heq = combine_links(h1, channels.h2, h3, phi.diag)
-    return EquivalentChannel(heq=heq, h1=h1, h2=channels.h2, h3=h3, phi=phi)
+    if gains is not None:
+        channels = fold_gains(channels, gains)
+    heq = combine_links(channels.h1, channels.h2, channels.h3, phi.diag)
+    return EquivalentChannel(heq=heq, h1=channels.h1, h2=channels.h2, h3=channels.h3, phi=phi)
 
 
 def rate_from_heq(heq: np.ndarray, q: np.ndarray, noise_var: float) -> float:

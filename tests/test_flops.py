@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 
 from rislink.channel import FreqChannelSet
-from rislink.flops import FlopMeter, report
+from rislink.flops import FlopMeter
 from rislink.pga import pga_optimize
 from rislink.rng import substream
 
@@ -18,31 +17,6 @@ def instrumented_run(n_ris, seed=7, k=2, n_r=2, n_t=4, power=25.0):
     meter = FlopMeter()
     pga_optimize(ch, power, rng=rng, meter=meter)
     return meter
-
-
-def test_record_gemm_counts():
-    m = FlopMeter()
-    m.record_gemm(2, 3, 4)
-    assert m.complex_mults == 24
-    assert m.flop_total == 144.0
-
-    m2 = FlopMeter()
-    m2.record_gemm(1, 1, 1)
-    assert m2.flop_total == 6.0  # one complex multiply
-
-    m3 = FlopMeter()
-    m3.record_gemm(5, 7, 1)  # matvec
-    assert m3.complex_mults == 35
-
-    with pytest.raises(ValueError):
-        m3.record_gemm(0, 1, 1)
-
-
-def test_division_cost_and_fresh_meter():
-    m = FlopMeter()
-    assert report(m, n_ris=16) == {"n_ris": 16, "iter_count": 0, "flop_count": 0.0, "runtime_s": 0.0}
-    m.record_divs(1)
-    assert m.flop_total == 8.0  # one complex divide
 
 
 def test_counters_deterministic():
@@ -73,11 +47,3 @@ def test_per_iteration_flops_scaling_slope():
     slope = np.polyfit(np.log(sizes), np.log(per_iter), 1)[0]
     assert 2.0 < slope < 3.0
 
-
-def test_report_after_run():
-    meter = instrumented_run(8)
-    rec = report(meter, n_ris=8)
-    assert rec["n_ris"] == 8
-    assert rec["iter_count"] == meter.iterations
-    assert rec["flop_count"] == meter.flop_total > 0
-    assert rec["runtime_s"] >= 0.0

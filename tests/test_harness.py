@@ -1,15 +1,18 @@
 import subprocess
 import sys
 from dataclasses import replace
+from typing import get_origin, get_type_hints
 
 import numpy as np
 import pytest
 
+from rislink import harness
 from rislink.harness import (
     SCENARIOS,
     SystemConfig,
     complexity_rows_to_csv,
     complexity_table,
+    draw_trial,
     parse_config,
     preset_config,
     reference_gain,
@@ -86,6 +89,46 @@ def test_config_rejects_out_of_range_n_streams():
             small_config(n_streams=n_s)
     with pytest.raises(ValueError, match="n_streams"):
         parse_config(None, overrides={"n_streams": "5"}, preset="desk")
+
+
+def test_tuple_fields_round_trip_through_overrides():
+    cfg, geom = preset_config("desk")
+    hints = {**get_type_hints(SystemConfig), **get_type_hints(GeometryConfig)}
+    tuple_fields = [name for name, hint in hints.items() if get_origin(hint) is tuple]
+    assert {"n_taps", "snr_db", "n_ris_list", "plos_grid", "distance_grid"} <= set(tuple_fields)
+    for name in tuple_fields:
+        owner = 0 if hasattr(cfg, name) else 1
+        value = tuple(reversed(getattr((cfg, geom)[owner], name)))  # differs from the preset
+        text = ", ".join(str(v) for v in value)
+        parsed = getattr(parse_config(None, overrides={name: text}, preset="desk")[owner], name)
+        assert parsed == value
+        assert [type(v) for v in parsed] == [type(v) for v in value]
+
+
+@pytest.mark.parametrize("key, text, via_cli", [
+    ("noise_var", "0", False),
+    ("mu0", "-0.1", False),
+    ("epsilon", "0", False),
+    ("n_ris_list", "", False),
+    ("plos_grid", "", False),
+    ("distance_grid", "", False),
+    ("plos_grid", "0.5, 1.5", False),
+    ("plos_grid", "-0.1", False),
+    ("n_ris_list", "16, 0", False),
+    ("snr_db", "", True),
+])
+def test_config_rejects_bad_values_before_any_trial(key, text, via_cli, tmp_path):
+    if not via_cli:
+        with pytest.raises(ValueError, match=key):
+            parse_config(None, overrides={key: text}, preset="desk")
+        return
+    out = tmp_path / "results.csv"
+    proc = subprocess.run([sys.executable, "-m", "rislink", "simulate", "--scenario", "se_vs_snr",
+                           "--preset", "desk", f"--snr-db={text}", "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert key in proc.stderr
+    assert not out.exists()
 
 
 def test_presets():
@@ -175,6 +218,59 @@ def test_plos_override_forces_los():
                     for t in range(2)])
     pga_row = [r for r in rows if r.arm == "pga"][0]
     assert pga_row.mean_se == pytest.approx(redo, rel=1e-12)
+
+
+def sweep_config():
+    # plos_grid brackets most blockage draws, so trials mix LOS and NLOS across points
+    return small_config(mc_trials=4, snr_db=(0.0, 10.0), n_ris_list=(4, 9),
+                        plos_grid=(0.1, 0.5, 0.9), distance_grid=(100.0, 200.0))
+
+
+def cell_setup(cfg, geom, scenario, row):
+    """(cfg, geometry) of a row's sweep point, rebuilt from the documented scenario geometry."""
+    if scenario == "se_vs_snr":
+        return cfg.with_n_ris(row.n_ris), replace(geom, bs_height=10.0, d_ris=2.2)
+    if scenario == "plos_vs_se":
+        return cfg, replace(geom, d_bs_ue=200.0, bs_height=5.0, d_ris=2.2,
+                            p_los_override=row.sweep_value)
+    return cfg, replace(geom, bs_height=20.0, d_ris=30.0, d_bs_ue=row.sweep_value)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_run_scenario_matches_per_cell_trials(scenario):
+    # the per-cell path (one run_trial per trial, sweep point and arm) is the reference
+    cfg, geom, seed = sweep_config(), GeometryConfig(), 5
+    rows = run_scenario(cfg, geom, scenario, seed=seed)
+    assert len(rows) == {"se_vs_snr": 12, "plos_vs_se": 18, "distance_vs_se": 6}[scenario]
+    keys = [(seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
+    los_by_trial = {t: set() for t in range(cfg.mc_trials)}
+    for row in rows:
+        c, g = cell_setup(cfg, geom, scenario, row)
+        values = np.array([run_trial(c, g, row.arm, key, row.snr_db) for key in keys])
+        assert row.mean_se == float(values.mean())
+        assert row.stderr_se == float(values.std(ddof=1) / np.sqrt(len(values)))
+        for t, key in enumerate(keys):
+            los_by_trial[t].add(draw_trial(c, g, key)[1].los)
+    if scenario == "plos_vs_se":
+        assert any(len(states) == 2 for states in los_by_trial.values())
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_run_scenario_synthesizes_each_link_once_per_state(monkeypatch, scenario):
+    calls = []
+    synthesize = harness.synthesize_link
+
+    def counting(link, cfg, rng, los=True):
+        calls.append((cfg.n_ris, los))
+        return synthesize(link, cfg, rng, los=los)
+
+    monkeypatch.setattr(harness, "synthesize_link", counting)
+    cfg = replace(sweep_config(), mc_trials=1)
+    for seed in range(4):
+        calls.clear()
+        run_scenario(cfg, GeometryConfig(), scenario, seed=seed)
+        # three links per (RIS size, blockage state) of the single trial
+        assert 0 < len(calls) <= 3 * len(set(calls))
 
 
 def test_csv_deterministic_and_rfc4180():
