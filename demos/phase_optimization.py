@@ -29,11 +29,11 @@ print(f"rate trace (bits/s/Hz): start {result.trace[0]:.4f} -> "
 
 # Baselines on the same channel draw.
 no_ris_gains = LinkGains(gains.rho_direct, 0.0, gains.los)
-eq_no = equivalent_channel(channels, RisPhases(np.ones(cfg.n_ris)), no_ris_gains)
-rate_no = spectral_efficiency(eq_no, waterfill_covariances(eq_no.heq, power), 1.0)
+eq_no = equivalent_channel(fold_gains(channels, no_ris_gains), RisPhases(np.ones(cfg.n_ris)))
+rate_no = spectral_efficiency(eq_no, waterfill_covariances(eq_no.heq, power).q, 1.0)
 
-eq_rand = equivalent_channel(channels, RisPhases.random(cfg.n_ris, substream(*key, SITE_PHASES)), gains)
-rate_rand = spectral_efficiency(eq_rand, waterfill_covariances(eq_rand.heq, power), 1.0)
+eq_rand = equivalent_channel(fold_gains(channels, gains), RisPhases.random(cfg.n_ris, substream(*key, SITE_PHASES)))
+rate_rand = spectral_efficiency(eq_rand, waterfill_covariances(eq_rand.heq, power).q, 1.0)
 
 print(f"\narm comparison on this draw:")
 print(f"  no reflected path : {rate_no:.4f} bits/s/Hz")

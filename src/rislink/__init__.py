@@ -10,7 +10,6 @@ on the unit-modulus diagonal) and the per-subcarrier transmit covariances
 from .channel import (
     ClusterRaySet,
     FreqChannelSet,
-    TapChannel,
     UraSpec,
     draw_cluster_rays,
     geometric_tap,
@@ -70,7 +69,6 @@ __all__ = [
     "RisPhases",
     "ScenarioResult",
     "SystemConfig",
-    "TapChannel",
     "UraSpec",
     "build_covariances",
     "channel_eigvals",

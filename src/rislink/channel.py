@@ -61,26 +61,6 @@ class ClusterRaySet:
 
 
 @dataclass
-class TapChannel:
-    """Time-domain channel: L tap matrices of shape (n_rx, n_tx) for one link."""
-
-    taps: np.ndarray  # (L, n_rx, n_tx) complex
-    link_index: int
-    rician_factor: float
-
-    def __post_init__(self):
-        self.taps = np.asarray(self.taps, dtype=complex)
-        if self.taps.ndim != 3:
-            raise ValueError("taps must be a (L, n_rx, n_tx) array")
-        if not np.all(np.isfinite(self.taps)):
-            raise ValueError("taps contain non-finite entries")
-
-    @property
-    def n_taps(self) -> int:
-        return self.taps.shape[0]
-
-
-@dataclass
 class FreqChannelSet:
     """Per-subcarrier frequency responses of the three links.
 
@@ -198,16 +178,15 @@ def rician_tap(los_part: np.ndarray, scatter_part: np.ndarray, rician_k: float) 
     return np.sqrt(rician_k / (rician_k + 1.0)) * los_part + np.sqrt(1.0 / (rician_k + 1.0)) * scatter_part
 
 
-def taps_to_subcarriers(taps, n_subcarriers: int) -> np.ndarray:
+def taps_to_subcarriers(taps: np.ndarray, n_subcarriers: int) -> np.ndarray:
     """K-point DFT over the tap axis: H[k] = sum_l H[l] exp(-2j*pi*k*l/K).
 
     Requires n_subcarriers >= number of taps (taps are zero-padded into the
-    DFT window, never truncated).
+    DFT window, never truncated). `taps` is an (L, n_rx, n_tx) array.
     """
-    arr = taps.taps if isinstance(taps, TapChannel) else np.asarray(taps, dtype=complex)
-    if n_subcarriers < arr.shape[0]:
-        raise ValueError(f"need n_subcarriers >= n_taps, got {n_subcarriers} < {arr.shape[0]}")
-    return np.fft.fft(arr, n=n_subcarriers, axis=0)
+    if n_subcarriers < taps.shape[0]:
+        raise ValueError(f"need n_subcarriers >= n_taps, got {n_subcarriers} < {taps.shape[0]}")
+    return np.fft.fft(taps, n=n_subcarriers, axis=0)
 
 
 def tap_power_weights(n_taps: int) -> np.ndarray:
@@ -216,8 +195,8 @@ def tap_power_weights(n_taps: int) -> np.ndarray:
     return w / w.sum()
 
 
-def synthesize_link(link_index: int, config, rng: np.random.Generator, los: bool = True) -> TapChannel:
-    """Synthesize the time-domain taps of one link.
+def synthesize_link(link_index: int, config, rng: np.random.Generator, los: bool = True) -> np.ndarray:
+    """Synthesize the time-domain taps of one link as an (L, n_rx, n_tx) array.
 
     Per tap, an independent clustered-ray geometric component and an i.i.d.
     CN(0,1) scatter matrix are combined with the configured Rician factor and
@@ -253,4 +232,4 @@ def synthesize_link(link_index: int, config, rng: np.random.Generator, los: bool
         geo = geometric_tap(rays, rx_spec, tx_spec)
         scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
         taps[l] = np.sqrt(w) * rician_tap(geo, scatter, config.rician_k)
-    return TapChannel(taps=taps, link_index=link_index, rician_factor=config.rician_k)
+    return taps

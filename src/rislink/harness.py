@@ -21,7 +21,7 @@ from . import flops
 from .channel import FreqChannelSet, UraSpec, synthesize_link, taps_to_subcarriers
 from .pga import pga_optimize
 from .power import waterfill_covariances
-from .propagation import GeometryConfig, LinkGains, direct_gain, indirect_gain, link_distances, p_los, sample_blockage
+from .propagation import GeometryConfig, LinkGains, blockage_state, direct_gain, indirect_gain, link_distances, p_los
 from .rate import RisPhases, combine_links, fold_gains, rate_from_heq
 from .rng import SITE_BLOCKAGE, SITE_LINK, SITE_PHASES, substream
 
@@ -191,10 +191,15 @@ def _draw_channels(cfg: SystemConfig, key: tuple, los: bool) -> FreqChannelSet:
     return FreqChannelSet(h1=stacks[0], h2=stacks[1], h3=stacks[2])
 
 
-def _trial_los(geom: GeometryConfig, key: tuple) -> bool:
-    """Blockage state of the trial at `key` in this geometry (True = LOS)."""
+def _blockage_uniform(key: tuple) -> float:
+    """The one blockage draw of the trial at `key`, shared by every geometry it is scored in."""
+    return substream(*key, SITE_BLOCKAGE).uniform()
+
+
+def _trial_los(geom: GeometryConfig, u: float) -> bool:
+    """Blockage state in this geometry (True = LOS) of a trial whose blockage draw is `u`."""
     prob = geom.p_los_override if geom.p_los_override is not None else p_los(geom)
-    return sample_blockage(prob, substream(*key, SITE_BLOCKAGE))
+    return blockage_state(prob, u)
 
 
 def _link_gains(geom: GeometryConfig, los: bool) -> LinkGains:
@@ -212,7 +217,7 @@ def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[Fre
     `key` is the (seed, scenario index, trial) substream key; everything drawn
     here is shared by all method arms and sweep points of the trial.
     """
-    los = _trial_los(geom, key)
+    los = _trial_los(geom, _blockage_uniform(key))
     return _draw_channels(cfg, key, los), _link_gains(geom, los)
 
 
@@ -280,9 +285,10 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str,
     se = np.empty((len(points), len(ARMS), cfg.mc_trials))
     for t in range(cfg.mc_trials):
         key = (seed, SCENARIOS[scenario], t)
+        u = _blockage_uniform(key)
         draws, starts = {}, {}
         for i, (c, g, _, _, _) in enumerate(points):
-            los = _trial_los(g, key)
+            los = _trial_los(g, u)
             if (c.n_ris, los) not in draws:
                 draws[c.n_ris, los] = draw_trial(c, g, key)[0]
             if c.n_ris not in starts:

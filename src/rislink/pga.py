@@ -32,7 +32,7 @@ class PgaResult:
     converged: bool
 
 
-def gradient_phi(channels, q, phi: RisPhases | None = None, noise_var: float = 1.0, meter=None) -> np.ndarray:
+def gradient_phi(channels, q: np.ndarray, phi: RisPhases | None = None, noise_var: float = 1.0) -> np.ndarray:
     """Wirtinger gradient of sum_k log2 det A_k w.r.t. the phase diagonal.
 
     With A_k = I + H_eq[k] Q[k] H_eq[k]^H / noise_var, the i-th component is
@@ -43,7 +43,8 @@ def gradient_phi(channels, q, phi: RisPhases | None = None, noise_var: float = 1
     plane is the conjugate of the returned vector).
 
     `channels` is a FreqChannelSet with pathloss already folded into h1/h3
-    (then `phi` is required) or an EquivalentChannel (its phases are used).
+    (then `phi` is required) or an EquivalentChannel (its phases are used);
+    `q` is the (K, N_t, N_t) covariance stack.
     """
     if isinstance(channels, EquivalentChannel):
         eq = channels
@@ -54,33 +55,27 @@ def gradient_phi(channels, q, phi: RisPhases | None = None, noise_var: float = 1
     else:
         raise TypeError(f"unsupported channel container {type(channels)!r}")
 
-    q_stack = np.asarray(getattr(q, "q", q), dtype=complex)
-    k, n_r, n_t = eq.heq.shape
-    n_ris = eq.h1.shape[1]
-    if meter is not None:
-        flops.record_gradient(meter, k, n_r, n_t, n_ris)
-
-    q_heqh = q_stack @ eq.heq.conj().transpose(0, 2, 1)
-    a = np.eye(n_r) + (eq.heq @ q_heqh) / noise_var
+    q_heqh = q @ eq.heq.conj().transpose(0, 2, 1)
+    a = np.eye(eq.heq.shape[1]) + (eq.heq @ q_heqh) / noise_var
     # A_k = I + PSD is well conditioned; inverting the N_r x N_r matrix beats
     # a batched solve against N_RIS right-hand sides
     ainv_x = np.linalg.inv(a) @ eq.h2
     return np.einsum("kir,kri->i", eq.h1 @ q_heqh, ainv_x) / (noise_var * LN2)
 
 
-def project_unit_modulus(values, fallback=None) -> RisPhases:
+def project_unit_modulus(values, fallback: np.ndarray | None = None) -> RisPhases:
     """Normalize each entry onto the unit circle.
 
-    Zero-modulus entries keep the corresponding `fallback` value (a RisPhases
-    or complex array), or 1+0j when no fallback is given.
+    Zero-modulus entries keep the corresponding entry of the unit-modulus
+    `fallback` array, or 1+0j when no fallback is given.
     """
     v = np.asarray(values, dtype=complex)
+    # complex / real division multiplies by 1/|v|, which overflows for
+    # subnormal |v|; an exact power-of-two rescale keeps the angle
+    v = np.where(np.abs(v) < np.finfo(float).tiny, v * 2.0**600, v)
     mag = np.abs(v)
     zero = mag == 0.0
-    if fallback is None:
-        fb = np.ones_like(v)
-    else:
-        fb = np.asarray(getattr(fallback, "diag", fallback), dtype=complex)
+    fb = np.ones_like(v) if fallback is None else fallback
     out = np.where(zero, fb, v / np.where(zero, 1.0, mag))
     return RisPhases(out)
 
@@ -98,6 +93,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
     step is reverted and mu shrinks by 10. The loop stops when the candidate
     rate changes by less than `epsilon`, when mu underflows its floor, or at
     the iteration cap; the best (last accepted) iterate is returned either way.
+    A given `meter` books the run's analytical cost (`flops.record_pga_run`).
     """
     if mu0 <= 0 or epsilon <= 0 or max_iter < 1:
         raise ValueError("need mu0 > 0, epsilon > 0 and a positive iteration cap")
@@ -109,13 +105,8 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
             raise ValueError("rng is required when phi0 is not given")
         phi = RisPhases.random(n_ris, rng)
 
-    k, n_r, n_t = channels.h3.shape
-    if meter is not None:
-        flops.record_rate_eval(meter, k, n_r, n_t, n_ris)
-        flops.record_waterfilling(meter, k, n_r, n_t, n_ris)
-
     eq = equivalent_channel(channels, phi)
-    alloc = waterfill_covariances(eq.heq, total_power, noise_var, n_streams, meter)
+    alloc = waterfill_covariances(eq.heq, total_power, noise_var, n_streams)
     rate = rate_from_heq(eq.heq, alloc.q, noise_var)
 
     trace = [rate]
@@ -123,11 +114,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
     iterations = 0
     converged = False
     while iterations < max_iter:
-        grad = gradient_phi(eq, alloc.q, noise_var=noise_var, meter=meter)
-        if meter is not None:
-            flops.record_phase_update(meter, n_ris)
-            flops.record_rate_eval(meter, k, n_r, n_t, n_ris)
-            flops.record_waterfilling(meter, k, n_r, n_t, n_ris)
+        grad = gradient_phi(eq, alloc.q, noise_var=noise_var)
         # Scale-free step: mu bounds the largest per-element phase rotation,
         # so progress per iteration does not collapse at low-rate operating
         # points where the raw gradient is far below the stopping threshold.
@@ -135,9 +122,9 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
         if scale == 0.0:
             converged = True
             break
-        new_phi = project_unit_modulus(phi.diag + (mu / scale) * grad.conj(), fallback=phi)
+        new_phi = project_unit_modulus(phi.diag + (mu / scale) * grad.conj(), fallback=phi.diag)
         new_heq = combine_links(eq.h1, eq.h2, eq.h3, new_phi.diag)
-        new_alloc = waterfill_covariances(new_heq, total_power, noise_var, n_streams, meter)
+        new_alloc = waterfill_covariances(new_heq, total_power, noise_var, n_streams)
         new_rate = rate_from_heq(new_heq, new_alloc.q, noise_var)
         iterations += 1
 
@@ -157,6 +144,9 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
             break
 
     if meter is not None:
-        meter.iterations += iterations
+        # a pass that found a zero gradient stopped before its step and waterfill
+        k, n_r, n_t = channels.h3.shape
+        flops.record_pga_run(meter, k, n_r, n_t, n_ris, alloc.p.shape[1],
+                             gradient_passes=iterations + int(scale == 0.0), iterations=iterations)
     return PgaResult(phi=phi, power=alloc, rate=rate, trace=np.asarray(trace),
                      iterations=iterations, converged=converged)

@@ -32,25 +32,24 @@ class PowerAllocation:
     total_power: float
 
 
-def channel_eigvals(heq, noise_var: float, n_streams: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def channel_eigvals(heq: np.ndarray, noise_var: float, n_streams: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenpairs of (1/noise_var) * H_eq[k]^H H_eq[k] per subcarrier.
 
-    `heq` is a (K, N_r, N_t) stack or an EquivalentChannel. The pairs come
-    from the thin SVD H_eq[k] = U S V^H: eigenvalues s^2 / noise_var and
-    eigenvectors the columns of V. `n_streams` must lie in 1..min(N_r, N_t)
-    (default: all of them). Returns (eigenvalues (K, N_s) in descending
-    order, eigenvectors (K, N_t, N_s)).
+    `heq` is a (K, N_r, N_t) stack. The pairs come from the thin SVD
+    H_eq[k] = U S V^H: eigenvalues s^2 / noise_var and eigenvectors the
+    columns of V. `n_streams` must lie in 1..min(N_r, N_t) (default: all of
+    them). Returns (eigenvalues (K, N_s) in descending order, eigenvectors
+    (K, N_t, N_s)).
     """
-    h = np.asarray(getattr(heq, "heq", heq), dtype=complex)
-    n_max = min(h.shape[1], h.shape[2])
+    n_max = min(heq.shape[1], heq.shape[2])
     n_s = n_max if n_streams is None else n_streams
     if not 1 <= n_s <= n_max:
         raise ValueError(f"n_streams must lie in 1..{n_max}, got {n_streams}")
-    _, s, vh = np.linalg.svd(h, full_matrices=False)  # s is descending
+    _, s, vh = np.linalg.svd(heq, full_matrices=False)  # s is descending
     return s[:, :n_s] ** 2 / noise_var, vh[:, :n_s, :].conj().transpose(0, 2, 1)
 
 
-def waterfill(eigenvalues, total_power: float, meter=None) -> tuple[np.ndarray, float]:
+def waterfill(eigenvalues, total_power: float) -> tuple[np.ndarray, float]:
     """Waterfill a power budget over channel eigenvalues.
 
     Solves P_i = max(0, 1/cutoff - 1/lam_i) with the single cutoff chosen so
@@ -72,9 +71,6 @@ def waterfill(eigenvalues, total_power: float, meter=None) -> tuple[np.ndarray, 
         raise ValueError("waterfilling needs at least one positive eigenvalue")
 
     inv_lam = 1.0 / flat[active]
-    if meter is not None:
-        # per stream: reciprocal, sort slot, prefix sum, candidate level and its test
-        meter.real_ops += 5 * inv_lam.size
     inv_sorted = np.sort(inv_lam)
     levels = (total_power + np.cumsum(inv_sorted)) / np.arange(1, inv_sorted.size + 1)
     # the strongest stream always passes (total_power > 0); a tie at the
@@ -91,9 +87,9 @@ def build_covariances(u: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (u * p[:, None, :]) @ u.conj().transpose(0, 2, 1)
 
 
-def waterfill_covariances(heq, total_power: float, noise_var: float = 1.0,
-                          n_streams: int | None = None, meter=None) -> PowerAllocation:
+def waterfill_covariances(heq: np.ndarray, total_power: float, noise_var: float = 1.0,
+                          n_streams: int | None = None) -> PowerAllocation:
     """Eigen-decompose, waterfill across all (subcarrier, stream) pairs and rebuild Q[k]."""
     lams, u = channel_eigvals(heq, noise_var, n_streams)
-    p, cutoff = waterfill(lams, total_power, meter)
+    p, cutoff = waterfill(lams, total_power)
     return PowerAllocation(q=build_covariances(u, p), u=u, p=p, cutoff=cutoff, total_power=total_power)

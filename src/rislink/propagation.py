@@ -102,8 +102,13 @@ def direct_gain(geom: GeometryConfig, los: bool) -> float:
     return float(k0 * (geom.d_ref / d_dir) ** alpha)
 
 
-def sample_blockage(p: float, rng: np.random.Generator) -> bool:
-    """Bernoulli(p) draw; True means the direct path is LOS."""
+def blockage_state(p: float, u: float) -> bool:
+    """LOS (True) when the uniform draw `u` on [0, 1) falls below the LOS probability `p`."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("LOS probability must lie in [0, 1]")
-    return bool(rng.uniform() < p)
+    return bool(u < p)
+
+
+def sample_blockage(p: float, rng: np.random.Generator) -> bool:
+    """Bernoulli(p) draw; True means the direct path is LOS."""
+    return blockage_state(p, rng.uniform())

@@ -76,18 +76,15 @@ def fold_gains(channels: FreqChannelSet, gains: LinkGains) -> FreqChannelSet:
                           h3=np.sqrt(gains.rho_direct) * channels.h3)
 
 
-def equivalent_channel(channels: FreqChannelSet, phi: RisPhases, gains: LinkGains | None = None) -> EquivalentChannel:
-    """Assemble the equivalent channel from link stacks, phases and gains.
+def equivalent_channel(channels: FreqChannelSet, phi: RisPhases) -> EquivalentChannel:
+    """Assemble the equivalent channel from gain-folded link stacks and phases.
 
-    With `gains` given, the stacks are folded by `fold_gains` first; with
-    gains=None they are used as-is (already folded or unit-gain).
+    The stacks are used as-is: fold pathloss in with `fold_gains` first.
     """
     if phi.n_elements != channels.h1.shape[1]:
         raise ValueError(
             f"phase count {phi.n_elements} does not match RIS element count {channels.h1.shape[1]}"
         )
-    if gains is not None:
-        channels = fold_gains(channels, gains)
     heq = combine_links(channels.h1, channels.h2, channels.h3, phi.diag)
     return EquivalentChannel(heq=heq, h1=channels.h1, h2=channels.h2, h3=channels.h3, phi=phi)
 
@@ -106,24 +103,21 @@ def rate_from_heq(heq: np.ndarray, q: np.ndarray, noise_var: float) -> float:
     return float(2.0 * np.sum(np.log(diags)) / (LN2 * heq.shape[0]))
 
 
-def spectral_efficiency(eq: EquivalentChannel, q, noise_var: float, check_psd: bool = True) -> float:
+def spectral_efficiency(eq: EquivalentChannel, q: np.ndarray, noise_var: float) -> float:
     """Spectral efficiency in bits/s/Hz of the equivalent channel under Q[k].
 
-    `q` is a (K, N_t, N_t) covariance stack or a PowerAllocation carrying one.
-    Raises if any Q[k] has an eigenvalue below -1e-9 (non-PSD); pass
-    check_psd=False on hot paths where Q is PSD by construction.
+    `q` is the (K, N_t, N_t) covariance stack. Raises if any Q[k] has an
+    eigenvalue below -1e-9 (non-PSD), relative to the covariance scale.
     """
-    q_stack = np.asarray(getattr(q, "q", q), dtype=complex)
-    if q_stack.shape[0] != eq.n_subcarriers:
+    if q.shape[0] != eq.n_subcarriers:
         raise ValueError("covariance stack must have one matrix per subcarrier")
-    if check_psd:
-        eigs = np.linalg.eigvalsh(0.5 * (q_stack + q_stack.conj().transpose(0, 2, 1)))
-        # tolerance is relative to the covariance scale so legitimate
-        # allocations at large power budgets do not trip on rounding
-        scale = max(1.0, float(np.max(np.abs(eigs), initial=0.0)))
-        if np.min(eigs) < -1e-9 * scale:
-            raise ValueError(f"covariance is not PSD (min eigenvalue {np.min(eigs):.3e})")
-    return rate_from_heq(eq.heq, q_stack, noise_var)
+    eigs = np.linalg.eigvalsh(0.5 * (q + q.conj().transpose(0, 2, 1)))
+    # tolerance is relative to the covariance scale so legitimate
+    # allocations at large power budgets do not trip on rounding
+    scale = max(1.0, float(np.max(np.abs(eigs), initial=0.0)))
+    if np.min(eigs) < -1e-9 * scale:
+        raise ValueError(f"covariance is not PSD (min eigenvalue {np.min(eigs):.3e})")
+    return rate_from_heq(eq.heq, q, noise_var)
 
 
 def received_signal(eq: EquivalentChannel, x: np.ndarray, noise_var: float, rng: np.random.Generator) -> np.ndarray:

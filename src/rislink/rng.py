@@ -12,7 +12,6 @@ import numpy as np
 SITE_BLOCKAGE = 0
 SITE_LINK = 1
 SITE_PHASES = 2
-SITE_NOISE = 3
 
 
 def substream(*key: int) -> np.random.Generator:

@@ -28,6 +28,15 @@ def test_counters_deterministic():
     assert a.flop_total == b.flop_total
 
 
+def test_ledger_totals_pinned():
+    # the analytical ledger's totals for two fixed runs; a change to where or
+    # how the cost is booked must leave them unchanged
+    for n_ris, flop_total, real_ops, iterations in ((4, 577232.0, 1280.0, 63),
+                                                    (16, 27236244.0, 4020.0, 200)):
+        meter = instrumented_run(n_ris)
+        assert (meter.flop_total, meter.real_ops, meter.iterations) == (flop_total, real_ops, iterations)
+
+
 def test_flops_grow_with_ris_size():
     small = instrumented_run(4)
     large = instrumented_run(16)

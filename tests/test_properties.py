@@ -1,4 +1,4 @@
-"""Property-based checks of the waterfilling and phase-gradient kernels.
+"""Property-based checks of the waterfilling, phase-gradient and projection kernels.
 
 Examples are derandomized so the suite draws the same cases on every run.
 """
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from rislink.channel import FreqChannelSet  # noqa: E402
-from rislink.pga import gradient_phi  # noqa: E402
+from rislink.pga import gradient_phi, project_unit_modulus  # noqa: E402
 from rislink.power import ABS_EIG_FLOOR, REL_EIG_FLOOR, waterfill  # noqa: E402
 from rislink.rate import RisPhases, combine_links, rate_from_heq  # noqa: E402
 from rislink.rng import substream  # noqa: E402
@@ -76,3 +76,20 @@ def test_gradient_matches_central_differences(seed, k, n_r, n_t, n_ris, noise_va
         fd = (sum_rate(tp) - sum_rate(tm)) / (2 * delta)
         analytic = -2.0 * np.imag(phi.diag[i] * g[i])
         assert abs(fd - analytic) <= 1e-5 * max(abs(fd), abs(analytic)) + slack
+
+
+# exact zeros, entries on either axis and subnormal moduli all occur
+finite_parts = st.one_of(st.just(0.0), st.floats(-1e6, 1e6))
+complex_entries = st.one_of(st.just(0j), st.builds(complex, finite_parts, finite_parts))
+
+
+@PROPERTY_SETTINGS
+@given(values=arrays(complex, st.integers(1, 8), elements=complex_entries),
+       angles=arrays(float, 8, elements=st.floats(-np.pi, np.pi)))
+def test_projection_unit_modulus_fallback_and_angle(values, angles):
+    fallback = np.exp(1j * angles[:values.size])
+    out = project_unit_modulus(values, fallback=fallback).diag
+    assert np.all(np.abs(np.abs(out) - 1.0) <= 1e-12)
+    zero = values == 0
+    np.testing.assert_array_equal(out[zero], fallback[zero])
+    np.testing.assert_allclose(out[~zero], np.exp(1j * np.angle(values[~zero])), rtol=0, atol=1e-12)

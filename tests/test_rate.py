@@ -7,6 +7,7 @@ from rislink.rate import (
     EquivalentChannel,
     RisPhases,
     equivalent_channel,
+    fold_gains,
     received_signal,
     spectral_efficiency,
 )
@@ -36,14 +37,14 @@ def test_equivalent_channel_no_ris_path():
     rng = substream(51)
     ch, phi = random_setup(rng)
     gains = LinkGains(rho_direct=0.25, rho_indirect=0.0, los=True)
-    eq = equivalent_channel(ch, phi, gains)
+    eq = equivalent_channel(fold_gains(ch, gains), phi)
     np.testing.assert_allclose(eq.heq, 0.5 * ch.h3, rtol=1e-12)
 
 
 def test_equivalent_channel_single_element_cascade():
     theta = 0.8
     ch = FreqChannelSet(h1=np.ones((1, 1, 1)), h2=np.ones((1, 1, 1)), h3=np.zeros((1, 1, 1)))
-    eq = equivalent_channel(ch, RisPhases.from_angles([theta]), LinkGains(1.0, 1.0, True))
+    eq = equivalent_channel(fold_gains(ch, LinkGains(1.0, 1.0, True)), RisPhases.from_angles([theta]))
     np.testing.assert_allclose(eq.heq.ravel(), [np.exp(1j * theta)], rtol=1e-12)
 
 
@@ -51,7 +52,7 @@ def test_equivalent_channel_matches_bruteforce():
     rng = substream(52)
     ch, phi = random_setup(rng, k=3, n_r=2, n_t=2, n_ris=3)
     gains = LinkGains(rho_direct=0.3, rho_indirect=0.05, los=False)
-    eq = equivalent_channel(ch, phi, gains)
+    eq = equivalent_channel(fold_gains(ch, gains), phi)
     # explicit per-subcarrier recomputation with a dense diagonal matrix
     big_phi = np.diag(phi.diag)
     for k in range(3):
@@ -64,34 +65,34 @@ def test_equivalent_channel_shape_mismatch():
     rng = substream(53)
     ch, _ = random_setup(rng)
     with pytest.raises(ValueError):
-        equivalent_channel(ch, RisPhases.random(3, rng), LinkGains(1.0, 1.0, True))
+        equivalent_channel(fold_gains(ch, LinkGains(1.0, 1.0, True)), RisPhases.random(3, rng))
 
 
 def test_equivalent_channel_linearity():
     rng = substream(54)
     ch, phi = random_setup(rng)
     gains = LinkGains(1.0, 1.0, True)
-    base = equivalent_channel(ch, phi, gains).heq
+    base = equivalent_channel(fold_gains(ch, gains), phi).heq
     ch3 = FreqChannelSet(h1=ch.h1, h2=ch.h2, h3=2.0 * ch.h3)
-    np.testing.assert_allclose(equivalent_channel(ch3, phi, gains).heq - base, ch.h3, atol=1e-12)
+    np.testing.assert_allclose(equivalent_channel(fold_gains(ch3, gains), phi).heq - base, ch.h3, atol=1e-12)
     ch1 = FreqChannelSet(h1=2.0 * ch.h1, h2=ch.h2, h3=ch.h3)
-    np.testing.assert_allclose(equivalent_channel(ch1, phi, gains).heq - base,
-                               base - equivalent_channel(
-                                   FreqChannelSet(h1=0.0 * ch.h1, h2=ch.h2, h3=ch.h3), phi, gains).heq,
+    np.testing.assert_allclose(equivalent_channel(fold_gains(ch1, gains), phi).heq - base,
+                               base - equivalent_channel(fold_gains(
+                                   FreqChannelSet(h1=0.0 * ch.h1, h2=ch.h2, h3=ch.h3), gains), phi).heq,
                                atol=1e-12)
 
 
 def test_spectral_efficiency_zero_power():
     rng = substream(55)
     ch, phi = random_setup(rng)
-    eq = equivalent_channel(ch, phi, LinkGains(1.0, 1.0, True))
+    eq = equivalent_channel(fold_gains(ch, LinkGains(1.0, 1.0, True)), phi)
     q = np.zeros((2, 3, 3), dtype=complex)
     assert spectral_efficiency(eq, q, 1.0) == 0.0
 
 
 def test_spectral_efficiency_siso_shannon():
     ch = FreqChannelSet(h1=np.zeros((1, 1, 1)), h2=np.zeros((1, 1, 1)), h3=np.ones((1, 1, 1)))
-    eq = equivalent_channel(ch, RisPhases.from_angles([0.0]), LinkGains(1.0, 0.0, True))
+    eq = equivalent_channel(fold_gains(ch, LinkGains(1.0, 0.0, True)), RisPhases.from_angles([0.0]))
     p = 5.0
     assert spectral_efficiency(eq, np.full((1, 1, 1), p + 0j), 1.0) == pytest.approx(np.log2(1 + p))
 
@@ -99,7 +100,7 @@ def test_spectral_efficiency_siso_shannon():
 def test_spectral_efficiency_eigenvalue_oracle():
     rng = substream(56)
     ch, phi = random_setup(rng, k=2, n_r=2, n_t=2, n_ris=3)
-    eq = equivalent_channel(ch, phi, LinkGains(1.0, 1.0, True))
+    eq = equivalent_channel(fold_gains(ch, LinkGains(1.0, 1.0, True)), phi)
     a = crandn(rng, 2, 2, 2)
     q = a @ a.conj().transpose(0, 2, 1)
     sigma2 = 0.7
@@ -115,7 +116,7 @@ def test_spectral_efficiency_eigenvalue_oracle():
 def test_spectral_efficiency_rejects_non_psd():
     rng = substream(57)
     ch, phi = random_setup(rng)
-    eq = equivalent_channel(ch, phi, LinkGains(1.0, 1.0, True))
+    eq = equivalent_channel(fold_gains(ch, LinkGains(1.0, 1.0, True)), phi)
     q = np.stack([np.eye(3, dtype=complex), -0.01 * np.eye(3, dtype=complex)])
     with pytest.raises(ValueError):
         spectral_efficiency(eq, q, 1.0)
@@ -138,7 +139,7 @@ def test_spectral_efficiency_unitary_invariance():
 def test_spectral_efficiency_monotone_in_power_scaling():
     rng = substream(59)
     ch, phi = random_setup(rng)
-    eq = equivalent_channel(ch, phi, LinkGains(1.0, 1.0, True))
+    eq = equivalent_channel(fold_gains(ch, LinkGains(1.0, 1.0, True)), phi)
     a = crandn(rng, 2, 3, 3)
     q = a @ a.conj().transpose(0, 2, 1)
     rates = [spectral_efficiency(eq, c * q, 1.0) for c in (1.0, 1.5, 4.0)]
@@ -148,7 +149,7 @@ def test_spectral_efficiency_monotone_in_power_scaling():
 def test_received_signal_noiseless_and_moments():
     rng = substream(60)
     ch, phi = random_setup(rng, k=4, n_r=2, n_t=3)
-    eq = equivalent_channel(ch, phi, LinkGains(1.0, 1.0, True))
+    eq = equivalent_channel(fold_gains(ch, LinkGains(1.0, 1.0, True)), phi)
     x = crandn(rng, 4, 3)
     clean = received_signal(eq, x, 0.0, rng)
     np.testing.assert_allclose(clean, np.einsum("krt,kt->kr", eq.heq, x), atol=1e-14)
@@ -170,7 +171,7 @@ def test_received_signal_scalar_snr():
     h = 1.3 - 0.4j
     ch = FreqChannelSet(h1=np.zeros((1, 1, 1)), h2=np.zeros((1, 1, 1)),
                         h3=np.full((1, 1, 1), h))
-    eq = equivalent_channel(ch, RisPhases.from_angles([0.0]), LinkGains(1.0, 0.0, True))
+    eq = equivalent_channel(fold_gains(ch, LinkGains(1.0, 0.0, True)), RisPhases.from_angles([0.0]))
     rng = substream(61)
     p, sigma2 = 2.0, 0.5
     x = np.sqrt(p / 2) * (rng.standard_normal((50_000, 1)) + 1j * rng.standard_normal((50_000, 1)))
