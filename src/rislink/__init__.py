@@ -50,7 +50,6 @@ from .rate import (
     RisPhases,
     equivalent_channel,
     fold_gains,
-    received_signal,
     spectral_efficiency,
 )
 from .rng import substream
@@ -86,7 +85,6 @@ __all__ = [
     "pga_optimize",
     "preset_config",
     "project_unit_modulus",
-    "received_signal",
     "rician_tap",
     "run_scenario",
     "run_trial",

@@ -2,15 +2,17 @@
 
 Blockage, link channels and random start phases come from counter-based
 substreams keyed by (seed, scenario, trial, site), so results are independent
-of execution order. Trials run outermost, and each trial is drawn once per
-(RIS size, blockage state) and shared by every method arm and sweep point
-(common random numbers). The three arms are the full phase/power
+of execution order. Trials run outermost, and one per-trial kernel scores
+every sweep point and method arm of a trial from shared draws (common random
+numbers): one blockage uniform, the two RIS links once per RIS size and the
+direct link once per blockage state. The three arms are the full phase/power
 optimization, the random start phases with waterfilling, and a system with
 the reflected path removed.
 """
 
 import csv
 import io
+import numbers
 import time
 from dataclasses import dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
@@ -75,15 +77,15 @@ class SystemConfig:
     noise_var: float = 1.0
 
     def __post_init__(self):
-        for name in ("tx_rows", "tx_cols", "rx_rows", "rx_cols", "ris_rows", "ris_cols",
-                     "n_subcarriers", "ris_clusters", "ris_rays", "direct_los_clusters",
-                     "direct_los_rays", "direct_nlos_clusters", "direct_nlos_rays",
-                     "mc_trials", "max_iter"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        self.n_taps = tuple(int(t) for t in self.n_taps)
-        if len(self.n_taps) != 3 or min(self.n_taps) < 1:
-            raise ValueError("n_taps must hold three positive tap counts")
+        for name, hint in _INT_HINTS.items():  # every count is >= 1, the seed >= 0
+            value, least = getattr(self, name), 0 if name == "seed" else 1
+            if not all(v is None and type(None) in get_args(hint)
+                       or isinstance(v, numbers.Integral) and v >= least
+                       for v in (value if get_origin(hint) is tuple else (value,))):
+                raise ValueError(f"{name} must hold integers >= {least}, got {value!r}")
+        self.n_taps = tuple(self.n_taps)
+        if len(self.n_taps) != 3:
+            raise ValueError("n_taps must hold three tap counts")
         if self.n_subcarriers < max(self.n_taps):
             raise ValueError("subcarrier count must be at least the longest tap profile")
         if self.rician_k < 0:
@@ -99,8 +101,6 @@ class SystemConfig:
                 raise ValueError(f"{name} must hold at least one value")
         if not all(0.0 <= p <= 1.0 for p in self.plos_grid):
             raise ValueError("plos_grid entries must lie in [0, 1]")
-        if min(self.n_ris_list) < 1:
-            raise ValueError("n_ris_list entries must be at least 1")
 
     @property
     def n_t(self) -> int:
@@ -133,6 +133,11 @@ class SystemConfig:
     def with_n_ris(self, n_ris: int) -> "SystemConfig":
         rows, cols = _square_factorization(n_ris)
         return replace(self, ris_rows=rows, ris_cols=cols)
+
+
+# int-annotated SystemConfig fields, tuple fields checked item by item
+_INT_HINTS = {name: hint for name, hint in get_type_hints(SystemConfig).items()
+              if int in (hint, *get_args(hint))}
 
 
 @dataclass
@@ -183,12 +188,10 @@ def total_power_for_snr(cfg: SystemConfig, geom: GeometryConfig, snr_db: float) 
     return cfg.n_subcarriers * 10.0 ** (snr_db / 10.0) / reference_gain(geom)
 
 
-def _draw_channels(cfg: SystemConfig, key: tuple, los: bool) -> FreqChannelSet:
-    stacks = []
-    for link in (1, 2, 3):
-        taps = synthesize_link(link, cfg, substream(*key, SITE_LINK, link), los=los)
-        stacks.append(taps_to_subcarriers(taps, cfg.n_subcarriers))
-    return FreqChannelSet(h1=stacks[0], h2=stacks[1], h3=stacks[2])
+def _link_response(cfg: SystemConfig, key: tuple, link: int, los: bool = True) -> np.ndarray:
+    """Subcarrier response of one link of the trial at `key`; `los` matters for link 3 only."""
+    taps = synthesize_link(link, cfg, substream(*key, SITE_LINK, link), los=los)
+    return taps_to_subcarriers(taps, cfg.n_subcarriers)
 
 
 def _blockage_uniform(key: tuple) -> float:
@@ -206,19 +209,16 @@ def _link_gains(geom: GeometryConfig, los: bool) -> LinkGains:
     return LinkGains(rho_direct=direct_gain(geom, los), rho_indirect=indirect_gain(geom), los=los)
 
 
-def _start_phases(n_ris: int, key: tuple) -> RisPhases:
-    """Random phases of the trial: the random arm's phases and the optimizer's start."""
-    return RisPhases.random(n_ris, substream(*key, SITE_PHASES))
-
-
 def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[FreqChannelSet, LinkGains]:
     """Blockage state, link channels and pathloss gains of one Monte Carlo trial.
 
-    `key` is the (seed, scenario index, trial) substream key; everything drawn
-    here is shared by all method arms and sweep points of the trial.
+    `key` is the (seed, scenario index, trial) substream key. Each link comes
+    from its own substream, so the RIS links are the same in every blockage
+    state and the direct link is the same for every RIS size.
     """
     los = _trial_los(geom, _blockage_uniform(key))
-    return _draw_channels(cfg, key, los), _link_gains(geom, los)
+    channels = FreqChannelSet(*(_link_response(cfg, key, link, los) for link in (1, 2, 3)))
+    return channels, _link_gains(geom, los)
 
 
 def _arm_rate(cfg: SystemConfig, arm: str, folded: FreqChannelSet, phi0: RisPhases,
@@ -237,18 +237,43 @@ def _arm_rate(cfg: SystemConfig, arm: str, folded: FreqChannelSet, phi0: RisPhas
     return rate_from_heq(heq, alloc.q, cfg.noise_var)
 
 
+def _trial_rates(points: list[tuple], powers: list[float], key: tuple, arms=ARMS,
+                 meter=None) -> np.ndarray:
+    """Spectral efficiency (points x arms) of the trial at `key` at each (cfg, geometry) point.
+
+    One blockage uniform; RIS links and start phases once per RIS size; the
+    direct link once per blockage state.
+    """
+    u = _blockage_uniform(key)
+    ris, direct = {}, {}
+    se = np.empty((len(points), len(arms)))
+    for i, (c, g) in enumerate(points):
+        los = _trial_los(g, u)
+        if c.n_ris not in ris:  # links 1 and 2, and the start phases the random arm keeps
+            ris[c.n_ris] = (_link_response(c, key, 1), _link_response(c, key, 2),
+                            RisPhases.random(c.n_ris, substream(*key, SITE_PHASES)))
+        # sweep points differ only in RIS size, which the direct link does not see
+        if los not in direct:
+            direct[los] = _link_response(c, key, 3, los)
+        h1, h2, phi0 = ris[c.n_ris]
+        folded = fold_gains(FreqChannelSet(h1, h2, direct[los]), _link_gains(g, los))
+        for j, arm in enumerate(arms):
+            se[i, j] = _arm_rate(c, arm, folded, phi0, powers[i], meter)
+    return se
+
+
 def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple,
               snr_db: float, meter=None) -> float:
     """Spectral efficiency of one Monte Carlo trial for one method arm.
 
     `key` is the (seed, scenario index, trial) substream key. The result
-    equals the trial's cell in `run_scenario`, which draws once per trial.
+    equals the trial's cell in `run_scenario`, which scores every sweep
+    point and arm of the trial from the same draws.
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}; choose from {ARMS}")
-    channels, gains = draw_trial(cfg, geom, key)
-    return _arm_rate(cfg, arm, fold_gains(channels, gains), _start_phases(cfg.n_ris, key),
-                     total_power_for_snr(cfg, geom, snr_db), meter)
+    power = total_power_for_snr(cfg, geom, snr_db)
+    return float(_trial_rates([(cfg, geom)], [power], key, (arm,), meter)[0, 0])
 
 
 def _sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[tuple]:
@@ -274,28 +299,17 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str,
     bs_height=10, d_ris=2.2 geometry; plos_vs_se sweeps the LOS-probability
     override grid for each configured SNR at D=200, bs_height=5, d_ris=2.2;
     distance_vs_se sweeps the BS-UE distance grid at bs_height=20, d_ris=30,
-    SNR=5 dB. Trials run outermost; each trial's links are drawn once per
-    (RIS size, blockage state) and scored for every sweep point and arm.
+    SNR=5 dB. Trials run outermost; each trial's draws are shared by every
+    sweep point and arm, and the per-trial rates are stacked over trials.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
     seed = cfg.seed if seed is None else int(seed)
     points = _sweep_points(cfg, geom, scenario)
+    setups = [(c, g) for c, g, _, _, _ in points]
     powers = [total_power_for_snr(c, g, snr) for c, g, _, _, snr in points]
-    se = np.empty((len(points), len(ARMS), cfg.mc_trials))
-    for t in range(cfg.mc_trials):
-        key = (seed, SCENARIOS[scenario], t)
-        u = _blockage_uniform(key)
-        draws, starts = {}, {}
-        for i, (c, g, _, _, _) in enumerate(points):
-            los = _trial_los(g, u)
-            if (c.n_ris, los) not in draws:
-                draws[c.n_ris, los] = draw_trial(c, g, key)[0]
-            if c.n_ris not in starts:
-                starts[c.n_ris] = _start_phases(c.n_ris, key)
-            folded = fold_gains(draws[c.n_ris, los], _link_gains(g, los))
-            for j, arm in enumerate(ARMS):
-                se[i, j, t] = _arm_rate(c, arm, folded, starts[c.n_ris], powers[i])
+    se = np.stack([_trial_rates(setups, powers, (seed, SCENARIOS[scenario], t))
+                   for t in range(cfg.mc_trials)], axis=-1)
 
     rows: list[ScenarioResult] = []
     for (c, g, sweep_name, sweep_value, snr), per_arm in zip(points, se):
@@ -358,7 +372,8 @@ def complexity_rows_to_csv(rows: list[dict]) -> str:
 
 
 # Config files hold "key = value" lines; these parsers map them onto the two
-# config dataclasses. Tuples are comma-separated; booleans/None are literal.
+# config dataclasses. Tuples are comma-separated, "none" is None, and other
+# values parse as int if they can, else as float.
 _SYSTEM_FIELDS = {f.name: f for f in fields(SystemConfig)}
 _GEOMETRY_FIELDS = {f.name: f for f in fields(GeometryConfig)}
 # item type of every tuple-typed field, read from the dataclass annotations
@@ -394,13 +409,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     geom_kwargs: dict = {}
 
     def assign(key: str, raw):
-        value = _parse_value(key, raw) if isinstance(raw, str) else raw
-        if key in _SYSTEM_FIELDS:
-            sys_kwargs[key] = value
-        elif key in _GEOMETRY_FIELDS:
-            geom_kwargs[key] = value
-        else:
+        if key not in _SYSTEM_FIELDS and key not in _GEOMETRY_FIELDS:
             raise ValueError(f"unknown configuration key {key!r}")
+        try:
+            value = _parse_value(key, raw) if isinstance(raw, str) else raw
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+        (sys_kwargs if key in _SYSTEM_FIELDS else geom_kwargs)[key] = value
 
     if path is not None:
         with open(path, encoding="utf-8") as fh:

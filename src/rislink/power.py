@@ -21,15 +21,12 @@ REL_EIG_FLOOR = 1e-12
 class PowerAllocation:
     """Waterfilled per-subcarrier covariances and their eigen factorization.
 
-    q[k] = u[k] diag(p[k]) u[k]^H, sum of all powers equals the budget, and
-    cutoff is the shared Lagrangian threshold (active pairs fill to 1/cutoff).
+    q[k] = u[k] diag(p[k]) u[k]^H, and the sum of all powers equals the budget.
     """
 
     q: np.ndarray  # (K, N_t, N_t) Hermitian PSD
     u: np.ndarray  # (K, N_t, N_s) orthonormal columns
     p: np.ndarray  # (K, N_s) nonnegative
-    cutoff: float
-    total_power: float
 
 
 def channel_eigvals(heq: np.ndarray, noise_var: float, n_streams: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -91,5 +88,5 @@ def waterfill_covariances(heq: np.ndarray, total_power: float, noise_var: float 
                           n_streams: int | None = None) -> PowerAllocation:
     """Eigen-decompose, waterfill across all (subcarrier, stream) pairs and rebuild Q[k]."""
     lams, u = channel_eigvals(heq, noise_var, n_streams)
-    p, cutoff = waterfill(lams, total_power)
-    return PowerAllocation(q=build_covariances(u, p), u=u, p=p, cutoff=cutoff, total_power=total_power)
+    p, _ = waterfill(lams, total_power)
+    return PowerAllocation(q=build_covariances(u, p), u=u, p=p)

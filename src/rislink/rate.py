@@ -118,14 +118,3 @@ def spectral_efficiency(eq: EquivalentChannel, q: np.ndarray, noise_var: float) 
     if np.min(eigs) < -1e-9 * scale:
         raise ValueError(f"covariance is not PSD (min eigenvalue {np.min(eigs):.3e})")
     return rate_from_heq(eq.heq, q, noise_var)
-
-
-def received_signal(eq: EquivalentChannel, x: np.ndarray, noise_var: float, rng: np.random.Generator) -> np.ndarray:
-    """y[k] = H_eq[k] x[k] + v[k] with v[k] ~ CN(0, noise_var I)."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (eq.n_subcarriers, eq.heq.shape[2]):
-        raise ValueError(f"x must be (K, N_t) = ({eq.n_subcarriers}, {eq.heq.shape[2]})")
-    clean = np.einsum("krt,kt->kr", eq.heq, x)
-    shape = clean.shape
-    noise = np.sqrt(noise_var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return clean + noise

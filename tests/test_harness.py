@@ -22,6 +22,7 @@ from rislink.harness import (
     total_power_for_snr,
 )
 from rislink.propagation import GeometryConfig, direct_gain, link_distances, p_los
+from rislink.rng import SITE_BLOCKAGE
 
 
 def small_config(**kw):
@@ -115,7 +116,14 @@ def test_tuple_fields_round_trip_through_overrides():
     ("plos_grid", "0.5, 1.5", False),
     ("plos_grid", "-0.1", False),
     ("n_ris_list", "16, 0", False),
+    ("n_ris_list", "16, 2.5", False),
+    ("n_taps", "2, 2.5, 3", False),
+    ("mc_trials", "2.5", False),
+    ("tx_rows", "2.5", False),
+    ("n_streams", "2.0", False),
+    ("seed", "-3", False),
     ("snr_db", "", True),
+    ("seed", "-3", True),
 ])
 def test_config_rejects_bad_values_before_any_trial(key, text, via_cli, tmp_path):
     if not via_cli:
@@ -123,8 +131,9 @@ def test_config_rejects_bad_values_before_any_trial(key, text, via_cli, tmp_path
             parse_config(None, overrides={key: text}, preset="desk")
         return
     out = tmp_path / "results.csv"
+    flag = f"--{key.replace('_', '-')}={text}"  # --snr-db=..., --seed=...
     proc = subprocess.run([sys.executable, "-m", "rislink", "simulate", "--scenario", "se_vs_snr",
-                           "--preset", "desk", f"--snr-db={text}", "--out", str(out)],
+                           "--preset", "desk", flag, "--out", str(out)],
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert key in proc.stderr
@@ -257,20 +266,35 @@ def test_run_scenario_matches_per_cell_trials(scenario):
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_run_scenario_synthesizes_each_link_once_per_state(monkeypatch, scenario):
-    calls = []
-    synthesize = harness.synthesize_link
+    links, keys = [], []
+    synthesize, make_substream = harness.synthesize_link, harness.substream
 
-    def counting(link, cfg, rng, los=True):
-        calls.append((cfg.n_ris, los))
+    def counting_synthesize(link, cfg, rng, los=True):
+        links.append((link, cfg.n_ris, los))
         return synthesize(link, cfg, rng, los=los)
 
-    monkeypatch.setattr(harness, "synthesize_link", counting)
-    cfg = replace(sweep_config(), mc_trials=1)
+    def counting_substream(*key):
+        keys.append(key)
+        return make_substream(*key)
+
+    monkeypatch.setattr(harness, "synthesize_link", counting_synthesize)
+    monkeypatch.setattr(harness, "substream", counting_substream)
+    cfg, geom = replace(sweep_config(), mc_trials=1), GeometryConfig()
     for seed in range(4):
-        calls.clear()
-        run_scenario(cfg, GeometryConfig(), scenario, seed=seed)
-        # three links per (RIS size, blockage state) of the single trial
-        assert 0 < len(calls) <= 3 * len(set(calls))
+        links.clear()
+        keys.clear()
+        rows = run_scenario(cfg, geom, scenario, seed=seed)
+        drawn, built = list(links), list(keys)
+        key = (seed, SCENARIOS[scenario], 0)
+        setups = [cell_setup(cfg, geom, scenario, row) for row in rows]
+        sizes = {c.n_ris for c, _ in setups}
+        states = {draw_trial(c, g, key)[1].los for c, g in setups}
+        # the RIS links once per RIS size, the direct link once per blockage state
+        for link in (1, 2):
+            assert sorted(n for i, n, _ in drawn if i == link) == sorted(sizes)
+        assert sorted(los for i, _, los in drawn if i == 3) == sorted(states)
+        # the trial's blockage uniform is drawn from its substream once
+        assert built.count(key + (SITE_BLOCKAGE,)) == 1
 
 
 def test_csv_deterministic_and_rfc4180():

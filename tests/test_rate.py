@@ -8,7 +8,6 @@ from rislink.rate import (
     RisPhases,
     equivalent_channel,
     fold_gains,
-    received_signal,
     spectral_efficiency,
 )
 from rislink.rng import substream
@@ -144,44 +143,3 @@ def test_spectral_efficiency_monotone_in_power_scaling():
     q = a @ a.conj().transpose(0, 2, 1)
     rates = [spectral_efficiency(eq, c * q, 1.0) for c in (1.0, 1.5, 4.0)]
     assert rates[0] <= rates[1] <= rates[2]
-
-
-def test_received_signal_noiseless_and_moments():
-    rng = substream(60)
-    ch, phi = random_setup(rng, k=4, n_r=2, n_t=3)
-    eq = equivalent_channel(fold_gains(ch, LinkGains(1.0, 1.0, True)), phi)
-    x = crandn(rng, 4, 3)
-    clean = received_signal(eq, x, 0.0, rng)
-    np.testing.assert_allclose(clean, np.einsum("krt,kt->kr", eq.heq, x), atol=1e-14)
-
-    sigma2 = 0.37
-    n_draws = 25_000
-    acc = 0.0
-    zero_x = np.zeros((4, 3), dtype=complex)
-    for _ in range(10):
-        y = np.stack([received_signal(eq, zero_x, sigma2, rng) for _ in range(n_draws // 10)])
-        acc += np.mean(np.abs(y) ** 2)
-    assert abs(acc / 10 / sigma2 - 1.0) <= 0.05
-
-    with pytest.raises(ValueError):
-        received_signal(eq, np.zeros((4, 2)), 1.0, rng)
-
-
-def test_received_signal_scalar_snr():
-    h = 1.3 - 0.4j
-    ch = FreqChannelSet(h1=np.zeros((1, 1, 1)), h2=np.zeros((1, 1, 1)),
-                        h3=np.full((1, 1, 1), h))
-    eq = equivalent_channel(fold_gains(ch, LinkGains(1.0, 0.0, True)), RisPhases.from_angles([0.0]))
-    rng = substream(61)
-    p, sigma2 = 2.0, 0.5
-    x = np.sqrt(p / 2) * (rng.standard_normal((50_000, 1)) + 1j * rng.standard_normal((50_000, 1)))
-    sig_pow = 0.0
-    noise_pow = 0.0
-    for i in range(0, 50_000, 10_000):
-        chunk = x[i:i + 10_000]
-        y = np.stack([received_signal(eq, c[None, :], sigma2, rng) for c in chunk])
-        sig_pow += np.sum(np.abs(h * chunk) ** 2)
-        noise_pow += np.sum(np.abs(y.ravel() - (h * chunk).ravel()) ** 2)
-    empirical_snr = sig_pow / noise_pow
-    expected_snr = abs(h) ** 2 * p / sigma2
-    assert abs(empirical_snr / expected_snr - 1.0) <= 0.05
