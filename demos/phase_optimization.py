@@ -5,7 +5,7 @@ Run: python demos/phase_optimization.py
 import numpy as np
 from dataclasses import replace
 
-from rislink import RisPhases, equivalent_channel, fold_gains, pga_optimize, preset_config, spectral_efficiency
+from rislink import RisPhases, equivalent_channel, fold_gains, pga_optimize, preset_config
 from rislink.harness import SCENARIOS, draw_trial, total_power_for_snr
 from rislink.power import waterfill_covariances
 from rislink.propagation import LinkGains
@@ -30,10 +30,10 @@ print(f"rate trace (bits/s/Hz): start {result.trace[0]:.4f} -> "
 # Baselines on the same channel draw.
 no_ris_gains = LinkGains(gains.rho_direct, 0.0, gains.los)
 eq_no = equivalent_channel(fold_gains(channels, no_ris_gains), RisPhases(np.ones(cfg.n_ris)))
-rate_no = spectral_efficiency(eq_no, waterfill_covariances(eq_no.heq, power).q, 1.0)
+rate_no = waterfill_covariances(eq_no.heq, power).rate
 
 eq_rand = equivalent_channel(fold_gains(channels, gains), RisPhases.random(cfg.n_ris, substream(*key, SITE_PHASES)))
-rate_rand = spectral_efficiency(eq_rand, waterfill_covariances(eq_rand.heq, power).q, 1.0)
+rate_rand = waterfill_covariances(eq_rand.heq, power).rate
 
 print(f"\narm comparison on this draw:")
 print(f"  no reflected path : {rate_no:.4f} bits/s/Hz")

@@ -50,7 +50,6 @@ from .rate import (
     RisPhases,
     equivalent_channel,
     fold_gains,
-    spectral_efficiency,
 )
 from .rng import substream
 
@@ -89,7 +88,6 @@ __all__ = [
     "run_scenario",
     "run_trial",
     "sample_blockage",
-    "spectral_efficiency",
     "substream",
     "synthesize_link",
     "taps_to_subcarriers",

@@ -48,7 +48,6 @@ class ClusterRaySet:
     departure_el: np.ndarray
     n_clusters: int
     n_rays: int
-    spread: float
 
     def __post_init__(self):
         n = self.n_clusters * self.n_rays
@@ -151,7 +150,6 @@ def draw_cluster_rays(n_clusters: int, n_rays: int, spread: float, rng: np.rando
         departure_el=departure_el,
         n_clusters=n_clusters,
         n_rays=n_rays,
-        spread=spread,
     )
 
 

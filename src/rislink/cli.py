@@ -12,6 +12,7 @@ import sys
 
 from .harness import (
     SCENARIOS,
+    check_scenario_geometry,
     complexity_rows_to_csv,
     complexity_table,
     parse_config,
@@ -66,6 +67,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg, geom = _configs_from_args(args)
+        if args.command == "simulate":
+            check_scenario_geometry(geom, args.scenario)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

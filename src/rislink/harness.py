@@ -23,13 +23,23 @@ from . import flops
 from .channel import FreqChannelSet, UraSpec, synthesize_link, taps_to_subcarriers
 from .pga import pga_optimize
 from .power import waterfill_covariances
-from .propagation import GeometryConfig, LinkGains, blockage_state, direct_gain, indirect_gain, link_distances, p_los
-from .rate import RisPhases, combine_links, fold_gains, rate_from_heq
+from .propagation import (GeometryConfig, LinkGains, blockage_state, direct_gain, indirect_gain, link_distances,
+                          p_los, require_finite_floats)
+from .rate import RisPhases, combine_links, fold_gains
 from .rng import SITE_BLOCKAGE, SITE_LINK, SITE_PHASES, substream
 
 ARMS = ("pga", "random_phases", "no_ris")
 SCENARIOS = {"se_vs_snr": 1, "plos_vs_se": 2, "distance_vs_se": 3}
 _COMPLEXITY_SCENARIO_ID = 4  # substream id of the complexity table's trials
+DISTANCE_D_RIS = 30.0  # distance_vs_se's RIS offset (m); its distance_grid must lie beyond it
+# Geometry each scenario sets itself: the values it fixes and the keys it
+# sweeps. run_scenario refuses a geometry that moves any of these keys off its
+# GeometryConfig default rather than silently overwrite it.
+_SCENARIO_GEOMETRY = {
+    "se_vs_snr": ({"bs_height": 10.0, "d_ris": 2.2}, ()),
+    "plos_vs_se": ({"d_bs_ue": 200.0, "bs_height": 5.0, "d_ris": 2.2}, ("p_los_override",)),
+    "distance_vs_se": ({"bs_height": 20.0, "d_ris": DISTANCE_D_RIS}, ("d_bs_ue",)),
+}
 
 CSV_COLUMNS = ("scenario", "sweep_name", "sweep_value", "arm", "n_ris", "snr_db",
                "mean_se", "stderr_se", "trials", "seed", "d2")
@@ -77,6 +87,7 @@ class SystemConfig:
     noise_var: float = 1.0
 
     def __post_init__(self):
+        require_finite_floats(self)
         for name, hint in _INT_HINTS.items():  # every count is >= 1, the seed >= 0
             value, least = getattr(self, name), 0 if name == "seed" else 1
             if not all(v is None and type(None) in get_args(hint)
@@ -90,6 +101,10 @@ class SystemConfig:
             raise ValueError("subcarrier count must be at least the longest tap profile")
         if self.rician_k < 0:
             raise ValueError("Rician factor must be nonnegative")
+        if self.angular_spread_deg < 0:
+            raise ValueError("angular_spread_deg must be nonnegative")
+        if not self.spacing_wavelengths > 0:
+            raise ValueError("spacing_wavelengths must be positive")
         n_max = min(self.n_t, self.n_r)
         if self.n_streams is not None and not 1 <= self.n_streams <= n_max:
             raise ValueError(f"n_streams must lie in 1..min(n_t, n_r) = 1..{n_max}")
@@ -101,6 +116,9 @@ class SystemConfig:
                 raise ValueError(f"{name} must hold at least one value")
         if not all(0.0 <= p <= 1.0 for p in self.plos_grid):
             raise ValueError("plos_grid entries must lie in [0, 1]")
+        if not all(d > DISTANCE_D_RIS for d in self.distance_grid):
+            raise ValueError(f"distance_grid entries must exceed the distance scenario's "
+                             f"RIS offset of {DISTANCE_D_RIS} m")
 
     @property
     def n_t(self) -> int:
@@ -233,8 +251,7 @@ def _arm_rate(cfg: SystemConfig, arm: str, folded: FreqChannelSet, phi0: RisPhas
                             epsilon=cfg.epsilon, max_iter=cfg.max_iter,
                             n_streams=cfg.n_streams, phi0=phi0, meter=meter).rate
     heq = folded.h3 if arm == "no_ris" else combine_links(folded.h1, folded.h2, folded.h3, phi0.diag)
-    alloc = waterfill_covariances(heq, total_power, cfg.noise_var, cfg.n_streams)
-    return rate_from_heq(heq, alloc.q, cfg.noise_var)
+    return waterfill_covariances(heq, total_power, cfg.noise_var, cfg.n_streams).rate
 
 
 def _trial_rates(points: list[tuple], powers: list[float], key: tuple, arms=ARMS,
@@ -276,18 +293,27 @@ def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple,
     return float(_trial_rates([(cfg, geom)], [power], key, (arm,), meter)[0, 0])
 
 
+def check_scenario_geometry(geom: GeometryConfig, scenario: str) -> None:
+    """Raise ValueError if `geom` moves a key that `scenario` sets itself off its GeometryConfig default."""
+    fixed, swept = _SCENARIO_GEOMETRY[scenario]
+    default = GeometryConfig()
+    for key in (*fixed, *swept):
+        if getattr(geom, key) != getattr(default, key):
+            raise ValueError(f"{scenario} sets {key} itself; leave it at its default "
+                             f"{getattr(default, key)!r}, got {getattr(geom, key)!r}")
+
+
 def _sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[tuple]:
     """(cfg, geometry, sweep name, sweep value, SNR) of each sweep point, in row order."""
+    check_scenario_geometry(geom, scenario)
+    base = replace(geom, **_SCENARIO_GEOMETRY[scenario][0])
     if scenario == "se_vs_snr":
-        g = replace(geom, bs_height=10.0, d_ris=2.2)
-        return [(cfg.with_n_ris(n_ris), g, "snr_db", float(snr), float(snr))
+        return [(cfg.with_n_ris(n_ris), base, "snr_db", float(snr), float(snr))
                 for n_ris in cfg.n_ris_list for snr in cfg.snr_db]
     if scenario == "plos_vs_se":
-        base = replace(geom, d_bs_ue=200.0, bs_height=5.0, d_ris=2.2)
         return [(cfg, replace(base, p_los_override=float(p)), "p_los", float(p), float(snr))
                 for snr in cfg.snr_db for p in cfg.plos_grid]
-    base = replace(geom, bs_height=20.0, d_ris=30.0)  # distance_vs_se
-    return [(cfg, replace(base, d_bs_ue=float(d)), "d_bs_ue", float(d), 5.0)
+    return [(cfg, replace(base, d_bs_ue=float(d)), "d_bs_ue", float(d), 5.0)  # distance_vs_se
             for d in cfg.distance_grid]
 
 
@@ -299,8 +325,10 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str,
     bs_height=10, d_ris=2.2 geometry; plos_vs_se sweeps the LOS-probability
     override grid for each configured SNR at D=200, bs_height=5, d_ris=2.2;
     distance_vs_se sweeps the BS-UE distance grid at bs_height=20, d_ris=30,
-    SNR=5 dB. Trials run outermost; each trial's draws are shared by every
-    sweep point and arm, and the per-trial rates are stacked over trials.
+    SNR=5 dB. A `geom` that moves any of these keys off its GeometryConfig
+    default raises ValueError before any trial runs. Trials run outermost;
+    each trial's draws are shared by every sweep point and arm, and the
+    per-trial rates are stacked over trials.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")

@@ -3,9 +3,9 @@
 The ascent direction comes from the closed-form Wirtinger derivative of the
 sum-log-det objective with respect to the phase diagonal. Each iteration takes
 a gradient step, projects every entry back onto the unit circle, re-optimizes
-the per-subcarrier covariances by waterfilling, and re-evaluates the rate;
-steps that do not improve the rate are reverted and the learning rate is cut
-by 10.
+the per-subcarrier covariances by waterfilling, and takes the rate the
+waterfill reports; steps that do not improve the rate are reverted and the
+learning rate is cut by 10.
 """
 
 from dataclasses import dataclass
@@ -14,8 +14,8 @@ import numpy as np
 
 from . import flops
 from .channel import FreqChannelSet
-from .power import PowerAllocation, waterfill_covariances
-from .rate import LN2, EquivalentChannel, RisPhases, combine_links, equivalent_channel, rate_from_heq
+from .power import waterfill_covariances
+from .rate import LN2, EquivalentChannel, RisPhases, combine_links, equivalent_channel
 
 MU_FLOOR = 1e-12
 
@@ -25,7 +25,6 @@ class PgaResult:
     """Best iterate of one optimization run."""
 
     phi: RisPhases
-    power: PowerAllocation
     rate: float
     trace: np.ndarray  # accepted rate after each iteration, index 0 = initialization
     iterations: int
@@ -89,7 +88,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
     `channels` must carry the pathloss-folded link stacks. Phases initialize
     uniformly at random on the unit circle (or from `phi0`); each iteration
     ascends along the conjugate gradient with rate mu, projects onto the unit
-    circle, waterfills the covariances and evaluates the rate. A non-improving
+    circle, waterfills the covariances and reads their rate. A non-improving
     step is reverted and mu shrinks by 10. The loop stops when the candidate
     rate changes by less than `epsilon`, when mu underflows its floor, or at
     the iteration cap; the best (last accepted) iterate is returned either way.
@@ -107,7 +106,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
 
     eq = equivalent_channel(channels, phi)
     alloc = waterfill_covariances(eq.heq, total_power, noise_var, n_streams)
-    rate = rate_from_heq(eq.heq, alloc.q, noise_var)
+    rate = alloc.rate
 
     trace = [rate]
     mu = mu0
@@ -125,7 +124,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
         new_phi = project_unit_modulus(phi.diag + (mu / scale) * grad.conj(), fallback=phi.diag)
         new_heq = combine_links(eq.h1, eq.h2, eq.h3, new_phi.diag)
         new_alloc = waterfill_covariances(new_heq, total_power, noise_var, n_streams)
-        new_rate = rate_from_heq(new_heq, new_alloc.q, noise_var)
+        new_rate = new_alloc.rate
         iterations += 1
 
         delta = new_rate - rate
@@ -148,5 +147,5 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
         k, n_r, n_t = channels.h3.shape
         flops.record_pga_run(meter, k, n_r, n_t, n_ris, alloc.p.shape[1],
                              gradient_passes=iterations + int(scale == 0.0), iterations=iterations)
-    return PgaResult(phi=phi, power=alloc, rate=rate, trace=np.asarray(trace),
+    return PgaResult(phi=phi, rate=rate, trace=np.asarray(trace),
                      iterations=iterations, converged=converged)

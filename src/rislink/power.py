@@ -5,12 +5,15 @@ Gram matrix comes from a thin SVD of the N_r x N_t channel; a single cutoff
 shared by every (k, g) pair is found exactly by sorting the inverse gains and
 scanning their prefix sums for the water level (Palomar and Fonollosa, IEEE
 TSP 2005), so the allocated powers meet the total budget, and the transmit
-covariances are rebuilt in the per-subcarrier eigenbases.
+covariances are rebuilt in the per-subcarrier eigenbases. The allocation also
+carries its rate, (1/K) sum log2(1 + lam p) (Telatar, ETT 1999).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rate import LN2
 
 # Streams with eigenvalues at or below these thresholds get zero power.
 ABS_EIG_FLOOR = 1e-15
@@ -22,11 +25,13 @@ class PowerAllocation:
     """Waterfilled per-subcarrier covariances and their eigen factorization.
 
     q[k] = u[k] diag(p[k]) u[k]^H, and the sum of all powers equals the budget.
+    `rate` is the spectral efficiency of q on the channel it was waterfilled for.
     """
 
     q: np.ndarray  # (K, N_t, N_t) Hermitian PSD
     u: np.ndarray  # (K, N_t, N_s) orthonormal columns
     p: np.ndarray  # (K, N_s) nonnegative
+    rate: float  # bits/s/Hz, (1/K) sum_k sum_g log2(1 + lam[k, g] p[k, g])
 
 
 def channel_eigvals(heq: np.ndarray, noise_var: float, n_streams: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +91,11 @@ def build_covariances(u: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def waterfill_covariances(heq: np.ndarray, total_power: float, noise_var: float = 1.0,
                           n_streams: int | None = None) -> PowerAllocation:
-    """Eigen-decompose, waterfill across all (subcarrier, stream) pairs and rebuild Q[k]."""
+    """Eigen-decompose, waterfill across all (subcarrier, stream) pairs, rebuild Q[k] and rate it.
+
+    The rate needs no Q: det(I + heq Q heq^H / noise_var) is the product of 1 + lam p.
+    """
     lams, u = channel_eigvals(heq, noise_var, n_streams)
     p, _ = waterfill(lams, total_power)
-    return PowerAllocation(q=build_covariances(u, p), u=u, p=p)
+    rate = float(np.sum(np.log1p(lams * p)) / (LN2 * heq.shape[0]))
+    return PowerAllocation(q=build_covariances(u, p), u=u, p=p, rate=rate)

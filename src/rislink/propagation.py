@@ -6,7 +6,10 @@ gains are multiplicative power gains applied to the equivalent channel, so
 received power decreases with distance on both paths.
 """
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -29,9 +32,13 @@ class GeometryConfig:
     p_los_override: float | None = None
 
     def __post_init__(self):
+        require_finite_floats(self)
         for name in ("d_bs_ue", "bs_height", "ue_height", "d_ris", "carrier_freq_hz", "d_ref"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.d_bs_ue <= self.d_ris:
+            raise ValueError(f"d_bs_ue must exceed d_ris (the UE stands beyond the RIS), "
+                             f"got d_bs_ue={self.d_bs_ue!r} <= d_ris={self.d_ris!r}")
         if self.alpha_los < 0 or self.alpha_nlos < 0:
             raise ValueError("pathloss exponents must be nonnegative")
         if self.p_los_override is not None and not 0.0 <= self.p_los_override <= 1.0:
@@ -45,6 +52,25 @@ class GeometryConfig:
     def ant_gain(self) -> float:
         """Combined G_t*G_r as a linear power gain."""
         return 10.0 ** (self.ant_gain_db / 10.0)
+
+
+@functools.cache
+def _float_hints(cls) -> dict:
+    """Annotations of the float-typed fields of dataclass `cls`, tuple and optional fields included."""
+    return {name: hint for name, hint in get_type_hints(cls).items() if float in (hint, *get_args(hint))}
+
+
+def require_finite_floats(config) -> None:
+    """Reject a dataclass whose float-annotated fields are not all finite.
+
+    Tuple fields are checked item by item, and None passes only where the
+    annotation admits it. The ValueError names the first offending field.
+    """
+    for name, hint in _float_hints(type(config)).items():
+        value = getattr(config, name)
+        values = value if get_origin(hint) is tuple else (value,)
+        if not all(type(None) in get_args(hint) if v is None else math.isfinite(v) for v in values):
+            raise ValueError(f"{name} must hold finite numbers, got {value!r}")
 
 
 @dataclass

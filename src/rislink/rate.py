@@ -1,10 +1,12 @@
-"""Equivalent channel assembly and the spectral-efficiency objective.
+"""Equivalent channel assembly and the general-covariance rate.
 
 The equivalent per-subcarrier channel is the direct path plus the RIS cascade,
 H_eq[k] = sqrt(rho_d) H3[k] + sqrt(rho_i) H2[k] diag(phi) H1[k], with a single
 phase diagonal shared by all subcarriers. Spectral efficiency is the
 subcarrier-averaged log-det rate of that channel under per-subcarrier
-transmit covariances.
+transmit covariances; `rate_from_heq` evaluates it for any PSD covariances.
+A waterfilled allocation carries its own rate (`PowerAllocation.rate`), which
+is what the optimizer and the harness read.
 """
 
 from dataclasses import dataclass
@@ -60,10 +62,6 @@ class EquivalentChannel:
     h3: np.ndarray  # (K, N_r, N_t), sqrt(rho_direct) folded in
     phi: RisPhases
 
-    @property
-    def n_subcarriers(self) -> int:
-        return self.heq.shape[0]
-
 
 def combine_links(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, phi_diag: np.ndarray) -> np.ndarray:
     """h3 + h2 diag(phi) h1 per subcarrier, on already gain-folded stacks."""
@@ -90,26 +88,14 @@ def equivalent_channel(channels: FreqChannelSet, phi: RisPhases) -> EquivalentCh
 
 
 def rate_from_heq(heq: np.ndarray, q: np.ndarray, noise_var: float) -> float:
-    """(1/K) sum_k log2 det(I + heq Q heq^H / noise_var), no input validation.
+    """(1/K) sum_k log2 det(I + heq Q heq^H / noise_var) in bits/s/Hz.
 
-    The log-det argument is Hermitian-symmetrized and factorized by Cholesky;
-    it is positive definite by construction for PSD Q.
+    `q` is the (K, N_t, N_t) covariance stack, one per subcarrier of `heq`.
+    Raises if any Q[k] has an eigenvalue below -1e-9 (non-PSD), relative to
+    the covariance scale. The log-det argument is Hermitian-symmetrized and
+    factorized by Cholesky; it is positive definite for PSD Q.
     """
-    n_r = heq.shape[1]
-    m = np.eye(n_r) + (heq @ q @ heq.conj().transpose(0, 2, 1)) / noise_var
-    m = 0.5 * (m + m.conj().transpose(0, 2, 1))
-    chol = np.linalg.cholesky(m)
-    diags = np.real(np.einsum("kii->ki", chol))
-    return float(2.0 * np.sum(np.log(diags)) / (LN2 * heq.shape[0]))
-
-
-def spectral_efficiency(eq: EquivalentChannel, q: np.ndarray, noise_var: float) -> float:
-    """Spectral efficiency in bits/s/Hz of the equivalent channel under Q[k].
-
-    `q` is the (K, N_t, N_t) covariance stack. Raises if any Q[k] has an
-    eigenvalue below -1e-9 (non-PSD), relative to the covariance scale.
-    """
-    if q.shape[0] != eq.n_subcarriers:
+    if q.shape[0] != heq.shape[0]:
         raise ValueError("covariance stack must have one matrix per subcarrier")
     eigs = np.linalg.eigvalsh(0.5 * (q + q.conj().transpose(0, 2, 1)))
     # tolerance is relative to the covariance scale so legitimate
@@ -117,4 +103,9 @@ def spectral_efficiency(eq: EquivalentChannel, q: np.ndarray, noise_var: float) 
     scale = max(1.0, float(np.max(np.abs(eigs), initial=0.0)))
     if np.min(eigs) < -1e-9 * scale:
         raise ValueError(f"covariance is not PSD (min eigenvalue {np.min(eigs):.3e})")
-    return rate_from_heq(eq.heq, q, noise_var)
+    n_r = heq.shape[1]
+    m = np.eye(n_r) + (heq @ q @ heq.conj().transpose(0, 2, 1)) / noise_var
+    m = 0.5 * (m + m.conj().transpose(0, 2, 1))
+    chol = np.linalg.cholesky(m)
+    diags = np.real(np.einsum("kii->ki", chol))
+    return float(2.0 * np.sum(np.log(diags)) / (LN2 * heq.shape[0]))

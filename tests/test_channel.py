@@ -111,7 +111,7 @@ def test_draw_rays_gain_second_moment():
 def test_geometric_tap_trivial_1x1():
     rays = ClusterRaySet(gains=np.array([1.0 + 0j]), arrival_az=np.zeros(1), arrival_el=np.zeros(1),
                          departure_az=np.zeros(1), departure_el=np.zeros(1),
-                         n_clusters=1, n_rays=1, spread=0.0)
+                         n_clusters=1, n_rays=1)
     h = geometric_tap(rays, UraSpec(1, 1), UraSpec(1, 1))
     np.testing.assert_allclose(h, [[1.0 + 0j]])
 
@@ -120,7 +120,7 @@ def test_geometric_tap_rank_one_singular_value():
     beta = 0.7 - 1.2j
     rays = ClusterRaySet(gains=np.array([beta]), arrival_az=np.array([0.3]), arrival_el=np.array([-0.2]),
                          departure_az=np.array([1.0]), departure_el=np.array([0.4]),
-                         n_clusters=1, n_rays=1, spread=0.0)
+                         n_clusters=1, n_rays=1)
     rx, tx = UraSpec(2, 2), UraSpec(4, 2)
     h = geometric_tap(rays, rx, tx)
     s = np.linalg.svd(h, compute_uv=False)
@@ -136,7 +136,7 @@ def test_geometric_tap_linearity():
 
     scaled = ClusterRaySet(gains=3.5 * rays.gains, arrival_az=rays.arrival_az,
                            arrival_el=rays.arrival_el, departure_az=rays.departure_az,
-                           departure_el=rays.departure_el, n_clusters=2, n_rays=2, spread=rays.spread)
+                           departure_el=rays.departure_el, n_clusters=2, n_rays=2)
     np.testing.assert_allclose(geometric_tap(scaled, rx, tx), 3.5 * h, rtol=1e-12)
 
     # two single-ray taps sum to the two-ray tap up to the 1/sqrt(RC) normalization
@@ -144,7 +144,7 @@ def test_geometric_tap_linearity():
     for i in range(4):
         one = ClusterRaySet(gains=rays.gains[i:i + 1], arrival_az=rays.arrival_az[i:i + 1],
                             arrival_el=rays.arrival_el[i:i + 1], departure_az=rays.departure_az[i:i + 1],
-                            departure_el=rays.departure_el[i:i + 1], n_clusters=1, n_rays=1, spread=0.0)
+                            departure_el=rays.departure_el[i:i + 1], n_clusters=1, n_rays=1)
         singles.append(geometric_tap(one, rx, tx))
     np.testing.assert_allclose(sum(singles) / np.sqrt(4), h, rtol=1e-12)
 

@@ -122,8 +122,22 @@ def test_tuple_fields_round_trip_through_overrides():
     ("tx_rows", "2.5", False),
     ("n_streams", "2.0", False),
     ("seed", "-3", False),
+    ("snr_db", "inf", False),
+    ("mu0", "inf", False),
+    ("rician_k", "nan", False),
+    ("distance_grid", "100, nan", False),
+    ("angular_spread_deg", "-5", False),
+    ("spacing_wavelengths", "0", False),
+    ("distance_grid", "20, 25", False),
+    ("distance_grid", "30", False),
+    ("d_ris", "nan", False),
+    ("carrier_freq_hz", "inf", False),
+    ("d_bs_ue", "2.2", False),
     ("snr_db", "", True),
     ("seed", "-3", True),
+    ("snr_db", "nan", True),
+    ("distance_grid", "20, 25", True),
+    ("d_ris", "50", True),  # a key the scenario sets itself
 ])
 def test_config_rejects_bad_values_before_any_trial(key, text, via_cli, tmp_path):
     if not via_cli:
@@ -131,7 +145,8 @@ def test_config_rejects_bad_values_before_any_trial(key, text, via_cli, tmp_path
             parse_config(None, overrides={key: text}, preset="desk")
         return
     out = tmp_path / "results.csv"
-    flag = f"--{key.replace('_', '-')}={text}"  # --snr-db=..., --seed=...
+    flags = {"snr_db": "--snr-db", "seed": "--seed"}
+    flag = f"{flags[key]}={text}" if key in flags else f"--set={key}={text}"
     proc = subprocess.run([sys.executable, "-m", "rislink", "simulate", "--scenario", "se_vs_snr",
                            "--preset", "desk", flag, "--out", str(out)],
                           capture_output=True, text=True)
@@ -215,6 +230,33 @@ def test_run_scenario_distance_recomputes_geometry():
         g = replace(geom, bs_height=20.0, d_ris=30.0, d_bs_ue=d)
         assert d2 == pytest.approx(link_distances(g)[1], rel=1e-12)
     assert len(by_d) == 2
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("se_vs_snr", "bs_height", 3.0),
+    ("se_vs_snr", "d_ris", 50.0),
+    ("plos_vs_se", "d_bs_ue", 150.0),
+    ("plos_vs_se", "bs_height", 3.0),
+    ("plos_vs_se", "d_ris", 50.0),
+    ("plos_vs_se", "p_los_override", 0.5),
+    ("distance_vs_se", "d_bs_ue", 150.0),
+    ("distance_vs_se", "bs_height", 3.0),
+    ("distance_vs_se", "d_ris", 50.0),
+])
+def test_run_scenario_refuses_geometry_it_sets(monkeypatch, scenario, key, value):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_trial_rates", no_trial)
+    geom = replace(GeometryConfig(), **{key: value})
+    with pytest.raises(ValueError, match=f"{scenario} sets {key} itself"):
+        run_scenario(small_config(), geom, scenario)
+
+
+def test_run_scenario_honours_geometry_it_does_not_set():
+    geom = replace(GeometryConfig(), d_bs_ue=150.0)
+    rows = run_scenario(small_config(mc_trials=1), geom, "se_vs_snr", seed=1)
+    assert {r.d2 for r in rows} == {link_distances(geom)[1]}
 
 
 def test_plos_override_forces_los():

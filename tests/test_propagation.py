@@ -99,8 +99,8 @@ def test_indirect_gain_hop_symmetry():
 
 
 def test_direct_gain_reference_distance():
-    # d_dir = 1 m: D = 0.8, height gap 0.6
-    g = GeometryConfig(d_bs_ue=0.8, bs_height=2.4, ue_height=1.8)
+    # d_dir = 1 m: D = 0.8, height gap 0.6 (the RIS moves inside D; the direct gain ignores it)
+    g = GeometryConfig(d_bs_ue=0.8, bs_height=2.4, ue_height=1.8, d_ris=0.5)
     k0 = (g.wavelength / (4 * np.pi)) ** 2 * 10**6.2
     np.testing.assert_allclose(direct_gain(g, True), k0, rtol=1e-12)
     np.testing.assert_allclose(direct_gain(g, False), k0, rtol=1e-12)
@@ -119,8 +119,10 @@ def test_direct_gain_worked_example():
 def test_direct_gain_los_dominates_nlos():
     rng = substream(41)
     for _ in range(50):
-        g = GeometryConfig(d_bs_ue=rng.uniform(2, 400), bs_height=rng.uniform(2, 40),
-                           ue_height=1.8, d_ris=rng.uniform(0.5, 30))
+        d_bs_ue, bs_height = rng.uniform(2, 400), rng.uniform(2, 40)
+        # the UE stands beyond the RIS
+        g = GeometryConfig(d_bs_ue=d_bs_ue, bs_height=bs_height, ue_height=1.8,
+                           d_ris=rng.uniform(0.5, min(30.0, d_bs_ue)))
         assert direct_gain(g, True) >= direct_gain(g, False)
         assert 0 < indirect_gain(g) < np.inf
         assert 0 < direct_gain(g, True) < np.inf
@@ -144,6 +146,11 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         GeometryConfig(p_los_override=1.5)
     assert GeometryConfig(p_los_override=0.5).p_los_override == 0.5
+    with pytest.raises(ValueError, match="d_bs_ue must exceed d_ris"):
+        GeometryConfig(d_bs_ue=30.0, d_ris=30.0)
+    for name in ("ue_height", "ant_gain_db", "alpha_nlos"):
+        with pytest.raises(ValueError, match=name):
+            GeometryConfig(**{name: float("nan")})
 
 
 def test_link_gains_validation():

@@ -1,4 +1,4 @@
-"""Property-based checks of the waterfilling, phase-gradient and projection kernels.
+"""Property-based checks of the waterfilling, waterfilled-rate, phase-gradient and projection kernels.
 
 Examples are derandomized so the suite draws the same cases on every run.
 """
@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from rislink.channel import FreqChannelSet  # noqa: E402
 from rislink.pga import gradient_phi, project_unit_modulus  # noqa: E402
-from rislink.power import ABS_EIG_FLOOR, REL_EIG_FLOOR, waterfill  # noqa: E402
+from rislink.power import ABS_EIG_FLOOR, REL_EIG_FLOOR, waterfill, waterfill_covariances  # noqa: E402
 from rislink.rate import RisPhases, combine_links, rate_from_heq  # noqa: E402
 from rislink.rng import substream  # noqa: E402
 
@@ -46,6 +46,20 @@ def test_waterfill_kkt_and_budget(lam, total_power):
 
 def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), n_r=st.integers(1, 4),
+       n_t=st.integers(1, 6), log_scale=st.floats(-2.0, 1.0), zero_last=st.booleans(),
+       noise_var=st.floats(0.1, 10.0), power=st.floats(0.01, 100.0))
+def test_waterfilled_rate_matches_log_det(data, seed, k, n_r, n_t, log_scale, zero_last, noise_var, power):
+    n_s = data.draw(st.integers(1, min(n_r, n_t)), label="n_streams")
+    heq = 10.0**log_scale * crandn(substream(seed), k, n_r, n_t)
+    if zero_last and k > 1:  # a subcarrier with no channel at all
+        heq[-1] = 0.0
+    alloc = waterfill_covariances(heq, power, noise_var, n_s)
+    expected = rate_from_heq(heq, alloc.q, noise_var)
+    assert abs(alloc.rate - expected) <= 1e-10 * max(1.0, expected)
 
 
 @PROPERTY_SETTINGS

@@ -4,11 +4,10 @@ import pytest
 from rislink.channel import FreqChannelSet
 from rislink.propagation import LinkGains
 from rislink.rate import (
-    EquivalentChannel,
     RisPhases,
     equivalent_channel,
     fold_gains,
-    spectral_efficiency,
+    rate_from_heq,
 )
 from rislink.rng import substream
 
@@ -86,14 +85,14 @@ def test_spectral_efficiency_zero_power():
     ch, phi = random_setup(rng)
     eq = equivalent_channel(fold_gains(ch, LinkGains(1.0, 1.0, True)), phi)
     q = np.zeros((2, 3, 3), dtype=complex)
-    assert spectral_efficiency(eq, q, 1.0) == 0.0
+    assert rate_from_heq(eq.heq, q, 1.0) == 0.0
 
 
 def test_spectral_efficiency_siso_shannon():
     ch = FreqChannelSet(h1=np.zeros((1, 1, 1)), h2=np.zeros((1, 1, 1)), h3=np.ones((1, 1, 1)))
     eq = equivalent_channel(fold_gains(ch, LinkGains(1.0, 0.0, True)), RisPhases.from_angles([0.0]))
     p = 5.0
-    assert spectral_efficiency(eq, np.full((1, 1, 1), p + 0j), 1.0) == pytest.approx(np.log2(1 + p))
+    assert rate_from_heq(eq.heq, np.full((1, 1, 1), p + 0j), 1.0) == pytest.approx(np.log2(1 + p))
 
 
 def test_spectral_efficiency_eigenvalue_oracle():
@@ -103,7 +102,7 @@ def test_spectral_efficiency_eigenvalue_oracle():
     a = crandn(rng, 2, 2, 2)
     q = a @ a.conj().transpose(0, 2, 1)
     sigma2 = 0.7
-    got = spectral_efficiency(eq, q, sigma2)
+    got = rate_from_heq(eq.heq, q, sigma2)
     # independent evaluation through eigenvalues of H Q H^H / sigma^2
     total = 0.0
     for k in range(2):
@@ -117,8 +116,10 @@ def test_spectral_efficiency_rejects_non_psd():
     ch, phi = random_setup(rng)
     eq = equivalent_channel(fold_gains(ch, LinkGains(1.0, 1.0, True)), phi)
     q = np.stack([np.eye(3, dtype=complex), -0.01 * np.eye(3, dtype=complex)])
-    with pytest.raises(ValueError):
-        spectral_efficiency(eq, q, 1.0)
+    with pytest.raises(ValueError, match="not PSD"):
+        rate_from_heq(eq.heq, q, 1.0)
+    with pytest.raises(ValueError, match="one matrix per subcarrier"):
+        rate_from_heq(eq.heq, q[:1], 1.0)
 
 
 def test_spectral_efficiency_unitary_invariance():
@@ -128,10 +129,8 @@ def test_spectral_efficiency_unitary_invariance():
         a = crandn(rng, 1, 3, 3)
         q = a @ a.conj().transpose(0, 2, 1)
         u, _ = np.linalg.qr(crandn(rng, 3, 3))
-        eq1 = EquivalentChannel(heq=h @ u[None], h1=h, h2=h, h3=h, phi=RisPhases(np.ones(3)))
-        eq2 = EquivalentChannel(heq=h, h1=h, h2=h, h3=h, phi=RisPhases(np.ones(3)))
-        r1 = spectral_efficiency(eq1, q, 1.0)
-        r2 = spectral_efficiency(eq2, u[None] @ q @ u.conj().T[None], 1.0)
+        r1 = rate_from_heq(h @ u[None], q, 1.0)
+        r2 = rate_from_heq(h, u[None] @ q @ u.conj().T[None], 1.0)
         np.testing.assert_allclose(r1, r2, rtol=1e-10)
 
 
@@ -141,5 +140,5 @@ def test_spectral_efficiency_monotone_in_power_scaling():
     eq = equivalent_channel(fold_gains(ch, LinkGains(1.0, 1.0, True)), phi)
     a = crandn(rng, 2, 3, 3)
     q = a @ a.conj().transpose(0, 2, 1)
-    rates = [spectral_efficiency(eq, c * q, 1.0) for c in (1.0, 1.5, 4.0)]
+    rates = [rate_from_heq(eq.heq, c * q, 1.0) for c in (1.0, 1.5, 4.0)]
     assert rates[0] <= rates[1] <= rates[2]
