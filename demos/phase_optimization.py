@@ -29,11 +29,11 @@ print(f"rate trace (bits/s/Hz): start {result.trace[0]:.4f} -> "
 
 # Baselines on the same channel draw.
 no_ris_gains = LinkGains(gains.rho_direct, 0.0, gains.los)
-eq_no = equivalent_channel(fold_gains(channels, no_ris_gains), RisPhases(np.ones(cfg.n_ris)))
-rate_no = waterfill_covariances(eq_no.heq, power).rate
+heq_no = equivalent_channel(fold_gains(channels, no_ris_gains), RisPhases(np.ones(cfg.n_ris)))
+rate_no = waterfill_covariances(heq_no, power).rate
 
-eq_rand = equivalent_channel(fold_gains(channels, gains), RisPhases.random(cfg.n_ris, substream(*key, SITE_PHASES)))
-rate_rand = waterfill_covariances(eq_rand.heq, power).rate
+heq_rand = equivalent_channel(fold_gains(channels, gains), RisPhases.random(cfg.n_ris, substream(*key, SITE_PHASES)))
+rate_rand = waterfill_covariances(heq_rand, power).rate
 
 print(f"\narm comparison on this draw:")
 print(f"  no reflected path : {rate_no:.4f} bits/s/Hz")

@@ -46,7 +46,6 @@ from .propagation import (
     sample_blockage,
 )
 from .rate import (
-    EquivalentChannel,
     RisPhases,
     equivalent_channel,
     fold_gains,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClusterRaySet",
-    "EquivalentChannel",
     "FlopMeter",
     "FreqChannelSet",
     "GeometryConfig",

@@ -7,7 +7,7 @@ i.i.d. complex Gaussian scatter component, then the taps are DFT-converted to
 per-subcarrier frequency responses.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class FreqChannelSet:
     h1: np.ndarray
     h2: np.ndarray
     h3: np.ndarray
-    n_subcarriers: int = field(init=False)
 
     def __post_init__(self):
         self.h1 = np.asarray(self.h1, dtype=complex)
@@ -83,7 +82,6 @@ class FreqChannelSet:
             raise ValueError("h2 columns must match h1 rows (RIS element count)")
         if self.h3.shape[1:] != (self.h2.shape[1], self.h1.shape[2]):
             raise ValueError("h3 must be (K, N_r, N_t)")
-        self.n_subcarriers = k
 
 
 def wrap_azimuth(az):

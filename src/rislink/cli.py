@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("complexity", parents=[common],
                           help="instrumented iteration/FLOP/runtime table")
     comp.add_argument("--n-ris", default="4,16,36,64",
-                      help="comma-separated RIS element counts")
+                      help="comma-separated RIS element counts (sets n_ris_list)")
     comp.add_argument("--out", default="table.csv", help="output CSV path")
     return parser
 
@@ -60,6 +60,8 @@ def _configs_from_args(args) -> tuple:
         overrides["mc_trials"] = args.trials
     if args.snr_db is not None:
         overrides["snr_db"] = args.snr_db
+    if args.command == "complexity":
+        overrides["n_ris_list"] = args.n_ris
     return parse_config(args.config, overrides, preset=args.preset)
 
 
@@ -77,9 +79,8 @@ def main(argv=None) -> int:
         rows = run_scenario(cfg, geom, args.scenario)
         text = scenario_rows_to_csv(rows)
     else:
-        n_ris_list = [int(p) for p in args.n_ris.split(",") if p.strip()]
         trials = cfg.mc_trials if args.trials is not None else 10
-        rows = complexity_table(cfg, geom, n_ris_list, trials=trials, snr_db=cfg.snr_db[0])
+        rows = complexity_table(cfg, geom, cfg.n_ris_list, trials=trials, snr_db=cfg.snr_db[0])
         text = complexity_rows_to_csv(rows)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -84,7 +84,6 @@ class SystemConfig:
     mu0: float = 0.1
     epsilon: float = 1e-3
     max_iter: int = 200
-    noise_var: float = 1.0
 
     def __post_init__(self):
         require_finite_floats(self)
@@ -108,7 +107,7 @@ class SystemConfig:
         n_max = min(self.n_t, self.n_r)
         if self.n_streams is not None and not 1 <= self.n_streams <= n_max:
             raise ValueError(f"n_streams must lie in 1..min(n_t, n_r) = 1..{n_max}")
-        for name in ("noise_var", "mu0", "epsilon"):
+        for name in ("mu0", "epsilon"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("snr_db", "n_ris_list", "plos_grid", "distance_grid"):
@@ -247,11 +246,10 @@ def _arm_rate(cfg: SystemConfig, arm: str, folded: FreqChannelSet, phi0: RisPhas
     drops the reflected path, leaving the folded direct channel.
     """
     if arm == "pga":
-        return pga_optimize(folded, total_power, noise_var=cfg.noise_var, mu0=cfg.mu0,
-                            epsilon=cfg.epsilon, max_iter=cfg.max_iter,
+        return pga_optimize(folded, total_power, mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
                             n_streams=cfg.n_streams, phi0=phi0, meter=meter).rate
     heq = folded.h3 if arm == "no_ris" else combine_links(folded.h1, folded.h2, folded.h3, phi0.diag)
-    return waterfill_covariances(heq, total_power, cfg.noise_var, cfg.n_streams).rate
+    return waterfill_covariances(heq, total_power, n_streams=cfg.n_streams).rate
 
 
 def _trial_rates(points: list[tuple], powers: list[float], key: tuple, arms=ARMS,

@@ -5,7 +5,8 @@ sum-log-det objective with respect to the phase diagonal. Each iteration takes
 a gradient step, projects every entry back onto the unit circle, re-optimizes
 the per-subcarrier covariances by waterfilling, and takes the rate the
 waterfill reports; steps that do not improve the rate are reverted and the
-learning rate is cut by 10.
+learning rate is cut by 10. The loop runs at unit noise variance: rates depend
+only on P/sigma^2, so scale the power budget for any other sigma^2.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 from . import flops
 from .channel import FreqChannelSet
 from .power import waterfill_covariances
-from .rate import LN2, EquivalentChannel, RisPhases, combine_links, equivalent_channel
+from .rate import LN2, RisPhases, combine_links, equivalent_channel
 
 MU_FLOOR = 1e-12
 
@@ -31,7 +32,8 @@ class PgaResult:
     converged: bool
 
 
-def gradient_phi(channels, q: np.ndarray, phi: RisPhases | None = None, noise_var: float = 1.0) -> np.ndarray:
+def gradient_phi(channels: FreqChannelSet, q: np.ndarray, phi: RisPhases, noise_var: float = 1.0, *,
+                 heq: np.ndarray | None = None) -> np.ndarray:
     """Wirtinger gradient of sum_k log2 det A_k w.r.t. the phase diagonal.
 
     With A_k = I + H_eq[k] Q[k] H_eq[k]^H / noise_var, the i-th component is
@@ -41,25 +43,19 @@ def gradient_phi(channels, q: np.ndarray, phi: RisPhases | None = None, noise_va
     (the derivative holds Phi^H fixed; the ascent direction in the complex
     plane is the conjugate of the returned vector).
 
-    `channels` is a FreqChannelSet with pathloss already folded into h1/h3
-    (then `phi` is required) or an EquivalentChannel (its phases are used);
-    `q` is the (K, N_t, N_t) covariance stack.
+    `channels` carries the pathloss-folded link stacks and `q` is the
+    (K, N_t, N_t) covariance stack. `heq` is the equivalent channel at `phi`;
+    pass it when already at hand, else it is `equivalent_channel(channels, phi)`.
+    The simulator runs at unit noise; `noise_var` serves the reference checks.
     """
-    if isinstance(channels, EquivalentChannel):
-        eq = channels
-    elif isinstance(channels, FreqChannelSet):
-        if phi is None:
-            raise ValueError("phi is required when passing a FreqChannelSet")
-        eq = equivalent_channel(channels, phi)
-    else:
-        raise TypeError(f"unsupported channel container {type(channels)!r}")
-
-    q_heqh = q @ eq.heq.conj().transpose(0, 2, 1)
-    a = np.eye(eq.heq.shape[1]) + (eq.heq @ q_heqh) / noise_var
+    if heq is None:
+        heq = equivalent_channel(channels, phi)
+    q_heqh = q @ heq.conj().transpose(0, 2, 1)
+    a = np.eye(heq.shape[1]) + (heq @ q_heqh) / noise_var
     # A_k = I + PSD is well conditioned; inverting the N_r x N_r matrix beats
     # a batched solve against N_RIS right-hand sides
-    ainv_x = np.linalg.inv(a) @ eq.h2
-    return np.einsum("kir,kri->i", eq.h1 @ q_heqh, ainv_x) / (noise_var * LN2)
+    ainv_x = np.linalg.inv(a) @ channels.h2
+    return np.einsum("kir,kri->i", channels.h1 @ q_heqh, ainv_x) / (noise_var * LN2)
 
 
 def project_unit_modulus(values, fallback: np.ndarray | None = None) -> RisPhases:
@@ -79,7 +75,7 @@ def project_unit_modulus(values, fallback: np.ndarray | None = None) -> RisPhase
     return RisPhases(out)
 
 
-def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: float = 1.0,
+def pga_optimize(channels: FreqChannelSet, total_power: float, *,
                  mu0: float = 0.1, epsilon: float = 1e-3, max_iter: int = 200,
                  n_streams: int | None = None, rng: np.random.Generator | None = None,
                  phi0: RisPhases | None = None, meter=None) -> PgaResult:
@@ -93,6 +89,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
     rate changes by less than `epsilon`, when mu underflows its floor, or at
     the iteration cap; the best (last accepted) iterate is returned either way.
     A given `meter` books the run's analytical cost (`flops.record_pga_run`).
+    The noise variance is 1: for another sigma^2, pass total_power / sigma^2.
     """
     if mu0 <= 0 or epsilon <= 0 or max_iter < 1:
         raise ValueError("need mu0 > 0, epsilon > 0 and a positive iteration cap")
@@ -104,16 +101,15 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
             raise ValueError("rng is required when phi0 is not given")
         phi = RisPhases.random(n_ris, rng)
 
-    eq = equivalent_channel(channels, phi)
-    alloc = waterfill_covariances(eq.heq, total_power, noise_var, n_streams)
-    rate = alloc.rate
+    heq = equivalent_channel(channels, phi)
+    alloc = waterfill_covariances(heq, total_power, n_streams=n_streams)
 
-    trace = [rate]
+    trace = [alloc.rate]
     mu = mu0
     iterations = 0
     converged = False
     while iterations < max_iter:
-        grad = gradient_phi(eq, alloc.q, noise_var=noise_var)
+        grad = gradient_phi(channels, alloc.q, phi, heq=heq)
         # Scale-free step: mu bounds the largest per-element phase rotation,
         # so progress per iteration does not collapse at low-rate operating
         # points where the raw gradient is far below the stopping threshold.
@@ -122,20 +118,16 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
             converged = True
             break
         new_phi = project_unit_modulus(phi.diag + (mu / scale) * grad.conj(), fallback=phi.diag)
-        new_heq = combine_links(eq.h1, eq.h2, eq.h3, new_phi.diag)
-        new_alloc = waterfill_covariances(new_heq, total_power, noise_var, n_streams)
-        new_rate = new_alloc.rate
+        new_heq = combine_links(channels.h1, channels.h2, channels.h3, new_phi.diag)
+        new_alloc = waterfill_covariances(new_heq, total_power, n_streams=n_streams)
         iterations += 1
 
-        delta = new_rate - rate
-        if new_rate > rate:
-            phi = new_phi
-            eq = EquivalentChannel(heq=new_heq, h1=eq.h1, h2=eq.h2, h3=eq.h3, phi=new_phi)
-            alloc = new_alloc
-            rate = new_rate
+        delta = new_alloc.rate - alloc.rate
+        if delta > 0:
+            phi, heq, alloc = new_phi, new_heq, new_alloc
         else:
             mu /= 10.0
-        trace.append(rate)
+        trace.append(alloc.rate)
         if abs(delta) < epsilon:
             converged = True
             break
@@ -147,5 +139,5 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, noise_var: flo
         k, n_r, n_t = channels.h3.shape
         flops.record_pga_run(meter, k, n_r, n_t, n_ris, alloc.p.shape[1],
                              gradient_passes=iterations + int(scale == 0.0), iterations=iterations)
-    return PgaResult(phi=phi, rate=rate, trace=np.asarray(trace),
+    return PgaResult(phi=phi, rate=alloc.rate, trace=np.asarray(trace),
                      iterations=iterations, converged=converged)

@@ -6,7 +6,9 @@ phase diagonal shared by all subcarriers. Spectral efficiency is the
 subcarrier-averaged log-det rate of that channel under per-subcarrier
 transmit covariances; `rate_from_heq` evaluates it for any PSD covariances.
 A waterfilled allocation carries its own rate (`PowerAllocation.rate`), which
-is what the optimizer and the harness read.
+is what the optimizer and the harness read. The simulator works at unit noise
+variance; rates depend only on P/sigma^2, so model any other sigma^2 by
+scaling the power budget by 1/sigma^2.
 """
 
 from dataclasses import dataclass
@@ -47,22 +49,6 @@ class RisPhases:
         return cls.from_angles(rng.uniform(0.0, 2.0 * np.pi, size=n))
 
 
-@dataclass
-class EquivalentChannel:
-    """Equivalent channel stack plus the gain-folded link stacks that built it.
-
-    The pathloss amplitudes are folded into h1 and h3 once (h1 carries
-    sqrt(rho_indirect), h3 carries sqrt(rho_direct)) so downstream gradient
-    algebra can treat the folded stacks as the bare channel matrices.
-    """
-
-    heq: np.ndarray  # (K, N_r, N_t)
-    h1: np.ndarray  # (K, N_RIS, N_t), sqrt(rho_indirect) folded in
-    h2: np.ndarray  # (K, N_r, N_RIS)
-    h3: np.ndarray  # (K, N_r, N_t), sqrt(rho_direct) folded in
-    phi: RisPhases
-
-
 def combine_links(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, phi_diag: np.ndarray) -> np.ndarray:
     """h3 + h2 diag(phi) h1 per subcarrier, on already gain-folded stacks."""
     return h3 + (h2 * phi_diag[None, None, :]) @ h1
@@ -74,8 +60,8 @@ def fold_gains(channels: FreqChannelSet, gains: LinkGains) -> FreqChannelSet:
                           h3=np.sqrt(gains.rho_direct) * channels.h3)
 
 
-def equivalent_channel(channels: FreqChannelSet, phi: RisPhases) -> EquivalentChannel:
-    """Assemble the equivalent channel from gain-folded link stacks and phases.
+def equivalent_channel(channels: FreqChannelSet, phi: RisPhases) -> np.ndarray:
+    """The (K, N_r, N_t) equivalent channel of gain-folded link stacks at phases `phi`.
 
     The stacks are used as-is: fold pathloss in with `fold_gains` first.
     """
@@ -83,8 +69,7 @@ def equivalent_channel(channels: FreqChannelSet, phi: RisPhases) -> EquivalentCh
         raise ValueError(
             f"phase count {phi.n_elements} does not match RIS element count {channels.h1.shape[1]}"
         )
-    heq = combine_links(channels.h1, channels.h2, channels.h3, phi.diag)
-    return EquivalentChannel(heq=heq, h1=channels.h1, h2=channels.h2, h3=channels.h3, phi=phi)
+    return combine_links(channels.h1, channels.h2, channels.h3, phi.diag)
 
 
 def rate_from_heq(heq: np.ndarray, q: np.ndarray, noise_var: float) -> float:

@@ -138,6 +138,10 @@ def test_tuple_fields_round_trip_through_overrides():
     ("snr_db", "nan", True),
     ("distance_grid", "20, 25", True),
     ("d_ris", "50", True),  # a key the scenario sets itself
+    ("noise_var", "2", True),  # unit noise: scale the power budget instead
+    ("n_ris_list", "4,x", True),  # complexity --n-ris
+    ("n_ris_list", "0", True),
+    ("n_ris_list", "-4", True),
 ])
 def test_config_rejects_bad_values_before_any_trial(key, text, via_cli, tmp_path):
     if not via_cli:
@@ -145,11 +149,11 @@ def test_config_rejects_bad_values_before_any_trial(key, text, via_cli, tmp_path
             parse_config(None, overrides={key: text}, preset="desk")
         return
     out = tmp_path / "results.csv"
-    flags = {"snr_db": "--snr-db", "seed": "--seed"}
+    flags = {"snr_db": "--snr-db", "seed": "--seed", "n_ris_list": "--n-ris"}
     flag = f"{flags[key]}={text}" if key in flags else f"--set={key}={text}"
-    proc = subprocess.run([sys.executable, "-m", "rislink", "simulate", "--scenario", "se_vs_snr",
-                           "--preset", "desk", flag, "--out", str(out)],
-                          capture_output=True, text=True)
+    command = ["complexity"] if key == "n_ris_list" else ["simulate", "--scenario", "se_vs_snr"]
+    proc = subprocess.run([sys.executable, "-m", "rislink", *command, "--preset", "desk", flag,
+                           "--out", str(out)], capture_output=True, text=True)
     assert proc.returncode == 2
     assert key in proc.stderr
     assert not out.exists()

@@ -22,7 +22,7 @@ def random_instance(rng, k=2, n_r=2, n_t=4, n_ris=4):
 
 def sum_rate(ch, q, theta, noise_var=1.0):
     heq = combine_links(ch.h1, ch.h2, ch.h3, np.exp(1j * theta))
-    return rate_from_heq(heq, q, noise_var) * ch.n_subcarriers
+    return rate_from_heq(heq, q, noise_var) * ch.h1.shape[0]
 
 
 def test_gradient_zero_when_h2_zero():
@@ -57,13 +57,13 @@ def test_gradient_matches_finite_differences():
 
 def yz_gradient(ch, q, phi, noise_var):
     """Reference gradient with the paper's separate Y and Z terms."""
-    eq = equivalent_channel(ch, phi)
-    h1q = eq.h1 @ q
-    y = h1q @ eq.h3.conj().transpose(0, 2, 1)
-    z = (h1q @ eq.h1.conj().transpose(0, 2, 1) * phi.diag.conj()[None, None, :]) \
-        @ eq.h2.conj().transpose(0, 2, 1)
-    a = np.eye(eq.heq.shape[1]) + eq.heq @ q @ eq.heq.conj().transpose(0, 2, 1) / noise_var
-    ainv_x = np.linalg.solve(a, eq.h2) / noise_var
+    heq = equivalent_channel(ch, phi)
+    h1q = ch.h1 @ q
+    y = h1q @ ch.h3.conj().transpose(0, 2, 1)
+    z = (h1q @ ch.h1.conj().transpose(0, 2, 1) * phi.diag.conj()[None, None, :]) \
+        @ ch.h2.conj().transpose(0, 2, 1)
+    a = np.eye(heq.shape[1]) + heq @ q @ heq.conj().transpose(0, 2, 1) / noise_var
+    ainv_x = np.linalg.solve(a, ch.h2) / noise_var
     return np.einsum("kir,kri->ki", y + z, ainv_x).sum(axis=0) / np.log(2.0)
 
 

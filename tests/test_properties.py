@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from rislink.channel import FreqChannelSet  # noqa: E402
 from rislink.pga import gradient_phi, project_unit_modulus  # noqa: E402
 from rislink.power import ABS_EIG_FLOOR, REL_EIG_FLOOR, waterfill, waterfill_covariances  # noqa: E402
-from rislink.rate import RisPhases, combine_links, rate_from_heq  # noqa: E402
+from rislink.rate import RisPhases, combine_links, equivalent_channel, rate_from_heq  # noqa: E402
 from rislink.rng import substream  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -75,6 +75,8 @@ def test_gradient_matches_central_differences(seed, k, n_r, n_t, n_ris, noise_va
     theta = rng.uniform(0.0, 2.0 * np.pi, n_ris)
     phi = RisPhases.from_angles(theta)
     g = gradient_phi(ch, q, phi, noise_var)
+    # a supplied equivalent channel is a cached value: the result is bitwise the same
+    np.testing.assert_array_equal(gradient_phi(ch, q, phi, noise_var, heq=equivalent_channel(ch, phi)), g)
 
     def sum_rate(th):
         return rate_from_heq(combine_links(ch.h1, ch.h2, ch.h3, np.exp(1j * th)), q, noise_var) * k
