@@ -2,15 +2,20 @@
 
 Usage:
     rislink simulate --scenario se_vs_snr --preset desk --seed 7 --out results.csv
-    rislink complexity --n-ris 4,16,36,64 --out table.csv
+    rislink complexity --preset desk --n-ris 4,16,36,64 --trials 10 --out table.csv
 
-Option values starting with '-' (e.g. SNR grids) need the `--opt=value` form.
+Both read one config: the preset, the `--config` file, `--set KEY=VALUE`, then
+each override flag that is given. A bad value or an unwritable `--out` exits 2
+before any trial. Option values starting with '-' (e.g. SNR grids) need the
+`--opt=value` form.
 """
 
 import argparse
+import os
 import sys
 
 from .harness import (
+    PRESETS,
     SCENARIOS,
     check_scenario_geometry,
     complexity_rows_to_csv,
@@ -20,6 +25,9 @@ from .harness import (
     scenario_rows_to_csv,
 )
 
+# argparse destination -> configuration key of each override flag
+_FLAG_KEYS = {"seed": "seed", "trials": "mc_trials", "snr_db": "snr_db", "n_ris": "n_ris_list"}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rislink", description=__doc__.splitlines()[0])
@@ -27,10 +35,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value configuration file")
-    common.add_argument("--preset", default="paper", choices=("paper", "desk"),
+    common.add_argument("--preset", default="paper", choices=sorted(PRESETS),
                         help="base parameter profile (default: paper)")
     common.add_argument("--seed", type=int, help="Monte Carlo seed override")
-    common.add_argument("--trials", type=int, help="trials per sweep point override")
+    common.add_argument("--trials", type=int, help="mc_trials override: trials per sweep point or RIS size")
     common.add_argument("--snr-db", help="comma-separated SNR grid override, e.g. --snr-db=-5,10")
     common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override any configuration key (repeatable)")
@@ -40,9 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default="results.csv", help="output CSV path")
 
     comp = sub.add_parser("complexity", parents=[common],
-                          help="instrumented iteration/FLOP/runtime table")
-    comp.add_argument("--n-ris", default="4,16,36,64",
-                      help="comma-separated RIS element counts (sets n_ris_list)")
+                          help="mean iterations, FLOPs and whole-trial wall time of pga trials "
+                               "per RIS size, at the first snr_db value")
+    comp.add_argument("--n-ris", help="n_ris_list override: comma-separated RIS element counts, "
+                                      "one table row each")
     comp.add_argument("--out", default="table.csv", help="output CSV path")
     return parser
 
@@ -54,14 +63,10 @@ def _configs_from_args(args) -> tuple:
             raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["mc_trials"] = args.trials
-    if args.snr_db is not None:
-        overrides["snr_db"] = args.snr_db
-    if args.command == "complexity":
-        overrides["n_ris_list"] = args.n_ris
+    for dest, key in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)  # simulate has no --n-ris
+        if value is not None:
+            overrides[key] = value
     return parse_config(args.config, overrides, preset=args.preset)
 
 
@@ -69,6 +74,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg, geom = _configs_from_args(args)
+        out_dir = os.path.dirname(os.path.abspath(args.out))
+        if os.path.isdir(args.out) or not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+            raise OSError(f"cannot write --out {args.out!r}: not a file in an existing, writable directory")
         if args.command == "simulate":
             check_scenario_geometry(geom, args.scenario)
     except (ValueError, OSError) as exc:
@@ -79,8 +87,7 @@ def main(argv=None) -> int:
         rows = run_scenario(cfg, geom, args.scenario)
         text = scenario_rows_to_csv(rows)
     else:
-        trials = cfg.mc_trials if args.trials is not None else 10
-        rows = complexity_table(cfg, geom, cfg.n_ris_list, trials=trials, snr_db=cfg.snr_db[0])
+        rows = complexity_table(cfg, geom, cfg.n_ris_list, trials=cfg.mc_trials, snr_db=cfg.snr_db[0])
         text = complexity_rows_to_csv(rows)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -12,7 +12,6 @@ the reflected path removed.
 
 import csv
 import io
-import numbers
 import time
 from dataclasses import dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
@@ -24,7 +23,7 @@ from .channel import FreqChannelSet, UraSpec, synthesize_link, taps_to_subcarrie
 from .pga import pga_optimize
 from .power import waterfill_covariances
 from .propagation import (GeometryConfig, LinkGains, blockage_state, direct_gain, indirect_gain, link_distances,
-                          p_los, require_finite_floats)
+                          p_los, require_valid_numbers)
 from .rate import RisPhases, combine_links, fold_gains
 from .rng import SITE_BLOCKAGE, SITE_LINK, SITE_PHASES, substream
 
@@ -64,7 +63,6 @@ class SystemConfig:
     ris_rows: int = 8
     ris_cols: int = 8
     spacing_wavelengths: float = 0.5
-    n_streams: int | None = None  # default min(n_t, n_r)
     n_subcarriers: int = 24
     n_taps: tuple[int, int, int] = (3, 4, 5)
     rician_k: float = 10.0
@@ -86,13 +84,7 @@ class SystemConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        require_finite_floats(self)
-        for name, hint in _INT_HINTS.items():  # every count is >= 1, the seed >= 0
-            value, least = getattr(self, name), 0 if name == "seed" else 1
-            if not all(v is None and type(None) in get_args(hint)
-                       or isinstance(v, numbers.Integral) and v >= least
-                       for v in (value if get_origin(hint) is tuple else (value,))):
-                raise ValueError(f"{name} must hold integers >= {least}, got {value!r}")
+        require_valid_numbers(self)
         self.n_taps = tuple(self.n_taps)
         if len(self.n_taps) != 3:
             raise ValueError("n_taps must hold three tap counts")
@@ -104,9 +96,6 @@ class SystemConfig:
             raise ValueError("angular_spread_deg must be nonnegative")
         if not self.spacing_wavelengths > 0:
             raise ValueError("spacing_wavelengths must be positive")
-        n_max = min(self.n_t, self.n_r)
-        if self.n_streams is not None and not 1 <= self.n_streams <= n_max:
-            raise ValueError(f"n_streams must lie in 1..min(n_t, n_r) = 1..{n_max}")
         for name in ("mu0", "epsilon"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -152,11 +141,6 @@ class SystemConfig:
         return replace(self, ris_rows=rows, ris_cols=cols)
 
 
-# int-annotated SystemConfig fields, tuple fields checked item by item
-_INT_HINTS = {name: hint for name, hint in get_type_hints(SystemConfig).items()
-              if int in (hint, *get_args(hint))}
-
-
 @dataclass
 class ScenarioResult:
     """Aggregated spectral efficiency for one (scenario, sweep point, arm) cell."""
@@ -182,9 +166,7 @@ PRESETS = {
 
 
 def preset_config(name: str = "paper") -> tuple[SystemConfig, GeometryConfig]:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return SystemConfig(**PRESETS[name]), GeometryConfig()
+    return parse_config(preset=name)
 
 
 def reference_gain(geom: GeometryConfig) -> float:
@@ -247,9 +229,9 @@ def _arm_rate(cfg: SystemConfig, arm: str, folded: FreqChannelSet, phi0: RisPhas
     """
     if arm == "pga":
         return pga_optimize(folded, total_power, mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
-                            n_streams=cfg.n_streams, phi0=phi0, meter=meter).rate
+                            phi0=phi0, meter=meter).rate
     heq = folded.h3 if arm == "no_ris" else combine_links(folded.h1, folded.h2, folded.h3, phi0.diag)
-    return waterfill_covariances(heq, total_power, n_streams=cfg.n_streams).rate
+    return waterfill_covariances(heq, total_power).rate
 
 
 def _trial_rates(points: list[tuple], powers: list[float], key: tuple, arms=ARMS,
@@ -349,12 +331,15 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str,
     return rows
 
 
-def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: int | None = None,
-                     trials: int = 10, snr_db: float = -5.0) -> list[dict]:
-    """Instrumented optimizer runs for each RIS size: mean iterations, FLOPs, runtime.
+def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: int | None = None, *,
+                     trials: int, snr_db: float) -> list[dict]:
+    """Instrumented `pga` trials for each RIS size: mean iterations, FLOPs and runtime.
 
-    FLOP and iteration counters depend only on the seeded draws, so rows are
-    reproducible; runtimes are wall-clock measurements.
+    Each size runs `trials` trials at the one SNR `snr_db` (the CLI passes
+    cfg.mc_trials and the first value of cfg.snr_db). `runtime_s` is the mean
+    wall time of one whole trial, channel synthesis included, not of the
+    optimizer alone. FLOP and iteration counters depend only on the seeded
+    draws, so those columns are reproducible.
     """
     seed = cfg.seed if seed is None else int(seed)
     rows = []

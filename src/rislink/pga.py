@@ -77,17 +77,18 @@ def project_unit_modulus(values, fallback: np.ndarray | None = None) -> RisPhase
 
 def pga_optimize(channels: FreqChannelSet, total_power: float, *,
                  mu0: float = 0.1, epsilon: float = 1e-3, max_iter: int = 200,
-                 n_streams: int | None = None, rng: np.random.Generator | None = None,
+                 rng: np.random.Generator | None = None,
                  phi0: RisPhases | None = None, meter=None) -> PgaResult:
     """Jointly optimize RIS phases and per-subcarrier covariances.
 
     `channels` must carry the pathloss-folded link stacks. Phases initialize
     uniformly at random on the unit circle (or from `phi0`); each iteration
     ascends along the conjugate gradient with rate mu, projects onto the unit
-    circle, waterfills the covariances and reads their rate. A non-improving
-    step is reverted and mu shrinks by 10. The loop stops when the candidate
-    rate changes by less than `epsilon`, when mu underflows its floor, or at
-    the iteration cap; the best (last accepted) iterate is returned either way.
+    circle, waterfills the covariances with one stream per eigenmode,
+    N_s = min(N_r, N_t), and reads their rate. A non-improving step is
+    reverted and mu shrinks by 10. The loop stops when the candidate rate
+    changes by less than `epsilon`, when mu underflows its floor, or at the
+    iteration cap; the best (last accepted) iterate is returned either way.
     A given `meter` books the run's analytical cost (`flops.record_pga_run`).
     The noise variance is 1: for another sigma^2, pass total_power / sigma^2.
     """
@@ -102,7 +103,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
         phi = RisPhases.random(n_ris, rng)
 
     heq = equivalent_channel(channels, phi)
-    alloc = waterfill_covariances(heq, total_power, n_streams=n_streams)
+    alloc = waterfill_covariances(heq, total_power)
 
     trace = [alloc.rate]
     mu = mu0
@@ -119,7 +120,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
             break
         new_phi = project_unit_modulus(phi.diag + (mu / scale) * grad.conj(), fallback=phi.diag)
         new_heq = combine_links(channels.h1, channels.h2, channels.h3, new_phi.diag)
-        new_alloc = waterfill_covariances(new_heq, total_power, n_streams=n_streams)
+        new_alloc = waterfill_covariances(new_heq, total_power)
         iterations += 1
 
         delta = new_alloc.rate - alloc.rate

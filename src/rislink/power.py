@@ -34,21 +34,16 @@ class PowerAllocation:
     rate: float  # bits/s/Hz, (1/K) sum_k sum_g log2(1 + lam[k, g] p[k, g])
 
 
-def channel_eigvals(heq: np.ndarray, noise_var: float, n_streams: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenpairs of (1/noise_var) * H_eq[k]^H H_eq[k] per subcarrier.
+def channel_eigvals(heq: np.ndarray, noise_var: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of (1/noise_var) * H_eq[k]^H H_eq[k] per subcarrier.
 
-    `heq` is a (K, N_r, N_t) stack. The pairs come from the thin SVD
-    H_eq[k] = U S V^H: eigenvalues s^2 / noise_var and eigenvectors the
-    columns of V. `n_streams` must lie in 1..min(N_r, N_t) (default: all of
-    them). Returns (eigenvalues (K, N_s) in descending order, eigenvectors
-    (K, N_t, N_s)).
+    `heq` is a (K, N_r, N_t) stack with one stream per eigenmode,
+    N_s = min(N_r, N_t). The pairs come from the thin SVD H_eq[k] = U S V^H:
+    eigenvalues s^2 / noise_var and eigenvectors the columns of V. Returns
+    (eigenvalues (K, N_s) in descending order, eigenvectors (K, N_t, N_s)).
     """
-    n_max = min(heq.shape[1], heq.shape[2])
-    n_s = n_max if n_streams is None else n_streams
-    if not 1 <= n_s <= n_max:
-        raise ValueError(f"n_streams must lie in 1..{n_max}, got {n_streams}")
     _, s, vh = np.linalg.svd(heq, full_matrices=False)  # s is descending
-    return s[:, :n_s] ** 2 / noise_var, vh[:, :n_s, :].conj().transpose(0, 2, 1)
+    return s**2 / noise_var, vh.conj().transpose(0, 2, 1)
 
 
 def waterfill(eigenvalues, total_power: float) -> tuple[np.ndarray, float]:
@@ -89,13 +84,14 @@ def build_covariances(u: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (u * p[:, None, :]) @ u.conj().transpose(0, 2, 1)
 
 
-def waterfill_covariances(heq: np.ndarray, total_power: float, noise_var: float = 1.0,
-                          n_streams: int | None = None) -> PowerAllocation:
+def waterfill_covariances(heq: np.ndarray, total_power: float, noise_var: float = 1.0) -> PowerAllocation:
     """Eigen-decompose, waterfill across all (subcarrier, stream) pairs, rebuild Q[k] and rate it.
 
+    One stream per eigenmode, N_s = min(N_r, N_t), the capacity optimum
+    (Telatar, ETT 1999); waterfilling may still give a stream zero power.
     The rate needs no Q: det(I + heq Q heq^H / noise_var) is the product of 1 + lam p.
     """
-    lams, u = channel_eigvals(heq, noise_var, n_streams)
+    lams, u = channel_eigvals(heq, noise_var)
     p, _ = waterfill(lams, total_power)
     rate = float(np.sum(np.log1p(lams * p)) / (LN2 * heq.shape[0]))
     return PowerAllocation(q=build_covariances(u, p), u=u, p=p, rate=rate)

@@ -8,6 +8,7 @@ received power decreases with distance on both paths.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -32,7 +33,7 @@ class GeometryConfig:
     p_los_override: float | None = None
 
     def __post_init__(self):
-        require_finite_floats(self)
+        require_valid_numbers(self)
         for name in ("d_bs_ue", "bs_height", "ue_height", "d_ris", "carrier_freq_hz", "d_ref"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -55,22 +56,26 @@ class GeometryConfig:
 
 
 @functools.cache
-def _float_hints(cls) -> dict:
-    """Annotations of the float-typed fields of dataclass `cls`, tuple and optional fields included."""
-    return {name: hint for name, hint in get_type_hints(cls).items() if float in (hint, *get_args(hint))}
+def _number_hints(cls) -> dict:
+    """Annotations of the int- and float-typed fields of dataclass `cls`, tuple and optional fields included."""
+    return {name: hint for name, hint in get_type_hints(cls).items() if {int, float} & {hint, *get_args(hint)}}
 
 
-def require_finite_floats(config) -> None:
-    """Reject a dataclass whose float-annotated fields are not all finite.
+def require_valid_numbers(config) -> None:
+    """Reject a dataclass whose int- or float-annotated fields break the numeric rule.
 
+    Float fields must be finite, int fields integers >= 1 (`seed` >= 0).
     Tuple fields are checked item by item, and None passes only where the
     annotation admits it. The ValueError names the first offending field.
     """
-    for name, hint in _float_hints(type(config)).items():
-        value = getattr(config, name)
-        values = value if get_origin(hint) is tuple else (value,)
-        if not all(type(None) in get_args(hint) if v is None else math.isfinite(v) for v in values):
-            raise ValueError(f"{name} must hold finite numbers, got {value!r}")
+    for name, hint in _number_hints(type(config)).items():
+        value, is_int = getattr(config, name), int in (hint, *get_args(hint))
+        least = 0 if name == "seed" else 1
+        if not all(type(None) in get_args(hint) if v is None
+                   else isinstance(v, numbers.Integral) and v >= least if is_int else math.isfinite(v)
+                   for v in (value if get_origin(hint) is tuple else (value,))):
+            rule = f"integers >= {least}" if is_int else "finite numbers"
+            raise ValueError(f"{name} must hold {rule}, got {value!r}")
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import csv
 import subprocess
 import sys
 from dataclasses import replace
@@ -6,7 +7,7 @@ from typing import get_origin, get_type_hints
 import numpy as np
 import pytest
 
-from rislink import harness
+from rislink import cli, harness
 from rislink.harness import (
     SCENARIOS,
     SystemConfig,
@@ -81,17 +82,6 @@ def test_parse_config_rejects_unknown_and_malformed(tmp_path):
         parse_config(None, overrides={"mc_trials": "0"})
 
 
-def test_config_rejects_out_of_range_n_streams():
-    # small_config has n_t = 4 and n_r = 2, so at most two streams
-    for n_s in (None, 1, 2):
-        assert small_config(n_streams=n_s).n_streams == n_s
-    for n_s in (0, -1, 3):
-        with pytest.raises(ValueError, match="n_streams"):
-            small_config(n_streams=n_s)
-    with pytest.raises(ValueError, match="n_streams"):
-        parse_config(None, overrides={"n_streams": "5"}, preset="desk")
-
-
 def test_tuple_fields_round_trip_through_overrides():
     cfg, geom = preset_config("desk")
     hints = {**get_type_hints(SystemConfig), **get_type_hints(GeometryConfig)}
@@ -139,6 +129,7 @@ def test_tuple_fields_round_trip_through_overrides():
     ("distance_grid", "20, 25", True),
     ("d_ris", "50", True),  # a key the scenario sets itself
     ("noise_var", "2", True),  # unit noise: scale the power budget instead
+    ("n_streams", "2", True),  # every eigenmode carries a stream
     ("n_ris_list", "4,x", True),  # complexity --n-ris
     ("n_ris_list", "0", True),
     ("n_ris_list", "-4", True),
@@ -392,3 +383,39 @@ def test_cli_simulate_and_complexity(tmp_path):
                           "se_vs_snr", "--set", "bogus=1"], capture_output=True, text=True)
     assert bad.returncode == 2
     assert "unknown configuration key" in bad.stderr
+
+
+def complexity_csv(tmp_path, *flags) -> list[dict]:
+    """Rows of the table `rislink complexity --preset desk <flags>` writes."""
+    out = tmp_path / "table.csv"
+    assert cli.main(["complexity", "--preset", "desk", *flags, "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_complexity_reads_sizes_and_trials_from_config(tmp_path):
+    conf = tmp_path / "run.cfg"
+    conf.write_text("n_ris_list = 9\n", encoding="utf-8")
+    for flags in (("--set", "n_ris_list=9"), ("--config", str(conf))):
+        assert [row["n_ris"] for row in complexity_csv(tmp_path, "--trials", "1", *flags)] == ["9"]
+    # the flag overrides the key, as --snr-db does snr_db
+    rows = complexity_csv(tmp_path, "--trials", "1", "--n-ris", "4", "--set", "n_ris_list=9")
+    assert [row["n_ris"] for row in rows] == ["4"]
+    # mc_trials is the trial count whether it comes from --set or --trials
+    counters = [[(row["n_ris"], row["iter_count"], row["flop_count"]) for row in complexity_csv(tmp_path, *f)]
+                for f in (("--set", "mc_trials=1"), ("--trials", "1"))]
+    assert counters[0] == counters[1]
+    assert [n for n, _, _ in counters[0]] == ["16", "64"]  # the desk preset's sizes
+
+
+@pytest.mark.parametrize("command", [["simulate", "--scenario", "distance_vs_se"], ["complexity"]],
+                         ids=["simulate", "complexity"])
+def test_cli_rejects_unwritable_out_before_any_trial(monkeypatch, tmp_path, capsys, command):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_trial_rates", no_trial)
+    for out in (tmp_path / "no" / "such" / "dir" / "x.csv", tmp_path):
+        assert cli.main([*command, "--preset", "desk", "--trials", "2", "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -70,15 +70,10 @@ def test_eigvals_match_svd_oracle():
         # eigenvectors diagonalize the Gram matrix
         gram = heq[k].conj().T @ heq[k] / sigma2
         np.testing.assert_allclose(u[k].conj().T @ gram @ u[k], np.diag(lams[k]), atol=1e-9)
-
-
-def test_eigvals_reject_out_of_range_n_streams():
-    heq = crandn(substream(76), 2, 3, 5)
-    lams, u = channel_eigvals(heq, 1.0, n_streams=2)
-    assert lams.shape == (2, 2) and u.shape == (2, 5, 2)
-    for n_s in (0, 4):
-        with pytest.raises(ValueError, match="n_streams"):
-            channel_eigvals(heq, 1.0, n_streams=n_s)
+    # one stream per eigenmode, N_s = min(N_r, N_t), for wide and tall channels
+    for n_r, n_t in ((3, 5), (5, 3)):
+        lams, u = channel_eigvals(crandn(rng, 2, n_r, n_t), sigma2)
+        assert lams.shape == (2, min(n_r, n_t)) and u.shape == (2, n_t, min(n_r, n_t))
 
 
 def test_svd_basis_rebuilds_eigh_covariances():

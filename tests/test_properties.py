@@ -49,15 +49,14 @@ def crandn(rng, *shape):
 
 
 @PROPERTY_SETTINGS
-@given(data=st.data(), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), n_r=st.integers(1, 4),
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), n_r=st.integers(1, 4),
        n_t=st.integers(1, 6), log_scale=st.floats(-2.0, 1.0), zero_last=st.booleans(),
        noise_var=st.floats(0.1, 10.0), power=st.floats(0.01, 100.0))
-def test_waterfilled_rate_matches_log_det(data, seed, k, n_r, n_t, log_scale, zero_last, noise_var, power):
-    n_s = data.draw(st.integers(1, min(n_r, n_t)), label="n_streams")
+def test_waterfilled_rate_matches_log_det(seed, k, n_r, n_t, log_scale, zero_last, noise_var, power):
     heq = 10.0**log_scale * crandn(substream(seed), k, n_r, n_t)
     if zero_last and k > 1:  # a subcarrier with no channel at all
         heq[-1] = 0.0
-    alloc = waterfill_covariances(heq, power, noise_var, n_s)
+    alloc = waterfill_covariances(heq, power, noise_var)
     expected = rate_from_heq(heq, alloc.q, noise_var)
     assert abs(alloc.rate - expected) <= 1e-10 * max(1.0, expected)
 
