@@ -60,7 +60,7 @@ def _configs_from_args(args) -> tuple:
     overrides = {}
     for item in args.set:
         if "=" not in item:
-            raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
+            raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value
     for dest, key in _FLAG_KEYS.items():

@@ -8,7 +8,10 @@ costed per subcarrier (complex multiply = 6 real flops, everything else
 tallied as single real ops). In particular the eigen-decomposition is costed
 as m^2*n + n^3 complex multiplies for an m x n factorization and the
 covariance rebuild at 2*N_RIS^3 per subcarrier, matching the accounting the
-complexity trends are compared against.
+complexity trends are compared against. The ledger still charges the
+paper's N_t^3 factorization and 2*N_RIS^3 rebuild, which the loop no longer
+runs (it takes an N_r x N_r Gram `eigh` and a Q-free gradient), so the
+complexity table keeps its counts.
 """
 
 from dataclasses import dataclass

@@ -297,8 +297,7 @@ def _sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> lis
             for d in cfg.distance_grid]
 
 
-def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str,
-                 seed: int | None = None) -> list[ScenarioResult]:
+def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[ScenarioResult]:
     """Run one experiment scenario and return one result row per (sweep point, arm).
 
     se_vs_snr sweeps the SNR grid for each RIS size in cfg.n_ris_list at the
@@ -312,11 +311,10 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str,
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
-    seed = cfg.seed if seed is None else int(seed)
     points = _sweep_points(cfg, geom, scenario)
     setups = [(c, g) for c, g, _, _, _ in points]
     powers = [total_power_for_snr(c, g, snr) for c, g, _, _, snr in points]
-    se = np.stack([_trial_rates(setups, powers, (seed, SCENARIOS[scenario], t))
+    se = np.stack([_trial_rates(setups, powers, (cfg.seed, SCENARIOS[scenario], t))
                    for t in range(cfg.mc_trials)], axis=-1)
 
     rows: list[ScenarioResult] = []
@@ -327,7 +325,7 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str,
             rows.append(ScenarioResult(scenario=scenario, sweep_name=sweep_name,
                                        sweep_value=sweep_value, arm=arm, n_ris=c.n_ris,
                                        snr_db=snr, mean_se=float(values.mean()), stderr_se=stderr,
-                                       trials=cfg.mc_trials, seed=seed, d2=float(d2)))
+                                       trials=cfg.mc_trials, seed=cfg.seed, d2=float(d2)))
     return rows
 
 

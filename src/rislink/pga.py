@@ -2,11 +2,12 @@
 
 The ascent direction comes from the closed-form Wirtinger derivative of the
 sum-log-det objective with respect to the phase diagonal. Each iteration takes
-a gradient step, projects every entry back onto the unit circle, re-optimizes
-the per-subcarrier covariances by waterfilling, and takes the rate the
-waterfill reports; steps that do not improve the rate are reverted and the
-learning rate is cut by 10. The loop runs at unit noise variance: rates depend
-only on P/sigma^2, so scale the power budget for any other sigma^2.
+a gradient step, projects every entry back onto the unit circle, re-waterfills
+the stream powers in the equivalent channel's rank-N_r eigenbasis, and takes
+the rate the waterfill reports; steps that do not improve the rate are
+reverted and the learning rate is cut by 10. The loop runs at unit noise
+variance: rates depend only on P/sigma^2, so scale the power budget for any
+other sigma^2.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import flops
 from .channel import FreqChannelSet
-from .power import waterfill_covariances
+from .power import PowerAllocation, waterfill_covariances
 from .rate import LN2, RisPhases, combine_links, equivalent_channel
 
 MU_FLOOR = 1e-12
@@ -32,30 +33,35 @@ class PgaResult:
     converged: bool
 
 
-def gradient_phi(channels: FreqChannelSet, q: np.ndarray, phi: RisPhases, noise_var: float = 1.0, *,
-                 heq: np.ndarray | None = None) -> np.ndarray:
+def gradient_phi(channels: FreqChannelSet, q: np.ndarray | PowerAllocation, phi: RisPhases,
+                 noise_var: float = 1.0) -> np.ndarray:
     """Wirtinger gradient of sum_k log2 det A_k w.r.t. the phase diagonal.
 
     With A_k = I + H_eq[k] Q[k] H_eq[k]^H / noise_var, the i-th component is
-    sum_k [H1[k] (Q[k] H_eq[k]^H) A_k^{-1} H2[k]]_{ii} / (noise_var ln 2).
+    sum_k [H1[k] (Q[k] H_eq[k]^H A_k^{-1}) H2[k]]_{ii} / (noise_var ln 2).
     H1 Q H_eq^H is the sum of the paper's two terms Y = H1 Q H3^H and
-    Z = H1 Q H1^H Phi^H H2^H, and the product Q H_eq^H is shared with A_k
-    (the derivative holds Phi^H fixed; the ascent direction in the complex
-    plane is the conjugate of the returned vector).
+    Z = H1 Q H1^H Phi^H H2^H (the derivative holds Phi^H fixed; the ascent
+    direction in the complex plane is the conjugate of the returned vector).
 
-    `channels` carries the pathloss-folded link stacks and `q` is the
-    (K, N_t, N_t) covariance stack. `heq` is the equivalent channel at `phi`;
-    pass it when already at hand, else it is `equivalent_channel(channels, phi)`.
-    The simulator runs at unit noise; `noise_var` serves the reference checks.
+    `channels` carries the pathloss-folded link stacks. `q` is either the
+    (K, N_t, N_t) covariance stack, the general reference form, or the
+    `PowerAllocation` waterfilled at `noise_var` for the equivalent channel
+    at `phi`, which the optimizer passes. For the allocation, with
+    c = p / (1 + lam p), Q H_eq^H A^{-1} = H_eq^H W diag(c) W^H in its
+    receive-side eigenbasis W (Telatar, ETT 1999), so neither Q nor an
+    inverse is formed. The simulator runs at unit noise; `noise_var` serves
+    the reference checks.
     """
-    if heq is None:
+    if isinstance(q, PowerAllocation):
+        heqh = q.heq.conj().transpose(0, 2, 1)
+        c = q.p / (1.0 + q.lam * q.p)
+        m = heqh @ ((q.w * c[:, None, :]) @ q.w.conj().transpose(0, 2, 1))
+    else:
         heq = equivalent_channel(channels, phi)
-    q_heqh = q @ heq.conj().transpose(0, 2, 1)
-    a = np.eye(heq.shape[1]) + (heq @ q_heqh) / noise_var
-    # A_k = I + PSD is well conditioned; inverting the N_r x N_r matrix beats
-    # a batched solve against N_RIS right-hand sides
-    ainv_x = np.linalg.inv(a) @ channels.h2
-    return np.einsum("kir,kri->i", channels.h1 @ q_heqh, ainv_x) / (noise_var * LN2)
+        q_heqh = q @ heq.conj().transpose(0, 2, 1)
+        # A_k = I + PSD is well conditioned and only N_r x N_r
+        m = q_heqh @ np.linalg.inv(np.eye(heq.shape[1]) + (heq @ q_heqh) / noise_var)
+    return np.einsum("kir,kri->i", channels.h1 @ m, channels.h2) / (noise_var * LN2)
 
 
 def project_unit_modulus(values, fallback: np.ndarray | None = None) -> RisPhases:
@@ -102,15 +108,14 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
             raise ValueError("rng is required when phi0 is not given")
         phi = RisPhases.random(n_ris, rng)
 
-    heq = equivalent_channel(channels, phi)
-    alloc = waterfill_covariances(heq, total_power)
+    alloc = waterfill_covariances(equivalent_channel(channels, phi), total_power)
 
     trace = [alloc.rate]
     mu = mu0
     iterations = 0
     converged = False
     while iterations < max_iter:
-        grad = gradient_phi(channels, alloc.q, phi, heq=heq)
+        grad = gradient_phi(channels, alloc, phi)
         # Scale-free step: mu bounds the largest per-element phase rotation,
         # so progress per iteration does not collapse at low-rate operating
         # points where the raw gradient is far below the stopping threshold.
@@ -125,7 +130,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
 
         delta = new_alloc.rate - alloc.rate
         if delta > 0:
-            phi, heq, alloc = new_phi, new_heq, new_alloc
+            phi, alloc = new_phi, new_alloc
         else:
             mu /= 10.0
         trace.append(alloc.rate)

@@ -1,15 +1,18 @@
 """Spatial-frequency waterfilling over all (subcarrier, eigen-stream) pairs.
 
-Per subcarrier, the eigenbasis of the equivalent channel's noise-normalized
-Gram matrix comes from a thin SVD of the N_r x N_t channel; a single cutoff
-shared by every (k, g) pair is found exactly by sorting the inverse gains and
-scanning their prefix sums for the water level (Palomar and Fonollosa, IEEE
-TSP 2005), so the allocated powers meet the total budget, and the transmit
-covariances are rebuilt in the per-subcarrier eigenbases. The allocation also
-carries its rate, (1/K) sum log2(1 + lam p) (Telatar, ETT 1999).
+Per subcarrier, the stream gains are the eigenvalues of the equivalent
+channel's N_r x N_r receive-side Gram matrix H_eq H_eq^H, from one batched
+Hermitian eigensolve; the waterfilled problem has rank at most N_r, so nothing
+on the optimizer's path works in the N_t-dimensional transmit space. A single
+cutoff shared by every (k, g) pair is found exactly by sorting the inverse
+gains and scanning their prefix sums for the water level (Palomar and
+Fonollosa, IEEE TSP 2005), so the allocated powers meet the total budget. The
+allocation carries its rate, (1/K) sum log2(1 + lam p) (Telatar, ETT 1999),
+and builds the transmit covariances only when they are read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,28 +25,45 @@ REL_EIG_FLOOR = 1e-12
 
 @dataclass
 class PowerAllocation:
-    """Waterfilled per-subcarrier covariances and their eigen factorization.
+    """Waterfilled stream powers of one equivalent channel, in its receive-side eigenbasis.
 
     q[k] = u[k] diag(p[k]) u[k]^H, and the sum of all powers equals the budget.
-    `rate` is the spectral efficiency of q on the channel it was waterfilled for.
+    `rate` is the spectral efficiency of q on `heq`. The optimizer reads only
+    `lam`, `w` and `p`; `u` and `q` are built from a thin SVD of `heq` on
+    first access.
     """
 
-    q: np.ndarray  # (K, N_t, N_t) Hermitian PSD
-    u: np.ndarray  # (K, N_t, N_s) orthonormal columns
+    heq: np.ndarray  # (K, N_r, N_t) channel the powers were waterfilled for
+    lam: np.ndarray  # (K, N_s) noise-normalized stream gains, descending, >= 0
+    w: np.ndarray  # (K, N_r, N_s) orthonormal receive-side eigenvectors
     p: np.ndarray  # (K, N_s) nonnegative
     rate: float  # bits/s/Hz, (1/K) sum_k sum_g log2(1 + lam[k, g] p[k, g])
 
+    @cached_property
+    def u(self) -> np.ndarray:
+        """(K, N_t, N_s) orthonormal transmit basis, the right singular vectors of `heq`."""
+        _, _, vh = np.linalg.svd(self.heq, full_matrices=False)
+        return vh.conj().transpose(0, 2, 1)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """(K, N_t, N_t) Hermitian PSD transmit covariances."""
+        return build_covariances(self.u, self.p)
+
 
 def channel_eigvals(heq: np.ndarray, noise_var: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of (1/noise_var) * H_eq[k]^H H_eq[k] per subcarrier.
+    """Stream gains and receive-side eigenvectors of a (K, N_r, N_t) channel stack.
 
-    `heq` is a (K, N_r, N_t) stack with one stream per eigenmode,
-    N_s = min(N_r, N_t). The pairs come from the thin SVD H_eq[k] = U S V^H:
-    eigenvalues s^2 / noise_var and eigenvectors the columns of V. Returns
-    (eigenvalues (K, N_s) in descending order, eigenvectors (K, N_t, N_s)).
+    One batched `eigh` of the Gram matrices G[k] = H_eq[k] H_eq[k]^H (N_r x N_r)
+    gives the N_s = min(N_r, N_t) strongest eigenpairs. Returns (eigenvalues
+    of G / noise_var (K, N_s) in descending order, clamped at 0 against
+    rounding, and eigenvectors W (K, N_r, N_s)). The nonzero eigenvalues are
+    those of (1/noise_var) H_eq^H H_eq.
     """
-    _, s, vh = np.linalg.svd(heq, full_matrices=False)  # s is descending
-    return s**2 / noise_var, vh.conj().transpose(0, 2, 1)
+    n_s = min(heq.shape[1], heq.shape[2])
+    vals, vecs = np.linalg.eigh(heq @ heq.conj().transpose(0, 2, 1))  # ascending
+    lam = np.maximum(vals[:, ::-1][:, :n_s], 0.0) / noise_var
+    return lam, vecs[:, :, ::-1][:, :, :n_s]
 
 
 def waterfill(eigenvalues, total_power: float) -> tuple[np.ndarray, float]:
@@ -85,13 +105,13 @@ def build_covariances(u: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def waterfill_covariances(heq: np.ndarray, total_power: float, noise_var: float = 1.0) -> PowerAllocation:
-    """Eigen-decompose, waterfill across all (subcarrier, stream) pairs, rebuild Q[k] and rate it.
+    """Eigen-decompose, waterfill across all (subcarrier, stream) pairs and rate the result.
 
     One stream per eigenmode, N_s = min(N_r, N_t), the capacity optimum
     (Telatar, ETT 1999); waterfilling may still give a stream zero power.
     The rate needs no Q: det(I + heq Q heq^H / noise_var) is the product of 1 + lam p.
     """
-    lams, u = channel_eigvals(heq, noise_var)
+    lams, w = channel_eigvals(heq, noise_var)
     p, _ = waterfill(lams, total_power)
     rate = float(np.sum(np.log1p(lams * p)) / (LN2 * heq.shape[0]))
-    return PowerAllocation(q=build_covariances(u, p), u=u, p=p, rate=rate)
+    return PowerAllocation(heq=heq, lam=lams, w=w, p=p, rate=rate)

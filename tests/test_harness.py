@@ -204,9 +204,9 @@ def test_pga_beats_random_on_shared_draws():
 
 
 def test_run_scenario_row_contract():
-    cfg = small_config()
+    cfg = small_config(seed=1)
     geom = GeometryConfig()
-    rows = run_scenario(cfg, geom, "se_vs_snr", seed=1)
+    rows = run_scenario(cfg, geom, "se_vs_snr")
     assert len(rows) == len(cfg.snr_db) * len(cfg.n_ris_list) * 3
     arms = {r.arm for r in rows}
     assert arms == {"pga", "random_phases", "no_ris"}
@@ -217,9 +217,9 @@ def test_run_scenario_row_contract():
 
 
 def test_run_scenario_distance_recomputes_geometry():
-    cfg = small_config(mc_trials=2)
+    cfg = small_config(mc_trials=2, seed=1)
     geom = GeometryConfig()
-    rows = run_scenario(cfg, geom, "distance_vs_se", seed=1)
+    rows = run_scenario(cfg, geom, "distance_vs_se")
     by_d = {r.sweep_value: r.d2 for r in rows}
     for d, d2 in by_d.items():
         g = replace(geom, bs_height=20.0, d_ris=30.0, d_bs_ue=d)
@@ -250,15 +250,15 @@ def test_run_scenario_refuses_geometry_it_sets(monkeypatch, scenario, key, value
 
 def test_run_scenario_honours_geometry_it_does_not_set():
     geom = replace(GeometryConfig(), d_bs_ue=150.0)
-    rows = run_scenario(small_config(mc_trials=1), geom, "se_vs_snr", seed=1)
+    rows = run_scenario(small_config(mc_trials=1, seed=1), geom, "se_vs_snr")
     assert {r.d2 for r in rows} == {link_distances(geom)[1]}
 
 
 def test_plos_override_forces_los():
     # with override 1.0 every trial is LOS: rates reproduce the forced-LOS draw
-    cfg = small_config(mc_trials=2, plos_grid=(1.0,), snr_db=(0.0,))
+    cfg = small_config(mc_trials=2, plos_grid=(1.0,), snr_db=(0.0,), seed=2)
     geom = GeometryConfig()
-    rows = run_scenario(cfg, geom, "plos_vs_se", seed=2)
+    rows = run_scenario(cfg, geom, "plos_vs_se")
     forced = replace(geom, d_bs_ue=200.0, bs_height=5.0, d_ris=2.2, p_los_override=1.0)
     redo = np.mean([run_trial(cfg, forced, "pga", (2, SCENARIOS["plos_vs_se"], t), 0.0)
                     for t in range(2)])
@@ -285,8 +285,8 @@ def cell_setup(cfg, geom, scenario, row):
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_run_scenario_matches_per_cell_trials(scenario):
     # the per-cell path (one run_trial per trial, sweep point and arm) is the reference
-    cfg, geom, seed = sweep_config(), GeometryConfig(), 5
-    rows = run_scenario(cfg, geom, scenario, seed=seed)
+    cfg, geom, seed = replace(sweep_config(), seed=5), GeometryConfig(), 5
+    rows = run_scenario(cfg, geom, scenario)
     assert len(rows) == {"se_vs_snr": 12, "plos_vs_se": 18, "distance_vs_se": 6}[scenario]
     keys = [(seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
     los_by_trial = {t: set() for t in range(cfg.mc_trials)}
@@ -320,7 +320,7 @@ def test_run_scenario_synthesizes_each_link_once_per_state(monkeypatch, scenario
     for seed in range(4):
         links.clear()
         keys.clear()
-        rows = run_scenario(cfg, geom, scenario, seed=seed)
+        rows = run_scenario(replace(cfg, seed=seed), geom, scenario)
         drawn, built = list(links), list(keys)
         key = (seed, SCENARIOS[scenario], 0)
         setups = [cell_setup(cfg, geom, scenario, row) for row in rows]
@@ -335,10 +335,10 @@ def test_run_scenario_synthesizes_each_link_once_per_state(monkeypatch, scenario
 
 
 def test_csv_deterministic_and_rfc4180():
-    cfg = small_config(mc_trials=2)
+    cfg = small_config(mc_trials=2, seed=9)
     geom = GeometryConfig()
-    rows1 = run_scenario(cfg, geom, "se_vs_snr", seed=9)
-    rows2 = run_scenario(cfg, geom, "se_vs_snr", seed=9)
+    rows1 = run_scenario(cfg, geom, "se_vs_snr")
+    rows2 = run_scenario(cfg, geom, "se_vs_snr")
     text1 = scenario_rows_to_csv(rows1)
     text2 = scenario_rows_to_csv(rows2)
     assert text1 == text2
@@ -383,6 +383,15 @@ def test_cli_simulate_and_complexity(tmp_path):
                           "se_vs_snr", "--set", "bogus=1"], capture_output=True, text=True)
     assert bad.returncode == 2
     assert "unknown configuration key" in bad.stderr
+
+
+def test_cli_set_without_value_exits_2_before_any_trial(monkeypatch, capsys):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_trial_rates", no_trial)
+    assert cli.main(["simulate", "--scenario", "se_vs_snr", "--preset", "desk", "--set", "foo"]) == 2
+    assert "error: --set expects KEY=VALUE, got 'foo'" in capsys.readouterr().err
 
 
 def complexity_csv(tmp_path, *flags) -> list[dict]:

@@ -48,9 +48,9 @@ def bisection_waterfill(lam, total_power):
 
 def test_eigvals_identity_channel():
     heq = np.eye(3, dtype=complex)[None]
-    lams, u = channel_eigvals(heq, 1.0)
+    lams, w = channel_eigvals(heq, 1.0)
     np.testing.assert_allclose(lams, np.ones((1, 3)), atol=1e-12)
-    np.testing.assert_allclose(np.abs(u[0].conj().T @ u[0]), np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(np.abs(w[0].conj().T @ w[0]), np.eye(3), atol=1e-12)
 
 
 def test_eigvals_scalar_channel():
@@ -61,19 +61,21 @@ def test_eigvals_scalar_channel():
 
 def test_eigvals_match_svd_oracle():
     rng = substream(70)
-    heq = crandn(rng, 2, 3, 3)
     sigma2 = 0.9
-    lams, u = channel_eigvals(heq, sigma2)
-    for k in range(2):
-        s = np.linalg.svd(heq[k] / np.sqrt(sigma2), compute_uv=False)
-        np.testing.assert_allclose(lams[k], np.sort(s**2)[::-1], rtol=1e-10, atol=1e-12)
-        # eigenvectors diagonalize the Gram matrix
-        gram = heq[k].conj().T @ heq[k] / sigma2
-        np.testing.assert_allclose(u[k].conj().T @ gram @ u[k], np.diag(lams[k]), atol=1e-9)
-    # one stream per eigenmode, N_s = min(N_r, N_t), for wide and tall channels
-    for n_r, n_t in ((3, 5), (5, 3)):
-        lams, u = channel_eigvals(crandn(rng, 2, n_r, n_t), sigma2)
-        assert lams.shape == (2, min(n_r, n_t)) and u.shape == (2, n_t, min(n_r, n_t))
+    rank_one = crandn(rng, 2, 3, 1) @ crandn(rng, 2, 1, 4)
+    # one stream per eigenmode, N_s = min(N_r, N_t), for square, wide, tall and rank-one channels
+    for heq in (crandn(rng, 2, 3, 3), crandn(rng, 2, 3, 5), crandn(rng, 2, 5, 3), rank_one):
+        n_r, n_s = heq.shape[1], min(heq.shape[1:])
+        lams, w = channel_eigvals(heq, sigma2)
+        assert lams.shape == (2, n_s) and w.shape == (2, n_r, n_s)
+        assert np.all(lams >= 0.0) and np.all(np.diff(lams, axis=1) <= 0.0)
+        for k in range(2):
+            s = np.linalg.svd(heq[k] / np.sqrt(sigma2), compute_uv=False)
+            np.testing.assert_allclose(lams[k], s**2, rtol=1e-10, atol=1e-12 * lams.max())
+            # the receive-side eigenvectors are orthonormal and diagonalize H H^H
+            np.testing.assert_allclose(w[k].conj().T @ w[k], np.eye(n_s), atol=1e-12)
+            gram = heq[k] @ heq[k].conj().T / sigma2
+            np.testing.assert_allclose(w[k].conj().T @ gram @ w[k], np.diag(lams[k]), atol=1e-9)
 
 
 def test_svd_basis_rebuilds_eigh_covariances():
@@ -81,14 +83,20 @@ def test_svd_basis_rebuilds_eigh_covariances():
     rank_one = crandn(rng, 2, 2, 1) @ crandn(rng, 2, 1, 4)
     for heq, sigma2, pt in ((crandn(rng, 3, 4, 16), 1.0, 30.0), (crandn(rng, 2, 3, 2), 0.7, 2.0),
                             (rank_one, 1.3, 5.0), (crandn(rng, 4, 2, 5), 2.0, 0.05)):
-        lams, u = channel_eigvals(heq, sigma2)
+        alloc = waterfill_covariances(heq, pt, sigma2)
         ref_lams, ref_u = eigh_eigvals(heq, sigma2)
-        np.testing.assert_allclose(lams, ref_lams, rtol=1e-10, atol=1e-12 * lams.max())
-        p, _ = waterfill(lams, pt)
+        np.testing.assert_allclose(alloc.lam, ref_lams, rtol=1e-10, atol=1e-12 * ref_lams.max())
         ref_p, _ = waterfill(ref_lams, pt)
-        np.testing.assert_allclose(p, ref_p, rtol=1e-10, atol=1e-12 * pt)
-        np.testing.assert_allclose(build_covariances(u, p), build_covariances(ref_u, ref_p),
-                                   rtol=0, atol=1e-10 * pt)
+        np.testing.assert_allclose(alloc.p, ref_p, rtol=1e-10, atol=1e-12 * pt)
+        # the lazily built transmit basis is orthonormal and diagonalizes H^H H
+        k, n_s = alloc.p.shape
+        assert alloc.u.shape == (k, heq.shape[2], n_s)
+        uh = alloc.u.conj().transpose(0, 2, 1)
+        np.testing.assert_allclose(uh @ alloc.u, np.broadcast_to(np.eye(n_s), (k, n_s, n_s)), atol=1e-12)
+        gram = heq.conj().transpose(0, 2, 1) @ heq / sigma2
+        np.testing.assert_allclose(uh @ gram @ alloc.u, alloc.lam[:, :, None] * np.eye(n_s),
+                                   atol=1e-9 * ref_lams.max())
+        np.testing.assert_allclose(alloc.q, build_covariances(ref_u, ref_p), rtol=0, atol=1e-10 * pt)
 
 
 @pytest.mark.parametrize("lam, pt", [
