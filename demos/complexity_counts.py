@@ -8,7 +8,8 @@ from rislink import preset_config
 from rislink.harness import complexity_table
 
 # Each optimizer run books its cost in the meter from a fixed analytical
-# ledger: complex multiplies (6 flops) and scalar real ops.
+# ledger: complex multiplies (6 flops) and scalar real ops. runtime_s is the
+# wall time of the optimizer call alone; channel synthesis is not timed.
 cfg, geom = preset_config("desk")
 print("instrumented optimizer runs (10 seeded trials per size, SNR 10 dB):")
 rows = complexity_table(cfg, geom, [4, 16, 36, 64], seed=7, trials=10, snr_db=10.0)

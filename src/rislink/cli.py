@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default="results.csv", help="output CSV path")
 
     comp = sub.add_parser("complexity", parents=[common],
-                          help="mean iterations, FLOPs and whole-trial wall time of pga trials "
+                          help="mean iterations, FLOPs and optimizer wall time of pga trials "
                                "per RIS size, at the first snr_db value")
     comp.add_argument("--n-ris", help="n_ris_list override: comma-separated RIS element counts, "
                                       "one table row each")

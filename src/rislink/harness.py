@@ -172,10 +172,10 @@ def preset_config(name: str = "paper") -> tuple[SystemConfig, GeometryConfig]:
 def reference_gain(geom: GeometryConfig) -> float:
     """Blockage-averaged direct-path gain used as the SNR reference.
 
-    p*rho_LOS + (1-p)*rho_NLOS with p the effective LOS probability (the
-    override when set); equals the plain LOS gain when p = 1.
+    p*rho_LOS + (1-p)*rho_NLOS with p = p_los(geom), the effective LOS
+    probability; equals the plain LOS gain when p = 1.
     """
-    p = geom.p_los_override if geom.p_los_override is not None else p_los(geom)
+    p = p_los(geom)
     return p * direct_gain(geom, los=True) + (1.0 - p) * direct_gain(geom, los=False)
 
 
@@ -193,35 +193,39 @@ def _link_response(cfg: SystemConfig, key: tuple, link: int, los: bool = True) -
     return taps_to_subcarriers(taps, cfg.n_subcarriers)
 
 
-def _blockage_uniform(key: tuple) -> float:
-    """The one blockage draw of the trial at `key`, shared by every geometry it is scored in."""
-    return substream(*key, SITE_BLOCKAGE).uniform()
+def _trial_draws(points: list[tuple], key: tuple):
+    """Yield (channels, pathloss gains, start phases) of the trial at `key` at each (cfg, geometry) point.
 
-
-def _trial_los(geom: GeometryConfig, u: float) -> bool:
-    """Blockage state in this geometry (True = LOS) of a trial whose blockage draw is `u`."""
-    prob = geom.p_los_override if geom.p_los_override is not None else p_los(geom)
-    return blockage_state(prob, u)
-
-
-def _link_gains(geom: GeometryConfig, los: bool) -> LinkGains:
-    return LinkGains(rho_direct=direct_gain(geom, los), rho_indirect=indirect_gain(geom), los=los)
+    One blockage uniform serves every point; links 1 and 2 and the start
+    phases are drawn once per RIS size, and link 3 once per blockage state,
+    since the points differ only in RIS size and large-scale geometry.
+    """
+    u = substream(*key, SITE_BLOCKAGE).uniform()
+    ris, direct = {}, {}
+    for c, g in points:
+        los = blockage_state(p_los(g), u)
+        if c.n_ris not in ris:
+            ris[c.n_ris] = (_link_response(c, key, 1), _link_response(c, key, 2),
+                            RisPhases.random(c.n_ris, substream(*key, SITE_PHASES)))
+        if los not in direct:
+            direct[los] = _link_response(c, key, 3, los)
+        h1, h2, phi0 = ris[c.n_ris]
+        gains = LinkGains(rho_direct=direct_gain(g, los), rho_indirect=indirect_gain(g), los=los)
+        yield FreqChannelSet(h1, h2, direct[los]), gains, phi0
 
 
 def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[FreqChannelSet, LinkGains]:
-    """Blockage state, link channels and pathloss gains of one Monte Carlo trial.
+    """Link channels and pathloss gains of one Monte Carlo trial at one (cfg, geometry) point.
 
     `key` is the (seed, scenario index, trial) substream key. Each link comes
     from its own substream, so the RIS links are the same in every blockage
     state and the direct link is the same for every RIS size.
     """
-    los = _trial_los(geom, _blockage_uniform(key))
-    channels = FreqChannelSet(*(_link_response(cfg, key, link, los) for link in (1, 2, 3)))
-    return channels, _link_gains(geom, los)
+    return next(_trial_draws([(cfg, geom)], key))[:2]
 
 
 def _arm_rate(cfg: SystemConfig, arm: str, folded: FreqChannelSet, phi0: RisPhases,
-              total_power: float, meter=None) -> float:
+              total_power: float) -> float:
     """Spectral efficiency of one arm on gain-folded link stacks.
 
     `pga` optimizes from `phi0`, `random_phases` keeps `phi0`, and `no_ris`
@@ -229,38 +233,22 @@ def _arm_rate(cfg: SystemConfig, arm: str, folded: FreqChannelSet, phi0: RisPhas
     """
     if arm == "pga":
         return pga_optimize(folded, total_power, mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
-                            phi0=phi0, meter=meter).rate
+                            phi0=phi0).rate
     heq = folded.h3 if arm == "no_ris" else combine_links(folded.h1, folded.h2, folded.h3, phi0.diag)
     return waterfill_covariances(heq, total_power).rate
 
 
-def _trial_rates(points: list[tuple], powers: list[float], key: tuple, arms=ARMS,
-                 meter=None) -> np.ndarray:
-    """Spectral efficiency (points x arms) of the trial at `key` at each (cfg, geometry) point.
-
-    One blockage uniform; RIS links and start phases once per RIS size; the
-    direct link once per blockage state.
-    """
-    u = _blockage_uniform(key)
-    ris, direct = {}, {}
+def _trial_rates(points: list[tuple], powers: list[float], key: tuple, arms=ARMS) -> np.ndarray:
+    """Spectral efficiency (points x arms) of the trial at `key` at each (cfg, geometry) point."""
     se = np.empty((len(points), len(arms)))
-    for i, (c, g) in enumerate(points):
-        los = _trial_los(g, u)
-        if c.n_ris not in ris:  # links 1 and 2, and the start phases the random arm keeps
-            ris[c.n_ris] = (_link_response(c, key, 1), _link_response(c, key, 2),
-                            RisPhases.random(c.n_ris, substream(*key, SITE_PHASES)))
-        # sweep points differ only in RIS size, which the direct link does not see
-        if los not in direct:
-            direct[los] = _link_response(c, key, 3, los)
-        h1, h2, phi0 = ris[c.n_ris]
-        folded = fold_gains(FreqChannelSet(h1, h2, direct[los]), _link_gains(g, los))
+    for i, (channels, gains, phi0) in enumerate(_trial_draws(points, key)):
+        folded = fold_gains(channels, gains)
         for j, arm in enumerate(arms):
-            se[i, j] = _arm_rate(c, arm, folded, phi0, powers[i], meter)
+            se[i, j] = _arm_rate(points[i][0], arm, folded, phi0, powers[i])
     return se
 
 
-def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple,
-              snr_db: float, meter=None) -> float:
+def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple, snr_db: float) -> float:
     """Spectral efficiency of one Monte Carlo trial for one method arm.
 
     `key` is the (seed, scenario index, trial) substream key. The result
@@ -270,7 +258,7 @@ def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple,
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}; choose from {ARMS}")
     power = total_power_for_snr(cfg, geom, snr_db)
-    return float(_trial_rates([(cfg, geom)], [power], key, (arm,), meter)[0, 0])
+    return float(_trial_rates([(cfg, geom)], [power], key, (arm,))[0, 0])
 
 
 def check_scenario_geometry(geom: GeometryConfig, scenario: str) -> None:
@@ -331,25 +319,30 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list
 
 def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: int | None = None, *,
                      trials: int, snr_db: float) -> list[dict]:
-    """Instrumented `pga` trials for each RIS size: mean iterations, FLOPs and runtime.
+    """Instrumented `pga` trials for each RIS size: mean iterations, FLOPs and optimizer runtime.
 
     Each size runs `trials` trials at the one SNR `snr_db` (the CLI passes
-    cfg.mc_trials and the first value of cfg.snr_db). `runtime_s` is the mean
-    wall time of one whole trial, channel synthesis included, not of the
-    optimizer alone. FLOP and iteration counters depend only on the seeded
+    cfg.mc_trials and the first value of cfg.snr_db), each on the draws
+    `run_trial` scores. `runtime_s` is the mean wall time of the
+    `pga_optimize` call alone; channel synthesis and the pathloss fold run
+    outside the timer. FLOP and iteration counters depend only on the seeded
     draws, so those columns are reproducible.
     """
     seed = cfg.seed if seed is None else int(seed)
+    power = total_power_for_snr(cfg, geom, snr_db)
     rows = []
     for n_ris in n_ris_list:
         c = cfg.with_n_ris(int(n_ris))
         iters, flop_counts, runtimes = [], [], []
         for t in range(trials):
+            channels, gains, phi0 = next(_trial_draws([(c, geom)], (seed, _COMPLEXITY_SCENARIO_ID, t)))
+            folded = fold_gains(channels, gains)
             meter = flops.FlopMeter()
             t0 = time.perf_counter()
-            run_trial(c, geom, "pga", (seed, _COMPLEXITY_SCENARIO_ID, t), snr_db, meter=meter)
+            result = pga_optimize(folded, power, mu0=c.mu0, epsilon=c.epsilon, max_iter=c.max_iter,
+                                  phi0=phi0, meter=meter)
             runtimes.append(time.perf_counter() - t0)
-            iters.append(meter.iterations)
+            iters.append(result.iterations)
             flop_counts.append(meter.flop_total)
         rows.append({"n_ris": int(n_ris),
                      "iter_count": float(np.mean(iters)),

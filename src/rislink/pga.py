@@ -95,7 +95,8 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
     reverted and mu shrinks by 10. The loop stops when the candidate rate
     changes by less than `epsilon`, when mu underflows its floor, or at the
     iteration cap; the best (last accepted) iterate is returned either way.
-    A given `meter` books the run's analytical cost (`flops.record_pga_run`).
+    A given `meter` books the run's analytical cost (`flops.record_pga_run`);
+    `harness.complexity_table` and the benchmark's span tracer pass one.
     The noise variance is 1: for another sigma^2, pass total_power / sigma^2.
     """
     if mu0 <= 0 or epsilon <= 0 or max_iter < 1:
@@ -143,7 +144,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
     if meter is not None:
         # a pass that found a zero gradient stopped before its step and waterfill
         k, n_r, n_t = channels.h3.shape
-        flops.record_pga_run(meter, k, n_r, n_t, n_ris, alloc.p.shape[1],
+        flops.record_pga_run(meter, k, n_r, n_t, n_ris,
                              gradient_passes=iterations + int(scale == 0.0), iterations=iterations)
     return PgaResult(phi=phi, rate=alloc.rate, trace=np.asarray(trace),
                      iterations=iterations, converged=converged)

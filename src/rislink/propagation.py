@@ -102,7 +102,9 @@ def link_distances(geom: GeometryConfig) -> tuple[float, float, float]:
 
 
 def p_los(geom: GeometryConfig) -> float:
-    """Probability that the direct path is line-of-sight, clamped to [0, 1]."""
+    """LOS probability of the direct path: the override when set, else exp(-(d - 10)/50) clamped to [0, 1]."""
+    if geom.p_los_override is not None:
+        return float(geom.p_los_override)
     _, _, d_dir = link_distances(geom)
     return float(min(1.0, np.exp(-(d_dir - 10.0) / 50.0)))
 

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,9 +32,13 @@ def test_every_tracer_target_is_callable():
         assert callable(getattr(module, fname, None)), f"bench traces rislink.{layer}.{fname}, which is gone"
 
 
-def test_traced_workload_measures_every_layer():
-    spec = {"src": str(SRC), "preset": "desk", "scenario": "se_vs_snr", "trace": True,
-            "overrides": {"n_ris_list": [16], "snr_db": [-5.0, 10.0], "mc_trials": 1, "seed": 0}}
+@pytest.mark.parametrize("scenario, overrides", [
+    ("se_vs_snr", {"n_ris_list": [16], "snr_db": [-5.0, 10.0]}),
+    ("plos_vs_se", {"ris_rows": 4, "ris_cols": 4, "snr_db": [-5.0], "plos_grid": [0.1, 1.0]}),
+], ids=["desk_snr", "desk_blockage_low"])  # the paths of the gated workloads, at one trial
+def test_traced_workload_measures_every_layer(scenario, overrides):
+    spec = {"src": str(SRC), "preset": "desk", "scenario": scenario, "trace": True,
+            "overrides": {**overrides, "mc_trials": 1, "seed": 0}}
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-s", str(BENCH / "workload_process.py"), json.dumps(spec)],
                           cwd=BENCH.parent, env=env, capture_output=True, text=True, timeout=300)

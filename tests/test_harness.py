@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from typing import get_origin, get_type_hints
 
@@ -22,8 +23,10 @@ from rislink.harness import (
     scenario_rows_to_csv,
     total_power_for_snr,
 )
+from rislink.pga import pga_optimize
 from rislink.propagation import GeometryConfig, direct_gain, link_distances, p_los
-from rislink.rng import SITE_BLOCKAGE
+from rislink.rate import RisPhases, fold_gains
+from rislink.rng import SITE_BLOCKAGE, SITE_PHASES, substream
 
 
 def small_config(**kw):
@@ -192,6 +195,20 @@ def test_run_trial_deterministic_and_ordered():
         run_trial(cfg, geom, "best_arm", key, 10.0)
 
 
+@pytest.mark.parametrize("override", [1.0, 0.0], ids=["los", "nlos"])
+def test_run_trial_is_pga_on_the_drawn_trial(override):
+    # run_trial's pga cell is the optimizer on draw_trial's folded channels,
+    # started from the trial's start phases
+    cfg, geom = small_config(), replace(GeometryConfig(), p_los_override=override)
+    key = (13, SCENARIOS["plos_vs_se"], 2)
+    channels, gains = draw_trial(cfg, geom, key)
+    assert gains.los == bool(override)
+    phi0 = RisPhases.random(cfg.n_ris, substream(*key, SITE_PHASES))
+    result = pga_optimize(fold_gains(channels, gains), total_power_for_snr(cfg, geom, 10.0), mu0=cfg.mu0,
+                          epsilon=cfg.epsilon, max_iter=cfg.max_iter, phi0=phi0)
+    assert result.rate == run_trial(cfg, geom, "pga", key, 10.0)
+
+
 def test_pga_beats_random_on_shared_draws():
     cfg, geom = preset_config("desk")
     g = replace(geom, bs_height=10.0, d_ris=2.2)
@@ -242,7 +259,7 @@ def test_run_scenario_refuses_geometry_it_sets(monkeypatch, scenario, key, value
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(harness, "_trial_rates", no_trial)
+    monkeypatch.setattr(harness, "_trial_draws", no_trial)
     geom = replace(GeometryConfig(), **{key: value})
     with pytest.raises(ValueError, match=f"{scenario} sets {key} itself"):
         run_scenario(small_config(), geom, scenario)
@@ -358,6 +375,19 @@ def test_complexity_table_rows():
     assert text.startswith("n_ris,iter_count,flop_count,runtime_s\r\n")
 
 
+def test_complexity_runtime_times_the_optimizer_alone(monkeypatch):
+    # each trial synthesizes three links; none of that time may reach runtime_s
+    synthesize = harness.synthesize_link
+
+    def slow_synthesize(*args, **kwargs):
+        time.sleep(0.05)
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "synthesize_link", slow_synthesize)
+    rows = complexity_table(small_config(), GeometryConfig(), [4, 9], seed=4, trials=2, snr_db=10.0)
+    assert all(row["runtime_s"] < 0.05 for row in rows), rows
+
+
 def test_cli_simulate_and_complexity(tmp_path):
     out = tmp_path / "results.csv"
     cmd = [sys.executable, "-m", "rislink", "simulate", "--scenario", "se_vs_snr",
@@ -389,7 +419,7 @@ def test_cli_set_without_value_exits_2_before_any_trial(monkeypatch, capsys):
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(harness, "_trial_rates", no_trial)
+    monkeypatch.setattr(harness, "_trial_draws", no_trial)
     assert cli.main(["simulate", "--scenario", "se_vs_snr", "--preset", "desk", "--set", "foo"]) == 2
     assert "error: --set expects KEY=VALUE, got 'foo'" in capsys.readouterr().err
 
@@ -423,7 +453,7 @@ def test_cli_rejects_unwritable_out_before_any_trial(monkeypatch, tmp_path, caps
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(harness, "_trial_rates", no_trial)
+    monkeypatch.setattr(harness, "_trial_draws", no_trial)
     for out in (tmp_path / "no" / "such" / "dir" / "x.csv", tmp_path):
         assert cli.main([*command, "--preset", "desk", "--trials", "2", "--out", str(out)]) == 2
         assert str(out) in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,9 @@ def test_p_los_boundary_and_clamp():
 def test_p_los_long_range_value():
     g = GeometryConfig(d_bs_ue=200.0, bs_height=5.0, ue_height=1.8)
     assert p_los(g) == pytest.approx(0.02236, rel=1e-3)
+    # a set override is the probability, zero included
+    for override in (0.0, 0.5, 1.0):
+        assert p_los(replace(g, p_los_override=override)) == override
 
 
 def test_p_los_monotone_in_distance():
