@@ -224,27 +224,33 @@ def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[Fre
     return next(_trial_draws([(cfg, geom)], key))[:2]
 
 
-def _arm_rate(cfg: SystemConfig, arm: str, folded: FreqChannelSet, phi0: RisPhases,
-              total_power: float) -> float:
-    """Spectral efficiency of one arm on gain-folded link stacks.
+def _point_rates(cfg: SystemConfig, arms, folded: FreqChannelSet, phi0: RisPhases,
+                 total_power: float) -> dict:
+    """Spectral efficiency of each of `arms` on gain-folded link stacks at one point.
 
     `pga` optimizes from `phi0`, `random_phases` keeps `phi0`, and `no_ris`
-    drops the reflected path, leaving the folded direct channel.
+    drops the reflected path, leaving the folded direct channel. When `pga`
+    is scored, `random_phases` is read from its start rate, which is the
+    same waterfill on the same phases.
     """
-    if arm == "pga":
-        return pga_optimize(folded, total_power, mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
-                            phi0=phi0).rate
-    heq = folded.h3 if arm == "no_ris" else combine_links(folded.h1, folded.h2, folded.h3, phi0.diag)
-    return waterfill_covariances(heq, total_power).rate
+    rates = {}
+    if "pga" in arms:
+        result = pga_optimize(folded, total_power, mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
+                              phi0=phi0)
+        rates = {"pga": result.rate, "random_phases": result.start_rate}
+    for arm in arms:
+        if arm not in rates:
+            heq = folded.h3 if arm == "no_ris" else combine_links(folded.h1, folded.h2, folded.h3, phi0.diag)
+            rates[arm] = waterfill_covariances(heq, total_power).rate
+    return rates
 
 
 def _trial_rates(points: list[tuple], powers: list[float], key: tuple, arms=ARMS) -> np.ndarray:
     """Spectral efficiency (points x arms) of the trial at `key` at each (cfg, geometry) point."""
     se = np.empty((len(points), len(arms)))
     for i, (channels, gains, phi0) in enumerate(_trial_draws(points, key)):
-        folded = fold_gains(channels, gains)
-        for j, arm in enumerate(arms):
-            se[i, j] = _arm_rate(points[i][0], arm, folded, phi0, powers[i])
+        rates = _point_rates(points[i][0], arms, fold_gains(channels, gains), phi0, powers[i])
+        se[i] = [rates[arm] for arm in arms]
     return se
 
 

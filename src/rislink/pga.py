@@ -5,7 +5,9 @@ sum-log-det objective with respect to the phase diagonal. Each iteration takes
 a gradient step, projects every entry back onto the unit circle, re-waterfills
 the stream powers in the equivalent channel's rank-N_r eigenbasis, and takes
 the rate the waterfill reports; steps that do not improve the rate are
-reverted and the learning rate is cut by 10. The loop runs at unit noise
+reverted and the learning rate is cut by 10. The loop carries the raw phase
+diagonal: `RisPhases` is validated only at its boundary, for the start phases
+on entry and the returned best iterate on exit. The loop runs at unit noise
 variance: rates depend only on P/sigma^2, so scale the power budget for any
 other sigma^2.
 """
@@ -20,20 +22,27 @@ from .power import PowerAllocation, waterfill_covariances
 from .rate import LN2, RisPhases, combine_links, equivalent_channel
 
 MU_FLOOR = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
 class PgaResult:
-    """Best iterate of one optimization run."""
+    """Best iterate of one optimization run.
+
+    `start_rate` is the waterfilled rate at the start phases, trace[0]. It is
+    the same call on the same phases as the `random_phases` arm, so it equals
+    that arm's rate at the same point bit for bit; the harness reads it there.
+    """
 
     phi: RisPhases
     rate: float
+    start_rate: float
     trace: np.ndarray  # accepted rate after each iteration, index 0 = initialization
     iterations: int
     converged: bool
 
 
-def gradient_phi(channels: FreqChannelSet, q: np.ndarray | PowerAllocation, phi: RisPhases,
+def gradient_phi(channels: FreqChannelSet, q: np.ndarray | PowerAllocation, phi: RisPhases | None = None,
                  noise_var: float = 1.0) -> np.ndarray:
     """Wirtinger gradient of sum_k log2 det A_k w.r.t. the phase diagonal.
 
@@ -46,7 +55,8 @@ def gradient_phi(channels: FreqChannelSet, q: np.ndarray | PowerAllocation, phi:
     `channels` carries the pathloss-folded link stacks. `q` is either the
     (K, N_t, N_t) covariance stack, the general reference form, or the
     `PowerAllocation` waterfilled at `noise_var` for the equivalent channel
-    at `phi`, which the optimizer passes. For the allocation, with
+    at the phases it was computed for, which the optimizer passes; only the
+    covariance form needs `phi`. For the allocation, with
     c = p / (1 + lam p), Q H_eq^H A^{-1} = H_eq^H W diag(c) W^H in its
     receive-side eigenbasis W (Telatar, ETT 1999), so neither Q nor an
     inverse is formed. The simulator runs at unit noise; `noise_var` serves
@@ -57,6 +67,8 @@ def gradient_phi(channels: FreqChannelSet, q: np.ndarray | PowerAllocation, phi:
         c = q.p / (1.0 + q.lam * q.p)
         m = heqh @ ((q.w * c[:, None, :]) @ q.w.conj().transpose(0, 2, 1))
     else:
+        if phi is None:
+            raise ValueError("the covariance form of the gradient needs the phases phi")
         heq = equivalent_channel(channels, phi)
         q_heqh = q @ heq.conj().transpose(0, 2, 1)
         # A_k = I + PSD is well conditioned and only N_r x N_r
@@ -73,7 +85,7 @@ def project_unit_modulus(values, fallback: np.ndarray | None = None) -> RisPhase
     v = np.asarray(values, dtype=complex)
     # complex / real division multiplies by 1/|v|, which overflows for
     # subnormal |v|; an exact power-of-two rescale keeps the angle
-    v = np.where(np.abs(v) < np.finfo(float).tiny, v * 2.0**600, v)
+    v = np.where(np.abs(v) < _TINY, v * 2.0**600, v)
     mag = np.abs(v)
     zero = mag == 0.0
     fb = np.ones_like(v) if fallback is None else fallback
@@ -94,44 +106,49 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
     N_s = min(N_r, N_t), and reads their rate. A non-improving step is
     reverted and mu shrinks by 10. The loop stops when the candidate rate
     changes by less than `epsilon`, when mu underflows its floor, or at the
-    iteration cap; the best (last accepted) iterate is returned either way.
+    iteration cap; the best (last accepted) iterate is returned either way,
+    with the rate at the start phases as `start_rate`.
     A given `meter` books the run's analytical cost (`flops.record_pga_run`);
     `harness.complexity_table` and the benchmark's span tracer pass one.
     The noise variance is 1: for another sigma^2, pass total_power / sigma^2.
     """
-    if mu0 <= 0 or epsilon <= 0 or max_iter < 1:
+    if not mu0 > 0 or not epsilon > 0 or max_iter < 1:
         raise ValueError("need mu0 > 0, epsilon > 0 and a positive iteration cap")
     n_ris = channels.h1.shape[1]
-    if phi0 is not None:
-        phi = phi0
-    else:
+    if phi0 is None:
         if rng is None:
             raise ValueError("rng is required when phi0 is not given")
-        phi = RisPhases.random(n_ris, rng)
+        phi0 = RisPhases.random(n_ris, rng)
 
-    alloc = waterfill_covariances(equivalent_channel(channels, phi), total_power)
+    alloc = waterfill_covariances(equivalent_channel(channels, phi0), total_power)
+    diag = phi0.diag
 
     trace = [alloc.rate]
     mu = mu0
     iterations = 0
     converged = False
     while iterations < max_iter:
-        grad = gradient_phi(channels, alloc, phi)
+        grad = gradient_phi(channels, alloc)
         # Scale-free step: mu bounds the largest per-element phase rotation,
         # so progress per iteration does not collapse at low-rate operating
         # points where the raw gradient is far below the stopping threshold.
-        scale = np.max(np.abs(grad))
+        scale = np.abs(grad).max()
         if scale == 0.0:
             converged = True
             break
-        new_phi = project_unit_modulus(phi.diag + (mu / scale) * grad.conj(), fallback=phi.diag)
-        new_heq = combine_links(channels.h1, channels.h2, channels.h3, new_phi.diag)
-        new_alloc = waterfill_covariances(new_heq, total_power)
+        candidate = diag + (mu / scale) * grad.conj()
+        mag = np.abs(candidate)
+        if mag.min() < _TINY:  # subnormal or zero entries need the guarded projection
+            new_diag = project_unit_modulus(candidate, fallback=diag).diag
+        else:
+            new_diag = candidate / mag
+        new_alloc = waterfill_covariances(combine_links(channels.h1, channels.h2, channels.h3, new_diag),
+                                          total_power)
         iterations += 1
 
         delta = new_alloc.rate - alloc.rate
         if delta > 0:
-            phi, alloc = new_phi, new_alloc
+            diag, alloc = new_diag, new_alloc
         else:
             mu /= 10.0
         trace.append(alloc.rate)
@@ -146,5 +163,5 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
         k, n_r, n_t = channels.h3.shape
         flops.record_pga_run(meter, k, n_r, n_t, n_ris,
                              gradient_passes=iterations + int(scale == 0.0), iterations=iterations)
-    return PgaResult(phi=phi, rate=alloc.rate, trace=np.asarray(trace),
+    return PgaResult(phi=RisPhases(diag), rate=alloc.rate, start_rate=trace[0], trace=np.asarray(trace),
                      iterations=iterations, converged=converged)

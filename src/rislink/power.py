@@ -62,7 +62,9 @@ def channel_eigvals(heq: np.ndarray, noise_var: float) -> tuple[np.ndarray, np.n
     """
     n_s = min(heq.shape[1], heq.shape[2])
     vals, vecs = np.linalg.eigh(heq @ heq.conj().transpose(0, 2, 1))  # ascending
-    lam = np.maximum(vals[:, ::-1][:, :n_s], 0.0) / noise_var
+    lam = np.maximum(vals[:, ::-1][:, :n_s], 0.0)
+    if noise_var != 1.0:
+        lam /= noise_var
     return lam, vecs[:, :, ::-1][:, :, :n_s]
 
 
@@ -83,16 +85,16 @@ def waterfill(eigenvalues, total_power: float) -> tuple[np.ndarray, float]:
     if total_power <= 0:
         raise ValueError("total power budget must be positive")
     flat = lams.reshape(-1)
-    active = flat > max(ABS_EIG_FLOOR, REL_EIG_FLOOR * np.max(flat, initial=0.0))
-    if not np.any(active):
+    active = flat > max(ABS_EIG_FLOOR, REL_EIG_FLOOR * flat.max(initial=0.0))
+    if not active.any():
         raise ValueError("waterfilling needs at least one positive eigenvalue")
 
     inv_lam = 1.0 / flat[active]
     inv_sorted = np.sort(inv_lam)
-    levels = (total_power + np.cumsum(inv_sorted)) / np.arange(1, inv_sorted.size + 1)
+    levels = (total_power + inv_sorted.cumsum()) / np.arange(1, inv_sorted.size + 1)
     # the strongest stream always passes (total_power > 0); a tie at the
     # boundary gives the same level with or without that stream
-    level = levels[np.flatnonzero(inv_sorted <= levels)[-1]]
+    level = levels[(inv_sorted <= levels).nonzero()[0][-1]]
 
     out = np.zeros(flat.shape)
     out[active] = np.maximum(0.0, level - inv_lam)
@@ -113,5 +115,5 @@ def waterfill_covariances(heq: np.ndarray, total_power: float, noise_var: float 
     """
     lams, w = channel_eigvals(heq, noise_var)
     p, _ = waterfill(lams, total_power)
-    rate = float(np.sum(np.log1p(lams * p)) / (LN2 * heq.shape[0]))
+    rate = float(np.log1p(lams * p).sum() / (LN2 * heq.shape[0]))
     return PowerAllocation(heq=heq, lam=lams, w=w, p=p, rate=rate)

@@ -32,6 +32,8 @@ class RisPhases:
         self.diag = np.asarray(self.diag, dtype=complex)
         if self.diag.ndim != 1:
             raise ValueError("phase diagonal must be one-dimensional")
+        if not np.isfinite(self.diag).all():
+            raise ValueError("phase diagonal entries must be finite")
         if np.max(np.abs(np.abs(self.diag) - 1.0), initial=0.0) > UNIT_MODULUS_TOL:
             raise ValueError("phase diagonal entries must have unit modulus")
 

@@ -32,12 +32,16 @@ def test_every_tracer_target_is_callable():
         assert callable(getattr(module, fname, None)), f"bench traces rislink.{layer}.{fname}, which is gone"
 
 
-@pytest.mark.parametrize("scenario, overrides", [
+# the paths of the gated workloads, at one trial
+WORKLOADS = pytest.mark.parametrize("scenario, overrides", [
     ("se_vs_snr", {"n_ris_list": [16], "snr_db": [-5.0, 10.0]}),
     ("plos_vs_se", {"ris_rows": 4, "ris_cols": 4, "snr_db": [-5.0], "plos_grid": [0.1, 1.0]}),
-], ids=["desk_snr", "desk_blockage_low"])  # the paths of the gated workloads, at one trial
-def test_traced_workload_measures_every_layer(scenario, overrides):
-    spec = {"src": str(SRC), "preset": "desk", "scenario": scenario, "trace": True,
+], ids=["desk_snr", "desk_blockage_low"])
+
+
+def run_workload(scenario: str, overrides: dict, trace: bool) -> dict:
+    """Run one workload process and return its report, which must be the only line on stdout."""
+    spec = {"src": str(SRC), "preset": "desk", "scenario": scenario, "trace": trace,
             "overrides": {**overrides, "mc_trials": 1, "seed": 0}}
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-s", str(BENCH / "workload_process.py"), json.dumps(spec)],
@@ -45,7 +49,19 @@ def test_traced_workload_measures_every_layer(scenario, overrides):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 1, f"the report must be the only line on stdout, got {lines[:-1]!r}"
-    report = json.loads(lines[0])
+    return json.loads(lines[0])
+
+
+@WORKLOADS
+def test_traced_workload_measures_every_layer(scenario, overrides):
+    report = run_workload(scenario, overrides, trace=True)
     assert report["missing"] == []
     unmeasured = sorted(name for name, value in report["layers"].items() if value is None)
     assert unmeasured == [], f"traced metrics read null: {unmeasured}"
+
+
+@WORKLOADS
+def test_untraced_workload_reports_on_one_line(scenario, overrides):
+    report = run_workload(scenario, overrides, trace=False)
+    assert "layers" not in report
+    assert report["cells"] > 0 and report["csv"].startswith("scenario,")

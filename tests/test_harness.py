@@ -319,6 +319,25 @@ def test_run_scenario_matches_per_cell_trials(scenario):
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_random_phases_is_read_from_the_pga_start_rate(scenario):
+    # with pga scored, random_phases is pga's start rate, bit for bit the lone arm's own waterfill
+    cfg, geom = preset_config("desk")
+    points = harness._sweep_points(cfg, geom, scenario)
+    setups = [(c, g) for c, g, _, _, _ in points]
+    powers = [total_power_for_snr(c, g, snr) for c, g, _, _, snr in points]
+    column = harness.ARMS.index("random_phases")
+    for t in range(2):
+        key = (cfg.seed, SCENARIOS[scenario], t)
+        both = harness._trial_rates(setups, powers, key)[:, column]
+        alone = harness._trial_rates(setups, powers, key, arms=("random_phases",))[:, 0]
+        assert np.array_equal(both, alone)
+        starts = [pga_optimize(fold_gains(channels, gains), power, mu0=cfg.mu0, epsilon=cfg.epsilon,
+                               max_iter=cfg.max_iter, phi0=phi0).start_rate
+                  for (channels, gains, phi0), power in zip(harness._trial_draws(setups, key), powers)]
+        assert np.array_equal(both, starts)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_run_scenario_synthesizes_each_link_once_per_state(monkeypatch, scenario):
     links, keys = [], []
     synthesize, make_substream = harness.synthesize_link, harness.substream

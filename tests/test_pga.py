@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from rislink import pga
 from rislink.channel import FreqChannelSet
-from rislink.pga import gradient_phi, pga_optimize, project_unit_modulus
-from rislink.rate import RisPhases, combine_links, equivalent_channel, rate_from_heq
+from rislink.harness import draw_trial, preset_config, total_power_for_snr
+from rislink.pga import MU_FLOOR, gradient_phi, pga_optimize, project_unit_modulus
+from rislink.power import waterfill_covariances
+from rislink.rate import RisPhases, combine_links, equivalent_channel, fold_gains, rate_from_heq
 from rislink.rng import substream
 
 
@@ -170,3 +175,96 @@ def test_pga_requires_rng_or_phi0():
         pga_optimize(ch, 1.0)
     res = pga_optimize(ch, 1.0, phi0=RisPhases.from_angles(np.zeros(4)))
     assert res.trace[0] > 0
+
+
+@pytest.mark.parametrize("mu0, epsilon", [(0.0, 1e-3), (-0.1, 1e-3), (np.nan, 1e-3),
+                                          (0.1, 0.0), (0.1, np.nan)])
+def test_pga_rejects_non_positive_or_nan_step_and_tolerance(mu0, epsilon):
+    rng = substream(92)
+    ch, _, phi = random_instance(rng)
+    with pytest.raises(ValueError, match="need mu0 > 0, epsilon > 0"):
+        pga_optimize(ch, 1.0, mu0=mu0, epsilon=epsilon, phi0=phi)
+
+
+def reference_pga(channels, total_power, phi0, mu0=0.1, epsilon=1e-3, max_iter=200, gradient=gradient_phi):
+    """The ascent loop on the public kernels, with a validated RisPhases at every iterate."""
+    phi = phi0
+    alloc = waterfill_covariances(equivalent_channel(channels, phi), total_power)
+    trace = [alloc.rate]
+    mu, iterations, converged = mu0, 0, False
+    while iterations < max_iter:
+        grad = gradient(channels, alloc, phi)
+        scale = np.max(np.abs(grad))
+        if scale == 0.0:
+            converged = True
+            break
+        new_phi = project_unit_modulus(phi.diag + (mu / scale) * grad.conj(), fallback=phi.diag)
+        new_alloc = waterfill_covariances(equivalent_channel(channels, new_phi), total_power)
+        iterations += 1
+        delta = new_alloc.rate - alloc.rate
+        if delta > 0:
+            phi, alloc = new_phi, new_alloc
+        else:
+            mu /= 10.0
+        trace.append(alloc.rate)
+        if abs(delta) < epsilon:
+            converged = True
+            break
+        if mu < MU_FLOOR:
+            break
+    return phi, np.asarray(trace), iterations, converged
+
+
+def assert_matches_reference(channels, total_power, phi0, gradient=gradient_phi, **kw):
+    result = pga_optimize(channels, total_power, phi0=phi0, **kw)
+    phi, trace, iterations, converged = reference_pga(channels, total_power, phi0, gradient=gradient, **kw)
+    assert np.array_equal(result.trace, trace)
+    assert np.array_equal(result.phi.diag, phi.diag)
+    assert (result.iterations, result.converged) == (iterations, converged)
+    assert result.rate == trace[-1] and result.start_rate == trace[0]
+    return result
+
+
+@pytest.mark.parametrize("snr_db", [-5.0, 10.0])
+@pytest.mark.parametrize("los", [True, False], ids=["los", "nlos"])
+@pytest.mark.parametrize("n_ris", [16, 64])
+def test_pga_matches_reference_loop_on_desk_draws(n_ris, los, snr_db):
+    cfg, geom = preset_config("desk")
+    cfg = cfg.with_n_ris(n_ris)
+    geom = replace(geom, bs_height=10.0, d_ris=2.2, p_los_override=float(los))
+    channels, gains = draw_trial(cfg, geom, (0, 93, n_ris))
+    assert gains.los == los
+    phi0 = RisPhases.random(n_ris, substream(0, 93, n_ris, 1))
+    power = total_power_for_snr(cfg, geom, snr_db)
+    result = assert_matches_reference(fold_gains(channels, gains), power, phi0)
+    assert result.iterations >= 1
+
+
+def test_pga_matches_reference_loop_at_zero_gradient():
+    rng = substream(94)
+    ch, _, phi = random_instance(rng, k=3, n_r=2, n_t=4, n_ris=6)
+    ch0 = FreqChannelSet(h1=ch.h1, h2=0.0 * ch.h2, h3=ch.h3)
+    result = assert_matches_reference(ch0, 5.0, phi)
+    assert result.converged and result.iterations == 0
+
+
+def test_pga_matches_reference_loop_below_mu_floor():
+    # with mu0 under the floor, the run ends after its first step, which moves the rate by more than epsilon
+    rng = substream(95)
+    ch, _, phi = random_instance(rng, k=3, n_r=2, n_t=4, n_ris=6)
+    result = assert_matches_reference(ch, 5.0, phi, mu0=0.5 * MU_FLOOR, epsilon=1e-300)
+    assert not result.converged and result.iterations == 1
+
+
+def test_pga_matches_reference_loop_on_a_step_onto_zero(monkeypatch):
+    # the first step lands the first two entries exactly on 0, which keep their previous phase
+    rng = substream(96)
+    ch, _, _ = random_instance(rng, k=3, n_r=2, n_t=4, n_ris=4)
+    phi0 = RisPhases(np.array([1.0, -1.0, 1.0j, -1.0j]))
+    grad = np.array([-1.0, 1.0, 0.5, 0.25j])  # phi0 + conj(grad) = [0, 0, 0.5+1j, -1.25j]
+
+    def fixed_gradient(channels, alloc, phi=None):
+        return grad
+
+    monkeypatch.setattr(pga, "gradient_phi", fixed_gradient)
+    assert_matches_reference(ch, 5.0, phi0, gradient=fixed_gradient, mu0=1.0, epsilon=1e-300, max_iter=4)

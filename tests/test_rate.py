@@ -31,6 +31,13 @@ def test_ris_phases_validation():
     assert RisPhases.random(5, substream(50)).n_elements == 5
 
 
+@pytest.mark.parametrize("bad", [np.nan + 0j, complex(0.0, np.nan), np.inf + 0j],
+                         ids=["nan", "nan_imag", "inf"])
+def test_ris_phases_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        RisPhases(np.array([bad, 1.0 + 0j]))
+
+
 def test_equivalent_channel_no_ris_path():
     rng = substream(51)
     ch, phi = random_setup(rng)
