@@ -4,7 +4,8 @@ Run: python demos/channel_synthesis.py
 """
 import numpy as np
 
-from rislink import UraSpec, draw_cluster_rays, geometric_tap, rician_tap, taps_to_subcarriers, ura_response
+from rislink import (SystemConfig, UraSpec, draw_cluster_rays, geometric_tap, rician_tap, synthesize_link,
+                     taps_to_subcarriers, ura_response)
 from rislink.channel import tap_power_weights
 from rislink.rng import substream
 
@@ -32,15 +33,15 @@ for k_factor in (0.0, 1.0, 10.0, 1e6):
     corr = abs(np.vdot(tap_geo, mixed)) / (np.linalg.norm(tap_geo) * np.linalg.norm(mixed))
     print(f"  Rician factor {k_factor:>8.0f}: correlation with geometric part = {corr:.4f}")
 
-# Taps carry an exponentially decaying power profile and DFT to subcarriers.
+# A link's taps carry an exponentially decaying power profile and DFT to subcarriers.
+# synthesize_link draws every tap of the BS -> RIS link (8x8 arrays, the same
+# 8 clusters x 10 rays, 10 degrees, Rician factor 10) and builds them in one pass.
 weights = tap_power_weights(4)
 print(f"tap power weights (L=4): {np.round(weights, 4)}, sum = {weights.sum():.1f}")
-taps = np.stack([np.sqrt(w) * rician_tap(
-    geometric_tap(draw_cluster_rays(8, 10, np.deg2rad(10.0), rng), ris, bs),
-    (rng.standard_normal(tap_geo.shape) + 1j * rng.standard_normal(tap_geo.shape)) / np.sqrt(2),
-    10.0) for w in weights])
-h_freq = taps_to_subcarriers(taps, 24)
+cfg = SystemConfig(n_taps=(4, 4, 5))
+taps = synthesize_link(1, cfg, rng)
+h_freq = taps_to_subcarriers(taps, cfg.n_subcarriers)
 print(f"frequency response: {h_freq.shape} (K=24 subcarriers)")
 print(f"  DC bin equals the tap sum: {np.allclose(h_freq[0], taps.sum(axis=0))}")
-recovered = np.fft.ifft(h_freq, axis=0)[:4]
+recovered = np.fft.ifft(h_freq, axis=0)[:len(taps)]
 print(f"  inverse DFT recovers the taps: max err = {np.max(np.abs(recovered - taps)):.2e}")

@@ -5,11 +5,21 @@ per delay tap, a deterministic geometric component built from uniform
 rectangular array (URA) steering vectors over clustered rays is mixed with an
 i.i.d. complex Gaussian scatter component, then the taps are DFT-converted to
 per-subcarrier frequency responses.
+
+A link's taps are synthesized together. The per-tap loop only draws random
+numbers, in a fixed order per tap; the steering vectors, the geometric
+products, the Rician mix and the tap weighting of every tap then run in one
+batched pass. A URA steering vector is the Kronecker product of a row response
+and a column response, so it costs rows + cols complex exponentials per ray,
+not rows * cols.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .propagation import require_valid_numbers
 
 TWO_PI = 2.0 * np.pi
 
@@ -23,9 +33,8 @@ class UraSpec:
     spacing_wavelengths: float = 0.5
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("URA must have at least one row and one column")
-        if self.spacing_wavelengths <= 0:
+        require_valid_numbers(self)
+        if not self.spacing_wavelengths > 0:
             raise ValueError("element spacing must be positive")
 
     @property
@@ -37,8 +46,9 @@ class UraSpec:
 class ClusterRaySet:
     """Per-ray complex gains and arrival/departure angles for one link draw.
 
-    All angle arrays have one entry per (cluster, ray) pair, azimuths in
-    [-pi, pi) and elevations in [-pi/2, pi/2].
+    Every array holds one entry per (cluster, ray) pair on its last axis,
+    azimuths in [-pi, pi) and elevations in [-pi/2, pi/2]. All five share one
+    shape: (n,) for one tap, or (L, n) for the L taps of a link.
     """
 
     gains: np.ndarray
@@ -50,12 +60,12 @@ class ClusterRaySet:
     n_rays: int
 
     def __post_init__(self):
-        n = self.n_clusters * self.n_rays
+        shape = np.shape(self.gains)[:-1] + (self.n_clusters * self.n_rays,)
         for name in ("gains", "arrival_az", "arrival_el", "departure_az", "departure_el"):
             arr = np.asarray(getattr(self, name))
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must have exactly {n} entries, got shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
 
 
@@ -99,49 +109,59 @@ def ura_response(azimuth, elevation, spec: UraSpec) -> np.ndarray:
 
     Element (m, n) of the rows x cols grid carries phase
     2*pi*spacing*(m*sin(az)*cos(el) + n*sin(el)); the vector is flattened
-    row-major and normalized to unit Euclidean norm.
+    row-major and normalized to unit Euclidean norm. The phase is a sum of a
+    row term and a column term, so the vector is the Kronecker product of a
+    rows-long and a cols-long response.
 
     Accepts scalar angles (returns shape (n_elements,)) or equal-shaped angle
     arrays (returns (n_elements, ...) with the angle axes trailing).
     """
     az = wrap_azimuth(azimuth)
     el = clamp_elevation(elevation)
-    m = np.arange(spec.rows)
-    n = np.arange(spec.cols)
-    # (rows, cols, ...) phase grid, then flatten the element axes.
-    u = np.multiply.outer(m, np.sin(az) * np.cos(el))
-    v = np.multiply.outer(n, np.sin(el))
-    phase = TWO_PI * spec.spacing_wavelengths * (u[:, None, ...] + v[None, :, ...])
-    resp = np.exp(1j * phase) / np.sqrt(spec.n_elements)
+    k = TWO_PI * spec.spacing_wavelengths
+    row = np.exp(1j * np.multiply.outer(k * np.arange(spec.rows), np.sin(az) * np.cos(el)))  # (rows, ...)
+    col = np.exp(1j * np.multiply.outer(k * np.arange(spec.cols), np.sin(el)))  # (cols, ...)
+    resp = (row / np.sqrt(spec.n_elements))[:, None] * col[None, :]
     return resp.reshape((spec.n_elements,) + np.shape(az))
 
 
-def draw_cluster_rays(n_clusters: int, n_rays: int, spread: float, rng: np.random.Generator) -> ClusterRaySet:
-    """Draw one set of clustered rays.
+# Half-widths of the uniform cluster-center ranges, in draw order: arrival
+# azimuth, arrival elevation, departure azimuth, departure elevation.
+_CENTER_HALF_WIDTHS = (np.pi, np.pi / 2, np.pi, np.pi / 2)
 
-    Cluster centers are uniform over the full azimuth/elevation ranges; each
-    ray offsets its cluster center by a zero-mean Laplacian with standard
-    deviation `spread` (radians). Ray gains are i.i.d. CN(0, 1).
-    """
+
+def _check_ray_draw(n_clusters: int, n_rays: int, spread: float) -> None:
     if n_clusters < 1 or n_rays < 1:
         raise ValueError("need at least one cluster and one ray per cluster")
-    if spread < 0:
-        raise ValueError("angular spread must be nonnegative")
+    if not spread >= 0 or not math.isfinite(spread):
+        raise ValueError(f"angular spread must be finite and nonnegative, got {spread!r}")
 
-    def angles(center_lo, center_hi):
-        centers = rng.uniform(center_lo, center_hi, size=n_clusters)
-        # Laplace with std = spread has scale spread/sqrt(2).
-        offsets = rng.laplace(0.0, spread / np.sqrt(2.0), size=(n_clusters, n_rays))
-        return (centers[:, None] + offsets).reshape(-1)
 
-    arrival_az = wrap_azimuth(angles(-np.pi, np.pi))
-    arrival_el = clamp_elevation(angles(-np.pi / 2, np.pi / 2))
-    departure_az = wrap_azimuth(angles(-np.pi, np.pi))
-    departure_el = clamp_elevation(angles(-np.pi / 2, np.pi / 2))
-    n = n_clusters * n_rays
-    gains = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+def _draw_tap_rays(angles: np.ndarray, gain_normals: np.ndarray, spread: float, rng: np.random.Generator) -> None:
+    """Draw one tap's rays into preallocated arrays, in the fixed per-tap order.
+
+    For arrival azimuth, arrival elevation, departure azimuth and departure
+    elevation in turn: uniform cluster centers, then Laplacian ray offsets;
+    `angles` (4, n_clusters, n_rays) receives their unwrapped sums. Then the
+    real and the imaginary gain parts, standard normal, fill `gain_normals`
+    (2, n_clusters * n_rays).
+    """
+    n_clusters, n_rays = angles.shape[1:]
+    scale = spread / np.sqrt(2.0)  # Laplace with std = spread has scale spread/sqrt(2)
+    for out, half in zip(angles, _CENTER_HALF_WIDTHS):
+        np.add(rng.uniform(-half, half, size=n_clusters)[:, None],
+               rng.laplace(0.0, scale, size=(n_clusters, n_rays)), out=out)
+    rng.standard_normal(out=gain_normals[0])
+    rng.standard_normal(out=gain_normals[1])
+
+
+def _ray_set(angles: np.ndarray, gain_normals: np.ndarray) -> ClusterRaySet:
+    """The ClusterRaySet of `_draw_tap_rays` draws; leading tap axes stay in front."""
+    n_clusters, n_rays = angles.shape[-2:]
+    flat = angles.reshape(angles.shape[:-2] + (-1,))
+    (arrival_az, departure_az), (arrival_el, departure_el) = wrap_azimuth(flat[0::2]), clamp_elevation(flat[1::2])
     return ClusterRaySet(
-        gains=gains,
+        gains=(gain_normals[0] + 1j * gain_normals[1]) / np.sqrt(2.0),
         arrival_az=arrival_az,
         arrival_el=arrival_el,
         departure_az=departure_az,
@@ -151,16 +171,30 @@ def draw_cluster_rays(n_clusters: int, n_rays: int, spread: float, rng: np.rando
     )
 
 
+def draw_cluster_rays(n_clusters: int, n_rays: int, spread: float, rng: np.random.Generator) -> ClusterRaySet:
+    """Draw one set of clustered rays.
+
+    Cluster centers are uniform over the full azimuth/elevation ranges; each
+    ray offsets its cluster center by a zero-mean Laplacian with standard
+    deviation `spread` (radians). Ray gains are i.i.d. CN(0, 1).
+    """
+    _check_ray_draw(n_clusters, n_rays, spread)
+    angles = np.empty((4, n_clusters, n_rays))
+    gain_normals = np.empty((2, n_clusters * n_rays))
+    _draw_tap_rays(angles, gain_normals, spread, rng)
+    return _ray_set(angles, gain_normals)
+
+
 def geometric_tap(rays: ClusterRaySet, rx_spec: UraSpec, tx_spec: UraSpec) -> np.ndarray:
     """Geometric tap matrix: scaled sum of per-ray rx/tx steering outer products.
 
     Returns sqrt(n_rx*n_tx/(R*C)) * sum_i gain_i * a_rx(i) a_tx(i)^H, shape
-    (n_rx, n_tx).
+    (n_rx, n_tx); rays with a leading tap axis give (L, n_rx, n_tx).
     """
-    a_rx = ura_response(rays.arrival_az, rays.arrival_el, rx_spec)  # (n_rx, n)
-    a_tx = ura_response(rays.departure_az, rays.departure_el, tx_spec)  # (n_tx, n)
+    a_rx = ura_response(rays.arrival_az, rays.arrival_el, rx_spec)  # (n_rx, ..., n)
+    a_tx = ura_response(rays.departure_az, rays.departure_el, tx_spec)  # (n_tx, ..., n)
     scale = np.sqrt(rx_spec.n_elements * tx_spec.n_elements / (rays.n_clusters * rays.n_rays))
-    return scale * ((a_rx * rays.gains) @ a_tx.conj().T)
+    return np.moveaxis(a_rx * (scale * rays.gains), 0, -2) @ np.moveaxis(a_tx.conj(), 0, -1)
 
 
 def rician_tap(los_part: np.ndarray, scatter_part: np.ndarray, rician_k: float) -> np.ndarray:
@@ -169,8 +203,8 @@ def rician_tap(los_part: np.ndarray, scatter_part: np.ndarray, rician_k: float) 
     scatter_part = np.asarray(scatter_part)
     if los_part.shape != scatter_part.shape:
         raise ValueError(f"shape mismatch: {los_part.shape} vs {scatter_part.shape}")
-    if rician_k < 0:
-        raise ValueError("Rician factor must be nonnegative")
+    if not rician_k >= 0 or not math.isfinite(rician_k):
+        raise ValueError(f"Rician factor must be finite and nonnegative, got {rician_k!r}")
     return np.sqrt(rician_k / (rician_k + 1.0)) * los_part + np.sqrt(1.0 / (rician_k + 1.0)) * scatter_part
 
 
@@ -196,9 +230,11 @@ def synthesize_link(link_index: int, config, rng: np.random.Generator, los: bool
 
     Per tap, an independent clustered-ray geometric component and an i.i.d.
     CN(0,1) scatter matrix are combined with the configured Rician factor and
-    scaled by the tap's power weight. The direct link (index 3) uses the
-    sparse LOS ray counts when `los` is true and the richer NLOS counts
-    otherwise; the RIS links (1, 2) always use the generic counts.
+    scaled by the tap's power weight. Tap by tap, the rays are drawn in
+    `draw_cluster_rays` order, then the real and the imaginary scatter parts;
+    all taps are then built in one batched pass. The direct link (index 3)
+    uses the sparse LOS ray counts when `los` is true and the richer NLOS
+    counts otherwise; the RIS links (1, 2) always use the generic counts.
 
     `config` must expose tx_spec/rx_spec/ris_spec (UraSpec), n_taps (3-tuple),
     rician_k, angular_spread_rad and the per-link cluster/ray counts; the
@@ -219,13 +255,16 @@ def synthesize_link(link_index: int, config, rng: np.random.Generator, los: bool
     else:
         raise ValueError(f"link_index must be 1, 2 or 3, got {link_index}")
 
+    spread = config.angular_spread_rad
+    _check_ray_draw(n_clusters, n_rays, spread)
     n_taps = config.n_taps[link_index - 1]
-    weights = tap_power_weights(n_taps)
-    shape = (rx_spec.n_elements, tx_spec.n_elements)
-    taps = np.empty((n_taps,) + shape, dtype=complex)
-    for l, w in enumerate(weights):
-        rays = draw_cluster_rays(n_clusters, n_rays, config.angular_spread_rad, rng)
-        geo = geometric_tap(rays, rx_spec, tx_spec)
-        scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        taps[l] = np.sqrt(w) * rician_tap(geo, scatter, config.rician_k)
-    return taps
+    angles = np.empty((4, n_taps, n_clusters, n_rays))
+    gain_normals = np.empty((2, n_taps, n_clusters * n_rays))
+    scatter_normals = np.empty((2, n_taps, rx_spec.n_elements, tx_spec.n_elements))
+    for l in range(n_taps):
+        _draw_tap_rays(angles[:, l], gain_normals[:, l], spread, rng)
+        rng.standard_normal(out=scatter_normals[0, l])
+        rng.standard_normal(out=scatter_normals[1, l])
+    geo = geometric_tap(_ray_set(angles, gain_normals), rx_spec, tx_spec)
+    scatter = (scatter_normals[0] + 1j * scatter_normals[1]) / np.sqrt(2.0)
+    return np.sqrt(tap_power_weights(n_taps))[:, None, None] * rician_tap(geo, scatter, config.rician_k)

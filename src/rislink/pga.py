@@ -32,6 +32,11 @@ class PgaResult:
     `start_rate` is the waterfilled rate at the start phases, trace[0]. It is
     the same call on the same phases as the `random_phases` arm, so it equals
     that arm's rate at the same point bit for bit; the harness reads it there.
+    `stop_reason` says why the loop ended: "tolerance" (a step moved the rate
+    by less than epsilon), "zero_gradient" (no ascent direction), "mu_floor"
+    (the learning rate fell below MU_FLOOR) or "max_iter" (the iteration
+    cap). `gradient_passes` counts gradient evaluations: `iterations`, plus
+    one for a zero gradient, which ends its pass before the step.
     """
 
     phi: RisPhases
@@ -39,7 +44,13 @@ class PgaResult:
     start_rate: float
     trace: np.ndarray  # accepted rate after each iteration, index 0 = initialization
     iterations: int
-    converged: bool
+    stop_reason: str
+    gradient_passes: int
+
+    @property
+    def converged(self) -> bool:
+        """True when the run stopped at a stationary point rather than at a limit."""
+        return self.stop_reason in ("tolerance", "zero_gradient")
 
 
 def gradient_phi(channels: FreqChannelSet, q: np.ndarray | PowerAllocation, phi: RisPhases | None = None,
@@ -105,9 +116,10 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
     circle, waterfills the covariances with one stream per eigenmode,
     N_s = min(N_r, N_t), and reads their rate. A non-improving step is
     reverted and mu shrinks by 10. The loop stops when the candidate rate
-    changes by less than `epsilon`, when mu underflows its floor, or at the
-    iteration cap; the best (last accepted) iterate is returned either way,
-    with the rate at the start phases as `start_rate`.
+    changes by less than `epsilon`, at a zero gradient, when mu underflows
+    its floor, or at the iteration cap (`stop_reason` says which); the best
+    (last accepted) iterate is returned either way, with the rate at the
+    start phases as `start_rate`.
     A given `meter` books the run's analytical cost (`flops.record_pga_run`);
     `harness.complexity_table` and the benchmark's span tracer pass one.
     The noise variance is 1: for another sigma^2, pass total_power / sigma^2.
@@ -126,7 +138,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
     trace = [alloc.rate]
     mu = mu0
     iterations = 0
-    converged = False
+    stop_reason = "max_iter"
     while iterations < max_iter:
         grad = gradient_phi(channels, alloc)
         # Scale-free step: mu bounds the largest per-element phase rotation,
@@ -134,7 +146,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
         # points where the raw gradient is far below the stopping threshold.
         scale = np.abs(grad).max()
         if scale == 0.0:
-            converged = True
+            stop_reason = "zero_gradient"
             break
         candidate = diag + (mu / scale) * grad.conj()
         mag = np.abs(candidate)
@@ -153,15 +165,15 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
             mu /= 10.0
         trace.append(alloc.rate)
         if abs(delta) < epsilon:
-            converged = True
+            stop_reason = "tolerance"
             break
         if mu < MU_FLOOR:
+            stop_reason = "mu_floor"
             break
 
+    gradient_passes = iterations + (stop_reason == "zero_gradient")
     if meter is not None:
-        # a pass that found a zero gradient stopped before its step and waterfill
         k, n_r, n_t = channels.h3.shape
-        flops.record_pga_run(meter, k, n_r, n_t, n_ris,
-                             gradient_passes=iterations + int(scale == 0.0), iterations=iterations)
+        flops.record_pga_run(meter, k, n_r, n_t, n_ris, gradient_passes=gradient_passes, iterations=iterations)
     return PgaResult(phi=RisPhases(diag), rate=alloc.rate, start_rate=trace[0], trace=np.asarray(trace),
-                     iterations=iterations, converged=converged)
+                     iterations=iterations, stop_reason=stop_reason, gradient_passes=gradient_passes)

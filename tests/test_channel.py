@@ -5,6 +5,7 @@ from rislink.channel import (
     ClusterRaySet,
     FreqChannelSet,
     UraSpec,
+    clamp_elevation,
     draw_cluster_rays,
     geometric_tap,
     rician_tap,
@@ -12,7 +13,9 @@ from rislink.channel import (
     tap_power_weights,
     taps_to_subcarriers,
     ura_response,
+    wrap_azimuth,
 )
+from rislink.harness import preset_config
 from rislink.rng import substream
 
 
@@ -30,6 +33,112 @@ class DummyConfig:
         self.ris_clusters, self.ris_rays = ris_cr
         self.direct_los_clusters, self.direct_los_rays = los_cr
         self.direct_nlos_clusters, self.direct_nlos_rays = nlos_cr
+
+
+def reference_ura_response(azimuth, elevation, spec):
+    """The direct rows x cols phase grid: one complex exponential per element and direction."""
+    az = wrap_azimuth(azimuth)
+    el = clamp_elevation(elevation)
+    u = np.multiply.outer(np.arange(spec.rows), np.sin(az) * np.cos(el))
+    v = np.multiply.outer(np.arange(spec.cols), np.sin(el))
+    phase = 2 * np.pi * spec.spacing_wavelengths * (u[:, None, ...] + v[None, :, ...])
+    resp = np.exp(1j * phase) / np.sqrt(spec.n_elements)
+    return resp.reshape((spec.n_elements,) + np.shape(az))
+
+
+def reference_synthesize_link(link_index, config, rng, los=True):
+    """Tap-by-tap synthesis: draw one tap's rays, build its geometric tap, then draw its scatter."""
+    rx_spec, tx_spec, (n_clusters, n_rays) = {
+        1: (config.ris_spec, config.tx_spec, (config.ris_clusters, config.ris_rays)),
+        2: (config.rx_spec, config.ris_spec, (config.ris_clusters, config.ris_rays)),
+        3: (config.rx_spec, config.tx_spec,
+            (config.direct_los_clusters, config.direct_los_rays) if los
+            else (config.direct_nlos_clusters, config.direct_nlos_rays)),
+    }[link_index]
+    n = n_clusters * n_rays
+    shape = (rx_spec.n_elements, tx_spec.n_elements)
+    taps = []
+    for w in tap_power_weights(config.n_taps[link_index - 1]):
+        angles = []
+        for lo, hi in ((-np.pi, np.pi), (-np.pi / 2, np.pi / 2)) * 2:
+            centers = rng.uniform(lo, hi, size=n_clusters)
+            offsets = rng.laplace(0.0, config.angular_spread_rad / np.sqrt(2.0), size=(n_clusters, n_rays))
+            angles.append((centers[:, None] + offsets).reshape(-1))
+        gains = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+        a_rx = reference_ura_response(wrap_azimuth(angles[0]), clamp_elevation(angles[1]), rx_spec)
+        a_tx = reference_ura_response(wrap_azimuth(angles[2]), clamp_elevation(angles[3]), tx_spec)
+        geo = np.sqrt(shape[0] * shape[1] / n) * ((a_rx * gains) @ a_tx.conj().T)
+        scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        k = config.rician_k
+        taps.append(np.sqrt(w) * (np.sqrt(k / (k + 1.0)) * geo + np.sqrt(1.0 / (k + 1.0)) * scatter))
+    return np.stack(taps)
+
+
+def generator_state(rng):
+    """The bit generator's state with its arrays as lists, so two states compare with ==."""
+    def plain(x):
+        return {k: plain(v) for k, v in x.items()} if isinstance(x, dict) else np.asarray(x).tolist()
+    return plain(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("preset, n_ris", [("desk", 16), ("desk", 64), ("paper", 64), ("paper", 256)])
+@pytest.mark.parametrize("link, los", [(1, True), (2, True), (3, True), (3, False)],
+                         ids=["link1", "link2", "link3-los", "link3-nlos"])
+def test_synthesize_link_matches_tap_by_tap_reference(preset, n_ris, link, los):
+    cfg = preset_config(preset)[0].with_n_ris(n_ris)
+    rng, ref_rng = substream(33, n_ris, link), substream(33, n_ris, link)
+    taps = synthesize_link(link, cfg, rng, los=los)
+    expected = reference_synthesize_link(link, cfg, ref_rng, los=los)
+    assert taps.shape == expected.shape
+    # the separable steering vector rounds differently from the phase grid
+    assert np.max(np.abs(taps - expected)) <= 1e-13 * np.max(np.abs(expected))
+    # the same draws in the same order leave the generator in the same state
+    assert generator_state(rng) == generator_state(ref_rng)
+
+
+@pytest.mark.parametrize("spec", [UraSpec(1, 1), UraSpec(4, 1), UraSpec(2, 2), UraSpec(3, 2, 0.7),
+                                  UraSpec(8, 8), UraSpec(16, 16)], ids=str)
+def test_ura_separable_matches_phase_grid(spec):
+    rng = substream(34, spec.rows, spec.cols)
+    for shape in ((), (7,), (5, 80)):
+        az = rng.uniform(-4.0, 4.0, size=shape)  # beyond [-pi, pi) to exercise the wrap
+        el = rng.uniform(-2.0, 2.0, size=shape)  # beyond [-pi/2, pi/2] to exercise the clamp
+        got = ura_response(az, el, spec)
+        assert got.shape == (spec.n_elements,) + shape
+        np.testing.assert_allclose(got, reference_ura_response(az, el, spec), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.linalg.norm(got, axis=0), 1.0, rtol=0, atol=1e-14)
+
+
+def test_geometric_tap_batched_equals_per_tap_calls():
+    rng = substream(35)
+    taps = [draw_cluster_rays(3, 4, 0.2, rng) for _ in range(4)]
+    stacked = ClusterRaySet(**{name: np.stack([getattr(r, name) for r in taps])
+                               for name in ("gains", "arrival_az", "arrival_el", "departure_az", "departure_el")},
+                            n_clusters=3, n_rays=4)
+    rx, tx = UraSpec(4, 2), UraSpec(2, 3)
+    batched = geometric_tap(stacked, rx, tx)
+    per_tap = np.stack([geometric_tap(r, rx, tx) for r in taps])
+    assert batched.shape == (4, 8, 6)
+    np.testing.assert_allclose(batched, per_tap, rtol=0, atol=1e-13 * np.max(np.abs(per_tap)))
+
+
+def test_cluster_ray_set_rejects_mismatched_shapes():
+    rays = draw_cluster_rays(2, 3, 0.1, substream(36))
+    with pytest.raises(ValueError, match="must have shape"):
+        ClusterRaySet(gains=rays.gains, arrival_az=rays.arrival_az[:5], arrival_el=rays.arrival_el,
+                      departure_az=rays.departure_az, departure_el=rays.departure_el, n_clusters=2, n_rays=3)
+    with pytest.raises(ValueError, match="must have shape"):
+        ClusterRaySet(gains=np.stack([rays.gains] * 2), arrival_az=rays.arrival_az, arrival_el=rays.arrival_el,
+                      departure_az=rays.departure_az, departure_el=rays.departure_el, n_clusters=2, n_rays=3)
+
+
+@pytest.mark.parametrize("rows, cols, spacing", [(2.5, 2, 0.5), (2, 2.0, 0.5), (0, 2, 0.5),
+                                                 (2, 2, np.nan), (2, 2, np.inf), (2, 2, 0.0)],
+                         ids=["fractional-rows", "float-cols", "zero-rows", "nan-spacing", "inf-spacing",
+                              "zero-spacing"])
+def test_ura_spec_rejects_bad_geometry(rows, cols, spacing):
+    with pytest.raises(ValueError):
+        UraSpec(rows, cols, spacing)
 
 
 def test_ura_single_element_broadside():
@@ -101,6 +210,14 @@ def test_draw_rays_counts_and_spread():
     assert within / total >= 0.995
 
 
+@pytest.mark.parametrize("spread", [np.inf, np.nan, -0.1])
+def test_draw_rays_rejects_non_finite_or_negative_spread(spread):
+    with pytest.raises(ValueError, match="angular spread must be finite and nonnegative"):
+        draw_cluster_rays(2, 3, spread, substream(37))
+    with pytest.raises(ValueError, match="angular spread must be finite and nonnegative"):
+        synthesize_link(1, DummyConfig(spread_rad=spread), substream(37))
+
+
 def test_draw_rays_gain_second_moment():
     rng = substream(23)
     rays = draw_cluster_rays(100, 100, 0.0, rng)
@@ -159,6 +276,12 @@ def test_rician_limits_and_scalar_value():
                                [[np.sqrt(0.5) + np.sqrt(0.5)]])
     with pytest.raises(ValueError):
         rician_tap(np.ones((2, 2)), np.ones((2, 3)), 1.0)
+
+
+@pytest.mark.parametrize("rician_k", [np.nan, np.inf, -1.0])
+def test_rician_rejects_non_finite_or_negative_factor(rician_k):
+    with pytest.raises(ValueError, match="Rician factor must be finite and nonnegative"):
+        rician_tap(np.ones((2, 2)), np.ones((2, 2)), rician_k)
 
 
 def test_rician_energy_split_identity():

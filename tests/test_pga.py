@@ -153,6 +153,16 @@ def test_pga_non_converged_flag_at_cap():
     res = pga_optimize(ch, 50.0, rng=rng, epsilon=1e-12, max_iter=3)
     assert res.iterations == 3
     assert not res.converged
+    assert (res.stop_reason, res.gradient_passes) == ("max_iter", 3)
+
+
+def test_pga_stops_at_tolerance():
+    # any first step moves the rate by less than a tolerance of 1e3
+    rng = substream(91)
+    ch, _, phi = random_instance(rng, k=2, n_r=2, n_t=4, n_ris=8)
+    res = pga_optimize(ch, 5.0, phi0=phi, epsilon=1e3)
+    assert res.converged
+    assert (res.stop_reason, res.iterations, res.gradient_passes) == ("tolerance", 1, 1)
 
 
 def test_pga_global_phase_invariance_without_direct():
@@ -191,12 +201,12 @@ def reference_pga(channels, total_power, phi0, mu0=0.1, epsilon=1e-3, max_iter=2
     phi = phi0
     alloc = waterfill_covariances(equivalent_channel(channels, phi), total_power)
     trace = [alloc.rate]
-    mu, iterations, converged = mu0, 0, False
+    mu, iterations, stop_reason = mu0, 0, "max_iter"
     while iterations < max_iter:
         grad = gradient(channels, alloc, phi)
         scale = np.max(np.abs(grad))
         if scale == 0.0:
-            converged = True
+            stop_reason = "zero_gradient"
             break
         new_phi = project_unit_modulus(phi.diag + (mu / scale) * grad.conj(), fallback=phi.diag)
         new_alloc = waterfill_covariances(equivalent_channel(channels, new_phi), total_power)
@@ -208,19 +218,22 @@ def reference_pga(channels, total_power, phi0, mu0=0.1, epsilon=1e-3, max_iter=2
             mu /= 10.0
         trace.append(alloc.rate)
         if abs(delta) < epsilon:
-            converged = True
+            stop_reason = "tolerance"
             break
         if mu < MU_FLOOR:
+            stop_reason = "mu_floor"
             break
-    return phi, np.asarray(trace), iterations, converged
+    return phi, np.asarray(trace), iterations, stop_reason
 
 
 def assert_matches_reference(channels, total_power, phi0, gradient=gradient_phi, **kw):
     result = pga_optimize(channels, total_power, phi0=phi0, **kw)
-    phi, trace, iterations, converged = reference_pga(channels, total_power, phi0, gradient=gradient, **kw)
+    phi, trace, iterations, stop_reason = reference_pga(channels, total_power, phi0, gradient=gradient, **kw)
     assert np.array_equal(result.trace, trace)
     assert np.array_equal(result.phi.diag, phi.diag)
-    assert (result.iterations, result.converged) == (iterations, converged)
+    assert (result.iterations, result.stop_reason) == (iterations, stop_reason)
+    assert result.converged == (stop_reason in ("tolerance", "zero_gradient"))
+    assert result.gradient_passes == iterations + (stop_reason == "zero_gradient")
     assert result.rate == trace[-1] and result.start_rate == trace[0]
     return result
 
@@ -246,6 +259,7 @@ def test_pga_matches_reference_loop_at_zero_gradient():
     ch0 = FreqChannelSet(h1=ch.h1, h2=0.0 * ch.h2, h3=ch.h3)
     result = assert_matches_reference(ch0, 5.0, phi)
     assert result.converged and result.iterations == 0
+    assert (result.stop_reason, result.gradient_passes) == ("zero_gradient", 1)
 
 
 def test_pga_matches_reference_loop_below_mu_floor():
@@ -254,6 +268,7 @@ def test_pga_matches_reference_loop_below_mu_floor():
     ch, _, phi = random_instance(rng, k=3, n_r=2, n_t=4, n_ris=6)
     result = assert_matches_reference(ch, 5.0, phi, mu0=0.5 * MU_FLOOR, epsilon=1e-300)
     assert not result.converged and result.iterations == 1
+    assert (result.stop_reason, result.gradient_passes) == ("mu_floor", 1)
 
 
 def test_pga_matches_reference_loop_on_a_step_onto_zero(monkeypatch):
