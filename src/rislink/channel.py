@@ -6,15 +6,19 @@ rectangular array (URA) steering vectors over clustered rays is mixed with an
 i.i.d. complex Gaussian scatter component, then the taps are DFT-converted to
 per-subcarrier frequency responses.
 
-A link's taps are synthesized together. The per-tap loop only draws random
-numbers, in a fixed order per tap; the steering vectors, the geometric
-products, the Rician mix and the tap weighting of every tap then run in one
-batched pass. A URA steering vector is the Kronecker product of a row response
-and a column response, so it costs rows + cols complex exponentials per ray,
-not rows * cols.
+A link's taps are synthesized together, and so are the taps of a chunk of
+trials that each bring their own generator. The draw loop, trial by trial and
+tap by tap, only draws random numbers, in a fixed order per tap; the steering
+vectors, the geometric products, the Rician mix and the tap weighting of every
+(trial, tap) pair then run in one batched pass, so a trial's taps are the same
+whichever chunk it is drawn in. A URA steering vector is the Kronecker product
+of a row response and a column response, so it costs rows + cols complex
+exponentials per ray, not rows * cols.
 """
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +46,24 @@ class UraSpec:
         return self.rows * self.cols
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def ura_spec(rows: int, cols: int, spacing_wavelengths: float = 0.5) -> UraSpec:
+    """The shared UraSpec of one geometry, validated once per distinct value.
+
+    UraSpec is frozen, so every caller can hold the same instance. Invalid
+    sizes raise on every call: a failed construction is not cached.
+    """
+    return UraSpec(rows, cols, spacing_wavelengths)
+
+
 @dataclass
 class ClusterRaySet:
     """Per-ray complex gains and arrival/departure angles for one link draw.
 
     Every array holds one entry per (cluster, ray) pair on its last axis,
     azimuths in [-pi, pi) and elevations in [-pi/2, pi/2]. All five share one
-    shape: (n,) for one tap, or (L, n) for the L taps of a link.
+    shape: (n,) for one tap, (L, n) for the L taps of a link, or (T, L, n)
+    for the links of T trials.
     """
 
     gains: np.ndarray
@@ -119,10 +134,13 @@ def ura_response(azimuth, elevation, spec: UraSpec) -> np.ndarray:
     az = wrap_azimuth(azimuth)
     el = clamp_elevation(elevation)
     k = TWO_PI * spec.spacing_wavelengths
-    row = np.exp(1j * np.multiply.outer(k * np.arange(spec.rows), np.sin(az) * np.cos(el)))  # (rows, ...)
-    col = np.exp(1j * np.multiply.outer(k * np.arange(spec.cols), np.sin(el)))  # (cols, ...)
-    resp = (row / np.sqrt(spec.n_elements))[:, None] * col[None, :]
-    return resp.reshape((spec.n_elements,) + np.shape(az))
+    row = 1j * np.multiply.outer(k * np.arange(spec.rows), np.sin(az) * np.cos(el))  # (rows, ...)
+    col = 1j * np.multiply.outer(k * np.arange(spec.cols), np.sin(el))  # (cols, ...)
+    # exp and scale in place: over a chunk of trials' taps each copy would be large
+    np.exp(row, out=row)
+    np.exp(col, out=col)
+    row /= np.sqrt(spec.n_elements)
+    return (row[:, None] * col[None, :]).reshape((spec.n_elements,) + np.shape(az))
 
 
 # Half-widths of the uniform cluster-center ranges, in draw order: arrival
@@ -137,31 +155,34 @@ def _check_ray_draw(n_clusters: int, n_rays: int, spread: float) -> None:
         raise ValueError(f"angular spread must be finite and nonnegative, got {spread!r}")
 
 
-def _draw_tap_rays(angles: np.ndarray, gain_normals: np.ndarray, spread: float, rng: np.random.Generator) -> None:
+def _draw_tap_rays(angles: np.ndarray, normals: np.ndarray, spread: float, rng: np.random.Generator) -> None:
     """Draw one tap's rays into preallocated arrays, in the fixed per-tap order.
 
     For arrival azimuth, arrival elevation, departure azimuth and departure
     elevation in turn: uniform cluster centers, then Laplacian ray offsets;
-    `angles` (4, n_clusters, n_rays) receives their unwrapped sums. Then the
-    real and the imaginary gain parts, standard normal, fill `gain_normals`
-    (2, n_clusters * n_rays).
+    `angles` (4, n_clusters, n_rays) receives their unwrapped sums. Then one
+    standard normal call fills the contiguous buffer `normals`: its first
+    n_clusters * n_rays entries are the real and the next as many the
+    imaginary gain parts; whatever it holds beyond them (the scatter parts of
+    `synthesize_link`) follows in the same call. The stream is consumed as by
+    one call per part.
     """
     n_clusters, n_rays = angles.shape[1:]
     scale = spread / np.sqrt(2.0)  # Laplace with std = spread has scale spread/sqrt(2)
     for out, half in zip(angles, _CENTER_HALF_WIDTHS):
         np.add(rng.uniform(-half, half, size=n_clusters)[:, None],
                rng.laplace(0.0, scale, size=(n_clusters, n_rays)), out=out)
-    rng.standard_normal(out=gain_normals[0])
-    rng.standard_normal(out=gain_normals[1])
+    rng.standard_normal(out=normals)
 
 
-def _ray_set(angles: np.ndarray, gain_normals: np.ndarray) -> ClusterRaySet:
-    """The ClusterRaySet of `_draw_tap_rays` draws; leading tap axes stay in front."""
+def _ray_set(angles: np.ndarray, normals: np.ndarray) -> ClusterRaySet:
+    """The ClusterRaySet of `_draw_tap_rays` draws; leading trial and tap axes stay in front."""
     n_clusters, n_rays = angles.shape[-2:]
-    flat = angles.reshape(angles.shape[:-2] + (-1,))
+    n = n_clusters * n_rays
+    flat = angles.reshape(angles.shape[:-2] + (n,))
     (arrival_az, departure_az), (arrival_el, departure_el) = wrap_azimuth(flat[0::2]), clamp_elevation(flat[1::2])
     return ClusterRaySet(
-        gains=(gain_normals[0] + 1j * gain_normals[1]) / np.sqrt(2.0),
+        gains=(normals[..., :n] + 1j * normals[..., n:2 * n]) / np.sqrt(2.0),
         arrival_az=arrival_az,
         arrival_el=arrival_el,
         departure_az=departure_az,
@@ -180,21 +201,24 @@ def draw_cluster_rays(n_clusters: int, n_rays: int, spread: float, rng: np.rando
     """
     _check_ray_draw(n_clusters, n_rays, spread)
     angles = np.empty((4, n_clusters, n_rays))
-    gain_normals = np.empty((2, n_clusters * n_rays))
-    _draw_tap_rays(angles, gain_normals, spread, rng)
-    return _ray_set(angles, gain_normals)
+    normals = np.empty(2 * n_clusters * n_rays)
+    _draw_tap_rays(angles, normals, spread, rng)
+    return _ray_set(angles, normals)
 
 
 def geometric_tap(rays: ClusterRaySet, rx_spec: UraSpec, tx_spec: UraSpec) -> np.ndarray:
     """Geometric tap matrix: scaled sum of per-ray rx/tx steering outer products.
 
     Returns sqrt(n_rx*n_tx/(R*C)) * sum_i gain_i * a_rx(i) a_tx(i)^H, shape
-    (n_rx, n_tx); rays with a leading tap axis give (L, n_rx, n_tx).
+    (n_rx, n_tx); rays with leading axes, such as (T, L) trials and taps,
+    give those axes in front: (T, L, n_rx, n_tx).
     """
     a_rx = ura_response(rays.arrival_az, rays.arrival_el, rx_spec)  # (n_rx, ..., n)
     a_tx = ura_response(rays.departure_az, rays.departure_el, tx_spec)  # (n_tx, ..., n)
     scale = np.sqrt(rx_spec.n_elements * tx_spec.n_elements / (rays.n_clusters * rays.n_rays))
-    return np.moveaxis(a_rx * (scale * rays.gains), 0, -2) @ np.moveaxis(a_tx.conj(), 0, -1)
+    a_rx *= scale * rays.gains  # both responses are fresh arrays: weight and conjugate in place
+    np.conjugate(a_tx, out=a_tx)
+    return np.moveaxis(a_rx, 0, -2) @ np.moveaxis(a_tx, 0, -1)
 
 
 def rician_tap(los_part: np.ndarray, scatter_part: np.ndarray, rician_k: float) -> np.ndarray:
@@ -212,11 +236,13 @@ def taps_to_subcarriers(taps: np.ndarray, n_subcarriers: int) -> np.ndarray:
     """K-point DFT over the tap axis: H[k] = sum_l H[l] exp(-2j*pi*k*l/K).
 
     Requires n_subcarriers >= number of taps (taps are zero-padded into the
-    DFT window, never truncated). `taps` is an (L, n_rx, n_tx) array.
+    DFT window, never truncated). `taps` is an (L, n_rx, n_tx) array or a
+    (T, L, n_rx, n_tx) stack of T trials' taps; the tap axis is axis -3, and
+    it becomes the subcarrier axis of the result.
     """
-    if n_subcarriers < taps.shape[0]:
-        raise ValueError(f"need n_subcarriers >= n_taps, got {n_subcarriers} < {taps.shape[0]}")
-    return np.fft.fft(taps, n=n_subcarriers, axis=0)
+    if n_subcarriers < taps.shape[-3]:
+        raise ValueError(f"need n_subcarriers >= n_taps, got {n_subcarriers} < {taps.shape[-3]}")
+    return np.fft.fft(taps, n=n_subcarriers, axis=-3)
 
 
 def tap_power_weights(n_taps: int) -> np.ndarray:
@@ -225,7 +251,8 @@ def tap_power_weights(n_taps: int) -> np.ndarray:
     return w / w.sum()
 
 
-def synthesize_link(link_index: int, config, rng: np.random.Generator, los: bool = True) -> np.ndarray:
+def synthesize_link(link_index: int, config, rng: np.random.Generator | Sequence[np.random.Generator],
+                    los: bool = True) -> np.ndarray:
     """Synthesize the time-domain taps of one link as an (L, n_rx, n_tx) array.
 
     Per tap, an independent clustered-ray geometric component and an i.i.d.
@@ -235,6 +262,11 @@ def synthesize_link(link_index: int, config, rng: np.random.Generator, los: bool
     all taps are then built in one batched pass. The direct link (index 3)
     uses the sparse LOS ray counts when `los` is true and the richer NLOS
     counts otherwise; the RIS links (1, 2) always use the generic counts.
+
+    `rng` is one generator, or a sequence of T generators, one per trial,
+    which gives a (T, L, n_rx, n_tx) stack: each generator is drawn as a lone
+    one would be, trial by trial, and the pass covers all T * L taps. Entry t
+    equals the lone call on generator t bit for bit.
 
     `config` must expose tx_spec/rx_spec/ris_spec (UraSpec), n_taps (3-tuple),
     rician_k, angular_spread_rad and the per-link cluster/ray counts; the
@@ -255,16 +287,21 @@ def synthesize_link(link_index: int, config, rng: np.random.Generator, los: bool
     else:
         raise ValueError(f"link_index must be 1, 2 or 3, got {link_index}")
 
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
     spread = config.angular_spread_rad
     _check_ray_draw(n_clusters, n_rays, spread)
     n_taps = config.n_taps[link_index - 1]
-    angles = np.empty((4, n_taps, n_clusters, n_rays))
-    gain_normals = np.empty((2, n_taps, n_clusters * n_rays))
-    scatter_normals = np.empty((2, n_taps, rx_spec.n_elements, tx_spec.n_elements))
-    for l in range(n_taps):
-        _draw_tap_rays(angles[:, l], gain_normals[:, l], spread, rng)
-        rng.standard_normal(out=scatter_normals[0, l])
-        rng.standard_normal(out=scatter_normals[1, l])
-    geo = geometric_tap(_ray_set(angles, gain_normals), rx_spec, tx_spec)
-    scatter = (scatter_normals[0] + 1j * scatter_normals[1]) / np.sqrt(2.0)
-    return np.sqrt(tap_power_weights(n_taps))[:, None, None] * rician_tap(geo, scatter, config.rician_k)
+    n_gain, shape = 2 * n_clusters * n_rays, (rx_spec.n_elements, tx_spec.n_elements)
+    n_scatter = shape[0] * shape[1]
+    angles = np.empty((4, len(rngs), n_taps, n_clusters, n_rays))
+    # per (trial, tap): real and imaginary gain parts, then real and imaginary scatter parts
+    normals = np.empty((len(rngs), n_taps, n_gain + 2 * n_scatter))
+    for t, trial_rng in enumerate(rngs):
+        for l in range(n_taps):
+            _draw_tap_rays(angles[:, t, l], normals[t, l], spread, trial_rng)
+    geo = geometric_tap(_ray_set(angles, normals), rx_spec, tx_spec)
+    scatter_normals = normals[..., n_gain:].reshape(normals.shape[:2] + (2,) + shape)
+    scatter = (scatter_normals[:, :, 0] + 1j * scatter_normals[:, :, 1]) / np.sqrt(2.0)
+    taps = np.sqrt(tap_power_weights(n_taps))[:, None, None] * rician_tap(geo, scatter, config.rician_k)
+    return taps[0] if single else taps

@@ -5,9 +5,9 @@ Usage:
     rislink complexity --preset desk --n-ris 4,16,36,64 --trials 10 --out table.csv
 
 Both read one config: the preset, the `--config` file, `--set KEY=VALUE`, then
-each override flag that is given. A bad value or an unwritable `--out` exits 2
-before any trial. Option values starting with '-' (e.g. SNR grids) need the
-`--opt=value` form.
+each override flag that is given. A bad value, an SNR whose power budget is
+not finite and positive, or an unwritable `--out` exits 2 before any trial.
+Option values starting with '-' (e.g. SNR grids) need the `--opt=value` form.
 """
 
 import argparse
@@ -17,12 +17,13 @@ import sys
 from .harness import (
     PRESETS,
     SCENARIOS,
-    check_scenario_geometry,
     complexity_rows_to_csv,
     complexity_table,
     parse_config,
     run_scenario,
     scenario_rows_to_csv,
+    sweep_budgets,
+    total_power_for_snr,
 )
 
 # argparse destination -> configuration key of each override flag
@@ -78,7 +79,9 @@ def main(argv=None) -> int:
         if os.path.isdir(args.out) or not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
             raise OSError(f"cannot write --out {args.out!r}: not a file in an existing, writable directory")
         if args.command == "simulate":
-            check_scenario_geometry(geom, args.scenario)
+            sweep_budgets(cfg, geom, args.scenario)
+        else:
+            total_power_for_snr(cfg, geom, cfg.snr_db[0])
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,12 @@
 
 Blockage, link channels and random start phases come from counter-based
 substreams keyed by (seed, scenario, trial, site), so results are independent
-of execution order. Trials run outermost, and one per-trial kernel scores
-every sweep point and method arm of a trial from shared draws (common random
+of execution order. Trials run outermost, in contiguous chunks: each link is
+synthesized in one batched pass over a chunk's trials, each trial drawn from
+its own substream exactly as it would be alone, so a trial's values do not
+depend on the chunk it lands in. The chunk size comes from a byte budget on
+one chunk's BS->RIS stack (`CHUNK_BYTES`). One kernel then scores every sweep
+point and method arm of each trial from shared draws (common random
 numbers): one blockage uniform, the two RIS links once per RIS size and the
 direct link once per blockage state. The three arms are the full phase/power
 optimization, the random start phases with waterfilling, and a system with
@@ -12,6 +16,7 @@ the reflected path removed.
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
@@ -19,7 +24,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import flops
-from .channel import FreqChannelSet, UraSpec, synthesize_link, taps_to_subcarriers
+from .channel import FreqChannelSet, UraSpec, synthesize_link, taps_to_subcarriers, ura_spec
 from .pga import pga_optimize
 from .power import waterfill_covariances
 from .propagation import (GeometryConfig, LinkGains, blockage_state, direct_gain, indirect_gain, link_distances,
@@ -39,6 +44,14 @@ _SCENARIO_GEOMETRY = {
     "plos_vs_se": ({"d_bs_ue": 200.0, "bs_height": 5.0, "d_ris": 2.2}, ("p_los_override",)),
     "distance_vs_se": ({"bs_height": 20.0, "d_ris": DISTANCE_D_RIS}, ("d_bs_ue",)),
 }
+
+# Byte budget of one trial chunk's BS->RIS subcarrier stack, 16*K*N_RIS*N_t
+# bytes per trial at the largest RIS size; a chunk holds at least one trial.
+# 1 MiB gives 8 trials at desk N_RIS=64, 32 at desk N_RIS=16 and 1 at paper
+# scale. A chunk's steering-vector temporaries outweigh its stacks at desk
+# scale: 32-trial chunks raised a 40-trial desk se_vs_snr run's peak RSS by
+# 19 MiB over 1-trial chunks, 8-trial chunks by 5 MiB.
+CHUNK_BYTES = 2**20
 
 CSV_COLUMNS = ("scenario", "sweep_name", "sweep_value", "arm", "n_ris", "snr_db",
                "mean_se", "stderr_se", "trials", "seed", "d2")
@@ -122,15 +135,15 @@ class SystemConfig:
 
     @property
     def tx_spec(self) -> UraSpec:
-        return UraSpec(self.tx_rows, self.tx_cols, self.spacing_wavelengths)
+        return ura_spec(self.tx_rows, self.tx_cols, self.spacing_wavelengths)
 
     @property
     def rx_spec(self) -> UraSpec:
-        return UraSpec(self.rx_rows, self.rx_cols, self.spacing_wavelengths)
+        return ura_spec(self.rx_rows, self.rx_cols, self.spacing_wavelengths)
 
     @property
     def ris_spec(self) -> UraSpec:
-        return UraSpec(self.ris_rows, self.ris_cols, self.spacing_wavelengths)
+        return ura_spec(self.ris_rows, self.ris_cols, self.spacing_wavelengths)
 
     @property
     def angular_spread_rad(self) -> float:
@@ -183,35 +196,56 @@ def total_power_for_snr(cfg: SystemConfig, geom: GeometryConfig, snr_db: float) 
     """Budget P_t so the dB axis reads as average per-subcarrier received direct SNR.
 
     P_t = K * 10^(snr/10) / reference_gain(geom) with unit noise variance.
+    Raises ValueError when that budget is not a finite positive number.
     """
-    return cfg.n_subcarriers * 10.0 ** (snr_db / 10.0) / reference_gain(geom)
+    try:
+        power = cfg.n_subcarriers * 10.0 ** (snr_db / 10.0) / reference_gain(geom)
+    except (OverflowError, ZeroDivisionError):
+        power = math.inf
+    if not (power > 0 and math.isfinite(power)):
+        raise ValueError(f"snr_db={snr_db!r} gives a power budget of {power!r}; it must be finite and positive")
+    return power
 
 
-def _link_response(cfg: SystemConfig, key: tuple, link: int, los: bool = True) -> np.ndarray:
-    """Subcarrier response of one link of the trial at `key`; `los` matters for link 3 only."""
-    taps = synthesize_link(link, cfg, substream(*key, SITE_LINK, link), los=los)
+def _chunk_trials(setups: list[tuple]) -> int:
+    """Trials per chunk for (cfg, geometry) points: CHUNK_BYTES over one trial's BS->RIS stack, at least 1."""
+    per_trial = max(16 * c.n_subcarriers * c.n_ris * c.n_t for c, _ in setups)
+    return max(1, CHUNK_BYTES // per_trial)
+
+
+def _link_response(cfg: SystemConfig, keys: list[tuple], link: int, los: bool = True) -> np.ndarray:
+    """(T, K, n_rx, n_tx) subcarrier responses of one link of the trials at `keys`; `los` matters for link 3 only."""
+    taps = synthesize_link(link, cfg, [substream(*key, SITE_LINK, link) for key in keys], los=los)
     return taps_to_subcarriers(taps, cfg.n_subcarriers)
 
 
-def _trial_draws(points: list[tuple], key: tuple):
-    """Yield (channels, pathloss gains, start phases) of the trial at `key` at each (cfg, geometry) point.
+def _trial_draws(points: list[tuple], keys: list[tuple]):
+    """Yield (channels, pathloss gains, start phases) of each trial at `keys` at each (cfg, geometry) point.
 
-    One blockage uniform serves every point; links 1 and 2 and the start
-    phases are drawn once per RIS size, and link 3 once per blockage state,
-    since the points differ only in RIS size and large-scale geometry.
+    Trial-major: all points of the first trial, then of the next. One
+    blockage uniform per trial serves every point; links 1 and 2 and the
+    start phases are drawn once per RIS size, and link 3 once per blockage
+    state, since the points differ only in RIS size and large-scale geometry.
+    Each link is one `synthesize_link` call over the trials that need it.
     """
-    u = substream(*key, SITE_BLOCKAGE).uniform()
-    ris, direct = {}, {}
-    for c, g in points:
-        los = blockage_state(p_los(g), u)
+    states = [[blockage_state(p_los(g), u) for _, g in points]
+              for u in (substream(*key, SITE_BLOCKAGE).uniform() for key in keys)]
+    ris = {}
+    for c, _ in points:
         if c.n_ris not in ris:
-            ris[c.n_ris] = (_link_response(c, key, 1), _link_response(c, key, 2),
-                            RisPhases.random(c.n_ris, substream(*key, SITE_PHASES)))
-        if los not in direct:
-            direct[los] = _link_response(c, key, 3, los)
-        h1, h2, phi0 = ris[c.n_ris]
-        gains = LinkGains(rho_direct=direct_gain(g, los), rho_indirect=indirect_gain(g), los=los)
-        yield FreqChannelSet(h1, h2, direct[los]), gains, phi0
+            ris[c.n_ris] = (_link_response(c, keys, 1), _link_response(c, keys, 2),
+                            [RisPhases.random(c.n_ris, substream(*key, SITE_PHASES)) for key in keys])
+    direct = {}  # (trial, blockage state) -> that trial's link-3 stack
+    for los in (True, False):
+        trials = [t for t, row in enumerate(states) if los in row]
+        if trials:
+            h3 = _link_response(points[0][0], [keys[t] for t in trials], 3, los)
+            direct.update(zip([(t, los) for t in trials], h3))
+    for t, row in enumerate(states):
+        for (c, g), los in zip(points, row):
+            h1, h2, phases = ris[c.n_ris]
+            gains = LinkGains(rho_direct=direct_gain(g, los), rho_indirect=indirect_gain(g), los=los)
+            yield FreqChannelSet(h1[t], h2[t], direct[t, los]), gains, phases[t]
 
 
 def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[FreqChannelSet, LinkGains]:
@@ -221,7 +255,7 @@ def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[Fre
     from its own substream, so the RIS links are the same in every blockage
     state and the direct link is the same for every RIS size.
     """
-    return next(_trial_draws([(cfg, geom)], key))[:2]
+    return next(_trial_draws([(cfg, geom)], [key]))[:2]
 
 
 def _point_rates(cfg: SystemConfig, arms, folded: FreqChannelSet, phi0: RisPhases,
@@ -245,12 +279,13 @@ def _point_rates(cfg: SystemConfig, arms, folded: FreqChannelSet, phi0: RisPhase
     return rates
 
 
-def _trial_rates(points: list[tuple], powers: list[float], key: tuple, arms=ARMS) -> np.ndarray:
-    """Spectral efficiency (points x arms) of the trial at `key` at each (cfg, geometry) point."""
-    se = np.empty((len(points), len(arms)))
-    for i, (channels, gains, phi0) in enumerate(_trial_draws(points, key)):
+def _trial_rates(points: list[tuple], powers: list[float], keys: list[tuple], arms=ARMS) -> np.ndarray:
+    """Spectral efficiency (points x arms x trials) of the trials at `keys` at each (cfg, geometry) point."""
+    se = np.empty((len(points), len(arms), len(keys)))
+    for n, (channels, gains, phi0) in enumerate(_trial_draws(points, keys)):
+        t, i = divmod(n, len(points))
         rates = _point_rates(points[i][0], arms, fold_gains(channels, gains), phi0, powers[i])
-        se[i] = [rates[arm] for arm in arms]
+        se[i, :, t] = [rates[arm] for arm in arms]
     return se
 
 
@@ -264,7 +299,7 @@ def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple, snr
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}; choose from {ARMS}")
     power = total_power_for_snr(cfg, geom, snr_db)
-    return float(_trial_rates([(cfg, geom)], [power], key, (arm,))[0, 0])
+    return float(_trial_rates([(cfg, geom)], [power], [key], (arm,))[0, 0, 0])
 
 
 def check_scenario_geometry(geom: GeometryConfig, scenario: str) -> None:
@@ -291,6 +326,16 @@ def _sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> lis
             for d in cfg.distance_grid]
 
 
+def sweep_budgets(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[float]:
+    """Power budget of each sweep point of `scenario`, in row order.
+
+    Raises ValueError for a geometry the scenario sets itself or a budget
+    that is not finite and positive, the checks `run_scenario` makes before
+    its first trial.
+    """
+    return [total_power_for_snr(c, g, snr) for c, g, _, _, snr in _sweep_points(cfg, geom, scenario)]
+
+
 def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[ScenarioResult]:
     """Run one experiment scenario and return one result row per (sweep point, arm).
 
@@ -299,17 +344,21 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list
     override grid for each configured SNR at D=200, bs_height=5, d_ris=2.2;
     distance_vs_se sweeps the BS-UE distance grid at bs_height=20, d_ris=30,
     SNR=5 dB. A `geom` that moves any of these keys off its GeometryConfig
-    default raises ValueError before any trial runs. Trials run outermost;
+    default, or a sweep point whose power budget is not finite, raises
+    ValueError before any trial runs. Trials run outermost, in contiguous
+    chunks of `_chunk_trials` trials whose links are synthesized together;
     each trial's draws are shared by every sweep point and arm, and the
-    per-trial rates are stacked over trials.
+    chunks' rates are concatenated in trial order.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
     points = _sweep_points(cfg, geom, scenario)
     setups = [(c, g) for c, g, _, _, _ in points]
-    powers = [total_power_for_snr(c, g, snr) for c, g, _, _, snr in points]
-    se = np.stack([_trial_rates(setups, powers, (cfg.seed, SCENARIOS[scenario], t))
-                   for t in range(cfg.mc_trials)], axis=-1)
+    powers = sweep_budgets(cfg, geom, scenario)
+    keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
+    chunk = _chunk_trials(setups)
+    se = np.concatenate([_trial_rates(setups, powers, keys[start:start + chunk])
+                         for start in range(0, len(keys), chunk)], axis=-1)
 
     rows: list[ScenarioResult] = []
     for (c, g, sweep_name, sweep_value, snr), per_arm in zip(points, se):
@@ -341,7 +390,7 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
         c = cfg.with_n_ris(int(n_ris))
         iters, flop_counts, runtimes = [], [], []
         for t in range(trials):
-            channels, gains, phi0 = next(_trial_draws([(c, geom)], (seed, _COMPLEXITY_SCENARIO_ID, t)))
+            channels, gains, phi0 = next(_trial_draws([(c, geom)], [(seed, _COMPLEXITY_SCENARIO_ID, t)]))
             folded = fold_gains(channels, gains)
             meter = flops.FlopMeter()
             t0 = time.perf_counter()

@@ -37,6 +37,10 @@ class PgaResult:
     (the learning rate fell below MU_FLOOR) or "max_iter" (the iteration
     cap). `gradient_passes` counts gradient evaluations: `iterations`, plus
     one for a zero gradient, which ends its pass before the step.
+    `stationarity` is max_i |Im(phi_i g_i)| / max_i |g_i| at the last
+    gradient g the loop took, with phi the phases it was taken at: the
+    largest phase derivative relative to the gradient's scale, 0 at a
+    stationary point of the unit-modulus problem and 0.0 for a zero gradient.
     """
 
     phi: RisPhases
@@ -46,6 +50,7 @@ class PgaResult:
     iterations: int
     stop_reason: str
     gradient_passes: int
+    stationarity: float
 
     @property
     def converged(self) -> bool:
@@ -141,6 +146,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
     stop_reason = "max_iter"
     while iterations < max_iter:
         grad = gradient_phi(channels, alloc)
+        grad_diag = diag  # the phases the gradient was taken at
         # Scale-free step: mu bounds the largest per-element phase rotation,
         # so progress per iteration does not collapse at low-rate operating
         # points where the raw gradient is far below the stopping threshold.
@@ -172,8 +178,10 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
             break
 
     gradient_passes = iterations + (stop_reason == "zero_gradient")
+    stationarity = float(np.abs((grad_diag * grad).imag).max() / scale) if scale > 0.0 else 0.0
     if meter is not None:
         k, n_r, n_t = channels.h3.shape
         flops.record_pga_run(meter, k, n_r, n_t, n_ris, gradient_passes=gradient_passes, iterations=iterations)
     return PgaResult(phi=RisPhases(diag), rate=alloc.rate, start_rate=trace[0], trace=np.asarray(trace),
-                     iterations=iterations, stop_reason=stop_reason, gradient_passes=gradient_passes)
+                     iterations=iterations, stop_reason=stop_reason, gradient_passes=gradient_passes,
+                     stationarity=stationarity)

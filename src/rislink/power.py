@@ -11,6 +11,7 @@ allocation carries its rate, (1/K) sum log2(1 + lam p) (Telatar, ETT 1999),
 and builds the transmit covariances only when they are read.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,8 +83,8 @@ def waterfill(eigenvalues, total_power: float) -> tuple[np.ndarray, float]:
     Returns (powers in the input's shape, cutoff).
     """
     lams = np.asarray(eigenvalues, dtype=float)
-    if total_power <= 0:
-        raise ValueError("total power budget must be positive")
+    if not (total_power > 0 and math.isfinite(total_power)):
+        raise ValueError(f"total power budget must be positive and finite, got {total_power!r}")
     flat = lams.reshape(-1)
     active = flat > max(ABS_EIG_FLOOR, REL_EIG_FLOOR * flat.max(initial=0.0))
     if not active.any():

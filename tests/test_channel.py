@@ -13,6 +13,7 @@ from rislink.channel import (
     tap_power_weights,
     taps_to_subcarriers,
     ura_response,
+    ura_spec,
     wrap_azimuth,
 )
 from rislink.harness import preset_config
@@ -94,6 +95,51 @@ def test_synthesize_link_matches_tap_by_tap_reference(preset, n_ris, link, los):
     assert np.max(np.abs(taps - expected)) <= 1e-13 * np.max(np.abs(expected))
     # the same draws in the same order leave the generator in the same state
     assert generator_state(rng) == generator_state(ref_rng)
+
+
+@pytest.mark.parametrize("preset, n_ris", [("desk", 64), ("paper", 256)])
+@pytest.mark.parametrize("link, los", [(1, True), (2, True), (3, True), (3, False)],
+                         ids=["link1", "link2", "link3-los", "link3-nlos"])
+def test_synthesize_link_trial_stack_equals_lone_calls(preset, n_ris, link, los):
+    # entry t of a call on three generators is the lone call on a fresh copy of generator t
+    cfg = preset_config(preset)[0].with_n_ris(n_ris)
+    keys = [(36, n_ris, link, t) for t in range(3)]
+    rngs = [substream(*key) for key in keys]
+    stack = synthesize_link(link, cfg, rngs, los=los)
+    assert stack.shape[:2] == (3, cfg.n_taps[link - 1])
+    freq = taps_to_subcarriers(stack, cfg.n_subcarriers)
+    for key, rng, taps, h in zip(keys, rngs, stack, freq):
+        lone_rng = substream(*key)
+        lone = synthesize_link(link, cfg, lone_rng, los=los)
+        assert np.array_equal(taps, lone)
+        assert generator_state(rng) == generator_state(lone_rng)
+        assert np.array_equal(h, taps_to_subcarriers(lone, cfg.n_subcarriers))
+
+
+def test_draw_rays_consume_the_stream_part_by_part():
+    # one standard normal call for both gain rows draws what a call per row would
+    rng, ref = substream(38), substream(38)
+    rays = draw_cluster_rays(3, 4, 0.2, rng)
+    for _ in range(4):
+        ref.uniform(size=3)
+        ref.laplace(size=(3, 4))
+    re, im = ref.standard_normal(12), ref.standard_normal(12)
+    assert np.array_equal(rays.gains, (re + 1j * im) / np.sqrt(2.0))
+    assert generator_state(rng) == generator_state(ref)
+
+
+def test_ura_spec_factory_shares_one_instance_per_value():
+    spec = ura_spec(4, 2, 0.5)
+    assert spec is ura_spec(4, 2, 0.5) and spec == UraSpec(4, 2, 0.5)
+    assert ura_spec(4, 2, 0.7) is not spec
+    cfg = preset_config("desk")[0]
+    assert cfg.tx_spec is cfg.tx_spec and cfg.with_n_ris(64).ris_spec is cfg.with_n_ris(64).ris_spec
+    # a failed build is not cached, and a cached int size lets no equal float through
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ura_spec(0, 2)
+        with pytest.raises(ValueError):
+            ura_spec(4.0, 2, 0.5)
 
 
 @pytest.mark.parametrize("spec", [UraSpec(1, 1), UraSpec(4, 1), UraSpec(2, 2), UraSpec(3, 2, 0.7),

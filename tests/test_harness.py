@@ -328,12 +328,12 @@ def test_random_phases_is_read_from_the_pga_start_rate(scenario):
     column = harness.ARMS.index("random_phases")
     for t in range(2):
         key = (cfg.seed, SCENARIOS[scenario], t)
-        both = harness._trial_rates(setups, powers, key)[:, column]
-        alone = harness._trial_rates(setups, powers, key, arms=("random_phases",))[:, 0]
+        both = harness._trial_rates(setups, powers, [key])[:, column, 0]
+        alone = harness._trial_rates(setups, powers, [key], arms=("random_phases",))[:, 0, 0]
         assert np.array_equal(both, alone)
         starts = [pga_optimize(fold_gains(channels, gains), power, mu0=cfg.mu0, epsilon=cfg.epsilon,
                                max_iter=cfg.max_iter, phi0=phi0).start_rate
-                  for (channels, gains, phi0), power in zip(harness._trial_draws(setups, key), powers)]
+                  for (channels, gains, phi0), power in zip(harness._trial_draws(setups, [key]), powers)]
         assert np.array_equal(both, starts)
 
 
@@ -368,6 +368,62 @@ def test_run_scenario_synthesizes_each_link_once_per_state(monkeypatch, scenario
         assert sorted(los for i, _, los in drawn if i == 3) == sorted(states)
         # the trial's blockage uniform is drawn from its substream once
         assert built.count(key + (SITE_BLOCKAGE,)) == 1
+
+
+def per_trial_bytes(setups):
+    """One trial's BS->RIS subcarrier stack at the largest RIS size, the unit of the chunk budget."""
+    return max(16 * c.n_subcarriers * c.n_ris * c.n_t for c, _ in setups)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_run_scenario_csv_does_not_depend_on_the_chunk_size(monkeypatch, scenario):
+    cfg, geom = replace(sweep_config(), mc_trials=5, seed=6), GeometryConfig()
+    setups = [(c, g) for c, g, _, _, _ in harness._sweep_points(cfg, geom, scenario)]
+    texts = []
+    for trials in (1, 2, cfg.mc_trials):
+        monkeypatch.setattr(harness, "CHUNK_BYTES", trials * per_trial_bytes(setups))
+        assert harness._chunk_trials(setups) == trials
+        texts.append(scenario_rows_to_csv(run_scenario(cfg, geom, scenario)))
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+    if scenario == "plos_vs_se":  # some trial needs the direct link in both blockage states
+        keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
+        assert any(len({draw_trial(c, g, key)[1].los for c, g in setups}) == 2 for key in keys)
+
+
+def test_chunk_rule_one_paper_trial_and_whole_bench_processes():
+    paper, geom = preset_config("paper")
+    assert harness._chunk_trials([(paper.with_n_ris(256), geom)]) == 1
+    assert harness._chunk_trials([(paper.with_n_ris(n), geom) for n in (64, 256)]) == 1
+    # each of bench/run.py's desk processes is one chunk: 3 trials at N_ris 16 and 64 (desk_snr),
+    # 6 at N_ris 16 (desk_blockage_low)
+    desk, _ = preset_config("desk")
+    assert harness._chunk_trials([(desk.with_n_ris(n), geom) for n in (16, 64)]) == 8
+    assert harness._chunk_trials([(desk.with_n_ris(16), geom)]) == 32
+    # a huge per-trial stack still gets a chunk of one
+    assert harness._chunk_trials([(replace(paper, n_subcarriers=4096).with_n_ris(256), geom)]) == 1
+
+
+def test_total_power_for_snr_rejects_a_budget_that_is_not_finite_and_positive():
+    cfg, geom = preset_config("desk")
+    assert total_power_for_snr(cfg, geom, 300.0) > 0
+    for snr_db in (1e6, -1e6):  # overflows to inf, underflows to 0
+        with pytest.raises(ValueError, match="power budget"):
+            total_power_for_snr(cfg, geom, snr_db)
+
+
+# simulate checks every sweep point's budget, complexity the first SNR's, the one it runs at
+@pytest.mark.parametrize("command", [["simulate", "--scenario", "se_vs_snr", "--snr-db=0,1e6"],
+                                     ["complexity", "--snr-db=1e6"]], ids=["simulate", "complexity"])
+def test_cli_rejects_a_non_finite_budget_before_any_trial(monkeypatch, tmp_path, capsys, command):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_trial_draws", no_trial)
+    out = tmp_path / "x.csv"
+    assert cli.main([*command, "--preset", "desk", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "power budget" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_csv_deterministic_and_rfc4180():

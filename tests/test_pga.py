@@ -205,6 +205,8 @@ def reference_pga(channels, total_power, phi0, mu0=0.1, epsilon=1e-3, max_iter=2
     while iterations < max_iter:
         grad = gradient(channels, alloc, phi)
         scale = np.max(np.abs(grad))
+        # the phase derivative d rate / d theta_i is -2 Im(phi_i g_i), relative to the gradient's scale
+        stationarity = np.max(np.abs(np.imag(phi.diag * grad))) / scale if scale > 0.0 else 0.0
         if scale == 0.0:
             stop_reason = "zero_gradient"
             break
@@ -223,18 +225,20 @@ def reference_pga(channels, total_power, phi0, mu0=0.1, epsilon=1e-3, max_iter=2
         if mu < MU_FLOOR:
             stop_reason = "mu_floor"
             break
-    return phi, np.asarray(trace), iterations, stop_reason
+    return phi, np.asarray(trace), iterations, stop_reason, stationarity
 
 
 def assert_matches_reference(channels, total_power, phi0, gradient=gradient_phi, **kw):
     result = pga_optimize(channels, total_power, phi0=phi0, **kw)
-    phi, trace, iterations, stop_reason = reference_pga(channels, total_power, phi0, gradient=gradient, **kw)
+    phi, trace, iterations, stop_reason, stationarity = reference_pga(channels, total_power, phi0,
+                                                                      gradient=gradient, **kw)
     assert np.array_equal(result.trace, trace)
     assert np.array_equal(result.phi.diag, phi.diag)
     assert (result.iterations, result.stop_reason) == (iterations, stop_reason)
     assert result.converged == (stop_reason in ("tolerance", "zero_gradient"))
     assert result.gradient_passes == iterations + (stop_reason == "zero_gradient")
     assert result.rate == trace[-1] and result.start_rate == trace[0]
+    np.testing.assert_allclose(result.stationarity, stationarity, rtol=1e-12, atol=0.0)
     return result
 
 
@@ -253,6 +257,19 @@ def test_pga_matches_reference_loop_on_desk_draws(n_ris, los, snr_db):
     assert result.iterations >= 1
 
 
+def test_stationarity_falls_over_a_long_run():
+    # the last gradient of a long, tight run sits closer to a stationary point than the start phases
+    cfg, geom = preset_config("desk")
+    geom = replace(geom, bs_height=10.0, d_ris=2.2)
+    channels, gains = draw_trial(cfg, geom, (0, 96, 0))
+    folded, power = fold_gains(channels, gains), total_power_for_snr(cfg, geom, 10.0)
+    phi0 = RisPhases.random(cfg.n_ris, substream(0, 96, 0, 1))
+    one_step = pga_optimize(folded, power, max_iter=1, phi0=phi0)
+    long_run = pga_optimize(folded, power, epsilon=1e-7, max_iter=3000, phi0=phi0)
+    assert long_run.iterations > 1
+    assert 0.0 <= long_run.stationarity < one_step.stationarity <= 1.0
+
+
 def test_pga_matches_reference_loop_at_zero_gradient():
     rng = substream(94)
     ch, _, phi = random_instance(rng, k=3, n_r=2, n_t=4, n_ris=6)
@@ -260,6 +277,7 @@ def test_pga_matches_reference_loop_at_zero_gradient():
     result = assert_matches_reference(ch0, 5.0, phi)
     assert result.converged and result.iterations == 0
     assert (result.stop_reason, result.gradient_passes) == ("zero_gradient", 1)
+    assert result.stationarity == 0.0
 
 
 def test_pga_matches_reference_loop_below_mu_floor():

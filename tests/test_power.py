@@ -155,6 +155,12 @@ def test_waterfill_rejects_degenerate():
         waterfill(np.array([1.0]), 0.0)
 
 
+@pytest.mark.parametrize("budget", [np.nan, np.inf])
+def test_waterfill_rejects_non_finite_budget(budget):
+    with pytest.raises(ValueError, match="positive and finite"):
+        waterfill(np.array([1.0, 0.5]), budget)
+
+
 def test_waterfill_kkt_and_budget_random():
     rng = substream(71)
     for _ in range(100):

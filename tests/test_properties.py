@@ -1,7 +1,10 @@
-"""Property-based checks of the waterfilling, waterfilled-rate, phase-gradient and projection kernels.
+"""Property-based checks of the waterfilling, waterfilled-rate, phase-gradient and projection kernels,
+and of the harness's trial chunks.
 
 Examples are derandomized so the suite draws the same cases on every run.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -10,8 +13,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from rislink import harness  # noqa: E402
 from rislink.channel import FreqChannelSet  # noqa: E402
+from rislink.harness import SystemConfig  # noqa: E402
 from rislink.pga import gradient_phi, project_unit_modulus  # noqa: E402
+from rislink.propagation import GeometryConfig  # noqa: E402
 from rislink.power import ABS_EIG_FLOOR, REL_EIG_FLOOR, waterfill, waterfill_covariances  # noqa: E402
 from rislink.rate import RisPhases, combine_links, equivalent_channel, rate_from_heq  # noqa: E402
 from rislink.rng import substream  # noqa: E402
@@ -127,3 +133,30 @@ def test_projection_unit_modulus_fallback_and_angle(values, angles):
     zero = values == 0
     np.testing.assert_array_equal(out[zero], fallback[zero])
     np.testing.assert_allclose(out[~zero], np.exp(1j * np.angle(values[~zero])), rtol=0, atol=1e-12)
+
+
+N_CHUNK_TRIALS = 6
+
+
+@functools.cache
+def chunk_case():
+    """Small plos_vs_se points, whose trials mix LOS and NLOS, and their rates with all trials in one chunk."""
+    cfg = SystemConfig(tx_rows=2, tx_cols=2, rx_rows=2, rx_cols=1, ris_rows=2, ris_cols=2, n_subcarriers=6,
+                       n_taps=(2, 2, 3), snr_db=(0.0,), plos_grid=(0.1, 0.5, 0.9), seed=11)
+    points = harness._sweep_points(cfg, GeometryConfig(), "plos_vs_se")
+    setups = [(c, g) for c, g, _, _, _ in points]
+    powers = [harness.total_power_for_snr(c, g, snr) for c, g, _, _, snr in points]
+    keys = [(cfg.seed, harness.SCENARIOS["plos_vs_se"], t) for t in range(N_CHUNK_TRIALS)]
+    return setups, powers, keys, harness._trial_rates(setups, powers, keys)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(order=st.permutations(range(N_CHUNK_TRIALS)),
+       cuts=st.sets(st.integers(1, N_CHUNK_TRIALS - 1)))
+def test_trial_values_do_not_depend_on_the_chunk_partition(order, cuts):
+    setups, powers, keys, whole = chunk_case()
+    bounds = [0, *sorted(cuts), N_CHUNK_TRIALS]
+    for a, b in zip(bounds, bounds[1:]):
+        trials = order[a:b]
+        part = harness._trial_rates(setups, powers, [keys[t] for t in trials])
+        assert np.array_equal(part, whole[:, :, trials])
