@@ -4,7 +4,7 @@ Run: python demos/channel_synthesis.py
 """
 import numpy as np
 
-from rislink import (SystemConfig, UraSpec, draw_cluster_rays, geometric_tap, rician_tap, synthesize_link,
+from rislink import (ClusterRaySet, SystemConfig, UraSpec, geometric_tap, rician_tap, synthesize_link,
                      taps_to_subcarriers, ura_response)
 from rislink.channel import tap_power_weights
 from rislink.rng import substream
@@ -17,7 +17,14 @@ v = ura_response(np.deg2rad(25.0), np.deg2rad(-10.0), bs)
 print(f"BS URA 8x8 steering vector: {v.shape[0]} elements, norm = {np.linalg.norm(v):.12f}")
 
 # Clustered rays: 8 clusters x 10 rays, 10 degrees of intra-cluster spread.
-rays = draw_cluster_rays(n_clusters=8, n_rays=10, spread=np.deg2rad(10.0), rng=rng)
+# Each cluster center is uniform over the azimuth or elevation range, and each
+# ray offsets it by a Laplacian with that standard deviation; gains are CN(0, 1).
+n_clusters, n_rays, spread = 8, 10, np.deg2rad(10.0)
+angles = [(rng.uniform(-half, half, size=n_clusters)[:, None]
+           + rng.laplace(0.0, spread / np.sqrt(2), size=(n_clusters, n_rays))).ravel()
+          for half in (np.pi, np.pi / 2, np.pi, np.pi / 2)]  # arrival az/el, departure az/el
+gains = (rng.standard_normal(n_clusters * n_rays) + 1j * rng.standard_normal(n_clusters * n_rays)) / np.sqrt(2)
+rays = ClusterRaySet(gains, *angles)
 print(f"ray set: {rays.gains.size} rays, mean |gain|^2 = {np.mean(np.abs(rays.gains)**2):.3f}")
 
 # One geometric tap for the BS -> RIS link (RIS receives, BS transmits).
@@ -35,11 +42,12 @@ for k_factor in (0.0, 1.0, 10.0, 1e6):
 
 # A link's taps carry an exponentially decaying power profile and DFT to subcarriers.
 # synthesize_link draws every tap of the BS -> RIS link (8x8 arrays, the same
-# 8 clusters x 10 rays, 10 degrees, Rician factor 10) and builds them in one pass.
+# 8 clusters x 10 rays, 10 degrees, Rician factor 10) for each generator it is
+# given, one per trial, and builds them in one pass; here it gets one.
 weights = tap_power_weights(4)
 print(f"tap power weights (L=4): {np.round(weights, 4)}, sum = {weights.sum():.1f}")
 cfg = SystemConfig(n_taps=(4, 4, 5))
-taps = synthesize_link(1, cfg, rng)
+taps = synthesize_link(1, cfg, [rng])[0]
 h_freq = taps_to_subcarriers(taps, cfg.n_subcarriers)
 print(f"frequency response: {h_freq.shape} (K=24 subcarriers)")
 print(f"  DC bin equals the tap sum: {np.allclose(h_freq[0], taps.sum(axis=0))}")

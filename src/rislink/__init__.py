@@ -11,7 +11,6 @@ from .channel import (
     ClusterRaySet,
     FreqChannelSet,
     UraSpec,
-    draw_cluster_rays,
     geometric_tap,
     rician_tap,
     synthesize_link,
@@ -70,7 +69,6 @@ __all__ = [
     "channel_eigvals",
     "complexity_table",
     "direct_gain",
-    "draw_cluster_rays",
     "equivalent_channel",
     "fold_gains",
     "geometric_tap",

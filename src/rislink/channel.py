@@ -6,17 +6,17 @@ rectangular array (URA) steering vectors over clustered rays is mixed with an
 i.i.d. complex Gaussian scatter component, then the taps are DFT-converted to
 per-subcarrier frequency responses.
 
-A link's taps are synthesized together, and so are the taps of a chunk of
-trials that each bring their own generator. The draw loop, trial by trial and
-tap by tap, only draws random numbers, in a fixed order per tap; the steering
-vectors, the geometric products, the Rician mix and the tap weighting of every
-(trial, tap) pair then run in one batched pass, so a trial's taps are the same
-whichever chunk it is drawn in. A URA steering vector is the Kronecker product
-of a row response and a column response, so it costs rows + cols complex
-exponentials per ray, not rows * cols.
+`synthesize_link` is the one synthesis path. It takes one generator per
+trial and synthesizes the taps of all those trials together: the draw loop,
+trial by trial and tap by tap, only draws random numbers, in a fixed order per
+tap; the steering vectors, the geometric products, the Rician mix and the tap
+weighting of every (trial, tap) pair then run in one batched pass, so a
+trial's taps are the same whichever trials it is drawn with. Angles stay as
+drawn until `ura_response`, which alone normalizes them. A URA steering
+vector is the Kronecker product of a row response and a column response, so
+it costs rows + cols complex exponentials per ray, not rows * cols.
 """
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -46,24 +46,14 @@ class UraSpec:
         return self.rows * self.cols
 
 
-@functools.lru_cache(maxsize=256, typed=True)
-def ura_spec(rows: int, cols: int, spacing_wavelengths: float = 0.5) -> UraSpec:
-    """The shared UraSpec of one geometry, validated once per distinct value.
-
-    UraSpec is frozen, so every caller can hold the same instance. Invalid
-    sizes raise on every call: a failed construction is not cached.
-    """
-    return UraSpec(rows, cols, spacing_wavelengths)
-
-
 @dataclass
 class ClusterRaySet:
     """Per-ray complex gains and arrival/departure angles for one link draw.
 
     Every array holds one entry per (cluster, ray) pair on its last axis,
-    azimuths in [-pi, pi) and elevations in [-pi/2, pi/2]. All five share one
-    shape: (n,) for one tap, (L, n) for the L taps of a link, or (T, L, n)
-    for the links of T trials.
+    with the angles in radians as drawn: `ura_response` normalizes them. All
+    five share one shape: (n,) for one tap, (L, n) for the L taps of a link,
+    or (T, L, n) for the links of T trials.
     """
 
     gains: np.ndarray
@@ -71,11 +61,9 @@ class ClusterRaySet:
     arrival_el: np.ndarray
     departure_az: np.ndarray
     departure_el: np.ndarray
-    n_clusters: int
-    n_rays: int
 
     def __post_init__(self):
-        shape = np.shape(self.gains)[:-1] + (self.n_clusters * self.n_rays,)
+        shape = np.shape(self.gains)
         for name in ("gains", "arrival_az", "arrival_el", "departure_az", "departure_el"):
             arr = np.asarray(getattr(self, name))
             if arr.shape != shape:
@@ -97,9 +85,11 @@ class FreqChannelSet:
     h3: np.ndarray
 
     def __post_init__(self):
-        self.h1 = np.asarray(self.h1, dtype=complex)
-        self.h2 = np.asarray(self.h2, dtype=complex)
-        self.h3 = np.asarray(self.h3, dtype=complex)
+        for name in ("h1", "h2", "h3"):
+            stack = np.asarray(getattr(self, name), dtype=complex)
+            if stack.ndim != 3:
+                raise ValueError(f"{name} must be a 3-D (K, rows, cols) stack, got shape {stack.shape}")
+            setattr(self, name, stack)
         k = self.h1.shape[0]
         if self.h2.shape[0] != k or self.h3.shape[0] != k:
             raise ValueError("all three stacks must cover the same subcarriers")
@@ -107,16 +97,6 @@ class FreqChannelSet:
             raise ValueError("h2 columns must match h1 rows (RIS element count)")
         if self.h3.shape[1:] != (self.h2.shape[1], self.h1.shape[2]):
             raise ValueError("h3 must be (K, N_r, N_t)")
-
-
-def wrap_azimuth(az):
-    """Wrap angles into [-pi, pi)."""
-    return np.mod(np.asarray(az, dtype=float) + np.pi, TWO_PI) - np.pi
-
-
-def clamp_elevation(el):
-    """Clamp angles into [-pi/2, pi/2]."""
-    return np.clip(np.asarray(el, dtype=float), -np.pi / 2, np.pi / 2)
 
 
 def ura_response(azimuth, elevation, spec: UraSpec) -> np.ndarray:
@@ -128,82 +108,22 @@ def ura_response(azimuth, elevation, spec: UraSpec) -> np.ndarray:
     row term and a column term, so the vector is the Kronecker product of a
     rows-long and a cols-long response.
 
+    This is where angles are normalized: the elevation is clamped into
+    [-pi/2, pi/2], and the azimuth needs no wrap, since the phase reads it
+    only through sin(az), which is 2*pi-periodic.
+
     Accepts scalar angles (returns shape (n_elements,)) or equal-shaped angle
     arrays (returns (n_elements, ...) with the angle axes trailing).
     """
-    az = wrap_azimuth(azimuth)
-    el = clamp_elevation(elevation)
+    el = np.clip(np.asarray(elevation, dtype=float), -np.pi / 2, np.pi / 2)
     k = TWO_PI * spec.spacing_wavelengths
-    row = 1j * np.multiply.outer(k * np.arange(spec.rows), np.sin(az) * np.cos(el))  # (rows, ...)
+    row = 1j * np.multiply.outer(k * np.arange(spec.rows), np.sin(azimuth) * np.cos(el))  # (rows, ...)
     col = 1j * np.multiply.outer(k * np.arange(spec.cols), np.sin(el))  # (cols, ...)
     # exp and scale in place: over a chunk of trials' taps each copy would be large
     np.exp(row, out=row)
     np.exp(col, out=col)
     row /= np.sqrt(spec.n_elements)
-    return (row[:, None] * col[None, :]).reshape((spec.n_elements,) + np.shape(az))
-
-
-# Half-widths of the uniform cluster-center ranges, in draw order: arrival
-# azimuth, arrival elevation, departure azimuth, departure elevation.
-_CENTER_HALF_WIDTHS = (np.pi, np.pi / 2, np.pi, np.pi / 2)
-
-
-def _check_ray_draw(n_clusters: int, n_rays: int, spread: float) -> None:
-    if n_clusters < 1 or n_rays < 1:
-        raise ValueError("need at least one cluster and one ray per cluster")
-    if not spread >= 0 or not math.isfinite(spread):
-        raise ValueError(f"angular spread must be finite and nonnegative, got {spread!r}")
-
-
-def _draw_tap_rays(angles: np.ndarray, normals: np.ndarray, spread: float, rng: np.random.Generator) -> None:
-    """Draw one tap's rays into preallocated arrays, in the fixed per-tap order.
-
-    For arrival azimuth, arrival elevation, departure azimuth and departure
-    elevation in turn: uniform cluster centers, then Laplacian ray offsets;
-    `angles` (4, n_clusters, n_rays) receives their unwrapped sums. Then one
-    standard normal call fills the contiguous buffer `normals`: its first
-    n_clusters * n_rays entries are the real and the next as many the
-    imaginary gain parts; whatever it holds beyond them (the scatter parts of
-    `synthesize_link`) follows in the same call. The stream is consumed as by
-    one call per part.
-    """
-    n_clusters, n_rays = angles.shape[1:]
-    scale = spread / np.sqrt(2.0)  # Laplace with std = spread has scale spread/sqrt(2)
-    for out, half in zip(angles, _CENTER_HALF_WIDTHS):
-        np.add(rng.uniform(-half, half, size=n_clusters)[:, None],
-               rng.laplace(0.0, scale, size=(n_clusters, n_rays)), out=out)
-    rng.standard_normal(out=normals)
-
-
-def _ray_set(angles: np.ndarray, normals: np.ndarray) -> ClusterRaySet:
-    """The ClusterRaySet of `_draw_tap_rays` draws; leading trial and tap axes stay in front."""
-    n_clusters, n_rays = angles.shape[-2:]
-    n = n_clusters * n_rays
-    flat = angles.reshape(angles.shape[:-2] + (n,))
-    (arrival_az, departure_az), (arrival_el, departure_el) = wrap_azimuth(flat[0::2]), clamp_elevation(flat[1::2])
-    return ClusterRaySet(
-        gains=(normals[..., :n] + 1j * normals[..., n:2 * n]) / np.sqrt(2.0),
-        arrival_az=arrival_az,
-        arrival_el=arrival_el,
-        departure_az=departure_az,
-        departure_el=departure_el,
-        n_clusters=n_clusters,
-        n_rays=n_rays,
-    )
-
-
-def draw_cluster_rays(n_clusters: int, n_rays: int, spread: float, rng: np.random.Generator) -> ClusterRaySet:
-    """Draw one set of clustered rays.
-
-    Cluster centers are uniform over the full azimuth/elevation ranges; each
-    ray offsets its cluster center by a zero-mean Laplacian with standard
-    deviation `spread` (radians). Ray gains are i.i.d. CN(0, 1).
-    """
-    _check_ray_draw(n_clusters, n_rays, spread)
-    angles = np.empty((4, n_clusters, n_rays))
-    normals = np.empty(2 * n_clusters * n_rays)
-    _draw_tap_rays(angles, normals, spread, rng)
-    return _ray_set(angles, normals)
+    return (row[:, None] * col[None, :]).reshape((spec.n_elements,) + np.shape(el))
 
 
 def geometric_tap(rays: ClusterRaySet, rx_spec: UraSpec, tx_spec: UraSpec) -> np.ndarray:
@@ -215,7 +135,7 @@ def geometric_tap(rays: ClusterRaySet, rx_spec: UraSpec, tx_spec: UraSpec) -> np
     """
     a_rx = ura_response(rays.arrival_az, rays.arrival_el, rx_spec)  # (n_rx, ..., n)
     a_tx = ura_response(rays.departure_az, rays.departure_el, tx_spec)  # (n_tx, ..., n)
-    scale = np.sqrt(rx_spec.n_elements * tx_spec.n_elements / (rays.n_clusters * rays.n_rays))
+    scale = np.sqrt(rx_spec.n_elements * tx_spec.n_elements / rays.gains.shape[-1])
     a_rx *= scale * rays.gains  # both responses are fresh arrays: weight and conjugate in place
     np.conjugate(a_tx, out=a_tx)
     return np.moveaxis(a_rx, 0, -2) @ np.moveaxis(a_tx, 0, -1)
@@ -251,22 +171,29 @@ def tap_power_weights(n_taps: int) -> np.ndarray:
     return w / w.sum()
 
 
-def synthesize_link(link_index: int, config, rng: np.random.Generator | Sequence[np.random.Generator],
-                    los: bool = True) -> np.ndarray:
-    """Synthesize the time-domain taps of one link as an (L, n_rx, n_tx) array.
+# Half-widths of the uniform cluster-center ranges, in draw order: arrival
+# azimuth, arrival elevation, departure azimuth, departure elevation.
+_CENTER_HALF_WIDTHS = (np.pi, np.pi / 2, np.pi, np.pi / 2)
 
-    Per tap, an independent clustered-ray geometric component and an i.i.d.
-    CN(0,1) scatter matrix are combined with the configured Rician factor and
-    scaled by the tap's power weight. Tap by tap, the rays are drawn in
-    `draw_cluster_rays` order, then the real and the imaginary scatter parts;
-    all taps are then built in one batched pass. The direct link (index 3)
-    uses the sparse LOS ray counts when `los` is true and the richer NLOS
-    counts otherwise; the RIS links (1, 2) always use the generic counts.
 
-    `rng` is one generator, or a sequence of T generators, one per trial,
-    which gives a (T, L, n_rx, n_tx) stack: each generator is drawn as a lone
-    one would be, trial by trial, and the pass covers all T * L taps. Entry t
-    equals the lone call on generator t bit for bit.
+def synthesize_link(link_index: int, config, rngs: Sequence[np.random.Generator], los: bool = True) -> np.ndarray:
+    """Synthesize the time-domain taps of one link for T trials as a (T, L, n_rx, n_tx) stack.
+
+    `rngs` holds one generator per trial. Per tap, an independent
+    clustered-ray geometric component and an i.i.d. CN(0,1) scatter matrix
+    are combined with the configured Rician factor and scaled by the tap's
+    power weight. Cluster centers are uniform over the full azimuth and
+    elevation ranges; each ray offsets its cluster center by a zero-mean
+    Laplacian with standard deviation `config.angular_spread_rad`; ray gains
+    are i.i.d. CN(0, 1). Each generator is drawn trial by trial and tap by
+    tap: for arrival azimuth, arrival elevation, departure azimuth and
+    departure elevation in turn, the cluster centers and then the ray
+    offsets; then the real and the imaginary gain parts and the real and the
+    imaginary scatter parts. Every (trial, tap) pair is then built in one
+    batched pass, so entry t depends on generator t alone. The direct link
+    (index 3) uses the sparse LOS ray counts when `los` is true and the
+    richer NLOS counts otherwise; the RIS links (1, 2) always use the
+    generic counts.
 
     `config` must expose tx_spec/rx_spec/ris_spec (UraSpec), n_taps (3-tuple),
     rician_k, angular_spread_rad and the per-link cluster/ray counts; the
@@ -286,22 +213,29 @@ def synthesize_link(link_index: int, config, rng: np.random.Generator | Sequence
             n_clusters, n_rays = config.direct_nlos_clusters, config.direct_nlos_rays
     else:
         raise ValueError(f"link_index must be 1, 2 or 3, got {link_index}")
-
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
     spread = config.angular_spread_rad
-    _check_ray_draw(n_clusters, n_rays, spread)
+    if n_clusters < 1 or n_rays < 1:
+        raise ValueError("need at least one cluster and one ray per cluster")
+    if not spread >= 0 or not math.isfinite(spread):
+        raise ValueError(f"angular spread must be finite and nonnegative, got {spread!r}")
+
     n_taps = config.n_taps[link_index - 1]
-    n_gain, shape = 2 * n_clusters * n_rays, (rx_spec.n_elements, tx_spec.n_elements)
-    n_scatter = shape[0] * shape[1]
+    n, shape = n_clusters * n_rays, (rx_spec.n_elements, tx_spec.n_elements)
+    scale = spread / np.sqrt(2.0)  # Laplace with std = spread has scale spread/sqrt(2)
     angles = np.empty((4, len(rngs), n_taps, n_clusters, n_rays))
     # per (trial, tap): real and imaginary gain parts, then real and imaginary scatter parts
-    normals = np.empty((len(rngs), n_taps, n_gain + 2 * n_scatter))
-    for t, trial_rng in enumerate(rngs):
+    normals = np.empty((len(rngs), n_taps, 2 * n + 2 * shape[0] * shape[1]))
+    for t, rng in enumerate(rngs):
         for l in range(n_taps):
-            _draw_tap_rays(angles[:, t, l], normals[t, l], spread, trial_rng)
-    geo = geometric_tap(_ray_set(angles, normals), rx_spec, tx_spec)
-    scatter_normals = normals[..., n_gain:].reshape(normals.shape[:2] + (2,) + shape)
+            for out, half in zip(angles[:, t, l], _CENTER_HALF_WIDTHS):
+                np.add(rng.uniform(-half, half, size=n_clusters)[:, None],
+                       rng.laplace(0.0, scale, size=(n_clusters, n_rays)), out=out)
+            rng.standard_normal(out=normals[t, l])  # consumes the stream as one call per part would
+    arrival_az, arrival_el, departure_az, departure_el = angles.reshape(angles.shape[:3] + (n,))
+    rays = ClusterRaySet(gains=(normals[..., :n] + 1j * normals[..., n:2 * n]) / np.sqrt(2.0),
+                         arrival_az=arrival_az, arrival_el=arrival_el,
+                         departure_az=departure_az, departure_el=departure_el)
+    geo = geometric_tap(rays, rx_spec, tx_spec)
+    scatter_normals = normals[..., 2 * n:].reshape(normals.shape[:2] + (2,) + shape)
     scatter = (scatter_normals[:, :, 0] + 1j * scatter_normals[:, :, 1]) / np.sqrt(2.0)
-    taps = np.sqrt(tap_power_weights(n_taps))[:, None, None] * rician_tap(geo, scatter, config.rician_k)
-    return taps[0] if single else taps
+    return np.sqrt(tap_power_weights(n_taps))[:, None, None] * rician_tap(geo, scatter, config.rician_k)

@@ -17,6 +17,7 @@ the reflected path removed.
 import csv
 import io
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
@@ -24,7 +25,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import flops
-from .channel import FreqChannelSet, UraSpec, synthesize_link, taps_to_subcarriers, ura_spec
+from .channel import FreqChannelSet, UraSpec, synthesize_link, taps_to_subcarriers
 from .pga import pga_optimize
 from .power import waterfill_covariances
 from .propagation import (GeometryConfig, LinkGains, blockage_state, direct_gain, indirect_gain, link_distances,
@@ -135,21 +136,23 @@ class SystemConfig:
 
     @property
     def tx_spec(self) -> UraSpec:
-        return ura_spec(self.tx_rows, self.tx_cols, self.spacing_wavelengths)
+        return UraSpec(self.tx_rows, self.tx_cols, self.spacing_wavelengths)
 
     @property
     def rx_spec(self) -> UraSpec:
-        return ura_spec(self.rx_rows, self.rx_cols, self.spacing_wavelengths)
+        return UraSpec(self.rx_rows, self.rx_cols, self.spacing_wavelengths)
 
     @property
     def ris_spec(self) -> UraSpec:
-        return ura_spec(self.ris_rows, self.ris_cols, self.spacing_wavelengths)
+        return UraSpec(self.ris_rows, self.ris_cols, self.spacing_wavelengths)
 
     @property
     def angular_spread_rad(self) -> float:
         return float(np.deg2rad(self.angular_spread_deg))
 
     def with_n_ris(self, n_ris: int) -> "SystemConfig":
+        if not isinstance(n_ris, numbers.Integral) or n_ris < 1:
+            raise ValueError(f"n_ris must be an integer >= 1, got {n_ris!r}")
         rows, cols = _square_factorization(n_ris)
         return replace(self, ris_rows=rows, ris_cols=cols)
 
@@ -381,13 +384,16 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
     `run_trial` scores. `runtime_s` is the mean wall time of the
     `pga_optimize` call alone; channel synthesis and the pathloss fold run
     outside the timer. FLOP and iteration counters depend only on the seeded
-    draws, so those columns are reproducible.
+    draws, so those columns are reproducible. A size or a trial count below
+    1 or not an integer raises ValueError before any trial runs.
     """
+    if not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     seed = cfg.seed if seed is None else int(seed)
     power = total_power_for_snr(cfg, geom, snr_db)
+    configs = [cfg.with_n_ris(n_ris) for n_ris in n_ris_list]
     rows = []
-    for n_ris in n_ris_list:
-        c = cfg.with_n_ris(int(n_ris))
+    for c in configs:
         iters, flop_counts, runtimes = [], [], []
         for t in range(trials):
             channels, gains, phi0 = next(_trial_draws([(c, geom)], [(seed, _COMPLEXITY_SCENARIO_ID, t)]))
@@ -399,7 +405,7 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
             runtimes.append(time.perf_counter() - t0)
             iters.append(result.iterations)
             flop_counts.append(meter.flop_total)
-        rows.append({"n_ris": int(n_ris),
+        rows.append({"n_ris": c.n_ris,
                      "iter_count": float(np.mean(iters)),
                      "flop_count": float(np.mean(flop_counts)),
                      "runtime_s": float(np.mean(runtimes))})

@@ -19,7 +19,9 @@ import numpy as np
 
 from .rate import LN2
 
-# Streams with eigenvalues at or below these thresholds get zero power.
+# A stream gets zero power when its eigenvalue times the budget is at or below
+# ABS_EIG_FLOOR, or its eigenvalue at or below REL_EIG_FLOOR times the largest.
+# Rates depend only on lam * p, so both floors are free of the channel's scale.
 ABS_EIG_FLOOR = 1e-15
 REL_EIG_FLOOR = 1e-12
 
@@ -77,8 +79,10 @@ def waterfill(eigenvalues, total_power: float) -> tuple[np.ndarray, float]:
     the inverse gains sorted ascending, the level with the m strongest
     streams active is (total_power + their inverse-gain sum) / m, and the
     optimum keeps the largest m whose weakest stream does not lie above its
-    level. Eigenvalues at or below the numerical floor are excluded and
-    receive zero power.
+    level. Eigenvalues at or below the numerical floor (lam * total_power
+    <= ABS_EIG_FLOOR, or lam <= REL_EIG_FLOOR * max lam) are excluded and
+    receive zero power, so (c * lam, total_power / c) gives powers p / c and
+    the same lam * p for any c > 0.
 
     Returns (powers in the input's shape, cutoff).
     """
@@ -86,7 +90,7 @@ def waterfill(eigenvalues, total_power: float) -> tuple[np.ndarray, float]:
     if not (total_power > 0 and math.isfinite(total_power)):
         raise ValueError(f"total power budget must be positive and finite, got {total_power!r}")
     flat = lams.reshape(-1)
-    active = flat > max(ABS_EIG_FLOOR, REL_EIG_FLOOR * flat.max(initial=0.0))
+    active = flat > max(ABS_EIG_FLOOR / total_power, REL_EIG_FLOOR * flat.max(initial=0.0))
     if not active.any():
         raise ValueError("waterfilling needs at least one positive eigenvalue")
 

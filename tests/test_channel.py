@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,12 @@ from rislink.channel import (
     ClusterRaySet,
     FreqChannelSet,
     UraSpec,
-    clamp_elevation,
-    draw_cluster_rays,
     geometric_tap,
     rician_tap,
     synthesize_link,
     tap_power_weights,
     taps_to_subcarriers,
     ura_response,
-    ura_spec,
-    wrap_azimuth,
 )
 from rislink.harness import preset_config
 from rislink.rng import substream
@@ -37,9 +35,12 @@ class DummyConfig:
 
 
 def reference_ura_response(azimuth, elevation, spec):
-    """The direct rows x cols phase grid: one complex exponential per element and direction."""
-    az = wrap_azimuth(azimuth)
-    el = clamp_elevation(elevation)
+    """The direct rows x cols phase grid: one complex exponential per element and direction.
+
+    The azimuth is wrapped into [-pi, pi) and the elevation clamped into [-pi/2, pi/2].
+    """
+    az = np.mod(np.asarray(azimuth, dtype=float) + np.pi, 2 * np.pi) - np.pi
+    el = np.clip(np.asarray(elevation, dtype=float), -np.pi / 2, np.pi / 2)
     u = np.multiply.outer(np.arange(spec.rows), np.sin(az) * np.cos(el))
     v = np.multiply.outer(np.arange(spec.cols), np.sin(el))
     phase = 2 * np.pi * spec.spacing_wavelengths * (u[:, None, ...] + v[None, :, ...])
@@ -66,13 +67,19 @@ def reference_synthesize_link(link_index, config, rng, los=True):
             offsets = rng.laplace(0.0, config.angular_spread_rad / np.sqrt(2.0), size=(n_clusters, n_rays))
             angles.append((centers[:, None] + offsets).reshape(-1))
         gains = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        a_rx = reference_ura_response(wrap_azimuth(angles[0]), clamp_elevation(angles[1]), rx_spec)
-        a_tx = reference_ura_response(wrap_azimuth(angles[2]), clamp_elevation(angles[3]), tx_spec)
+        a_rx = reference_ura_response(angles[0], angles[1], rx_spec)
+        a_tx = reference_ura_response(angles[2], angles[3], tx_spec)
         geo = np.sqrt(shape[0] * shape[1] / n) * ((a_rx * gains) @ a_tx.conj().T)
         scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
         k = config.rician_k
         taps.append(np.sqrt(w) * (np.sqrt(k / (k + 1.0)) * geo + np.sqrt(1.0 / (k + 1.0)) * scatter))
     return np.stack(taps)
+
+
+def random_rays(rng, shape):
+    """A ClusterRaySet of `shape` with CN(0, 1) gains and uniform angles over the principal ranges."""
+    gains = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return ClusterRaySet(gains, *(rng.uniform(-half, half, size=shape) for half in (np.pi, np.pi / 2) * 2))
 
 
 def generator_state(rng):
@@ -88,7 +95,7 @@ def generator_state(rng):
 def test_synthesize_link_matches_tap_by_tap_reference(preset, n_ris, link, los):
     cfg = preset_config(preset)[0].with_n_ris(n_ris)
     rng, ref_rng = substream(33, n_ris, link), substream(33, n_ris, link)
-    taps = synthesize_link(link, cfg, rng, los=los)
+    taps = synthesize_link(link, cfg, [rng], los=los)[0]
     expected = reference_synthesize_link(link, cfg, ref_rng, los=los)
     assert taps.shape == expected.shape
     # the separable steering vector rounds differently from the phase grid
@@ -110,36 +117,10 @@ def test_synthesize_link_trial_stack_equals_lone_calls(preset, n_ris, link, los)
     freq = taps_to_subcarriers(stack, cfg.n_subcarriers)
     for key, rng, taps, h in zip(keys, rngs, stack, freq):
         lone_rng = substream(*key)
-        lone = synthesize_link(link, cfg, lone_rng, los=los)
+        lone = synthesize_link(link, cfg, [lone_rng], los=los)[0]
         assert np.array_equal(taps, lone)
         assert generator_state(rng) == generator_state(lone_rng)
         assert np.array_equal(h, taps_to_subcarriers(lone, cfg.n_subcarriers))
-
-
-def test_draw_rays_consume_the_stream_part_by_part():
-    # one standard normal call for both gain rows draws what a call per row would
-    rng, ref = substream(38), substream(38)
-    rays = draw_cluster_rays(3, 4, 0.2, rng)
-    for _ in range(4):
-        ref.uniform(size=3)
-        ref.laplace(size=(3, 4))
-    re, im = ref.standard_normal(12), ref.standard_normal(12)
-    assert np.array_equal(rays.gains, (re + 1j * im) / np.sqrt(2.0))
-    assert generator_state(rng) == generator_state(ref)
-
-
-def test_ura_spec_factory_shares_one_instance_per_value():
-    spec = ura_spec(4, 2, 0.5)
-    assert spec is ura_spec(4, 2, 0.5) and spec == UraSpec(4, 2, 0.5)
-    assert ura_spec(4, 2, 0.7) is not spec
-    cfg = preset_config("desk")[0]
-    assert cfg.tx_spec is cfg.tx_spec and cfg.with_n_ris(64).ris_spec is cfg.with_n_ris(64).ris_spec
-    # a failed build is not cached, and a cached int size lets no equal float through
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            ura_spec(0, 2)
-        with pytest.raises(ValueError):
-            ura_spec(4.0, 2, 0.5)
 
 
 @pytest.mark.parametrize("spec", [UraSpec(1, 1), UraSpec(4, 1), UraSpec(2, 2), UraSpec(3, 2, 0.7),
@@ -147,7 +128,7 @@ def test_ura_spec_factory_shares_one_instance_per_value():
 def test_ura_separable_matches_phase_grid(spec):
     rng = substream(34, spec.rows, spec.cols)
     for shape in ((), (7,), (5, 80)):
-        az = rng.uniform(-4.0, 4.0, size=shape)  # beyond [-pi, pi) to exercise the wrap
+        az = rng.uniform(-4.0, 4.0, size=shape)  # beyond [-pi, pi): the reference wraps, sin(az) needs no wrap
         el = rng.uniform(-2.0, 2.0, size=shape)  # beyond [-pi/2, pi/2] to exercise the clamp
         got = ura_response(az, el, spec)
         assert got.shape == (spec.n_elements,) + shape
@@ -156,26 +137,22 @@ def test_ura_separable_matches_phase_grid(spec):
 
 
 def test_geometric_tap_batched_equals_per_tap_calls():
-    rng = substream(35)
-    taps = [draw_cluster_rays(3, 4, 0.2, rng) for _ in range(4)]
-    stacked = ClusterRaySet(**{name: np.stack([getattr(r, name) for r in taps])
-                               for name in ("gains", "arrival_az", "arrival_el", "departure_az", "departure_el")},
-                            n_clusters=3, n_rays=4)
+    stacked = random_rays(substream(35), (4, 12))
     rx, tx = UraSpec(4, 2), UraSpec(2, 3)
     batched = geometric_tap(stacked, rx, tx)
-    per_tap = np.stack([geometric_tap(r, rx, tx) for r in taps])
+    per_tap = np.stack([geometric_tap(ClusterRaySet(*(a[l] for a in astuple(stacked))), rx, tx) for l in range(4)])
     assert batched.shape == (4, 8, 6)
     np.testing.assert_allclose(batched, per_tap, rtol=0, atol=1e-13 * np.max(np.abs(per_tap)))
 
 
 def test_cluster_ray_set_rejects_mismatched_shapes():
-    rays = draw_cluster_rays(2, 3, 0.1, substream(36))
+    rays = random_rays(substream(36), (6,))
     with pytest.raises(ValueError, match="must have shape"):
         ClusterRaySet(gains=rays.gains, arrival_az=rays.arrival_az[:5], arrival_el=rays.arrival_el,
-                      departure_az=rays.departure_az, departure_el=rays.departure_el, n_clusters=2, n_rays=3)
+                      departure_az=rays.departure_az, departure_el=rays.departure_el)
     with pytest.raises(ValueError, match="must have shape"):
         ClusterRaySet(gains=np.stack([rays.gains] * 2), arrival_az=rays.arrival_az, arrival_el=rays.arrival_el,
-                      departure_az=rays.departure_az, departure_el=rays.departure_el, n_clusters=2, n_rays=3)
+                      departure_az=rays.departure_az, departure_el=rays.departure_el)
 
 
 @pytest.mark.parametrize("rows, cols, spacing", [(2.5, 2, 0.5), (2, 2.0, 0.5), (0, 2, 0.5),
@@ -230,51 +207,15 @@ def test_ura_unit_norm_many_draws():
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
 
-def test_draw_rays_zero_spread_single_ray():
-    rays = draw_cluster_rays(1, 1, 0.0, substream(21))
-    assert rays.gains.shape == (1,)
-    # with one ray and zero spread the ray sits exactly on its cluster center,
-    # which is itself inside the principal ranges
-    assert -np.pi <= rays.arrival_az[0] < np.pi
-    assert -np.pi / 2 <= rays.arrival_el[0] <= np.pi / 2
-
-
-def test_draw_rays_counts_and_spread():
-    spread = np.deg2rad(10.0)
-    rng = substream(22)
-    within = 0
-    total = 0
-    for _ in range(2_000):
-        rays = draw_cluster_rays(2, 3, spread, rng)
-        assert rays.gains.shape == (6,)
-        # reconstruct per-cluster offsets from elevations (clamping is rare at
-        # 10 degrees); azimuth wrapping makes center recovery unreliable there
-        el = rays.arrival_el.reshape(2, 3)
-        centers = np.median(el, axis=1, keepdims=True)
-        within += np.sum(np.abs(el - centers) <= 5 * spread)
-        total += el.size
-    assert within / total >= 0.995
-
-
 @pytest.mark.parametrize("spread", [np.inf, np.nan, -0.1])
 def test_draw_rays_rejects_non_finite_or_negative_spread(spread):
     with pytest.raises(ValueError, match="angular spread must be finite and nonnegative"):
-        draw_cluster_rays(2, 3, spread, substream(37))
-    with pytest.raises(ValueError, match="angular spread must be finite and nonnegative"):
-        synthesize_link(1, DummyConfig(spread_rad=spread), substream(37))
-
-
-def test_draw_rays_gain_second_moment():
-    rng = substream(23)
-    rays = draw_cluster_rays(100, 100, 0.0, rng)
-    m2 = np.mean(np.abs(rays.gains) ** 2)
-    assert abs(m2 - 1.0) <= 0.05
+        synthesize_link(1, DummyConfig(spread_rad=spread), [substream(37)])
 
 
 def test_geometric_tap_trivial_1x1():
     rays = ClusterRaySet(gains=np.array([1.0 + 0j]), arrival_az=np.zeros(1), arrival_el=np.zeros(1),
-                         departure_az=np.zeros(1), departure_el=np.zeros(1),
-                         n_clusters=1, n_rays=1)
+                         departure_az=np.zeros(1), departure_el=np.zeros(1))
     h = geometric_tap(rays, UraSpec(1, 1), UraSpec(1, 1))
     np.testing.assert_allclose(h, [[1.0 + 0j]])
 
@@ -282,8 +223,7 @@ def test_geometric_tap_trivial_1x1():
 def test_geometric_tap_rank_one_singular_value():
     beta = 0.7 - 1.2j
     rays = ClusterRaySet(gains=np.array([beta]), arrival_az=np.array([0.3]), arrival_el=np.array([-0.2]),
-                         departure_az=np.array([1.0]), departure_el=np.array([0.4]),
-                         n_clusters=1, n_rays=1)
+                         departure_az=np.array([1.0]), departure_el=np.array([0.4]))
     rx, tx = UraSpec(2, 2), UraSpec(4, 2)
     h = geometric_tap(rays, rx, tx)
     s = np.linalg.svd(h, compute_uv=False)
@@ -292,14 +232,13 @@ def test_geometric_tap_rank_one_singular_value():
 
 
 def test_geometric_tap_linearity():
-    rng = substream(24)
-    rays = draw_cluster_rays(2, 2, 0.1, rng)
+    rays = random_rays(substream(24), (4,))
     rx, tx = UraSpec(2, 1), UraSpec(2, 2)
     h = geometric_tap(rays, rx, tx)
 
     scaled = ClusterRaySet(gains=3.5 * rays.gains, arrival_az=rays.arrival_az,
                            arrival_el=rays.arrival_el, departure_az=rays.departure_az,
-                           departure_el=rays.departure_el, n_clusters=2, n_rays=2)
+                           departure_el=rays.departure_el)
     np.testing.assert_allclose(geometric_tap(scaled, rx, tx), 3.5 * h, rtol=1e-12)
 
     # two single-ray taps sum to the two-ray tap up to the 1/sqrt(RC) normalization
@@ -307,7 +246,7 @@ def test_geometric_tap_linearity():
     for i in range(4):
         one = ClusterRaySet(gains=rays.gains[i:i + 1], arrival_az=rays.arrival_az[i:i + 1],
                             arrival_el=rays.arrival_el[i:i + 1], departure_az=rays.departure_az[i:i + 1],
-                            departure_el=rays.departure_el[i:i + 1], n_clusters=1, n_rays=1)
+                            departure_el=rays.departure_el[i:i + 1])
         singles.append(geometric_tap(one, rx, tx))
     np.testing.assert_allclose(sum(singles) / np.sqrt(4), h, rtol=1e-12)
 
@@ -377,15 +316,14 @@ def test_tap_weights_closed_form():
 def test_synthesize_link_tap_variances_rayleigh():
     # with rician_k = 0 the per-entry variance of tap l equals its power weight
     cfg = DummyConfig(rician_k=0.0, n_taps=(3, 3, 3))
-    draws = np.array([synthesize_link(3, cfg, substream(29, t), los=True)[:, 0, 0]
-                      for t in range(10_000)])
+    draws = synthesize_link(3, cfg, [substream(29, t) for t in range(10_000)], los=True)[:, :, 0, 0]
     var = np.mean(np.abs(draws) ** 2, axis=0)
     np.testing.assert_allclose(var, tap_power_weights(3), rtol=0.1)
 
 
 def test_synthesize_link_deterministic_ray_is_rank_one():
     cfg = DummyConfig(rx=(2, 2), tx=(2, 2), rician_k=1e12, spread_rad=0.0, los_cr=(1, 1))
-    taps = synthesize_link(3, cfg, substream(30), los=True)
+    taps = synthesize_link(3, cfg, [substream(30)], los=True)[0]
     assert taps.shape[0] == 5
     for tap in taps:
         s = np.linalg.svd(tap, compute_uv=False)
@@ -394,12 +332,12 @@ def test_synthesize_link_deterministic_ray_is_rank_one():
 
 def test_synthesize_link_uses_nlos_richness():
     cfg = DummyConfig()
-    von = synthesize_link(3, cfg, substream(31), los=True)
-    assert von.shape == (5, 1, 1)
-    assert synthesize_link(1, cfg, substream(31)).shape == (3, 4, 1)
-    assert synthesize_link(2, cfg, substream(31)).shape == (4, 1, 4)
+    von = synthesize_link(3, cfg, [substream(31)], los=True)
+    assert von.shape == (1, 5, 1, 1)
+    assert synthesize_link(1, cfg, [substream(31)]).shape == (1, 3, 4, 1)
+    assert synthesize_link(2, cfg, [substream(31)]).shape == (1, 4, 1, 4)
     with pytest.raises(ValueError):
-        synthesize_link(4, cfg, substream(31))
+        synthesize_link(4, cfg, [substream(31)])
 
 
 def test_scatter_second_moment():
@@ -414,6 +352,8 @@ def test_freq_channel_set_validation():
         FreqChannelSet(h1=np.zeros((2, 4, 3)), h2=np.zeros((2, 2, 5)), h3=np.zeros((2, 2, 3)))
     with pytest.raises(ValueError):
         FreqChannelSet(h1=np.zeros((2, 4, 3)), h2=np.zeros((3, 2, 4)), h3=np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match="h1 must be a 3-D"):
+        FreqChannelSet(h1=np.zeros((2, 3)), h2=np.zeros((2, 2, 3)), h3=np.zeros((2, 2, 3)))
     ok = FreqChannelSet(h1=np.zeros((2, 4, 3)), h2=np.zeros((2, 2, 4)), h3=np.zeros((2, 2, 3)))
     assert ok.h1.shape[0] == ok.h2.shape[0] == ok.h3.shape[0] == 2
 

@@ -171,6 +171,23 @@ def test_with_n_ris_factorization():
         assert c.ris_rows * c.ris_cols == n
 
 
+@pytest.mark.parametrize("n_ris", [0, -4, 2.5, 16.0])
+def test_with_n_ris_rejects_a_size_that_is_not_a_positive_integer(n_ris):
+    with pytest.raises(ValueError, match="n_ris must be an integer >= 1"):
+        small_config().with_n_ris(n_ris)
+
+
+@pytest.mark.parametrize("sizes, trials, match", [([0], 1, "n_ris"), ([4, -4], 1, "n_ris"), ([4], 0, "trials"),
+                                                   ([4], 1.5, "trials")])
+def test_complexity_table_rejects_bad_sizes_and_trials_before_any_trial(monkeypatch, sizes, trials, match):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_trial_draws", no_trial)
+    with pytest.raises(ValueError, match=f"{match} must be an integer >= 1"):
+        complexity_table(small_config(), GeometryConfig(), sizes, trials=trials, snr_db=0.0)
+
+
 def test_snr_reference_gain():
     geom = GeometryConfig()
     p = p_los(geom)
@@ -424,6 +441,17 @@ def test_cli_rejects_a_non_finite_budget_before_any_trial(monkeypatch, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "power budget" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_simulates_a_distance_whose_budget_dwarfs_every_eigenvalue(tmp_path):
+    # at 20 km the budget scales every stream gain far below 1e-15, while lam * p stays O(100)
+    out = tmp_path / "far.csv"
+    assert cli.main(["simulate", "--scenario", "distance_vs_se", "--preset", "desk", "--trials", "2",
+                     "--set", "distance_grid=20000", "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["arm"] for row in rows] == list(harness.ARMS)
+    assert all(np.isfinite(float(row["mean_se"])) and float(row["mean_se"]) > 0 for row in rows)
 
 
 def test_csv_deterministic_and_rfc4180():

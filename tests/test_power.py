@@ -31,7 +31,7 @@ def bisection_waterfill(lam, total_power):
     the smallest inverse gain and total_power plus it. Returns (powers, level).
     """
     lam = np.asarray(lam, dtype=float)
-    keep = lam > max(ABS_EIG_FLOOR, REL_EIG_FLOOR * lam.max())
+    keep = lam > max(ABS_EIG_FLOOR / total_power, REL_EIG_FLOOR * lam.max())
     inv = 1.0 / np.where(keep, lam, 1.0)
     lo, hi = inv[keep].min(), total_power + inv[keep].min()
     for _ in range(2000):
@@ -108,7 +108,7 @@ def test_svd_basis_rebuilds_eigh_covariances():
     ([100.0, 1e-3], 1.0),  # a single active stream
     ([1.0, REL_EIG_FLOOR, 0.0], 1e14),  # at the relative floor: no power at any budget
     ([1.0, 1.5 * REL_EIG_FLOOR], 1e14),  # just above it: active
-    ([ABS_EIG_FLOOR, 2 * ABS_EIG_FLOOR], 1.0),  # at the absolute floor
+    ([ABS_EIG_FLOOR, 2 * ABS_EIG_FLOOR], 1.0),  # at the absolute floor on lam * total_power
     ([[3.0, 1e-2], [0.5, 3.0]], 4.0),  # subcarrier-by-stream grid with a tie
 ])
 def test_waterfill_matches_bisection_reference(lam, pt):
@@ -117,6 +117,16 @@ def test_waterfill_matches_bisection_reference(lam, pt):
     assert abs(1.0 / cutoff - level) <= 1e-12 * level
     np.testing.assert_allclose(p, ref_p, rtol=1e-12, atol=1e-12 * level)
     assert abs(p.sum() - pt) <= 1e-12 * pt
+
+
+@pytest.mark.parametrize("c", [1e-20, 1e20])
+def test_waterfill_is_invariant_to_the_channel_scale(c):
+    # rates read lam * p only: (c * lam, pt / c) gives powers p / c and the cutoff c * cutoff
+    lam = np.array([[3.0, 1e-2], [0.5, 3.0]])
+    p, cutoff = waterfill(lam, 4.0)
+    p_c, cutoff_c = waterfill(c * lam, 4.0 / c)
+    np.testing.assert_allclose(c * p_c, p, rtol=1e-12, atol=1e-12 * p.max())
+    assert cutoff_c == pytest.approx(c * cutoff, rel=1e-12)
 
 
 def test_waterfill_matches_bisection_reference_random():

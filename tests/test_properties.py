@@ -34,7 +34,7 @@ eigenvalue_grids = arrays(
 @PROPERTY_SETTINGS
 @given(lam=eigenvalue_grids, total_power=st.floats(1e-3, 1e4))
 def test_waterfill_kkt_and_budget(lam, total_power):
-    floor = max(ABS_EIG_FLOOR, REL_EIG_FLOOR * lam.max())
+    floor = max(ABS_EIG_FLOOR / total_power, REL_EIG_FLOOR * lam.max())
     hypothesis.assume(np.any(lam > floor))
     p, cutoff = waterfill(lam, total_power)
     level = 1.0 / cutoff
