@@ -22,7 +22,7 @@ from .harness import (
     parse_config,
     run_scenario,
     scenario_rows_to_csv,
-    sweep_budgets,
+    sweep_points,
     total_power_for_snr,
 )
 
@@ -79,7 +79,7 @@ def main(argv=None) -> int:
         if os.path.isdir(args.out) or not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
             raise OSError(f"cannot write --out {args.out!r}: not a file in an existing, writable directory")
         if args.command == "simulate":
-            sweep_budgets(cfg, geom, args.scenario)
+            sweep_points(cfg, geom, args.scenario)
         else:
             total_power_for_snr(cfg, geom, cfg.snr_db[0])
     except (ValueError, OSError) as exc:

@@ -1,17 +1,19 @@
 """Seeded Monte Carlo experiments over three method arms with CSV output.
 
-Blockage, link channels and random start phases come from counter-based
-substreams keyed by (seed, scenario, trial, site), so results are independent
-of execution order. Trials run outermost, in contiguous chunks: each link is
-synthesized in one batched pass over a chunk's trials, each trial drawn from
-its own substream exactly as it would be alone, so a trial's values do not
-depend on the chunk it lands in. The chunk size comes from a byte budget on
-one chunk's BS->RIS stack (`CHUNK_BYTES`). One kernel then scores every sweep
-point and method arm of each trial from shared draws (common random
-numbers): one blockage uniform, the two RIS links once per RIS size and the
-direct link once per blockage state. The three arms are the full phase/power
-optimization, the random start phases with waterfilling, and a system with
-the reflected path removed.
+A scenario's sweep is built once, as (cfg, geometry, power budget, sweep
+name, sweep value, SNR) points. Blockage, link channels and random start
+phases come from counter-based substreams keyed by (seed, scenario, trial,
+site), so results are independent of execution order. Trials run outermost,
+in contiguous chunks, for scenarios and the complexity table alike: each link
+is synthesized in one batched pass over a chunk's trials, each trial drawn
+from its own substream exactly as it would be alone, so a trial's values do
+not depend on the chunk it lands in. The chunk size comes from a byte budget
+on one chunk's BS->RIS stack (`CHUNK_BYTES`). One kernel then scores every
+sweep point and method arm of each trial from shared draws (common random
+numbers): one blockage uniform, the two RIS links once per RIS size, the
+direct link once per blockage state, and each point's pathloss once per
+chunk. The arms are the full phase/power optimization, the random start
+phases with waterfilling, and a system with the reflected path removed.
 """
 
 import csv
@@ -19,7 +21,7 @@ import io
 import math
 import numbers
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -53,9 +55,6 @@ _SCENARIO_GEOMETRY = {
 # scale: 32-trial chunks raised a 40-trial desk se_vs_snr run's peak RSS by
 # 19 MiB over 1-trial chunks, 8-trial chunks by 5 MiB.
 CHUNK_BYTES = 2**20
-
-CSV_COLUMNS = ("scenario", "sweep_name", "sweep_value", "arm", "n_ris", "snr_db",
-               "mean_se", "stderr_se", "trials", "seed", "d2")
 
 
 def _square_factorization(n: int) -> tuple[int, int]:
@@ -174,6 +173,8 @@ class ScenarioResult:
     d2: float
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(ScenarioResult))
+
 PRESETS = {
     "paper": {},
     "desk": {"tx_rows": 4, "tx_cols": 4, "ris_rows": 4, "ris_cols": 4,
@@ -210,9 +211,9 @@ def total_power_for_snr(cfg: SystemConfig, geom: GeometryConfig, snr_db: float) 
     return power
 
 
-def _chunk_trials(setups: list[tuple]) -> int:
-    """Trials per chunk for (cfg, geometry) points: CHUNK_BYTES over one trial's BS->RIS stack, at least 1."""
-    per_trial = max(16 * c.n_subcarriers * c.n_ris * c.n_t for c, _ in setups)
+def _chunk_trials(points: list[tuple]) -> int:
+    """Trials per chunk for sweep points led by cfg: CHUNK_BYTES over one trial's BS->RIS stack, at least 1."""
+    per_trial = max(16 * c.n_subcarriers * c.n_ris * c.n_t for c, *_ in points)
     return max(1, CHUNK_BYTES // per_trial)
 
 
@@ -223,18 +224,23 @@ def _link_response(cfg: SystemConfig, keys: list[tuple], link: int, los: bool = 
 
 
 def _trial_draws(points: list[tuple], keys: list[tuple]):
-    """Yield (channels, pathloss gains, start phases) of each trial at `keys` at each (cfg, geometry) point.
+    """Yield (channels, pathloss gains, start phases) of each trial at `keys` at each sweep point.
 
-    Trial-major: all points of the first trial, then of the next. One
+    A point is read only for its leading (cfg, geometry) pair. Trial-major:
+    all points of the first trial, then of the next. Each point's LOS
+    probability and its LOS and NLOS gains are evaluated once per call. One
     blockage uniform per trial serves every point; links 1 and 2 and the
     start phases are drawn once per RIS size, and link 3 once per blockage
     state, since the points differ only in RIS size and large-scale geometry.
     Each link is one `synthesize_link` call over the trials that need it.
     """
-    states = [[blockage_state(p_los(g), u) for _, g in points]
+    gains = [{los: LinkGains(rho_direct=direct_gain(g, los), rho_indirect=indirect_gain(g), los=los)
+              for los in (True, False)} for _, g, *_ in points]
+    plos = [p_los(g) for _, g, *_ in points]
+    states = [[blockage_state(p, u) for p in plos]
               for u in (substream(*key, SITE_BLOCKAGE).uniform() for key in keys)]
     ris = {}
-    for c, _ in points:
+    for c, *_ in points:
         if c.n_ris not in ris:
             ris[c.n_ris] = (_link_response(c, keys, 1), _link_response(c, keys, 2),
                             [RisPhases.random(c.n_ris, substream(*key, SITE_PHASES)) for key in keys])
@@ -245,10 +251,9 @@ def _trial_draws(points: list[tuple], keys: list[tuple]):
             h3 = _link_response(points[0][0], [keys[t] for t in trials], 3, los)
             direct.update(zip([(t, los) for t in trials], h3))
     for t, row in enumerate(states):
-        for (c, g), los in zip(points, row):
+        for (c, *_), point_gains, los in zip(points, gains, row):
             h1, h2, phases = ris[c.n_ris]
-            gains = LinkGains(rho_direct=direct_gain(g, los), rho_indirect=indirect_gain(g), los=los)
-            yield FreqChannelSet(h1[t], h2[t], direct[t, los]), gains, phases[t]
+            yield FreqChannelSet(h1[t], h2[t], direct[t, los]), point_gains[los], phases[t]
 
 
 def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[FreqChannelSet, LinkGains]:
@@ -282,12 +287,12 @@ def _point_rates(cfg: SystemConfig, arms, folded: FreqChannelSet, phi0: RisPhase
     return rates
 
 
-def _trial_rates(points: list[tuple], powers: list[float], keys: list[tuple], arms=ARMS) -> np.ndarray:
-    """Spectral efficiency (points x arms x trials) of the trials at `keys` at each (cfg, geometry) point."""
+def _trial_rates(points: list[tuple], keys: list[tuple], arms=ARMS) -> np.ndarray:
+    """Spectral efficiency (points x arms x trials) of the trials at `keys` at each (cfg, geometry, budget, ...) point."""
     se = np.empty((len(points), len(arms), len(keys)))
     for n, (channels, gains, phi0) in enumerate(_trial_draws(points, keys)):
         t, i = divmod(n, len(points))
-        rates = _point_rates(points[i][0], arms, fold_gains(channels, gains), phi0, powers[i])
+        rates = _point_rates(points[i][0], arms, fold_gains(channels, gains), phi0, points[i][2])
         se[i, :, t] = [rates[arm] for arm in arms]
     return se
 
@@ -301,8 +306,7 @@ def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple, snr
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}; choose from {ARMS}")
-    power = total_power_for_snr(cfg, geom, snr_db)
-    return float(_trial_rates([(cfg, geom)], [power], [key], (arm,))[0, 0, 0])
+    return float(_trial_rates([(cfg, geom, total_power_for_snr(cfg, geom, snr_db))], [key], (arm,))[0, 0, 0])
 
 
 def check_scenario_geometry(geom: GeometryConfig, scenario: str) -> None:
@@ -315,56 +319,48 @@ def check_scenario_geometry(geom: GeometryConfig, scenario: str) -> None:
                              f"{getattr(default, key)!r}, got {getattr(geom, key)!r}")
 
 
-def _sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[tuple]:
-    """(cfg, geometry, sweep name, sweep value, SNR) of each sweep point, in row order."""
-    check_scenario_geometry(geom, scenario)
-    base = replace(geom, **_SCENARIO_GEOMETRY[scenario][0])
-    if scenario == "se_vs_snr":
-        return [(cfg.with_n_ris(n_ris), base, "snr_db", float(snr), float(snr))
-                for n_ris in cfg.n_ris_list for snr in cfg.snr_db]
-    if scenario == "plos_vs_se":
-        return [(cfg, replace(base, p_los_override=float(p)), "p_los", float(p), float(snr))
-                for snr in cfg.snr_db for p in cfg.plos_grid]
-    return [(cfg, replace(base, d_bs_ue=float(d)), "d_bs_ue", float(d), 5.0)  # distance_vs_se
-            for d in cfg.distance_grid]
-
-
-def sweep_budgets(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[float]:
-    """Power budget of each sweep point of `scenario`, in row order.
-
-    Raises ValueError for a geometry the scenario sets itself or a budget
-    that is not finite and positive, the checks `run_scenario` makes before
-    its first trial.
-    """
-    return [total_power_for_snr(c, g, snr) for c, g, _, _, snr in _sweep_points(cfg, geom, scenario)]
-
-
-def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[ScenarioResult]:
-    """Run one experiment scenario and return one result row per (sweep point, arm).
+def sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[tuple]:
+    """(cfg, geometry, power budget, sweep name, sweep value, SNR) of each sweep point of `scenario`, in row order.
 
     se_vs_snr sweeps the SNR grid for each RIS size in cfg.n_ris_list at the
     bs_height=10, d_ris=2.2 geometry; plos_vs_se sweeps the LOS-probability
     override grid for each configured SNR at D=200, bs_height=5, d_ris=2.2;
     distance_vs_se sweeps the BS-UE distance grid at bs_height=20, d_ris=30,
     SNR=5 dB. A `geom` that moves any of these keys off its GeometryConfig
-    default, or a sweep point whose power budget is not finite, raises
-    ValueError before any trial runs. Trials run outermost, in contiguous
-    chunks of `_chunk_trials` trials whose links are synthesized together;
-    each trial's draws are shared by every sweep point and arm, and the
-    chunks' rates are concatenated in trial order.
+    default, or a budget that is not finite and positive, raises ValueError.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
-    points = _sweep_points(cfg, geom, scenario)
-    setups = [(c, g) for c, g, _, _, _ in points]
-    powers = sweep_budgets(cfg, geom, scenario)
+    check_scenario_geometry(geom, scenario)
+    base = replace(geom, **_SCENARIO_GEOMETRY[scenario][0])
+    if scenario == "se_vs_snr":
+        points = [(cfg.with_n_ris(n_ris), base, "snr_db", float(snr), float(snr))
+                  for n_ris in cfg.n_ris_list for snr in cfg.snr_db]
+    elif scenario == "plos_vs_se":
+        points = [(cfg, replace(base, p_los_override=float(p)), "p_los", float(p), float(snr))
+                  for snr in cfg.snr_db for p in cfg.plos_grid]
+    else:  # distance_vs_se
+        points = [(cfg, replace(base, d_bs_ue=float(d)), "d_bs_ue", float(d), 5.0) for d in cfg.distance_grid]
+    return [(c, g, total_power_for_snr(c, g, snr), name, value, snr) for c, g, name, value, snr in points]
+
+
+def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[ScenarioResult]:
+    """Run one experiment scenario and return one result row per (sweep point, arm).
+
+    The sweep comes from one `sweep_points` call, so its checks run before any
+    trial. Trials run outermost, in contiguous chunks of `_chunk_trials`
+    trials, one `_trial_rates` call each; each trial's draws are shared by
+    every sweep point and arm, and the chunks' rates are concatenated in
+    trial order.
+    """
+    points = sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
-    chunk = _chunk_trials(setups)
-    se = np.concatenate([_trial_rates(setups, powers, keys[start:start + chunk])
+    chunk = _chunk_trials(points)
+    se = np.concatenate([_trial_rates(points, keys[start:start + chunk])
                          for start in range(0, len(keys), chunk)], axis=-1)
 
     rows: list[ScenarioResult] = []
-    for (c, g, sweep_name, sweep_value, snr), per_arm in zip(points, se):
+    for (c, g, _, sweep_name, sweep_value, snr), per_arm in zip(points, se):
         _, d2, _ = link_distances(g)
         for arm, values in zip(ARMS, per_arm):
             stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
@@ -380,31 +376,36 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
     """Instrumented `pga` trials for each RIS size: mean iterations, FLOPs and optimizer runtime.
 
     Each size runs `trials` trials at the one SNR `snr_db` (the CLI passes
-    cfg.mc_trials and the first value of cfg.snr_db), each on the draws
-    `run_trial` scores. `runtime_s` is the mean wall time of the
-    `pga_optimize` call alone; channel synthesis and the pathloss fold run
-    outside the timer. FLOP and iteration counters depend only on the seeded
-    draws, so those columns are reproducible. A size or a trial count below
-    1 or not an integer raises ValueError before any trial runs.
+    cfg.mc_trials and the first value of cfg.snr_db) on the draws `run_trial`
+    scores, drawn in `_chunk_trials` chunks. `runtime_s` is the mean wall
+    time of the `pga_optimize` call alone; channel synthesis and the pathloss
+    fold run outside the timer. FLOP and iteration counters depend only on
+    the seeded draws, so those columns are reproducible. A size or trial
+    count that is not an integer >= 1, or a seed that is not an integer >= 0,
+    raises ValueError before any trial runs.
     """
     if not isinstance(trials, numbers.Integral) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    seed = cfg.seed if seed is None else int(seed)
+    seed = cfg.seed if seed is None else seed
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     power = total_power_for_snr(cfg, geom, snr_db)
     configs = [cfg.with_n_ris(n_ris) for n_ris in n_ris_list]
+    keys = [(seed, _COMPLEXITY_SCENARIO_ID, t) for t in range(trials)]
     rows = []
     for c in configs:
         iters, flop_counts, runtimes = [], [], []
-        for t in range(trials):
-            channels, gains, phi0 = next(_trial_draws([(c, geom)], [(seed, _COMPLEXITY_SCENARIO_ID, t)]))
-            folded = fold_gains(channels, gains)
-            meter = flops.FlopMeter()
-            t0 = time.perf_counter()
-            result = pga_optimize(folded, power, mu0=c.mu0, epsilon=c.epsilon, max_iter=c.max_iter,
-                                  phi0=phi0, meter=meter)
-            runtimes.append(time.perf_counter() - t0)
-            iters.append(result.iterations)
-            flop_counts.append(meter.flop_total)
+        chunk = _chunk_trials([(c, geom)])
+        for start in range(0, trials, chunk):
+            for channels, gains, phi0 in _trial_draws([(c, geom)], keys[start:start + chunk]):
+                folded = fold_gains(channels, gains)
+                meter = flops.FlopMeter()
+                t0 = time.perf_counter()
+                result = pga_optimize(folded, power, mu0=c.mu0, epsilon=c.epsilon, max_iter=c.max_iter,
+                                      phi0=phi0, meter=meter)
+                runtimes.append(time.perf_counter() - t0)
+                iters.append(result.iterations)
+                flop_counts.append(meter.flop_total)
         rows.append({"n_ris": c.n_ris,
                      "iter_count": float(np.mean(iters)),
                      "flop_count": float(np.mean(flop_counts)),
@@ -418,9 +419,7 @@ def scenario_rows_to_csv(rows: list[ScenarioResult]) -> str:
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(CSV_COLUMNS)
     for r in rows:
-        writer.writerow([r.scenario, r.sweep_name, f"{r.sweep_value:.10g}", r.arm, r.n_ris,
-                         f"{r.snr_db:.10g}", f"{r.mean_se:.10g}", f"{r.stderr_se:.10g}",
-                         r.trials, r.seed, f"{r.d2:.10g}"])
+        writer.writerow([f"{v:.10g}" if isinstance(v, float) else v for v in astuple(r)])
     return buf.getvalue()
 
 
@@ -466,10 +465,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     name a SystemConfig or GeometryConfig field; anything else is an error.
     Overrides (already-typed or string values) are applied after the file.
     """
-    sys_kwargs = dict(PRESETS[preset]) if preset in PRESETS else None
-    if sys_kwargs is None:
+    if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    geom_kwargs: dict = {}
+    sys_kwargs, geom_kwargs = dict(PRESETS[preset]), {}
 
     def assign(key: str, raw):
         if key not in _SYSTEM_FIELDS and key not in _GEOMETRY_FIELDS:

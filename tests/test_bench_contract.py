@@ -1,8 +1,10 @@
-"""The benchmark's contract with the package: every traced target exists and is measured.
+"""The benchmark's contract with the package: every traced target exists and is measured,
+and the gated workloads reproduce their recorded reference seeds.
 
 `bench/tracer.py` wraps the functions listed in its TARGETS and reports the
 metrics of a target that is gone, or never called on the `run_scenario` path,
-as unmeasured (null). These checks read `bench/` and never change it.
+as unmeasured (null). `bench/check.py` checks workload CSVs against
+`bench/reference/`. These checks read `bench/` and never change it.
 """
 
 import importlib
@@ -15,19 +17,21 @@ from pathlib import Path
 
 import pytest
 
+from rislink import harness
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+def load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_tracer_target_is_callable():
-    for layer, fname in load_tracer().TARGETS:
+    for layer, fname in load_bench("tracer").TARGETS:
         module = importlib.import_module(f"rislink.{layer}")
         assert callable(getattr(module, fname, None)), f"bench traces rislink.{layer}.{fname}, which is gone"
 
@@ -65,3 +69,17 @@ def test_untraced_workload_reports_on_one_line(scenario, overrides):
     report = run_workload(scenario, overrides, trace=False)
     assert "layers" not in report
     assert report["cells"] > 0 and report["csv"].startswith("scenario,")
+
+
+@pytest.mark.parametrize("name, scenario", [("desk_snr", "se_vs_snr"), ("desk_blockage_low", "plos_vs_se")])
+def test_gated_workload_reproduces_reference_seeds(name, scenario):
+    # in-process, the CSVs of seeds 0-4 at the recorded overrides on the desk preset must pass bench/check.py
+    recorded = json.loads((BENCH / "reference" / f"{name}.json").read_text())
+    overrides = {k: tuple(v) if isinstance(v, list) else v for k, v in recorded["overrides"].items()}
+    runs = []
+    for seed in range(5):
+        cfg, geom = harness.parse_config(None, {**overrides, "seed": seed}, preset="desk")
+        runs.append((seed, harness.scenario_rows_to_csv(harness.run_scenario(cfg, geom, scenario))))
+    verdict = load_bench("check").check_csvs(name, {"scenario": scenario, "overrides": recorded["overrides"]}, runs)
+    assert verdict["failed"] == 0, verdict["reasons"]
+    assert verdict["unreferenced_seeds"] == []

@@ -188,6 +188,27 @@ def test_complexity_table_rejects_bad_sizes_and_trials_before_any_trial(monkeypa
         complexity_table(small_config(), GeometryConfig(), sizes, trials=trials, snr_db=0.0)
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, "3"])
+def test_complexity_table_rejects_a_bad_seed_before_any_trial(monkeypatch, seed):
+    # the config's rule for seed: an integer >= 0, never truncated
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_trial_draws", no_trial)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        complexity_table(small_config(), GeometryConfig(), [4], seed, trials=1, snr_db=0.0)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: SystemConfig(snr_db=5.0), "snr_db"),
+    (lambda: parse_config(None, {"n_ris_list": 16}, preset="desk"), "n_ris_list"),
+    (lambda: GeometryConfig(d_bs_ue="200"), "d_bs_ue"),
+], ids=["float-for-tuple", "int-override-for-tuple", "str-for-float"])
+def test_config_rejects_a_wrongly_typed_value_naming_the_field(build, field):
+    with pytest.raises(ValueError, match=f"^{field} must hold"):
+        build()
+
+
 def test_snr_reference_gain():
     geom = GeometryConfig()
     p = p_los(geom)
@@ -339,18 +360,17 @@ def test_run_scenario_matches_per_cell_trials(scenario):
 def test_random_phases_is_read_from_the_pga_start_rate(scenario):
     # with pga scored, random_phases is pga's start rate, bit for bit the lone arm's own waterfill
     cfg, geom = preset_config("desk")
-    points = harness._sweep_points(cfg, geom, scenario)
-    setups = [(c, g) for c, g, _, _, _ in points]
-    powers = [total_power_for_snr(c, g, snr) for c, g, _, _, snr in points]
+    points = harness.sweep_points(cfg, geom, scenario)
+    assert [p for _, _, p, *_ in points] == [total_power_for_snr(c, g, snr) for c, g, _, _, _, snr in points]
     column = harness.ARMS.index("random_phases")
     for t in range(2):
         key = (cfg.seed, SCENARIOS[scenario], t)
-        both = harness._trial_rates(setups, powers, [key])[:, column, 0]
-        alone = harness._trial_rates(setups, powers, [key], arms=("random_phases",))[:, 0, 0]
+        both = harness._trial_rates(points, [key])[:, column, 0]
+        alone = harness._trial_rates(points, [key], arms=("random_phases",))[:, 0, 0]
         assert np.array_equal(both, alone)
         starts = [pga_optimize(fold_gains(channels, gains), power, mu0=cfg.mu0, epsilon=cfg.epsilon,
                                max_iter=cfg.max_iter, phi0=phi0).start_rate
-                  for (channels, gains, phi0), power in zip(harness._trial_draws(setups, [key]), powers)]
+                  for (channels, gains, phi0), (_, _, power, *_) in zip(harness._trial_draws(points, [key]), points)]
         assert np.array_equal(both, starts)
 
 
@@ -387,24 +407,75 @@ def test_run_scenario_synthesizes_each_link_once_per_state(monkeypatch, scenario
         assert built.count(key + (SITE_BLOCKAGE,)) == 1
 
 
-def per_trial_bytes(setups):
+def test_run_scenario_builds_its_sweep_once(monkeypatch):
+    checked = []
+    check = harness.check_scenario_geometry
+    monkeypatch.setattr(harness, "check_scenario_geometry", lambda g, s: checked.append(s) or check(g, s))
+    run_scenario(small_config(mc_trials=1), GeometryConfig(), "distance_vs_se")
+    assert checked == ["distance_vs_se"]
+
+
+def test_trial_draws_evaluate_pathloss_once_per_point(monkeypatch):
+    cfg, geom = sweep_config(), GeometryConfig()
+    points = harness.sweep_points(cfg, geom, "plos_vs_se")  # budgets read pathloss too; count the draws alone
+    calls = []
+
+    def counting(name):
+        function = getattr(harness, name)
+        return lambda *args, **kwargs: calls.append(name) or function(*args, **kwargs)
+
+    for name in ("p_los", "direct_gain", "indirect_gain"):
+        monkeypatch.setattr(harness, name, counting(name))
+    counts = []
+    for trials in (1, 4):
+        calls.clear()
+        list(harness._trial_draws(points, [(cfg.seed, SCENARIOS["plos_vs_se"], t) for t in range(trials)]))
+        counts.append({name: calls.count(name) for name in set(calls)})
+    assert counts[0] == counts[1]
+    assert counts[0]["p_los"] == len(points) and counts[0]["direct_gain"] and counts[0]["indirect_gain"]
+
+
+def test_complexity_table_draws_in_trial_chunks(monkeypatch):
+    # 9 trials: one chunk at N_ris=16 (32 a chunk), two at N_ris=64 (8 a chunk)
+    cfg, geom = preset_config("desk")
+    synthesized = []
+    synthesize = harness.synthesize_link
+
+    def counting_synthesize(link, c, rngs, los=True):
+        synthesized.append((link, c.n_ris, len(rngs)))
+        return synthesize(link, c, rngs, los=los)
+
+    monkeypatch.setattr(harness, "synthesize_link", counting_synthesize)
+    chunked = complexity_table(cfg, geom, [16, 64], seed=7, trials=9, snr_db=10.0)
+    for link in (1, 2):
+        assert [(n, t) for i, n, t in synthesized if i == link] == [(16, 9), (64, 8), (64, 1)]
+    # the direct link once per blockage state present in a chunk
+    direct = [(n, t) for i, n, t in synthesized if i == 3]
+    assert 3 <= len(direct) <= 6 and all(sum(t for n, t in direct if n == size) == 9 for size in (16, 64))
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 1)  # one trial a chunk
+    alone = complexity_table(cfg, geom, [16, 64], seed=7, trials=9, snr_db=10.0)
+    for key in ("n_ris", "iter_count", "flop_count"):
+        assert [row[key] for row in chunked] == [row[key] for row in alone]
+
+
+def per_trial_bytes(points):
     """One trial's BS->RIS subcarrier stack at the largest RIS size, the unit of the chunk budget."""
-    return max(16 * c.n_subcarriers * c.n_ris * c.n_t for c, _ in setups)
+    return max(16 * c.n_subcarriers * c.n_ris * c.n_t for c, *_ in points)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_run_scenario_csv_does_not_depend_on_the_chunk_size(monkeypatch, scenario):
     cfg, geom = replace(sweep_config(), mc_trials=5, seed=6), GeometryConfig()
-    setups = [(c, g) for c, g, _, _, _ in harness._sweep_points(cfg, geom, scenario)]
+    points = harness.sweep_points(cfg, geom, scenario)
     texts = []
     for trials in (1, 2, cfg.mc_trials):
-        monkeypatch.setattr(harness, "CHUNK_BYTES", trials * per_trial_bytes(setups))
-        assert harness._chunk_trials(setups) == trials
+        monkeypatch.setattr(harness, "CHUNK_BYTES", trials * per_trial_bytes(points))
+        assert harness._chunk_trials(points) == trials
         texts.append(scenario_rows_to_csv(run_scenario(cfg, geom, scenario)))
     assert texts[1] == texts[0] and texts[2] == texts[0]
     if scenario == "plos_vs_se":  # some trial needs the direct link in both blockage states
         keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
-        assert any(len({draw_trial(c, g, key)[1].los for c, g in setups}) == 2 for key in keys)
+        assert any(len({draw_trial(c, g, key)[1].los for c, g, *_ in points}) == 2 for key in keys)
 
 
 def test_chunk_rule_one_paper_trial_and_whole_bench_processes():

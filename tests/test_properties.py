@@ -143,20 +143,18 @@ def chunk_case():
     """Small plos_vs_se points, whose trials mix LOS and NLOS, and their rates with all trials in one chunk."""
     cfg = SystemConfig(tx_rows=2, tx_cols=2, rx_rows=2, rx_cols=1, ris_rows=2, ris_cols=2, n_subcarriers=6,
                        n_taps=(2, 2, 3), snr_db=(0.0,), plos_grid=(0.1, 0.5, 0.9), seed=11)
-    points = harness._sweep_points(cfg, GeometryConfig(), "plos_vs_se")
-    setups = [(c, g) for c, g, _, _, _ in points]
-    powers = [harness.total_power_for_snr(c, g, snr) for c, g, _, _, snr in points]
+    points = harness.sweep_points(cfg, GeometryConfig(), "plos_vs_se")
     keys = [(cfg.seed, harness.SCENARIOS["plos_vs_se"], t) for t in range(N_CHUNK_TRIALS)]
-    return setups, powers, keys, harness._trial_rates(setups, powers, keys)
+    return points, keys, harness._trial_rates(points, keys)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(order=st.permutations(range(N_CHUNK_TRIALS)),
        cuts=st.sets(st.integers(1, N_CHUNK_TRIALS - 1)))
 def test_trial_values_do_not_depend_on_the_chunk_partition(order, cuts):
-    setups, powers, keys, whole = chunk_case()
+    points, keys, whole = chunk_case()
     bounds = [0, *sorted(cuts), N_CHUNK_TRIALS]
     for a, b in zip(bounds, bounds[1:]):
         trials = order[a:b]
-        part = harness._trial_rates(setups, powers, [keys[t] for t in trials])
+        part = harness._trial_rates(points, [keys[t] for t in trials])
         assert np.array_equal(part, whole[:, :, trials])
