@@ -35,6 +35,7 @@ from .power import (
     channel_eigvals,
     waterfill,
     waterfill_covariances,
+    waterfill_eigenpairs,
 )
 from .propagation import (
     LinkGains,
@@ -90,4 +91,5 @@ __all__ = [
     "ura_response",
     "waterfill",
     "waterfill_covariances",
+    "waterfill_eigenpairs",
 ]

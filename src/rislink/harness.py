@@ -12,16 +12,22 @@ on one chunk's BS->RIS stack (`CHUNK_BYTES`). One kernel then scores every
 sweep point and method arm of each trial from shared draws (common random
 numbers): one blockage uniform, the two RIS links once per RIS size, the
 direct link once per blockage state, and each point's pathloss once per
-chunk. The arms are the full phase/power optimization, the random start
-phases with waterfilling, and a system with the reflected path removed.
+chunk. The points that see one channel in a trial also share its algebra,
+since they differ only in their power budget and the eigenpairs do not: the
+folded stacks and the start equivalent channel's eigenpairs once per (RIS
+size, blockage state, pathloss gains), and the folded direct channel's
+eigenpairs once per (blockage state, direct gain). Each point waterfills only
+its own budget on them. The arms are the full phase/power optimization, the
+random start phases with waterfilling, and a system with the reflected path
+removed.
 """
 
 import csv
 import io
 import math
-import numbers
 import time
 from dataclasses import astuple, dataclass, fields, replace
+from functools import cached_property
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -29,10 +35,10 @@ import numpy as np
 from . import flops
 from .channel import FreqChannelSet, UraSpec, synthesize_link, taps_to_subcarriers
 from .pga import pga_optimize
-from .power import waterfill_covariances
-from .propagation import (GeometryConfig, LinkGains, blockage_state, direct_gain, indirect_gain, link_distances,
-                          p_los, require_valid_numbers)
-from .rate import RisPhases, combine_links, fold_gains
+from .power import PowerAllocation, channel_eigvals, waterfill_eigenpairs
+from .propagation import (GeometryConfig, LinkGains, blockage_state, direct_gain, indirect_gain, is_integer,
+                          link_distances, p_los, require_valid_numbers)
+from .rate import RisPhases, equivalent_channel, fold_gains
 from .rng import SITE_BLOCKAGE, SITE_LINK, SITE_PHASES, substream
 
 ARMS = ("pga", "random_phases", "no_ris")
@@ -98,7 +104,9 @@ class SystemConfig:
 
     def __post_init__(self):
         require_valid_numbers(self)
-        self.n_taps = tuple(self.n_taps)
+        for f in fields(self):
+            if get_origin(f.type) is tuple:
+                setattr(self, f.name, tuple(getattr(self, f.name)))
         if len(self.n_taps) != 3:
             raise ValueError("n_taps must hold three tap counts")
         if self.n_subcarriers < max(self.n_taps):
@@ -150,7 +158,7 @@ class SystemConfig:
         return float(np.deg2rad(self.angular_spread_deg))
 
     def with_n_ris(self, n_ris: int) -> "SystemConfig":
-        if not isinstance(n_ris, numbers.Integral) or n_ris < 1:
+        if not is_integer(n_ris) or n_ris < 1:
             raise ValueError(f"n_ris must be an integer >= 1, got {n_ris!r}")
         rows, cols = _square_factorization(n_ris)
         return replace(self, ris_rows=rows, ris_cols=cols)
@@ -233,6 +241,8 @@ def _trial_draws(points: list[tuple], keys: list[tuple]):
     start phases are drawn once per RIS size, and link 3 once per blockage
     state, since the points differ only in RIS size and large-scale geometry.
     Each link is one `synthesize_link` call over the trials that need it.
+    The draws are shared, the algebra on them is not: `_trial_rates` groups
+    the points of a trial by the channel they see.
     """
     gains = [{los: LinkGains(rho_direct=direct_gain(g, los), rho_indirect=indirect_gain(g), los=los)
               for los in (True, False)} for _, g, *_ in points]
@@ -266,33 +276,70 @@ def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[Fre
     return next(_trial_draws([(cfg, geom)], [key]))[:2]
 
 
-def _point_rates(cfg: SystemConfig, arms, folded: FreqChannelSet, phi0: RisPhases,
-                 total_power: float) -> dict:
-    """Spectral efficiency of each of `arms` on gain-folded link stacks at one point.
+class _Eigenpairs:
+    """A gain-folded (K, N_r, N_t) channel whose unit-noise eigenpairs are decomposed on first use.
 
-    `pga` optimizes from `phi0`, `random_phases` keeps `phi0`, and `no_ris`
-    drops the reflected path, leaving the folded direct channel. When `pga`
-    is scored, `random_phases` is read from its start rate, which is the
-    same waterfill on the same phases.
+    The eigenpairs do not depend on the power budget, so every budget the
+    channel is scored at is waterfilled on the same pairs.
+    """
+
+    def __init__(self, heq: np.ndarray):
+        self.heq = heq
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return channel_eigvals(self.heq, 1.0)
+
+    def waterfill(self, total_power: float) -> PowerAllocation:
+        return waterfill_eigenpairs(self.heq, *self.pairs, total_power)
+
+
+def _point_rates(cfg: SystemConfig, arms, folded: FreqChannelSet, phi0: RisPhases, start: _Eigenpairs,
+                 direct: _Eigenpairs, total_power: float) -> dict:
+    """Spectral efficiency of each of `arms` at one point from its trial's shared channel algebra.
+
+    `folded` holds the gain-folded link stacks, `start` the equivalent
+    channel at the start phases `phi0` and `direct` the folded direct
+    channel; the point only waterfills its own budget on their eigenpairs.
+    `random_phases` is the waterfill on `start`, `pga` optimizes from that
+    allocation, and `no_ris` is the waterfill on `direct`.
     """
     rates = {}
-    if "pga" in arms:
-        result = pga_optimize(folded, total_power, mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
-                              phi0=phi0)
-        rates = {"pga": result.rate, "random_phases": result.start_rate}
-    for arm in arms:
-        if arm not in rates:
-            heq = folded.h3 if arm == "no_ris" else combine_links(folded.h1, folded.h2, folded.h3, phi0.diag)
-            rates[arm] = waterfill_covariances(heq, total_power).rate
+    if "pga" in arms or "random_phases" in arms:
+        alloc = start.waterfill(total_power)
+        rates["random_phases"] = alloc.rate
+        if "pga" in arms:
+            rates["pga"] = pga_optimize(folded, total_power, mu0=cfg.mu0, epsilon=cfg.epsilon,
+                                        max_iter=cfg.max_iter, phi0=phi0, start=alloc).rate
+    if "no_ris" in arms:
+        rates["no_ris"] = direct.waterfill(total_power).rate
     return rates
 
 
 def _trial_rates(points: list[tuple], keys: list[tuple], arms=ARMS) -> np.ndarray:
-    """Spectral efficiency (points x arms x trials) of the trials at `keys` at each (cfg, geometry, budget, ...) point."""
+    """Spectral efficiency (points x arms x trials) of the trials at `keys` at each (cfg, geometry, budget, ...) point.
+
+    Within a trial, the points that see one channel share its algebra. Points
+    with the same RIS size, blockage state and pathloss gains (compared by
+    value) share the folded stacks and the start equivalent channel with its
+    eigenpairs; points with the same blockage state and direct gain share the
+    folded direct channel with its eigenpairs, since that link does not see
+    the RIS. Each point then waterfills only its own budget, so a lone point
+    (`run_trial`) computes the same bits with nothing shared.
+    """
     se = np.empty((len(points), len(arms), len(keys)))
     for n, (channels, gains, phi0) in enumerate(_trial_draws(points, keys)):
         t, i = divmod(n, len(points))
-        rates = _point_rates(points[i][0], arms, fold_gains(channels, gains), phi0, points[i][2])
+        if i == 0:
+            shared, directs = {}, {}  # this trial's channel algebra, by the channel it belongs to
+        cfg, _, budget = points[i][:3]
+        key = (cfg.n_ris, gains.los, gains.rho_direct, gains.rho_indirect)
+        if key not in shared:
+            folded = fold_gains(channels, gains)
+            direct = directs.setdefault((gains.los, gains.rho_direct), _Eigenpairs(folded.h3))
+            shared[key] = folded, _Eigenpairs(equivalent_channel(folded, phi0)), direct
+        folded, start, direct = shared[key]
+        rates = _point_rates(cfg, arms, folded, phi0, start, direct, budget)
         se[i, :, t] = [rates[arm] for arm in arms]
     return se
 
@@ -384,10 +431,10 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
     count that is not an integer >= 1, or a seed that is not an integer >= 0,
     raises ValueError before any trial runs.
     """
-    if not isinstance(trials, numbers.Integral) or trials < 1:
+    if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     seed = cfg.seed if seed is None else seed
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     power = total_power_for_snr(cfg, geom, snr_db)
     configs = [cfg.with_n_ris(n_ris) for n_ris in n_ris_list]

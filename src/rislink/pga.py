@@ -112,7 +112,8 @@ def project_unit_modulus(values, fallback: np.ndarray | None = None) -> RisPhase
 def pga_optimize(channels: FreqChannelSet, total_power: float, *,
                  mu0: float = 0.1, epsilon: float = 1e-3, max_iter: int = 200,
                  rng: np.random.Generator | None = None,
-                 phi0: RisPhases | None = None, meter=None) -> PgaResult:
+                 phi0: RisPhases | None = None, start: PowerAllocation | None = None,
+                 meter=None) -> PgaResult:
     """Jointly optimize RIS phases and per-subcarrier covariances.
 
     `channels` must carry the pathloss-folded link stacks. Phases initialize
@@ -125,6 +126,11 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
     its floor, or at the iteration cap (`stop_reason` says which); the best
     (last accepted) iterate is returned either way, with the rate at the
     start phases as `start_rate`.
+    `start`, when given, must be the waterfilled allocation at `phi0` on
+    these channels and budget, `waterfill_covariances(equivalent_channel(
+    channels, phi0), total_power)`; the loop starts from it instead of
+    building it. The harness passes the allocation it waterfilled on the
+    start eigenpairs that the sweep points seeing one channel share.
     A given `meter` books the run's analytical cost (`flops.record_pga_run`);
     `harness.complexity_table` and the benchmark's span tracer pass one.
     The noise variance is 1: for another sigma^2, pass total_power / sigma^2.
@@ -133,11 +139,13 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
         raise ValueError("need mu0 > 0, epsilon > 0 and a positive iteration cap")
     n_ris = channels.h1.shape[1]
     if phi0 is None:
+        if start is not None:
+            raise ValueError("a start allocation needs the phases phi0 it was built at")
         if rng is None:
             raise ValueError("rng is required when phi0 is not given")
         phi0 = RisPhases.random(n_ris, rng)
 
-    alloc = waterfill_covariances(equivalent_channel(channels, phi0), total_power)
+    alloc = waterfill_covariances(equivalent_channel(channels, phi0), total_power) if start is None else start
     diag = phi0.diag
 
     trace = [alloc.rate]

@@ -61,20 +61,26 @@ def _number_hints(cls) -> dict:
     return {name: hint for name, hint in get_type_hints(cls).items() if {int, float} & {hint, *get_args(hint)}}
 
 
+def is_integer(value) -> bool:
+    """True for an integral number that is not a bool (`bool` is a `numbers.Integral`)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def require_valid_numbers(config) -> None:
     """Reject a dataclass whose int- or float-annotated fields break the numeric rule.
 
-    Float fields must be finite reals, int fields integers >= 1 (`seed` >= 0).
-    Tuple fields must be tuples or lists, checked item by item; None passes
-    only where the annotation admits it. The ValueError names the field.
+    Float fields must be finite reals, int fields integers >= 1 (`seed` >= 0);
+    a bool is neither. Tuple fields must be tuples or lists, checked item by
+    item; None passes only where the annotation admits it. The ValueError
+    names the field.
     """
     for name, hint in _number_hints(type(config)).items():
         value, is_int, is_tuple = getattr(config, name), int in (hint, *get_args(hint)), get_origin(hint) is tuple
         least = 0 if name == "seed" else 1
         if is_tuple and not isinstance(value, (tuple, list)) or not all(
                 type(None) in get_args(hint) if v is None
-                else isinstance(v, numbers.Integral) and v >= least if is_int
-                else isinstance(v, numbers.Real) and math.isfinite(v)
+                else is_integer(v) and v >= least if is_int
+                else isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
                 for v in (value if is_tuple else (value,))):
             rule = f"integers >= {least}" if is_int else "finite numbers"
             raise ValueError(f"{name} must hold {rule}{' in a tuple or list' * is_tuple}, got {value!r}")

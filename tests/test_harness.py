@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from typing import get_origin, get_type_hints
 import numpy as np
 import pytest
 
-from rislink import cli, harness
+from rislink import cli, harness, power
 from rislink.harness import (
     SCENARIOS,
     SystemConfig,
@@ -25,7 +26,7 @@ from rislink.harness import (
 )
 from rislink.pga import pga_optimize
 from rislink.propagation import GeometryConfig, direct_gain, link_distances, p_los
-from rislink.rate import RisPhases, fold_gains
+from rislink.rate import RisPhases, equivalent_channel, fold_gains
 from rislink.rng import SITE_BLOCKAGE, SITE_PHASES, substream
 
 
@@ -171,7 +172,7 @@ def test_with_n_ris_factorization():
         assert c.ris_rows * c.ris_cols == n
 
 
-@pytest.mark.parametrize("n_ris", [0, -4, 2.5, 16.0])
+@pytest.mark.parametrize("n_ris", [0, -4, 2.5, 16.0, True])
 def test_with_n_ris_rejects_a_size_that_is_not_a_positive_integer(n_ris):
     with pytest.raises(ValueError, match="n_ris must be an integer >= 1"):
         small_config().with_n_ris(n_ris)
@@ -207,6 +208,35 @@ def test_complexity_table_rejects_a_bad_seed_before_any_trial(monkeypatch, seed)
 def test_config_rejects_a_wrongly_typed_value_naming_the_field(build, field):
     with pytest.raises(ValueError, match=f"^{field} must hold"):
         build()
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: SystemConfig(mc_trials=True), "mc_trials"),
+    (lambda: SystemConfig(n_ris_list=(True,)), "n_ris_list"),
+    (lambda: SystemConfig(seed=False), "seed"),
+    (lambda: SystemConfig(mu0=True), "mu0"),
+    (lambda: complexity_table(small_config(), GeometryConfig(), [4], True, trials=1, snr_db=0.0), "seed"),
+    (lambda: complexity_table(small_config(), GeometryConfig(), [4], trials=True, snr_db=0.0), "trials"),
+], ids=["int-field", "int-tuple-item", "seed", "float-field", "complexity-seed", "complexity-trials"])
+def test_config_rejects_a_bool_in_a_numeric_field(monkeypatch, build, field):
+    # bool is a numbers.Integral, but neither a count nor a real parameter
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_trial_draws", no_trial)
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        build()
+
+
+def test_tuple_fields_are_stored_as_tuples():
+    assert SystemConfig(n_ris_list=[16]) == SystemConfig(n_ris_list=(16,))
+    cfg, _ = parse_config(None, {"n_ris_list": [16, 64]}, preset="desk")
+    assert cfg.n_ris_list == (16, 64)
+    hints = get_type_hints(SystemConfig)
+    tuple_fields = [name for name, hint in hints.items() if get_origin(hint) is tuple]
+    listed = SystemConfig(**{name: list(getattr(SystemConfig(), name)) for name in tuple_fields})
+    assert all(type(getattr(listed, name)) is tuple for name in tuple_fields)
+    assert listed == SystemConfig()
 
 
 def test_snr_reference_gain():
@@ -405,6 +435,70 @@ def test_run_scenario_synthesizes_each_link_once_per_state(monkeypatch, scenario
         assert sorted(los for i, _, los in drawn if i == 3) == sorted(states)
         # the trial's blockage uniform is drawn from its substream once
         assert built.count(key + (SITE_BLOCKAGE,)) == 1
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_trial_rates_cells_equal_lone_point_trials(scenario):
+    # run_trial scores one point alone, so it shares no algebra with other points
+    cfg, geom = preset_config("desk")
+    points = harness.sweep_points(cfg, geom, scenario)
+    keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(3)]
+    se = harness._trial_rates(points, keys)
+    for i, (c, g, _, _, _, snr) in enumerate(points):
+        for a, arm in enumerate(harness.ARMS):
+            assert se[i, a].tolist() == [run_trial(c, g, arm, key, snr) for key in keys], (i, arm)
+    if scenario == "plos_vs_se":  # some trial sees both blockage states
+        assert any(len({draw_trial(c, g, key)[1].los for c, g, *_ in points}) == 2 for key in keys)
+
+
+def test_trial_decomposes_each_distinct_channel_once(monkeypatch):
+    # one plos_vs_se chunk: the start and the direct channel once per (trial, blockage state), plus one
+    # decomposition per optimizer candidate, whichever module makes the call
+    cfg, geom = preset_config("desk")
+    points = harness.sweep_points(cfg, geom, "plos_vs_se")
+    keys = [(cfg.seed, SCENARIOS["plos_vs_se"], t) for t in range(3)]
+    assert len(keys) <= harness._chunk_trials(points)
+    expected = {}  # (trial, blockage state) -> (start channel, direct channel)
+    for n, (channels, gains, phi0) in enumerate(harness._trial_draws(points, keys)):
+        folded = fold_gains(channels, gains)
+        expected[n // len(points), gains.los] = (equivalent_channel(folded, phi0), folded.h3)
+    assert len(expected) > len(keys)  # some trial sees both blockage states
+
+    decomposed, iterations = [], []
+    eigvals, optimize = power.channel_eigvals, harness.pga_optimize
+    for module in (power, harness):
+        monkeypatch.setattr(module, "channel_eigvals", lambda heq, noise_var: decomposed.append(heq)
+                            or eigvals(heq, noise_var), raising=False)
+
+    def counting_optimize(*args, **kwargs):
+        result = optimize(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(harness, "pga_optimize", counting_optimize)
+    harness._trial_rates(points, keys)
+    assert len(iterations) == len(points) * len(keys)
+    assert len(decomposed) == 2 * len(expected) + sum(iterations)
+    for start, direct in expected.values():
+        assert sum(np.array_equal(heq, start) for heq in decomposed) == 1
+        assert sum(np.array_equal(heq, direct) for heq in decomposed) == 1
+
+
+# SHA-256 of the desk CSV text of each scenario at seed 0 with 3 trials, recorded with numpy's bundled
+# OpenBLAS on x86-64 (another BLAS build may round differently). The reference-seed check in
+# test_bench_contract.py allows 1e-6 relative drift; this pins the bytes.
+PINNED_DESK_CSV_SHA256 = {
+    "distance_vs_se": "7100ea6a0db6a1dd19489ee305bb85f1f185c7b67ce693cb001d0e4a0d531692",
+    "plos_vs_se": "4221db59d1eaba35a102a69184696f506fcd0d14f3b580c3e31972c2009681d7",
+    "se_vs_snr": "29b263e09f48fc126b3ae623969474880419e2ab235624e1dd5ad6311b5c2125",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_desk_csv_bytes_are_pinned(scenario):
+    cfg, geom = parse_config(None, {"seed": 0, "mc_trials": 3}, preset="desk")
+    text = scenario_rows_to_csv(run_scenario(cfg, geom, scenario))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DESK_CSV_SHA256[scenario]
 
 
 def test_run_scenario_builds_its_sweep_once(monkeypatch):

@@ -187,6 +187,17 @@ def test_pga_requires_rng_or_phi0():
     assert res.trace[0] > 0
 
 
+def test_pga_from_a_given_start_allocation_is_the_same_run():
+    rng = substream(93)
+    ch, _, phi = random_instance(rng, k=3, n_r=2, n_t=4, n_ris=6)
+    start = waterfill_covariances(equivalent_channel(ch, phi), 8.0)
+    given, built = pga_optimize(ch, 8.0, phi0=phi, start=start), pga_optimize(ch, 8.0, phi0=phi)
+    np.testing.assert_array_equal(given.trace, built.trace)
+    np.testing.assert_array_equal(given.phi.diag, built.phi.diag)
+    with pytest.raises(ValueError, match="needs the phases phi0"):
+        pga_optimize(ch, 8.0, rng=rng, start=start)
+
+
 @pytest.mark.parametrize("mu0, epsilon", [(0.0, 1e-3), (-0.1, 1e-3), (np.nan, 1e-3),
                                           (0.1, 0.0), (0.1, np.nan)])
 def test_pga_rejects_non_positive_or_nan_step_and_tolerance(mu0, epsilon):

@@ -8,6 +8,7 @@ from rislink.power import (
     channel_eigvals,
     waterfill,
     waterfill_covariances,
+    waterfill_eigenpairs,
 )
 from rislink.rng import substream
 
@@ -239,3 +240,15 @@ def test_waterfilled_rate_beats_uniform():
         n_s = alloc.p.shape[1]
         uniform = build_covariances(alloc.u, np.full((k, n_s), pt / (k * n_s)))
         assert rate_from_heq(heq, alloc.q, 1.0) >= rate_from_heq(heq, uniform, 1.0) - 1e-12
+
+
+def test_waterfill_eigenpairs_serves_every_budget_from_one_decomposition():
+    # the eigenpairs do not depend on the budget: waterfilling them equals decomposing anew
+    rng = substream(120)
+    heq = crandn(rng, 3, 2, 5)
+    pairs = channel_eigvals(heq, 1.0)
+    for budget in (0.1, 2.0, 300.0):
+        shared, alone = waterfill_eigenpairs(heq, *pairs, budget), waterfill_covariances(heq, budget)
+        assert shared.rate == alone.rate
+        np.testing.assert_array_equal(shared.p, alone.p)
+        np.testing.assert_array_equal(shared.w, alone.w)
