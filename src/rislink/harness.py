@@ -8,18 +8,18 @@ in contiguous chunks, for scenarios and the complexity table alike: each link
 is synthesized in one batched pass over a chunk's trials, each trial drawn
 from its own substream exactly as it would be alone, so a trial's values do
 not depend on the chunk it lands in. The chunk size comes from a byte budget
-on one chunk's BS->RIS stack (`CHUNK_BYTES`). One kernel then scores every
-sweep point and method arm of each trial from shared draws (common random
-numbers): one blockage uniform, the two RIS links once per RIS size, the
-direct link once per blockage state, and each point's pathloss once per
-chunk. The points that see one channel in a trial also share its algebra,
-since they differ only in their power budget and the eigenpairs do not: the
-folded stacks and the start equivalent channel's eigenpairs once per (RIS
-size, blockage state, pathloss gains), and the folded direct channel's
-eigenpairs once per (blockage state, direct gain). Each point waterfills only
-its own budget on them. The arms are the full phase/power optimization, the
-random start phases with waterfilling, and a system with the reflected path
-removed.
+over each trial's BS->RIS stack and steering vectors (`CHUNK_BYTES`). One loop,
+`_trial_rates`, then scores every sweep point and method arm of each trial
+from shared draws (common random numbers): one blockage uniform, the two RIS
+links once per RIS size, the direct link once per blockage state, and each
+point's pathloss once per chunk. The points that see one channel in a trial
+also share its algebra, decomposed where the trial first meets it, since they
+differ only in their power budget and the eigenpairs do not: the folded
+stacks and the start equivalent channel's eigenpairs once per (RIS size,
+blockage state, pathloss gains), and the folded direct channel's eigenpairs
+once per (blockage state, direct gain). Each point waterfills only its own
+budget on them. The arms are the full phase/power optimization, the random
+start phases with waterfilling, and a system with the reflected path removed.
 """
 
 import csv
@@ -27,7 +27,6 @@ import io
 import math
 import time
 from dataclasses import astuple, dataclass, fields, replace
-from functools import cached_property
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from . import flops
 from .channel import FreqChannelSet, UraSpec, synthesize_link, taps_to_subcarriers
 from .pga import pga_optimize
-from .power import PowerAllocation, channel_eigvals, waterfill_eigenpairs
+from .power import channel_eigvals, waterfill_eigenpairs
 from .propagation import (GeometryConfig, LinkGains, blockage_state, direct_gain, indirect_gain, is_integer,
                           link_distances, p_los, require_valid_numbers)
 from .rate import RisPhases, equivalent_channel, fold_gains
@@ -54,12 +53,11 @@ _SCENARIO_GEOMETRY = {
     "distance_vs_se": ({"bs_height": 20.0, "d_ris": DISTANCE_D_RIS}, ("d_bs_ue",)),
 }
 
-# Byte budget of one trial chunk's BS->RIS subcarrier stack, 16*K*N_RIS*N_t
-# bytes per trial at the largest RIS size; a chunk holds at least one trial.
-# 1 MiB gives 8 trials at desk N_RIS=64, 32 at desk N_RIS=16 and 1 at paper
-# scale. A chunk's steering-vector temporaries outweigh its stacks at desk
-# scale: 32-trial chunks raised a 40-trial desk se_vs_snr run's peak RSS by
-# 19 MiB over 1-trial chunks, 8-trial chunks by 5 MiB.
+# Byte budget of one trial chunk, counted per trial by `_trial_bytes` at the
+# largest RIS size; a chunk holds at least one trial. At desk scale the
+# steering arrays outweigh the BS->RIS stack (340 KiB against 128 KiB a trial
+# at N_RIS=64). 1 MiB gives 2 trials at desk N_RIS=64, 6 at desk N_RIS=16 and
+# 1 at paper scale.
 CHUNK_BYTES = 2**20
 
 
@@ -219,10 +217,22 @@ def total_power_for_snr(cfg: SystemConfig, geom: GeometryConfig, snr_db: float) 
     return power
 
 
+def _trial_bytes(c: SystemConfig) -> int:
+    """One trial's share of a chunk: its BS->RIS subcarrier stack plus the largest link's steering-vector pair.
+
+    `synthesize_link` holds the rx and tx responses of every (tap, ray) pair
+    of a link at once, complex: 16 * L * rays * (n_rx + n_tx) bytes a trial.
+    """
+    ris_rays = c.ris_clusters * c.ris_rays
+    direct_rays = max(c.direct_los_clusters * c.direct_los_rays, c.direct_nlos_clusters * c.direct_nlos_rays)
+    steering = max(c.n_taps[0] * ris_rays * (c.n_ris + c.n_t), c.n_taps[1] * ris_rays * (c.n_r + c.n_ris),
+                   c.n_taps[2] * direct_rays * (c.n_r + c.n_t))
+    return 16 * (c.n_subcarriers * c.n_ris * c.n_t + steering)
+
+
 def _chunk_trials(points: list[tuple]) -> int:
-    """Trials per chunk for sweep points led by cfg: CHUNK_BYTES over one trial's BS->RIS stack, at least 1."""
-    per_trial = max(16 * c.n_subcarriers * c.n_ris * c.n_t for c, *_ in points)
-    return max(1, CHUNK_BYTES // per_trial)
+    """Trials per chunk for sweep points led by cfg: CHUNK_BYTES over the largest `_trial_bytes`, at least 1."""
+    return max(1, CHUNK_BYTES // max(_trial_bytes(c) for c, *_ in points))
 
 
 def _link_response(cfg: SystemConfig, keys: list[tuple], link: int, los: bool = True) -> np.ndarray:
@@ -276,56 +286,18 @@ def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[Fre
     return next(_trial_draws([(cfg, geom)], [key]))[:2]
 
 
-class _Eigenpairs:
-    """A gain-folded (K, N_r, N_t) channel whose unit-noise eigenpairs are decomposed on first use.
-
-    The eigenpairs do not depend on the power budget, so every budget the
-    channel is scored at is waterfilled on the same pairs.
-    """
-
-    def __init__(self, heq: np.ndarray):
-        self.heq = heq
-
-    @cached_property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return channel_eigvals(self.heq, 1.0)
-
-    def waterfill(self, total_power: float) -> PowerAllocation:
-        return waterfill_eigenpairs(self.heq, *self.pairs, total_power)
-
-
-def _point_rates(cfg: SystemConfig, arms, folded: FreqChannelSet, phi0: RisPhases, start: _Eigenpairs,
-                 direct: _Eigenpairs, total_power: float) -> dict:
-    """Spectral efficiency of each of `arms` at one point from its trial's shared channel algebra.
-
-    `folded` holds the gain-folded link stacks, `start` the equivalent
-    channel at the start phases `phi0` and `direct` the folded direct
-    channel; the point only waterfills its own budget on their eigenpairs.
-    `random_phases` is the waterfill on `start`, `pga` optimizes from that
-    allocation, and `no_ris` is the waterfill on `direct`.
-    """
-    rates = {}
-    if "pga" in arms or "random_phases" in arms:
-        alloc = start.waterfill(total_power)
-        rates["random_phases"] = alloc.rate
-        if "pga" in arms:
-            rates["pga"] = pga_optimize(folded, total_power, mu0=cfg.mu0, epsilon=cfg.epsilon,
-                                        max_iter=cfg.max_iter, phi0=phi0, start=alloc).rate
-    if "no_ris" in arms:
-        rates["no_ris"] = direct.waterfill(total_power).rate
-    return rates
-
-
 def _trial_rates(points: list[tuple], keys: list[tuple], arms=ARMS) -> np.ndarray:
     """Spectral efficiency (points x arms x trials) of the trials at `keys` at each (cfg, geometry, budget, ...) point.
 
-    Within a trial, the points that see one channel share its algebra. Points
-    with the same RIS size, blockage state and pathloss gains (compared by
-    value) share the folded stacks and the start equivalent channel with its
-    eigenpairs; points with the same blockage state and direct gain share the
-    folded direct channel with its eigenpairs, since that link does not see
-    the RIS. Each point then waterfills only its own budget, so a lone point
-    (`run_trial`) computes the same bits with nothing shared.
+    Within a trial, each distinct channel is folded and decomposed where the
+    trial first meets it. Points with the same RIS size, blockage state and
+    pathloss gains (compared by value) share the folded stacks and the start
+    equivalent channel's eigenpairs; points with the same blockage state and
+    direct gain share the folded direct channel's eigenpairs, since that link
+    does not see the RIS. Each point then scores its own budget: the
+    waterfill on the start pairs is `random_phases` and, only when `arms`
+    holds `pga`, the optimizer's start; the one on the direct pairs is
+    `no_ris`. A lone point (`run_trial`) computes the same bits.
     """
     se = np.empty((len(points), len(arms), len(keys)))
     for n, (channels, gains, phi0) in enumerate(_trial_draws(points, keys)):
@@ -336,10 +308,17 @@ def _trial_rates(points: list[tuple], keys: list[tuple], arms=ARMS) -> np.ndarra
         key = (cfg.n_ris, gains.los, gains.rho_direct, gains.rho_indirect)
         if key not in shared:
             folded = fold_gains(channels, gains)
-            direct = directs.setdefault((gains.los, gains.rho_direct), _Eigenpairs(folded.h3))
-            shared[key] = folded, _Eigenpairs(equivalent_channel(folded, phi0)), direct
+            direct_key = (gains.los, gains.rho_direct)
+            if direct_key not in directs:
+                directs[direct_key] = folded.h3, *channel_eigvals(folded.h3, 1.0)
+            heq = equivalent_channel(folded, phi0)
+            shared[key] = folded, (heq, *channel_eigvals(heq, 1.0)), directs[direct_key]
         folded, start, direct = shared[key]
-        rates = _point_rates(cfg, arms, folded, phi0, start, direct, budget)
+        alloc = waterfill_eigenpairs(*start, budget)
+        rates = {"random_phases": alloc.rate, "no_ris": waterfill_eigenpairs(*direct, budget).rate}
+        if "pga" in arms:
+            rates["pga"] = pga_optimize(folded, budget, mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
+                                        phi0=phi0, start=alloc).rate
         se[i, :, t] = [rates[arm] for arm in arms]
     return se
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import flops
 from .channel import FreqChannelSet
 from .power import PowerAllocation, waterfill_covariances
+from .propagation import is_integer
 from .rate import LN2, RisPhases, combine_links, equivalent_channel
 
 MU_FLOOR = 1e-12
@@ -135,8 +136,9 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
     `harness.complexity_table` and the benchmark's span tracer pass one.
     The noise variance is 1: for another sigma^2, pass total_power / sigma^2.
     """
-    if not mu0 > 0 or not epsilon > 0 or max_iter < 1:
-        raise ValueError("need mu0 > 0, epsilon > 0 and a positive iteration cap")
+    if not mu0 > 0 or not epsilon > 0 or not is_integer(max_iter) or max_iter < 1:
+        raise ValueError(f"need mu0 > 0, epsilon > 0 and an integer max_iter >= 1, got "
+                         f"{mu0!r}, {epsilon!r} and {max_iter!r}")
     n_ris = channels.h1.shape[1]
     if phi0 is None:
         if start is not None:

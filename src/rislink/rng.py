@@ -8,6 +8,8 @@ trials can run in any order or in parallel without changing results.
 
 import numpy as np
 
+from .propagation import is_integer
+
 # Draw-site tags used in substream keys.
 SITE_BLOCKAGE = 0
 SITE_LINK = 1
@@ -15,7 +17,14 @@ SITE_PHASES = 2
 
 
 def substream(*key: int) -> np.random.Generator:
-    """Return an independent Philox generator for an integer key tuple."""
+    """Return an independent Philox generator for an integer key tuple.
+
+    A key entry that is not an integer, or is a bool, raises ValueError
+    naming it, since truncating it would alias another key's stream.
+    """
     if not key:
         raise ValueError("substream key must contain at least one integer")
+    for k in key:
+        if not is_integer(k):
+            raise ValueError(f"substream key entries must be integers, got {k!r} in {key!r}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(tuple(int(k) for k in key))))

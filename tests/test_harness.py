@@ -9,7 +9,7 @@ from typing import get_origin, get_type_hints
 import numpy as np
 import pytest
 
-from rislink import cli, harness, power
+from rislink import channel, cli, harness, power
 from rislink.harness import (
     SCENARIOS,
     SystemConfig,
@@ -451,6 +451,22 @@ def test_trial_rates_cells_equal_lone_point_trials(scenario):
         assert any(len({draw_trial(c, g, key)[1].los for c, g, *_ in points}) == 2 for key in keys)
 
 
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_trial_rates_runs_the_optimizer_only_for_the_pga_arm(monkeypatch, scenario):
+    # the gates' lone-arm run_trial calls score random_phases or no_ris without an optimizer run
+    cfg, geom = preset_config("desk")
+    points = harness.sweep_points(cfg, geom, scenario)
+    keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(2)]
+    runs = []
+    optimize = harness.pga_optimize
+    monkeypatch.setattr(harness, "pga_optimize", lambda *args, **kwargs: runs.append(1) or optimize(*args, **kwargs))
+    for arms in (("random_phases",), ("no_ris",), ("random_phases", "no_ris")):
+        harness._trial_rates(points, keys, arms)
+        assert runs == [], arms
+    harness._trial_rates(points, keys, ("pga",))
+    assert len(runs) == len(points) * len(keys)
+
+
 def test_trial_decomposes_each_distinct_channel_once(monkeypatch):
     # one plos_vs_se chunk: the start and the direct channel once per (trial, blockage state), plus one
     # decomposition per optimizer candidate, whichever module makes the call
@@ -530,7 +546,7 @@ def test_trial_draws_evaluate_pathloss_once_per_point(monkeypatch):
 
 
 def test_complexity_table_draws_in_trial_chunks(monkeypatch):
-    # 9 trials: one chunk at N_ris=16 (32 a chunk), two at N_ris=64 (8 a chunk)
+    # 9 trials: two chunks at N_ris=16 (6 a chunk), five at N_ris=64 (2 a chunk)
     cfg, geom = preset_config("desk")
     synthesized = []
     synthesize = harness.synthesize_link
@@ -542,10 +558,10 @@ def test_complexity_table_draws_in_trial_chunks(monkeypatch):
     monkeypatch.setattr(harness, "synthesize_link", counting_synthesize)
     chunked = complexity_table(cfg, geom, [16, 64], seed=7, trials=9, snr_db=10.0)
     for link in (1, 2):
-        assert [(n, t) for i, n, t in synthesized if i == link] == [(16, 9), (64, 8), (64, 1)]
+        assert [(n, t) for i, n, t in synthesized if i == link] == [(16, 6), (16, 3)] + [(64, 2)] * 4 + [(64, 1)]
     # the direct link once per blockage state present in a chunk
     direct = [(n, t) for i, n, t in synthesized if i == 3]
-    assert 3 <= len(direct) <= 6 and all(sum(t for n, t in direct if n == size) == 9 for size in (16, 64))
+    assert 7 <= len(direct) <= 14 and all(sum(t for n, t in direct if n == size) == 9 for size in (16, 64))
     monkeypatch.setattr(harness, "CHUNK_BYTES", 1)  # one trial a chunk
     alone = complexity_table(cfg, geom, [16, 64], seed=7, trials=9, snr_db=10.0)
     for key in ("n_ris", "iter_count", "flop_count"):
@@ -553,8 +569,8 @@ def test_complexity_table_draws_in_trial_chunks(monkeypatch):
 
 
 def per_trial_bytes(points):
-    """One trial's BS->RIS subcarrier stack at the largest RIS size, the unit of the chunk budget."""
-    return max(16 * c.n_subcarriers * c.n_ris * c.n_t for c, *_ in points)
+    """One trial's bytes at the largest RIS size, the unit of the chunk budget."""
+    return max(harness._trial_bytes(c) for c, *_ in points)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -576,13 +592,31 @@ def test_chunk_rule_one_paper_trial_and_whole_bench_processes():
     paper, geom = preset_config("paper")
     assert harness._chunk_trials([(paper.with_n_ris(256), geom)]) == 1
     assert harness._chunk_trials([(paper.with_n_ris(n), geom) for n in (64, 256)]) == 1
-    # each of bench/run.py's desk processes is one chunk: 3 trials at N_ris 16 and 64 (desk_snr),
-    # 6 at N_ris 16 (desk_blockage_low)
+    # the steering arrays set the desk chunks: bench/run.py's 6-trial desk_blockage_low processes
+    # (N_ris 16) are one chunk, its 3-trial desk_snr processes (N_ris 16 and 64) two
     desk, _ = preset_config("desk")
-    assert harness._chunk_trials([(desk.with_n_ris(n), geom) for n in (16, 64)]) == 8
-    assert harness._chunk_trials([(desk.with_n_ris(16), geom)]) == 32
+    assert harness._chunk_trials([(desk.with_n_ris(n), geom) for n in (16, 64)]) == 2
+    assert harness._chunk_trials([(desk.with_n_ris(16), geom)]) == 6
     # a huge per-trial stack still gets a chunk of one
     assert harness._chunk_trials([(replace(paper, n_subcarriers=4096).with_n_ris(256), geom)]) == 1
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_chunk_steering_arrays_fit_the_byte_budget(monkeypatch, scenario):
+    # every synthesize_link call of a desk run holds its rx and tx steering arrays within CHUNK_BYTES
+    cfg, geom = parse_config(None, {"mc_trials": 8}, preset="desk")
+    sizes = []
+    respond = channel.ura_response
+
+    def measured_response(*args):
+        out = respond(*args)
+        sizes.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(channel, "ura_response", measured_response)
+    run_scenario(cfg, geom, scenario)
+    pairs = [sizes[i] + sizes[i + 1] for i in range(0, len(sizes), 2)]
+    assert pairs and max(pairs) <= harness.CHUNK_BYTES
 
 
 def test_total_power_for_snr_rejects_a_budget_that_is_not_finite_and_positive():

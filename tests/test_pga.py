@@ -207,6 +207,15 @@ def test_pga_rejects_non_positive_or_nan_step_and_tolerance(mu0, epsilon):
         pga_optimize(ch, 1.0, mu0=mu0, epsilon=epsilon, phi0=phi)
 
 
+# unchecked, a fractional cap runs its ceiling in iterations and a bool counts as 0 or 1
+@pytest.mark.parametrize("max_iter", [0, -1, 2.5, np.float64(3.0), True])
+def test_pga_rejects_an_iteration_cap_that_is_not_an_integer_at_least_one(max_iter):
+    ch, _, phi = random_instance(substream(93))
+    with pytest.raises(ValueError, match="integer max_iter >= 1"):
+        pga_optimize(ch, 1.0, max_iter=max_iter, phi0=phi)
+    assert pga_optimize(ch, 1.0, max_iter=np.int64(1), phi0=phi).iterations <= 1
+
+
 def reference_pga(channels, total_power, phi0, mu0=0.1, epsilon=1e-3, max_iter=200, gradient=gradient_phi):
     """The ascent loop on the public kernels, with a validated RisPhases at every iterate."""
     phi = phi0
