@@ -10,24 +10,15 @@ on the unit-modulus diagonal) and the per-subcarrier transmit covariances
 from .channel import (
     ClusterRaySet,
     FreqChannelSet,
-    UraSpec,
     geometric_tap,
     rician_tap,
     synthesize_link,
     taps_to_subcarriers,
     ura_response,
 )
+from .config import GeometryConfig, SystemConfig, UraSpec, parse_config, preset_config
 from .flops import FlopMeter
-from .harness import (
-    GeometryConfig,
-    ScenarioResult,
-    SystemConfig,
-    complexity_table,
-    parse_config,
-    preset_config,
-    run_scenario,
-    run_trial,
-)
+from .harness import ScenarioResult, complexity_table, run_scenario, run_trial
 from .pga import PgaResult, gradient_phi, pga_optimize, project_unit_modulus
 from .power import (
     PowerAllocation,

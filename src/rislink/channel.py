@@ -23,27 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import require_valid_numbers
+from .config import SystemConfig, UraSpec
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class UraSpec:
-    """Uniform rectangular array geometry: rows x cols elements, pitch in wavelengths."""
-
-    rows: int
-    cols: int
-    spacing_wavelengths: float = 0.5
-
-    def __post_init__(self):
-        require_valid_numbers(self)
-        if not self.spacing_wavelengths > 0:
-            raise ValueError("element spacing must be positive")
-
-    @property
-    def n_elements(self) -> int:
-        return self.rows * self.cols
 
 
 @dataclass
@@ -176,7 +158,8 @@ def tap_power_weights(n_taps: int) -> np.ndarray:
 _CENTER_HALF_WIDTHS = (np.pi, np.pi / 2, np.pi, np.pi / 2)
 
 
-def synthesize_link(link_index: int, config, rngs: Sequence[np.random.Generator], los: bool = True) -> np.ndarray:
+def synthesize_link(link_index: int, config: SystemConfig, rngs: Sequence[np.random.Generator],
+                    los: bool = True) -> np.ndarray:
     """Synthesize the time-domain taps of one link for T trials as a (T, L, n_rx, n_tx) stack.
 
     `rngs` holds one generator per trial. Per tap, an independent
@@ -190,38 +173,17 @@ def synthesize_link(link_index: int, config, rngs: Sequence[np.random.Generator]
     departure elevation in turn, the cluster centers and then the ray
     offsets; then the real and the imaginary gain parts and the real and the
     imaginary scatter parts. Every (trial, tap) pair is then built in one
-    batched pass, so entry t depends on generator t alone. The direct link
-    (index 3) uses the sparse LOS ray counts when `los` is true and the
-    richer NLOS counts otherwise; the RIS links (1, 2) always use the
-    generic counts.
+    batched pass, so entry t depends on generator t alone.
 
-    `config` must expose tx_spec/rx_spec/ris_spec (UraSpec), n_taps (3-tuple),
-    rician_k, angular_spread_rad and the per-link cluster/ray counts; the
-    harness SystemConfig does.
+    The link's arrays and its cluster, ray and tap counts come from the
+    config's link table, `config.link(link_index, los)`: the direct link
+    (index 3) has the sparse LOS ray counts when `los` is true and the
+    richer NLOS counts otherwise. The config's own checks guarantee at least
+    one cluster and one ray and a finite, nonnegative angular spread.
     """
-    if link_index == 1:  # BS -> RIS
-        rx_spec, tx_spec = config.ris_spec, config.tx_spec
-        n_clusters, n_rays = config.ris_clusters, config.ris_rays
-    elif link_index == 2:  # RIS -> UE
-        rx_spec, tx_spec = config.rx_spec, config.ris_spec
-        n_clusters, n_rays = config.ris_clusters, config.ris_rays
-    elif link_index == 3:  # BS -> UE direct
-        rx_spec, tx_spec = config.rx_spec, config.tx_spec
-        if los:
-            n_clusters, n_rays = config.direct_los_clusters, config.direct_los_rays
-        else:
-            n_clusters, n_rays = config.direct_nlos_clusters, config.direct_nlos_rays
-    else:
-        raise ValueError(f"link_index must be 1, 2 or 3, got {link_index}")
-    spread = config.angular_spread_rad
-    if n_clusters < 1 or n_rays < 1:
-        raise ValueError("need at least one cluster and one ray per cluster")
-    if not spread >= 0 or not math.isfinite(spread):
-        raise ValueError(f"angular spread must be finite and nonnegative, got {spread!r}")
-
-    n_taps = config.n_taps[link_index - 1]
+    rx_spec, tx_spec, n_clusters, n_rays, n_taps = config.link(link_index, los)
     n, shape = n_clusters * n_rays, (rx_spec.n_elements, tx_spec.n_elements)
-    scale = spread / np.sqrt(2.0)  # Laplace with std = spread has scale spread/sqrt(2)
+    scale = config.angular_spread_rad / np.sqrt(2.0)  # Laplace with std = spread has scale spread/sqrt(2)
     angles = np.empty((4, len(rngs), n_taps, n_clusters, n_rays))
     # per (trial, tap): real and imaginary gain parts, then real and imaginary scatter parts
     normals = np.empty((len(rngs), n_taps, 2 * n + 2 * shape[0] * shape[1]))

@@ -14,12 +14,11 @@ import argparse
 import os
 import sys
 
+from .config import PRESETS, parse_config
 from .harness import (
-    PRESETS,
     SCENARIOS,
     complexity_rows_to_csv,
     complexity_table,
-    parse_config,
     run_scenario,
     scenario_rows_to_csv,
     sweep_points,

@@ -20,6 +20,7 @@ blockage state, pathloss gains), and the folded direct channel's eigenpairs
 once per (blockage state, direct gain). Each point waterfills only its own
 budget on them. The arms are the full phase/power optimization, the random
 start phases with waterfilling, and a system with the reflected path removed.
+The configs, their presets and their parser are defined in `rislink.config`.
 """
 
 import csv
@@ -27,23 +28,22 @@ import io
 import math
 import time
 from dataclasses import astuple, dataclass, fields, replace
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import flops
-from .channel import FreqChannelSet, UraSpec, synthesize_link, taps_to_subcarriers
+from .channel import FreqChannelSet, synthesize_link, taps_to_subcarriers
+from .config import DISTANCE_D_RIS, GeometryConfig, SystemConfig, is_integer
+from .config import parse_config, preset_config  # noqa: F401  (the configs' entry points, re-exported here)
 from .pga import pga_optimize
 from .power import channel_eigvals, waterfill_eigenpairs
-from .propagation import (GeometryConfig, LinkGains, blockage_state, direct_gain, indirect_gain, is_integer,
-                          link_distances, p_los, require_valid_numbers)
+from .propagation import LinkGains, blockage_state, direct_gain, indirect_gain, link_distances, p_los
 from .rate import RisPhases, equivalent_channel, fold_gains
 from .rng import SITE_BLOCKAGE, SITE_LINK, SITE_PHASES, substream
 
 ARMS = ("pga", "random_phases", "no_ris")
 SCENARIOS = {"se_vs_snr": 1, "plos_vs_se": 2, "distance_vs_se": 3}
 _COMPLEXITY_SCENARIO_ID = 4  # substream id of the complexity table's trials
-DISTANCE_D_RIS = 30.0  # distance_vs_se's RIS offset (m); its distance_grid must lie beyond it
 # Geometry each scenario sets itself: the values it fixes and the keys it
 # sweeps. run_scenario refuses a geometry that moves any of these keys off its
 # GeometryConfig default rather than silently overwrite it.
@@ -59,107 +59,6 @@ _SCENARIO_GEOMETRY = {
 # at N_RIS=64). 1 MiB gives 2 trials at desk N_RIS=64, 6 at desk N_RIS=16 and
 # 1 at paper scale.
 CHUNK_BYTES = 2**20
-
-
-def _square_factorization(n: int) -> tuple[int, int]:
-    """rows x cols with rows the largest divisor of n not above sqrt(n)."""
-    r = int(np.sqrt(n))
-    while r > 1 and n % r:
-        r -= 1
-    return r, n // r
-
-
-@dataclass
-class SystemConfig:
-    """Array sizes, OFDM and channel statistics, and optimizer/Monte Carlo settings."""
-
-    tx_rows: int = 8
-    tx_cols: int = 8
-    rx_rows: int = 2
-    rx_cols: int = 2
-    ris_rows: int = 8
-    ris_cols: int = 8
-    spacing_wavelengths: float = 0.5
-    n_subcarriers: int = 24
-    n_taps: tuple[int, int, int] = (3, 4, 5)
-    rician_k: float = 10.0
-    ris_clusters: int = 8
-    ris_rays: int = 10
-    direct_los_clusters: int = 1
-    direct_los_rays: int = 1
-    direct_nlos_clusters: int = 5
-    direct_nlos_rays: int = 10
-    angular_spread_deg: float = 10.0
-    snr_db: tuple[float, ...] = (-5.0, 10.0)
-    n_ris_list: tuple[int, ...] = (64, 256)  # se_vs_snr sweep
-    plos_grid: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 1.0)
-    distance_grid: tuple[float, ...] = (100.0, 130.0, 160.0, 190.0, 220.0, 250.0)
-    mc_trials: int = 500
-    seed: int = 0
-    mu0: float = 0.1
-    epsilon: float = 1e-3
-    max_iter: int = 200
-
-    def __post_init__(self):
-        require_valid_numbers(self)
-        for f in fields(self):
-            if get_origin(f.type) is tuple:
-                setattr(self, f.name, tuple(getattr(self, f.name)))
-        if len(self.n_taps) != 3:
-            raise ValueError("n_taps must hold three tap counts")
-        if self.n_subcarriers < max(self.n_taps):
-            raise ValueError("subcarrier count must be at least the longest tap profile")
-        if self.rician_k < 0:
-            raise ValueError("Rician factor must be nonnegative")
-        if self.angular_spread_deg < 0:
-            raise ValueError("angular_spread_deg must be nonnegative")
-        if not self.spacing_wavelengths > 0:
-            raise ValueError("spacing_wavelengths must be positive")
-        for name in ("mu0", "epsilon"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("snr_db", "n_ris_list", "plos_grid", "distance_grid"):
-            if len(getattr(self, name)) == 0:
-                raise ValueError(f"{name} must hold at least one value")
-        if not all(0.0 <= p <= 1.0 for p in self.plos_grid):
-            raise ValueError("plos_grid entries must lie in [0, 1]")
-        if not all(d > DISTANCE_D_RIS for d in self.distance_grid):
-            raise ValueError(f"distance_grid entries must exceed the distance scenario's "
-                             f"RIS offset of {DISTANCE_D_RIS} m")
-
-    @property
-    def n_t(self) -> int:
-        return self.tx_rows * self.tx_cols
-
-    @property
-    def n_r(self) -> int:
-        return self.rx_rows * self.rx_cols
-
-    @property
-    def n_ris(self) -> int:
-        return self.ris_rows * self.ris_cols
-
-    @property
-    def tx_spec(self) -> UraSpec:
-        return UraSpec(self.tx_rows, self.tx_cols, self.spacing_wavelengths)
-
-    @property
-    def rx_spec(self) -> UraSpec:
-        return UraSpec(self.rx_rows, self.rx_cols, self.spacing_wavelengths)
-
-    @property
-    def ris_spec(self) -> UraSpec:
-        return UraSpec(self.ris_rows, self.ris_cols, self.spacing_wavelengths)
-
-    @property
-    def angular_spread_rad(self) -> float:
-        return float(np.deg2rad(self.angular_spread_deg))
-
-    def with_n_ris(self, n_ris: int) -> "SystemConfig":
-        if not is_integer(n_ris) or n_ris < 1:
-            raise ValueError(f"n_ris must be an integer >= 1, got {n_ris!r}")
-        rows, cols = _square_factorization(n_ris)
-        return replace(self, ris_rows=rows, ris_cols=cols)
 
 
 @dataclass
@@ -180,17 +79,6 @@ class ScenarioResult:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ScenarioResult))
-
-PRESETS = {
-    "paper": {},
-    "desk": {"tx_rows": 4, "tx_cols": 4, "ris_rows": 4, "ris_cols": 4,
-             "n_subcarriers": 8, "mc_trials": 50, "n_ris_list": (16, 64)},
-}
-
-
-def preset_config(name: str = "paper") -> tuple[SystemConfig, GeometryConfig]:
-    return parse_config(preset=name)
-
 
 def reference_gain(geom: GeometryConfig) -> float:
     """Blockage-averaged direct-path gain used as the SNR reference.
@@ -223,10 +111,8 @@ def _trial_bytes(c: SystemConfig) -> int:
     `synthesize_link` holds the rx and tx responses of every (tap, ray) pair
     of a link at once, complex: 16 * L * rays * (n_rx + n_tx) bytes a trial.
     """
-    ris_rays = c.ris_clusters * c.ris_rays
-    direct_rays = max(c.direct_los_clusters * c.direct_los_rays, c.direct_nlos_clusters * c.direct_nlos_rays)
-    steering = max(c.n_taps[0] * ris_rays * (c.n_ris + c.n_t), c.n_taps[1] * ris_rays * (c.n_r + c.n_ris),
-                   c.n_taps[2] * direct_rays * (c.n_r + c.n_t))
+    steering = max(taps * clusters * rays * (rx.n_elements + tx.n_elements)
+                   for rx, tx, clusters, rays, taps in (c.link(1), c.link(2), c.link(3, True), c.link(3, False)))
     return 16 * (c.n_subcarriers * c.n_ris * c.n_t + steering)
 
 
@@ -457,63 +343,3 @@ def complexity_rows_to_csv(rows: list[dict]) -> str:
         writer.writerow([r["n_ris"], f"{r['iter_count']:.10g}", f"{r['flop_count']:.10g}",
                          f"{r['runtime_s']:.6f}"])
     return buf.getvalue()
-
-
-# Config files hold "key = value" lines; these parsers map them onto the two
-# config dataclasses. Tuples are comma-separated, "none" is None, and other
-# values parse as int if they can, else as float.
-_SYSTEM_FIELDS = {f.name: f for f in fields(SystemConfig)}
-_GEOMETRY_FIELDS = {f.name: f for f in fields(GeometryConfig)}
-# item type of every tuple-typed field, read from the dataclass annotations
-_TUPLE_ITEM_TYPES = {name: get_args(hint)[0]
-                     for cls in (SystemConfig, GeometryConfig)
-                     for name, hint in get_type_hints(cls).items() if get_origin(hint) is tuple}
-
-
-def _parse_value(name: str, text: str):
-    text = text.strip()
-    item_type = _TUPLE_ITEM_TYPES.get(name)
-    if item_type is not None:
-        return tuple(item_type(p) for p in text.split(",") if p.strip())
-    if text.lower() == "none":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-def parse_config(path: str | None = None, overrides: dict | None = None,
-                 preset: str = "paper") -> tuple[SystemConfig, GeometryConfig]:
-    """Build the configs from a preset, an optional key=value file and overrides.
-
-    File format: UTF-8 lines of `key = value`, `#` starts a comment. Keys must
-    name a SystemConfig or GeometryConfig field; anything else is an error.
-    Overrides (already-typed or string values) are applied after the file.
-    """
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    sys_kwargs, geom_kwargs = dict(PRESETS[preset]), {}
-
-    def assign(key: str, raw):
-        if key not in _SYSTEM_FIELDS and key not in _GEOMETRY_FIELDS:
-            raise ValueError(f"unknown configuration key {key!r}")
-        try:
-            value = _parse_value(key, raw) if isinstance(raw, str) else raw
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
-        (sys_kwargs if key in _SYSTEM_FIELDS else geom_kwargs)[key] = value
-
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                stripped = line.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                if "=" not in stripped:
-                    raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-                key, _, raw = stripped.partition("=")
-                assign(key.strip(), raw)
-    for key, raw in (overrides or {}).items():
-        assign(key, raw)
-    return SystemConfig(**sys_kwargs), GeometryConfig(**geom_kwargs)

@@ -19,7 +19,7 @@ import numpy as np
 from . import flops
 from .channel import FreqChannelSet
 from .power import PowerAllocation, waterfill_covariances
-from .propagation import is_integer
+from .config import is_integer
 from .rate import LN2, RisPhases, combine_links, equivalent_channel
 
 MU_FLOOR = 1e-12

@@ -3,87 +3,15 @@
 Geometry: the BS (height l_t) and UE (height l_r) are D meters apart on the
 ground; the RIS center sits d_ris meters from the BS array center. Both link
 gains are multiplicative power gains applied to the equivalent channel, so
-received power decreases with distance on both paths.
+received power decreases with distance on both paths. The geometry record
+itself, `GeometryConfig`, is defined in `rislink.config`.
 """
 
-import functools
-import math
-import numbers
 from dataclasses import dataclass
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-C_LIGHT = 299792458.0  # m/s
-
-
-@dataclass
-class GeometryConfig:
-    """Deployment geometry and large-scale propagation parameters."""
-
-    d_bs_ue: float = 200.0  # BS-UE ground distance D (m)
-    bs_height: float = 10.0  # l_t (m)
-    ue_height: float = 1.8  # l_r (m)
-    d_ris: float = 2.2  # BS array center to RIS center ground offset (m)
-    carrier_freq_hz: float = 28e9
-    ant_gain_db: float = 62.0  # combined G_t*G_r in dB
-    d_ref: float = 1.0  # reference distance d_0 (m)
-    alpha_los: float = 2.0
-    alpha_nlos: float = 4.0
-    p_los_override: float | None = None
-
-    def __post_init__(self):
-        require_valid_numbers(self)
-        for name in ("d_bs_ue", "bs_height", "ue_height", "d_ris", "carrier_freq_hz", "d_ref"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.d_bs_ue <= self.d_ris:
-            raise ValueError(f"d_bs_ue must exceed d_ris (the UE stands beyond the RIS), "
-                             f"got d_bs_ue={self.d_bs_ue!r} <= d_ris={self.d_ris!r}")
-        if self.alpha_los < 0 or self.alpha_nlos < 0:
-            raise ValueError("pathloss exponents must be nonnegative")
-        if self.p_los_override is not None and not 0.0 <= self.p_los_override <= 1.0:
-            raise ValueError("p_los_override must lie in [0, 1]")
-
-    @property
-    def wavelength(self) -> float:
-        return C_LIGHT / self.carrier_freq_hz
-
-    @property
-    def ant_gain(self) -> float:
-        """Combined G_t*G_r as a linear power gain."""
-        return 10.0 ** (self.ant_gain_db / 10.0)
-
-
-@functools.cache
-def _number_hints(cls) -> dict:
-    """Annotations of the int- and float-typed fields of dataclass `cls`, tuple and optional fields included."""
-    return {name: hint for name, hint in get_type_hints(cls).items() if {int, float} & {hint, *get_args(hint)}}
-
-
-def is_integer(value) -> bool:
-    """True for an integral number that is not a bool (`bool` is a `numbers.Integral`)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def require_valid_numbers(config) -> None:
-    """Reject a dataclass whose int- or float-annotated fields break the numeric rule.
-
-    Float fields must be finite reals, int fields integers >= 1 (`seed` >= 0);
-    a bool is neither. Tuple fields must be tuples or lists, checked item by
-    item; None passes only where the annotation admits it. The ValueError
-    names the field.
-    """
-    for name, hint in _number_hints(type(config)).items():
-        value, is_int, is_tuple = getattr(config, name), int in (hint, *get_args(hint)), get_origin(hint) is tuple
-        least = 0 if name == "seed" else 1
-        if is_tuple and not isinstance(value, (tuple, list)) or not all(
-                type(None) in get_args(hint) if v is None
-                else is_integer(v) and v >= least if is_int
-                else isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-                for v in (value if is_tuple else (value,))):
-            rule = f"integers >= {least}" if is_int else "finite numbers"
-            raise ValueError(f"{name} must hold {rule}{' in a tuple or list' * is_tuple}, got {value!r}")
+from .config import GeometryConfig
 
 
 @dataclass

@@ -8,7 +8,7 @@ trials can run in any order or in parallel without changing results.
 
 import numpy as np
 
-from .propagation import is_integer
+from .config import is_integer
 
 # Draw-site tags used in substream keys.
 SITE_BLOCKAGE = 0

@@ -14,24 +14,14 @@ from rislink.channel import (
     taps_to_subcarriers,
     ura_response,
 )
-from rislink.harness import preset_config
+from rislink.config import SystemConfig, preset_config
 from rislink.rng import substream
 
 
-class DummyConfig:
-    """Minimal attribute bag accepted by synthesize_link."""
-
-    def __init__(self, rx=(1, 1), tx=(1, 1), ris=(2, 2), n_taps=(3, 4, 5), rician_k=10.0,
-                 spread_rad=np.deg2rad(10.0), ris_cr=(8, 10), los_cr=(1, 1), nlos_cr=(5, 10)):
-        self.rx_spec = UraSpec(*rx)
-        self.tx_spec = UraSpec(*tx)
-        self.ris_spec = UraSpec(*ris)
-        self.n_taps = n_taps
-        self.rician_k = rician_k
-        self.angular_spread_rad = spread_rad
-        self.ris_clusters, self.ris_rays = ris_cr
-        self.direct_los_clusters, self.direct_los_rays = los_cr
-        self.direct_nlos_clusters, self.direct_nlos_rays = nlos_cr
+def link_config(**kw):
+    """A SystemConfig with 1x1 BS and UE arrays and a 2x2 RIS, so that each link stays small."""
+    return SystemConfig(**{"rx_rows": 1, "rx_cols": 1, "tx_rows": 1, "tx_cols": 1, "ris_rows": 2, "ris_cols": 2,
+                           **kw})
 
 
 def reference_ura_response(azimuth, elevation, spec):
@@ -48,15 +38,20 @@ def reference_ura_response(azimuth, elevation, spec):
     return resp.reshape((spec.n_elements,) + np.shape(az))
 
 
-def reference_synthesize_link(link_index, config, rng, los=True):
-    """Tap-by-tap synthesis: draw one tap's rays, build its geometric tap, then draw its scatter."""
-    rx_spec, tx_spec, (n_clusters, n_rays) = {
+def reference_link(link_index, config, los=True):
+    """(rx spec, tx spec, (clusters, rays per cluster)) of a link, read field by field from the config."""
+    return {
         1: (config.ris_spec, config.tx_spec, (config.ris_clusters, config.ris_rays)),
         2: (config.rx_spec, config.ris_spec, (config.ris_clusters, config.ris_rays)),
         3: (config.rx_spec, config.tx_spec,
             (config.direct_los_clusters, config.direct_los_rays) if los
             else (config.direct_nlos_clusters, config.direct_nlos_rays)),
     }[link_index]
+
+
+def reference_synthesize_link(link_index, config, rng, los=True):
+    """Tap-by-tap synthesis: draw one tap's rays, build its geometric tap, then draw its scatter."""
+    rx_spec, tx_spec, (n_clusters, n_rays) = reference_link(link_index, config, los)
     n = n_clusters * n_rays
     shape = (rx_spec.n_elements, tx_spec.n_elements)
     taps = []
@@ -87,6 +82,17 @@ def generator_state(rng):
     def plain(x):
         return {k: plain(v) for k, v in x.items()} if isinstance(x, dict) else np.asarray(x).tolist()
     return plain(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("link", [1, 2, 3])
+@pytest.mark.parametrize("los", [True, False], ids=["los", "nlos"])
+def test_link_table_matches_the_reference_table(link, los):
+    # every array, count and tap profile differs, so a swapped entry shows
+    cfg = SystemConfig(tx_rows=3, tx_cols=2, rx_rows=1, rx_cols=2, ris_rows=2, ris_cols=4, n_taps=(2, 3, 4),
+                       ris_clusters=2, ris_rays=3, direct_los_clusters=1, direct_los_rays=4,
+                       direct_nlos_clusters=5, direct_nlos_rays=6)
+    rx_spec, tx_spec, (n_clusters, n_rays) = reference_link(link, cfg, los)
+    assert cfg.link(link, los) == (rx_spec, tx_spec, n_clusters, n_rays, cfg.n_taps[link - 1])
 
 
 @pytest.mark.parametrize("preset, n_ris", [("desk", 16), ("desk", 64), ("paper", 64), ("paper", 256)])
@@ -208,9 +214,10 @@ def test_ura_unit_norm_many_draws():
 
 
 @pytest.mark.parametrize("spread", [np.inf, np.nan, -0.1])
-def test_draw_rays_rejects_non_finite_or_negative_spread(spread):
-    with pytest.raises(ValueError, match="angular spread must be finite and nonnegative"):
-        synthesize_link(1, DummyConfig(spread_rad=spread), [substream(37)])
+def test_config_rejects_non_finite_or_negative_spread(spread):
+    # the config refuses the spread, so synthesize_link never draws with it
+    with pytest.raises(ValueError, match="^angular_spread_deg must"):
+        link_config(angular_spread_deg=spread)
 
 
 def test_geometric_tap_trivial_1x1():
@@ -315,14 +322,15 @@ def test_tap_weights_closed_form():
 
 def test_synthesize_link_tap_variances_rayleigh():
     # with rician_k = 0 the per-entry variance of tap l equals its power weight
-    cfg = DummyConfig(rician_k=0.0, n_taps=(3, 3, 3))
+    cfg = link_config(rician_k=0.0, n_taps=(3, 3, 3))
     draws = synthesize_link(3, cfg, [substream(29, t) for t in range(10_000)], los=True)[:, :, 0, 0]
     var = np.mean(np.abs(draws) ** 2, axis=0)
     np.testing.assert_allclose(var, tap_power_weights(3), rtol=0.1)
 
 
 def test_synthesize_link_deterministic_ray_is_rank_one():
-    cfg = DummyConfig(rx=(2, 2), tx=(2, 2), rician_k=1e12, spread_rad=0.0, los_cr=(1, 1))
+    cfg = link_config(rx_rows=2, rx_cols=2, tx_rows=2, tx_cols=2, rician_k=1e12, angular_spread_deg=0.0,
+                      direct_los_clusters=1, direct_los_rays=1)
     taps = synthesize_link(3, cfg, [substream(30)], los=True)[0]
     assert taps.shape[0] == 5
     for tap in taps:
@@ -331,7 +339,7 @@ def test_synthesize_link_deterministic_ray_is_rank_one():
 
 
 def test_synthesize_link_uses_nlos_richness():
-    cfg = DummyConfig()
+    cfg = link_config()
     von = synthesize_link(3, cfg, [substream(31)], los=True)
     assert von.shape == (1, 5, 1, 1)
     assert synthesize_link(1, cfg, [substream(31)]).shape == (1, 3, 4, 1)

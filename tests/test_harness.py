@@ -10,14 +10,12 @@ import numpy as np
 import pytest
 
 from rislink import channel, cli, harness, power
+from rislink.config import GeometryConfig, SystemConfig, parse_config, preset_config
 from rislink.harness import (
     SCENARIOS,
-    SystemConfig,
     complexity_rows_to_csv,
     complexity_table,
     draw_trial,
-    parse_config,
-    preset_config,
     reference_gain,
     run_scenario,
     run_trial,
@@ -25,7 +23,7 @@ from rislink.harness import (
     total_power_for_snr,
 )
 from rislink.pga import pga_optimize
-from rislink.propagation import GeometryConfig, direct_gain, link_distances, p_los
+from rislink.propagation import direct_gain, link_distances, p_los
 from rislink.rate import RisPhases, equivalent_channel, fold_gains
 from rislink.rng import SITE_BLOCKAGE, SITE_PHASES, substream
 
@@ -236,7 +234,7 @@ def test_tuple_fields_are_stored_as_tuples():
     tuple_fields = [name for name, hint in hints.items() if get_origin(hint) is tuple]
     listed = SystemConfig(**{name: list(getattr(SystemConfig(), name)) for name in tuple_fields})
     assert all(type(getattr(listed, name)) is tuple for name in tuple_fields)
-    assert listed == SystemConfig()
+    assert listed == SystemConfig() and hash(listed) == hash(SystemConfig())
 
 
 def test_snr_reference_gain():

@@ -5,7 +5,8 @@ import pytest
 
 from rislink import pga
 from rislink.channel import FreqChannelSet
-from rislink.harness import draw_trial, preset_config, total_power_for_snr
+from rislink.config import preset_config
+from rislink.harness import draw_trial, total_power_for_snr
 from rislink.pga import MU_FLOOR, gradient_phi, pga_optimize, project_unit_modulus
 from rislink.power import waterfill_covariances
 from rislink.rate import RisPhases, combine_links, equivalent_channel, fold_gains, rate_from_heq

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rislink.config import GeometryConfig
 from rislink.propagation import (
-    GeometryConfig,
     LinkGains,
     direct_gain,
     indirect_gain,

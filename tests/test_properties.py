@@ -15,9 +15,8 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from rislink import harness  # noqa: E402
 from rislink.channel import FreqChannelSet  # noqa: E402
-from rislink.harness import SystemConfig  # noqa: E402
+from rislink.config import GeometryConfig, SystemConfig  # noqa: E402
 from rislink.pga import gradient_phi, project_unit_modulus  # noqa: E402
-from rislink.propagation import GeometryConfig  # noqa: E402
 from rislink.power import ABS_EIG_FLOOR, REL_EIG_FLOOR, waterfill, waterfill_covariances  # noqa: E402
 from rislink.rate import RisPhases, combine_links, equivalent_channel, rate_from_heq  # noqa: E402
 from rislink.rng import substream  # noqa: E402
