@@ -7,9 +7,11 @@ import numpy as np
 from rislink import preset_config
 from rislink.harness import complexity_table
 
-# Each optimizer run books its cost in the meter from a fixed analytical
-# ledger: complex multiplies (6 flops) and scalar real ops. runtime_s is the
-# wall time of the optimizer call alone; channel synthesis is not timed.
+# The harness records each optimizer run's iterations and gradient passes, and
+# a fixed analytical ledger (flops.pga_run_cost) prices them: complex
+# multiplies (6 flops) and scalar real ops. runtime_s is the wall time of the
+# optimizer call alone; channel synthesis, the pathloss fold and the start
+# allocation are not timed.
 cfg, geom = preset_config("desk")
 print("instrumented optimizer runs (10 seeded trials per size, SNR 10 dB):")
 rows = complexity_table(cfg, geom, [4, 16, 36, 64], seed=7, trials=10, snr_db=10.0)

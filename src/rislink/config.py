@@ -3,7 +3,8 @@
 `UraSpec`, `GeometryConfig` and `SystemConfig` are frozen dataclasses, so a
 config is a hashable value and every change goes through `replace`. One
 annotation walk per class (`_field_types`) serves every job that reads the
-field types: the numeric rule, which also stores tuple fields as tuples;
+field types: the numeric rule (through a cached table of the numeric
+fields, `_numeric_fields`), which also stores tuple fields as tuples;
 the routing of configuration keys to their dataclass; and the item type of
 tuple values parsed from text. `SystemConfig.link` is the one table of which
 arrays, ray counts and taps each link uses. This module imports nothing else
@@ -33,6 +34,17 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+@functools.cache
+def _numeric_fields(cls) -> tuple:
+    """(name, admits None, is int, is tuple) of each int- or float-annotated field of dataclass `cls`."""
+    table = []
+    for name, hint in _field_types(cls).items():
+        args = get_args(hint)
+        if {int, float} & {hint, *args}:
+            table.append((name, type(None) in args, int in (hint, *args), get_origin(hint) is tuple))
+    return tuple(table)
+
+
 def require_valid_numbers(config) -> None:
     """Reject a dataclass whose int- or float-annotated fields break the numeric rule.
 
@@ -41,14 +53,11 @@ def require_valid_numbers(config) -> None:
     item, and are stored as tuples; None passes only where the annotation
     admits it. The ValueError names the field.
     """
-    for name, hint in _field_types(type(config)).items():
-        args = get_args(hint)
-        if not {int, float} & {hint, *args}:
-            continue
-        value, is_int, is_tuple = getattr(config, name), int in (hint, *args), get_origin(hint) is tuple
+    for name, admits_none, is_int, is_tuple in _numeric_fields(type(config)):
+        value = getattr(config, name)
         least = 0 if name == "seed" else 1
         if is_tuple and not isinstance(value, (tuple, list)) or not all(
-                type(None) in args if v is None
+                admits_none if v is None
                 else is_integer(v) and v >= least if is_int
                 else isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
                 for v in (value if is_tuple else (value,))):

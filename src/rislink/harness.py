@@ -172,7 +172,7 @@ def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[Fre
     return next(_trial_draws([(cfg, geom)], [key]))[:2]
 
 
-def _trial_rates(points: list[tuple], keys: list[tuple], arms=ARMS) -> np.ndarray:
+def _trial_rates(points: list[tuple], keys: list[tuple], arms=ARMS) -> tuple[np.ndarray, np.ndarray]:
     """Spectral efficiency (points x arms x trials) of the trials at `keys` at each (cfg, geometry, budget, ...) point.
 
     Within a trial, each distinct channel is folded and decomposed where the
@@ -183,9 +183,12 @@ def _trial_rates(points: list[tuple], keys: list[tuple], arms=ARMS) -> np.ndarra
     does not see the RIS. Each point then scores its own budget: the
     waterfill on the start pairs is `random_phases` and, only when `arms`
     holds `pga`, the optimizer's start; the one on the direct pairs is
-    `no_ris`. A lone point (`run_trial`) computes the same bits.
+    `no_ris`. A lone point (`run_trial`) computes the same bits. Also returns
+    the run records (points x 3 x trials, zeros without `pga`): iterations,
+    gradient passes and wall seconds of each `pga_optimize` call alone.
     """
     se = np.empty((len(points), len(arms), len(keys)))
+    runs = np.zeros((len(points), 3, len(keys)))
     for n, (channels, gains, phi0) in enumerate(_trial_draws(points, keys)):
         t, i = divmod(n, len(points))
         if i == 0:
@@ -203,10 +206,20 @@ def _trial_rates(points: list[tuple], keys: list[tuple], arms=ARMS) -> np.ndarra
         alloc = waterfill_eigenpairs(*start, budget)
         rates = {"random_phases": alloc.rate, "no_ris": waterfill_eigenpairs(*direct, budget).rate}
         if "pga" in arms:
-            rates["pga"] = pga_optimize(folded, budget, mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
-                                        phi0=phi0, start=alloc).rate
+            t0 = time.perf_counter()
+            result = pga_optimize(folded, budget, mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
+                                  phi0=phi0, start=alloc)
+            runs[i, :, t] = result.iterations, result.gradient_passes, time.perf_counter() - t0
+            rates["pga"] = result.rate
         se[i, :, t] = [rates[arm] for arm in arms]
-    return se
+    return se, runs
+
+
+def _score(points: list[tuple], keys: list[tuple], arms=ARMS) -> tuple[np.ndarray, np.ndarray]:
+    """`_trial_rates` of the trials at `keys` in contiguous `_chunk_trials` chunks, joined in trial order."""
+    chunk = _chunk_trials(points)
+    parts = [_trial_rates(points, keys[start:start + chunk], arms) for start in range(0, len(keys), chunk)]
+    return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
 
 
 def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple, snr_db: float) -> float:
@@ -218,7 +231,7 @@ def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple, snr
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}; choose from {ARMS}")
-    return float(_trial_rates([(cfg, geom, total_power_for_snr(cfg, geom, snr_db))], [key], (arm,))[0, 0, 0])
+    return float(_trial_rates([(cfg, geom, total_power_for_snr(cfg, geom, snr_db))], [key], (arm,))[0][0, 0, 0])
 
 
 def check_scenario_geometry(geom: GeometryConfig, scenario: str) -> None:
@@ -260,16 +273,12 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list
     """Run one experiment scenario and return one result row per (sweep point, arm).
 
     The sweep comes from one `sweep_points` call, so its checks run before any
-    trial. Trials run outermost, in contiguous chunks of `_chunk_trials`
-    trials, one `_trial_rates` call each; each trial's draws are shared by
-    every sweep point and arm, and the chunks' rates are concatenated in
-    trial order.
+    trial. Trials run outermost, in `_score`'s chunks; each trial's draws are
+    shared by every sweep point and arm.
     """
     points = sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
-    chunk = _chunk_trials(points)
-    se = np.concatenate([_trial_rates(points, keys[start:start + chunk])
-                         for start in range(0, len(keys), chunk)], axis=-1)
+    se, _ = _score(points, keys)
 
     rows: list[ScenarioResult] = []
     for (c, g, _, sweep_name, sweep_value, snr), per_arm in zip(points, se):
@@ -285,16 +294,16 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list
 
 def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: int | None = None, *,
                      trials: int, snr_db: float) -> list[dict]:
-    """Instrumented `pga` trials for each RIS size: mean iterations, FLOPs and optimizer runtime.
+    """Mean iterations, FLOPs and optimizer runtime of `pga` trials for each RIS size.
 
-    Each size runs `trials` trials at the one SNR `snr_db` (the CLI passes
-    cfg.mc_trials and the first value of cfg.snr_db) on the draws `run_trial`
-    scores, drawn in `_chunk_trials` chunks. `runtime_s` is the mean wall
-    time of the `pga_optimize` call alone; channel synthesis and the pathloss
-    fold run outside the timer. FLOP and iteration counters depend only on
-    the seeded draws, so those columns are reproducible. A size or trial
-    count that is not an integer >= 1, or a seed that is not an integer >= 0,
-    raises ValueError before any trial runs.
+    Each size averages the run records of `trials` trials scored by `_score`
+    at the one SNR `snr_db` (the CLI passes cfg.mc_trials and the first value
+    of cfg.snr_db). `runtime_s` times the `pga_optimize` call alone; channel
+    synthesis, the pathloss fold and the start allocation run outside it.
+    `flop_count` prices each run's counters with `flops.pga_run_cost`; the
+    counters depend only on the seeded draws, so those columns reproduce. A
+    size or trial count that is not an integer >= 1, or a seed that is not an
+    integer >= 0, raises ValueError before any trial runs.
     """
     if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
@@ -306,18 +315,9 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
     keys = [(seed, _COMPLEXITY_SCENARIO_ID, t) for t in range(trials)]
     rows = []
     for c in configs:
-        iters, flop_counts, runtimes = [], [], []
-        chunk = _chunk_trials([(c, geom)])
-        for start in range(0, trials, chunk):
-            for channels, gains, phi0 in _trial_draws([(c, geom)], keys[start:start + chunk]):
-                folded = fold_gains(channels, gains)
-                meter = flops.FlopMeter()
-                t0 = time.perf_counter()
-                result = pga_optimize(folded, power, mu0=c.mu0, epsilon=c.epsilon, max_iter=c.max_iter,
-                                      phi0=phi0, meter=meter)
-                runtimes.append(time.perf_counter() - t0)
-                iters.append(result.iterations)
-                flop_counts.append(meter.flop_total)
+        iters, passes, runtimes = _score([(c, geom, power)], keys, ("pga",))[1][0]
+        flop_counts = [flops.pga_run_cost(c.n_subcarriers, c.n_r, c.n_t, c.n_ris, int(p), int(i)).flop_total
+                       for i, p in zip(iters, passes)]
         rows.append({"n_ris": c.n_ris,
                      "iter_count": float(np.mean(iters)),
                      "flop_count": float(np.mean(flop_counts)),
@@ -325,21 +325,21 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
     return rows
 
 
-def scenario_rows_to_csv(rows: list[ScenarioResult]) -> str:
-    """RFC-4180 CSV text (header + one line per result row)."""
+def _csv_text(header, lines) -> str:
+    """RFC-4180 CSV text: the header, then one line per row, each ended by CRLF."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow([f"{v:.10g}" if isinstance(v, float) else v for v in astuple(r)])
+    writer.writerow(header)
+    writer.writerows(lines)
     return buf.getvalue()
+
+
+def scenario_rows_to_csv(rows: list[ScenarioResult]) -> str:
+    """RFC-4180 CSV text (header + one line per result row)."""
+    return _csv_text(CSV_COLUMNS, ([f"{v:.10g}" if isinstance(v, float) else v for v in astuple(r)] for r in rows))
 
 
 def complexity_rows_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["n_ris", "iter_count", "flop_count", "runtime_s"])
-    for r in rows:
-        writer.writerow([r["n_ris"], f"{r['iter_count']:.10g}", f"{r['flop_count']:.10g}",
-                         f"{r['runtime_s']:.6f}"])
-    return buf.getvalue()
+    return _csv_text(["n_ris", "iter_count", "flop_count", "runtime_s"],
+                     ([r["n_ris"], f"{r['iter_count']:.10g}", f"{r['flop_count']:.10g}", f"{r['runtime_s']:.6f}"]
+                      for r in rows))

@@ -132,8 +132,8 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
     channels, phi0), total_power)`; the loop starts from it instead of
     building it. The harness passes the allocation it waterfilled on the
     start eigenpairs that the sweep points seeing one channel share.
-    A given `meter` books the run's analytical cost (`flops.record_pga_run`);
-    `harness.complexity_table` and the benchmark's span tracer pass one.
+    A given `meter` gets the run's analytical cost (`flops.pga_run_cost`)
+    added to it; only `bench/tracer.py` and tests pass one.
     The noise variance is 1: for another sigma^2, pass total_power / sigma^2.
     """
     if not mu0 > 0 or not epsilon > 0 or not is_integer(max_iter) or max_iter < 1:
@@ -191,7 +191,9 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
     stationarity = float(np.abs((grad_diag * grad).imag).max() / scale) if scale > 0.0 else 0.0
     if meter is not None:
         k, n_r, n_t = channels.h3.shape
-        flops.record_pga_run(meter, k, n_r, n_t, n_ris, gradient_passes=gradient_passes, iterations=iterations)
+        cost = flops.pga_run_cost(k, n_r, n_t, n_ris, gradient_passes, iterations)
+        meter.complex_mults += cost.complex_mults
+        meter.real_ops += cost.real_ops
     return PgaResult(phi=RisPhases(diag), rate=alloc.rate, start_rate=trace[0], trace=np.asarray(trace),
                      iterations=iterations, stop_reason=stop_reason, gradient_passes=gradient_passes,
                      stationarity=stationarity)

@@ -1,9 +1,11 @@
+import ast
 import csv
 import hashlib
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 from typing import get_origin, get_type_hints
 
 import numpy as np
@@ -393,8 +395,8 @@ def test_random_phases_is_read_from_the_pga_start_rate(scenario):
     column = harness.ARMS.index("random_phases")
     for t in range(2):
         key = (cfg.seed, SCENARIOS[scenario], t)
-        both = harness._trial_rates(points, [key])[:, column, 0]
-        alone = harness._trial_rates(points, [key], arms=("random_phases",))[:, 0, 0]
+        both = harness._trial_rates(points, [key])[0][:, column, 0]
+        alone = harness._trial_rates(points, [key], arms=("random_phases",))[0][:, 0, 0]
         assert np.array_equal(both, alone)
         starts = [pga_optimize(fold_gains(channels, gains), power, mu0=cfg.mu0, epsilon=cfg.epsilon,
                                max_iter=cfg.max_iter, phi0=phi0).start_rate
@@ -441,7 +443,7 @@ def test_trial_rates_cells_equal_lone_point_trials(scenario):
     cfg, geom = preset_config("desk")
     points = harness.sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(3)]
-    se = harness._trial_rates(points, keys)
+    se = harness._trial_rates(points, keys)[0]
     for i, (c, g, _, _, _, snr) in enumerate(points):
         for a, arm in enumerate(harness.ARMS):
             assert se[i, a].tolist() == [run_trial(c, g, arm, key, snr) for key in keys], (i, arm)
@@ -459,10 +461,44 @@ def test_trial_rates_runs_the_optimizer_only_for_the_pga_arm(monkeypatch, scenar
     optimize = harness.pga_optimize
     monkeypatch.setattr(harness, "pga_optimize", lambda *args, **kwargs: runs.append(1) or optimize(*args, **kwargs))
     for arms in (("random_phases",), ("no_ris",), ("random_phases", "no_ris")):
-        harness._trial_rates(points, keys, arms)
-        assert runs == [], arms
-    harness._trial_rates(points, keys, ("pga",))
+        _, records = harness._trial_rates(points, keys, arms)
+        assert runs == [] and not records.any(), arms
+    _, records = harness._trial_rates(points, keys, ("pga",))
     assert len(runs) == len(points) * len(keys)
+    assert records.shape == (len(points), 3, len(keys))
+    assert (records[:, 1] >= 1).all() and (records[:, 2] > 0).all()  # every run takes a gradient pass
+
+
+def test_trial_rates_records_each_pga_run():
+    # the records of a draw are the counters of the optimizer run on that folded draw
+    cfg, geom = preset_config("desk")
+    points = harness.sweep_points(cfg, geom, "se_vs_snr")
+    keys = [(cfg.seed, SCENARIOS["se_vs_snr"], t) for t in range(2)]
+    _, records = harness._trial_rates(points, keys)
+    for n, (channels, gains, phi0) in enumerate(harness._trial_draws(points, keys)):
+        t, i = divmod(n, len(points))
+        c, _, budget = points[i][:3]
+        result = pga_optimize(fold_gains(channels, gains), budget, mu0=c.mu0, epsilon=c.epsilon,
+                              max_iter=c.max_iter, phi0=phi0)
+        assert records[i, :2, t].tolist() == [result.iterations, result.gradient_passes], (i, t)
+    assert len(set(records[:, 0].ravel())) > 1
+
+
+def test_one_trial_kernel_calls_the_optimizer():
+    # the scenarios and the complexity table score their trials through one kernel: the package calls
+    # pga_optimize only in harness._trial_rates and never passes it a meter
+    sites, meters = [], []
+    for path in sorted(Path(harness.__file__).parent.rglob("*.py")):
+        owner = {}
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            scope = f"{path.stem}.{node.name}" if isinstance(node, ast.FunctionDef) else owner.get(node, path.stem)
+            owner.update(dict.fromkeys(ast.iter_child_nodes(node), scope))
+            if isinstance(node, ast.Call):
+                if getattr(node.func, "id", getattr(node.func, "attr", None)) == "pga_optimize":
+                    sites.append(scope)
+                meters += [scope for keyword in node.keywords if keyword.arg == "meter"]
+    assert sites == ["harness._trial_rates"]
+    assert meters == []
 
 
 def test_trial_decomposes_each_distinct_channel_once(monkeypatch):
@@ -564,6 +600,14 @@ def test_complexity_table_draws_in_trial_chunks(monkeypatch):
     alone = complexity_table(cfg, geom, [16, 64], seed=7, trials=9, snr_db=10.0)
     for key in ("n_ris", "iter_count", "flop_count"):
         assert [row[key] for row in chunked] == [row[key] for row in alone]
+
+
+def test_complexity_counters_are_pinned():
+    # the counters of the C08 acceptance gate's table
+    cfg, geom = preset_config("desk")
+    rows = complexity_table(cfg, geom, [4, 16, 36, 64], seed=7, trials=10, snr_db=10.0)
+    assert [row["iter_count"] for row in rows] == [4.0, 30.7, 83.5, 120.4]
+    assert [row["flop_count"] for row in rows] == [3116768.0, 53359932.8, 635106488.0, 3883315270.4]
 
 
 def per_trial_bytes(points):
@@ -676,14 +720,13 @@ def test_complexity_table_rows():
 
 
 def test_complexity_runtime_times_the_optimizer_alone(monkeypatch):
-    # each trial synthesizes three links; none of that time may reach runtime_s
-    synthesize = harness.synthesize_link
+    # each trial synthesizes three links and decomposes its start and direct channels in the harness;
+    # none of that time may reach runtime_s
+    def slowed(function):
+        return lambda *args, **kwargs: time.sleep(0.05) or function(*args, **kwargs)
 
-    def slow_synthesize(*args, **kwargs):
-        time.sleep(0.05)
-        return synthesize(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "synthesize_link", slow_synthesize)
+    for name in ("synthesize_link", "channel_eigvals"):
+        monkeypatch.setattr(harness, name, slowed(getattr(harness, name)))
     rows = complexity_table(small_config(), GeometryConfig(), [4, 9], seed=4, trials=2, snr_db=10.0)
     assert all(row["runtime_s"] < 0.05 for row in rows), rows
 

@@ -139,7 +139,7 @@ N_CHUNK_TRIALS = 6
 
 @functools.cache
 def chunk_case():
-    """Small plos_vs_se points, whose trials mix LOS and NLOS, and their rates with all trials in one chunk."""
+    """Small plos_vs_se points, whose trials mix LOS and NLOS, and their rates and run records in one chunk."""
     cfg = SystemConfig(tx_rows=2, tx_cols=2, rx_rows=2, rx_cols=1, ris_rows=2, ris_cols=2, n_subcarriers=6,
                        n_taps=(2, 2, 3), snr_db=(0.0,), plos_grid=(0.1, 0.5, 0.9), seed=11)
     points = harness.sweep_points(cfg, GeometryConfig(), "plos_vs_se")
@@ -151,9 +151,11 @@ def chunk_case():
 @given(order=st.permutations(range(N_CHUNK_TRIALS)),
        cuts=st.sets(st.integers(1, N_CHUNK_TRIALS - 1)))
 def test_trial_values_do_not_depend_on_the_chunk_partition(order, cuts):
-    points, keys, whole = chunk_case()
+    points, keys, (whole, whole_runs) = chunk_case()
     bounds = [0, *sorted(cuts), N_CHUNK_TRIALS]
     for a, b in zip(bounds, bounds[1:]):
         trials = order[a:b]
-        part = harness._trial_rates(points, [keys[t] for t in trials])
+        part, runs = harness._trial_rates(points, [keys[t] for t in trials])
         assert np.array_equal(part, whole[:, :, trials])
+        # iterations and gradient passes; the third row is wall time
+        assert np.array_equal(runs[:, :2], whole_runs[:, :2, trials])
