@@ -3,24 +3,27 @@
 A scenario's sweep is built once, as (cfg, geometry, power budget, sweep
 name, sweep value, SNR) points. Blockage, link channels and random start
 phases come from counter-based substreams keyed by (seed, scenario, trial,
-site), so results are independent of execution order. Trials run outermost,
-in contiguous chunks, for scenarios and the complexity table alike: each link
-is synthesized in one batched pass over a chunk's trials, each trial drawn
-from its own substream exactly as it would be alone, so a trial's values do
-not depend on the chunk it lands in. The chunk size comes from a byte budget
-over each trial's BS->RIS stack and steering vectors (`CHUNK_BYTES`). One loop,
-`_trial_rates`, then scores every sweep point and method arm of each trial
-from shared draws (common random numbers): one blockage uniform, the two RIS
-links once per RIS size, the direct link once per blockage state, and each
-point's pathloss once per chunk. The points that see one channel in a trial
-also share its algebra, decomposed where the trial first meets it, since they
-differ only in their power budget and the eigenpairs do not: the folded
-stacks and the start equivalent channel's eigenpairs once per (RIS size,
-blockage state, pathloss gains), and the folded direct channel's eigenpairs
-once per (blockage state, direct gain). Each point waterfills only its own
-budget on them. The arms are the full phase/power optimization, the random
-start phases with waterfilling, and a system with the reflected path removed.
-The configs, their presets and their parser are defined in `rislink.config`.
+site), so results are independent of execution order.
+
+Chunks: `_trial_draws` walks the trials in contiguous chunks, sized by a byte
+budget over each trial's BS->RIS stack and steering vectors (`CHUNK_BYTES`).
+Each link is synthesized in one batched pass over a chunk's trials, each trial
+from its own substream exactly as it would be drawn alone, so no value
+depends on the chunk a trial lands in. The generator holds one chunk's
+stacks at a time.
+
+Sharing (common random numbers): every sweep point and method arm of a trial
+is scored from one draw. One blockage uniform serves every point, the two RIS
+links and the start phases are drawn once per RIS size, the direct link once
+per blockage state, and each point's pathloss once per call. The points that
+see one channel in a trial (same RIS size, blockage state and pathloss gains,
+compared by value) form one group, in order of first appearance. A group's
+folded stacks and start eigenpairs are computed once, the folded direct
+channel's eigenpairs once per (blockage state, direct gain), and each member
+waterfills only its own budget on them, since the eigenpairs do not depend
+on it. The arms are the full phase/power optimization, the random start
+phases with waterfilling, and a system with the reflected path removed. The
+configs, their presets and their parser are defined in `rislink.config`.
 """
 
 import csv
@@ -128,21 +131,23 @@ def _link_response(cfg: SystemConfig, keys: list[tuple], link: int, los: bool = 
 
 
 def _trial_draws(points: list[tuple], keys: list[tuple]):
-    """Yield (channels, pathloss gains, start phases) of each trial at `keys` at each sweep point.
+    """Yield the channel groups of each trial at `keys`, in trial order, one `_chunk_draws` chunk at a time.
 
-    A point is read only for its leading (cfg, geometry) pair. Trial-major:
-    all points of the first trial, then of the next. Each point's LOS
-    probability and its LOS and NLOS gains are evaluated once per call. One
-    blockage uniform per trial serves every point; links 1 and 2 and the
-    start phases are drawn once per RIS size, and link 3 once per blockage
-    state, since the points differ only in RIS size and large-scale geometry.
-    Each link is one `synthesize_link` call over the trials that need it.
-    The draws are shared, the algebra on them is not: `_trial_rates` groups
-    the points of a trial by the channel they see.
+    A point is read only for its leading (cfg, geometry) pair. A trial's
+    groups are (unfolded channels, pathloss gains, start phases, indices of
+    the points that see them); the module docstring gives the chunk and the
+    sharing rule.
     """
     gains = [{los: LinkGains(rho_direct=direct_gain(g, los), rho_indirect=indirect_gain(g), los=los)
               for los in (True, False)} for _, g, *_ in points]
     plos = [p_los(g) for _, g, *_ in points]
+    chunk = _chunk_trials(points)
+    for start in range(0, len(keys), chunk):
+        yield from _chunk_draws(points, gains, plos, keys[start:start + chunk])
+
+
+def _chunk_draws(points: list[tuple], gains: list[dict], plos: list[float], keys: list[tuple]):
+    """`_trial_draws` of one chunk, each link one `synthesize_link` call over the chunk's trials that need it."""
     states = [[blockage_state(p, u) for p in plos]
               for u in (substream(*key, SITE_BLOCKAGE).uniform() for key in keys)]
     ris = {}
@@ -157,9 +162,12 @@ def _trial_draws(points: list[tuple], keys: list[tuple]):
             h3 = _link_response(points[0][0], [keys[t] for t in trials], 3, los)
             direct.update(zip([(t, los) for t in trials], h3))
     for t, row in enumerate(states):
-        for (c, *_), point_gains, los in zip(points, gains, row):
-            h1, h2, phases = ris[c.n_ris]
-            yield FreqChannelSet(h1[t], h2[t], direct[t, los]), point_gains[los], phases[t]
+        groups = {}  # (RIS size, blockage state, direct gain, indirect gain) -> (gains, member indices)
+        for i, ((c, *_), point_gains, los) in enumerate(zip(points, gains, row)):
+            g = point_gains[los]
+            groups.setdefault((c.n_ris, los, g.rho_direct, g.rho_indirect), (g, []))[1].append(i)
+        yield [(FreqChannelSet(ris[n][0][t], ris[n][1][t], direct[t, los]), g, ris[n][2][t], members)
+               for (n, los, *_), (g, members) in groups.items()]
 
 
 def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[FreqChannelSet, LinkGains]:
@@ -169,57 +177,45 @@ def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[Fre
     from its own substream, so the RIS links are the same in every blockage
     state and the direct link is the same for every RIS size.
     """
-    return next(_trial_draws([(cfg, geom)], [key]))[:2]
+    [(channels, gains, _, _)] = next(_trial_draws([(cfg, geom)], [key]))
+    return channels, gains
 
 
 def _trial_rates(points: list[tuple], keys: list[tuple], arms=ARMS) -> tuple[np.ndarray, np.ndarray]:
     """Spectral efficiency (points x arms x trials) of the trials at `keys` at each (cfg, geometry, budget, ...) point.
 
-    Within a trial, each distinct channel is folded and decomposed where the
-    trial first meets it. Points with the same RIS size, blockage state and
-    pathloss gains (compared by value) share the folded stacks and the start
-    equivalent channel's eigenpairs; points with the same blockage state and
-    direct gain share the folded direct channel's eigenpairs, since that link
-    does not see the RIS. Each point then scores its own budget: the
-    waterfill on the start pairs is `random_phases` and, only when `arms`
-    holds `pga`, the optimizer's start; the one on the direct pairs is
-    `no_ris`. A lone point (`run_trial`) computes the same bits. Also returns
-    the run records (points x 3 x trials, zeros without `pga`): iterations,
-    gradient passes and wall seconds of each `pga_optimize` call alone.
+    One loop over the trials, their channel groups and the groups' members,
+    sharing the algebra as the module docstring states. Each member scores its
+    own budget: the waterfill on the start pairs is `random_phases` and, only
+    when `arms` holds `pga`, the optimizer's start; the one on the direct
+    pairs is `no_ris`. A lone point (`run_trial`) computes the same bits. Also
+    returns the run records (points x 3 x trials, zeros without `pga`):
+    iterations, gradient passes and wall seconds of each `pga_optimize` call
+    alone.
     """
     se = np.empty((len(points), len(arms), len(keys)))
     runs = np.zeros((len(points), 3, len(keys)))
-    for n, (channels, gains, phi0) in enumerate(_trial_draws(points, keys)):
-        t, i = divmod(n, len(points))
-        if i == 0:
-            shared, directs = {}, {}  # this trial's channel algebra, by the channel it belongs to
-        cfg, _, budget = points[i][:3]
-        key = (cfg.n_ris, gains.los, gains.rho_direct, gains.rho_indirect)
-        if key not in shared:
+    for t, groups in enumerate(_trial_draws(points, keys)):
+        directs = {}  # (blockage state, direct gain) -> the folded direct channel and its eigenpairs
+        for channels, gains, phi0, members in groups:
             folded = fold_gains(channels, gains)
-            direct_key = (gains.los, gains.rho_direct)
+            direct_key = gains.los, gains.rho_direct
             if direct_key not in directs:
                 directs[direct_key] = folded.h3, *channel_eigvals(folded.h3, 1.0)
             heq = equivalent_channel(folded, phi0)
-            shared[key] = folded, (heq, *channel_eigvals(heq, 1.0)), directs[direct_key]
-        folded, start, direct = shared[key]
-        alloc = waterfill_eigenpairs(*start, budget)
-        rates = {"random_phases": alloc.rate, "no_ris": waterfill_eigenpairs(*direct, budget).rate}
-        if "pga" in arms:
-            t0 = time.perf_counter()
-            result = pga_optimize(folded, budget, mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
-                                  phi0=phi0, start=alloc)
-            runs[i, :, t] = result.iterations, result.gradient_passes, time.perf_counter() - t0
-            rates["pga"] = result.rate
-        se[i, :, t] = [rates[arm] for arm in arms]
+            start = heq, *channel_eigvals(heq, 1.0)
+            for i in members:
+                cfg, _, budget = points[i][:3]
+                alloc = waterfill_eigenpairs(*start, budget)
+                rates = {"random_phases": alloc.rate, "no_ris": waterfill_eigenpairs(*directs[direct_key], budget).rate}
+                if "pga" in arms:
+                    t0 = time.perf_counter()
+                    result = pga_optimize(folded, budget, mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
+                                          phi0=phi0, start=alloc)
+                    runs[i, :, t] = result.iterations, result.gradient_passes, time.perf_counter() - t0
+                    rates["pga"] = result.rate
+                se[i, :, t] = [rates[arm] for arm in arms]
     return se, runs
-
-
-def _score(points: list[tuple], keys: list[tuple], arms=ARMS) -> tuple[np.ndarray, np.ndarray]:
-    """`_trial_rates` of the trials at `keys` in contiguous `_chunk_trials` chunks, joined in trial order."""
-    chunk = _chunk_trials(points)
-    parts = [_trial_rates(points, keys[start:start + chunk], arms) for start in range(0, len(keys), chunk)]
-    return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
 
 
 def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple, snr_db: float) -> float:
@@ -273,12 +269,12 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list
     """Run one experiment scenario and return one result row per (sweep point, arm).
 
     The sweep comes from one `sweep_points` call, so its checks run before any
-    trial. Trials run outermost, in `_score`'s chunks; each trial's draws are
-    shared by every sweep point and arm.
+    trial. Trials run outermost, in `_trial_draws`' chunks; each trial's draws
+    are shared by every sweep point and arm.
     """
     points = sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
-    se, _ = _score(points, keys)
+    se, _ = _trial_rates(points, keys)
 
     rows: list[ScenarioResult] = []
     for (c, g, _, sweep_name, sweep_value, snr), per_arm in zip(points, se):
@@ -296,7 +292,7 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
                      trials: int, snr_db: float) -> list[dict]:
     """Mean iterations, FLOPs and optimizer runtime of `pga` trials for each RIS size.
 
-    Each size averages the run records of `trials` trials scored by `_score`
+    Each size averages the run records of `trials` trials scored by `_trial_rates`
     at the one SNR `snr_db` (the CLI passes cfg.mc_trials and the first value
     of cfg.snr_db). `runtime_s` times the `pga_optimize` call alone; channel
     synthesis, the pathloss fold and the start allocation run outside it.
@@ -315,7 +311,7 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
     keys = [(seed, _COMPLEXITY_SCENARIO_ID, t) for t in range(trials)]
     rows = []
     for c in configs:
-        iters, passes, runtimes = _score([(c, geom, power)], keys, ("pga",))[1][0]
+        iters, passes, runtimes = _trial_rates([(c, geom, power)], keys, ("pga",))[1][0]
         flop_counts = [flops.pga_run_cost(c.n_subcarriers, c.n_r, c.n_t, c.n_ris, int(p), int(i)).flop_total
                        for i, p in zip(iters, passes)]
         rows.append({"n_ris": c.n_ris,

@@ -1,11 +1,13 @@
 import ast
 import csv
 import hashlib
+import itertools
 import subprocess
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import get_origin, get_type_hints
 
 import numpy as np
@@ -398,9 +400,12 @@ def test_random_phases_is_read_from_the_pga_start_rate(scenario):
         both = harness._trial_rates(points, [key])[0][:, column, 0]
         alone = harness._trial_rates(points, [key], arms=("random_phases",))[0][:, 0, 0]
         assert np.array_equal(both, alone)
-        starts = [pga_optimize(fold_gains(channels, gains), power, mu0=cfg.mu0, epsilon=cfg.epsilon,
-                               max_iter=cfg.max_iter, phi0=phi0).start_rate
-                  for (channels, gains, phi0), (_, _, power, *_) in zip(harness._trial_draws(points, [key]), points)]
+        starts = np.full(len(points), np.nan)
+        [groups] = harness._trial_draws(points, [key])
+        for channels, gains, phi0, members in groups:
+            for i in members:
+                starts[i] = pga_optimize(fold_gains(channels, gains), points[i][2], mu0=cfg.mu0, epsilon=cfg.epsilon,
+                                         max_iter=cfg.max_iter, phi0=phi0).start_rate
         assert np.array_equal(both, starts)
 
 
@@ -475,29 +480,36 @@ def test_trial_rates_records_each_pga_run():
     points = harness.sweep_points(cfg, geom, "se_vs_snr")
     keys = [(cfg.seed, SCENARIOS["se_vs_snr"], t) for t in range(2)]
     _, records = harness._trial_rates(points, keys)
-    for n, (channels, gains, phi0) in enumerate(harness._trial_draws(points, keys)):
-        t, i = divmod(n, len(points))
-        c, _, budget = points[i][:3]
-        result = pga_optimize(fold_gains(channels, gains), budget, mu0=c.mu0, epsilon=c.epsilon,
-                              max_iter=c.max_iter, phi0=phi0)
-        assert records[i, :2, t].tolist() == [result.iterations, result.gradient_passes], (i, t)
+    checked = 0
+    for t, groups in enumerate(harness._trial_draws(points, keys)):
+        for channels, gains, phi0, members in groups:
+            for i in members:
+                c, _, budget = points[i][:3]
+                result = pga_optimize(fold_gains(channels, gains), budget, mu0=c.mu0, epsilon=c.epsilon,
+                                      max_iter=c.max_iter, phi0=phi0)
+                assert records[i, :2, t].tolist() == [result.iterations, result.gradient_passes], (i, t)
+                checked += 1
+    assert checked == len(points) * len(keys)
     assert len(set(records[:, 0].ravel())) > 1
 
 
 def test_one_trial_kernel_calls_the_optimizer():
-    # the scenarios and the complexity table score their trials through one kernel: the package calls
-    # pga_optimize only in harness._trial_rates and never passes it a meter
-    sites, meters = [], []
+    # the scenarios and the complexity table score their trials through one kernel and draw them through one
+    # synthesis path: the package calls pga_optimize and fold_gains only in harness._trial_rates and
+    # synthesize_link only in harness._link_response, and never passes a meter
+    sites, meters = {}, []
     for path in sorted(Path(harness.__file__).parent.rglob("*.py")):
         owner = {}
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             scope = f"{path.stem}.{node.name}" if isinstance(node, ast.FunctionDef) else owner.get(node, path.stem)
             owner.update(dict.fromkeys(ast.iter_child_nodes(node), scope))
             if isinstance(node, ast.Call):
-                if getattr(node.func, "id", getattr(node.func, "attr", None)) == "pga_optimize":
-                    sites.append(scope)
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("pga_optimize", "fold_gains", "synthesize_link"):
+                    sites.setdefault(name, []).append(scope)
                 meters += [scope for keyword in node.keywords if keyword.arg == "meter"]
-    assert sites == ["harness._trial_rates"]
+    assert sites == {"pga_optimize": ["harness._trial_rates"], "fold_gains": ["harness._trial_rates"],
+                     "synthesize_link": ["harness._link_response"]}
     assert meters == []
 
 
@@ -509,9 +521,10 @@ def test_trial_decomposes_each_distinct_channel_once(monkeypatch):
     keys = [(cfg.seed, SCENARIOS["plos_vs_se"], t) for t in range(3)]
     assert len(keys) <= harness._chunk_trials(points)
     expected = {}  # (trial, blockage state) -> (start channel, direct channel)
-    for n, (channels, gains, phi0) in enumerate(harness._trial_draws(points, keys)):
-        folded = fold_gains(channels, gains)
-        expected[n // len(points), gains.los] = (equivalent_channel(folded, phi0), folded.h3)
+    for t, groups in enumerate(harness._trial_draws(points, keys)):
+        for channels, gains, phi0, _ in groups:
+            folded = fold_gains(channels, gains)
+            expected[t, gains.los] = (equivalent_channel(folded, phi0), folded.h3)
     assert len(expected) > len(keys)  # some trial sees both blockage states
 
     decomposed, iterations = [], []
@@ -532,6 +545,50 @@ def test_trial_decomposes_each_distinct_channel_once(monkeypatch):
     for start, direct in expected.values():
         assert sum(np.array_equal(heq, start) for heq in decomposed) == 1
         assert sum(np.array_equal(heq, direct) for heq in decomposed) == 1
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_trial_groups_partition_the_points_by_the_channel_they_see(scenario):
+    # each trial's groups cover every point once; a group's members see its channels, gains and phases alone,
+    # and points that differ in RIS size, blockage state or gains land in different groups
+    cfg, geom = sweep_config(), GeometryConfig()
+    points = harness.sweep_points(cfg, geom, scenario)
+    for seed in range(4):
+        keys = [(seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
+        for key, groups in zip(keys, harness._trial_draws(points, keys), strict=True):
+            assert sorted(i for *_, members in groups for i in members) == list(range(len(points)))
+            for channels, gains, phi0, members in groups:
+                for i in members:
+                    c, g = points[i][:2]
+                    alone, alone_gains = draw_trial(c, g, key)
+                    assert alone_gains == gains
+                    assert all(np.array_equal(getattr(channels, h), getattr(alone, h)) for h in ("h1", "h2", "h3"))
+                    assert np.array_equal(phi0.diag, RisPhases.random(c.n_ris, substream(*key, SITE_PHASES)).diag)
+            assert len({(phi0.n_elements, gains.los, gains.rho_direct, gains.rho_indirect)
+                        for _, gains, phi0, _ in groups}) == len(groups)
+            if scenario == "se_vs_snr":  # two RIS sizes at equal gains
+                assert len(groups) == len(cfg.n_ris_list) and groups[0][1] == groups[1][1]
+            elif scenario == "plos_vs_se":  # equal gains within a blockage state
+                assert len(groups) == len({draw_trial(c, g, key)[1].los for c, g, *_ in points})
+            else:  # distinct gains at each distance
+                assert len(groups) == len(points)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_trial_rates_do_not_depend_on_a_split_inside_a_chunk(monkeypatch, scenario):
+    # a pool that scores contiguous trial ranges apart and joins them in trial order gets the same arrays
+    cfg, geom = replace(sweep_config(), seed=8), GeometryConfig()
+    points = harness.sweep_points(cfg, geom, scenario)
+    keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * per_trial_bytes(points))  # chunks [0, 1] and [2, 3]
+    assert harness._chunk_trials(points) == 2
+    clock = itertools.count()
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))  # one tick a run
+    whole = harness._trial_rates(points, keys)
+    parts = [harness._trial_rates(points, keys[a:b]) for a, b in ((0, 1), (1, 3), (3, 4))]
+    for joined, full in zip((np.concatenate(part, axis=-1) for part in zip(*parts)), whole, strict=True):
+        assert joined.shape == full.shape and np.array_equal(joined, full)
+    assert (whole[1][:, 2] == 1.0).all()
 
 
 # SHA-256 of the desk CSV text of each scenario at seed 0 with 3 trials, recorded with numpy's bundled
