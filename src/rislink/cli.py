@@ -6,7 +6,9 @@ Usage:
 
 Both read one config: the preset, the `--config` file, `--set KEY=VALUE`, then
 each override flag that is given. A bad value, an SNR whose power budget is
-not finite and positive, or an unwritable `--out` exits 2 before any trial.
+not finite and positive, or an unwritable `--out` exits 2 before any trial; a
+budget too small to waterfill any stream exits 2 when a trial meets it. Either
+way the error is one `error:` line and nothing is written to `--out`.
 Option values starting with '-' (e.g. SNR grids) need the `--opt=value` form.
 """
 
@@ -21,8 +23,6 @@ from .harness import (
     complexity_table,
     run_scenario,
     scenario_rows_to_csv,
-    sweep_points,
-    total_power_for_snr,
 )
 
 # argparse destination -> configuration key of each override flag
@@ -77,20 +77,16 @@ def main(argv=None) -> int:
         out_dir = os.path.dirname(os.path.abspath(args.out))
         if os.path.isdir(args.out) or not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
             raise OSError(f"cannot write --out {args.out!r}: not a file in an existing, writable directory")
+        # both check their sweep's budgets before any trial
         if args.command == "simulate":
-            sweep_points(cfg, geom, args.scenario)
+            rows = run_scenario(cfg, geom, args.scenario)
+            text = scenario_rows_to_csv(rows)
         else:
-            total_power_for_snr(cfg, geom, cfg.snr_db[0])
+            rows = complexity_table(cfg, geom, cfg.n_ris_list, trials=cfg.mc_trials, snr_db=cfg.snr_db[0])
+            text = complexity_rows_to_csv(rows)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "simulate":
-        rows = run_scenario(cfg, geom, args.scenario)
-        text = scenario_rows_to_csv(rows)
-    else:
-        rows = complexity_table(cfg, geom, cfg.n_ris_list, trials=cfg.mc_trials, snr_db=cfg.snr_db[0])
-        text = complexity_rows_to_csv(rows)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

@@ -1,7 +1,7 @@
 """Seeded Monte Carlo experiments over three method arms with CSV output.
 
-A scenario's sweep is built once, as (cfg, geometry, power budget, sweep
-name, sweep value, SNR) points. Blockage, link channels and random start
+A scenario's sweep is built once, as `SweepPoint`s: (cfg, geometry, power
+budget, sweep name, sweep value, SNR). Blockage, link channels and random start
 phases come from counter-based substreams keyed by (seed, scenario, trial,
 site), so results are independent of execution order.
 
@@ -31,6 +31,7 @@ import io
 import math
 import time
 from dataclasses import astuple, dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +63,34 @@ _SCENARIO_GEOMETRY = {
 # at N_RIS=64). 1 MiB gives 2 trials at desk N_RIS=64, 6 at desk N_RIS=16 and
 # 1 at paper scale.
 CHUNK_BYTES = 2**20
+
+
+class SweepPoint(NamedTuple):
+    """One point of a sweep: its config, geometry and power budget, and the (name, value, SNR) its rows report."""
+
+    cfg: SystemConfig
+    geometry: GeometryConfig
+    budget: float
+    sweep_name: str
+    sweep_value: float
+    snr_db: float
+
+
+@dataclass(frozen=True)
+class TrialSlab:
+    """What `_trial_rates` returns for its points and trials.
+
+    `se` is points x arms x trials. The run records of each `pga` run are
+    points x trials, zeros without `pga`: `iterations` and `gradient_passes`
+    are integer counters that depend only on the seeded draws, and `seconds`,
+    the wall time of the `pga_optimize` call alone, is the one field that does
+    not reproduce.
+    """
+
+    se: np.ndarray
+    iterations: np.ndarray
+    gradient_passes: np.ndarray
+    seconds: np.ndarray
 
 
 @dataclass
@@ -119,9 +148,9 @@ def _trial_bytes(c: SystemConfig) -> int:
     return 16 * (c.n_subcarriers * c.n_ris * c.n_t + steering)
 
 
-def _chunk_trials(points: list[tuple]) -> int:
-    """Trials per chunk for sweep points led by cfg: CHUNK_BYTES over the largest `_trial_bytes`, at least 1."""
-    return max(1, CHUNK_BYTES // max(_trial_bytes(c) for c, *_ in points))
+def _chunk_trials(configs: list[SystemConfig]) -> int:
+    """Trials per chunk for these configs: CHUNK_BYTES over the largest `_trial_bytes`, at least 1."""
+    return max(1, CHUNK_BYTES // max(_trial_bytes(c) for c in configs))
 
 
 def _link_response(cfg: SystemConfig, keys: list[tuple], link: int, los: bool = True) -> np.ndarray:
@@ -130,44 +159,45 @@ def _link_response(cfg: SystemConfig, keys: list[tuple], link: int, los: bool = 
     return taps_to_subcarriers(taps, cfg.n_subcarriers)
 
 
-def _trial_draws(points: list[tuple], keys: list[tuple]):
+def _trial_draws(pairs: list[tuple[SystemConfig, GeometryConfig]], keys: list[tuple]):
     """Yield the channel groups of each trial at `keys`, in trial order, one `_chunk_draws` chunk at a time.
 
-    A point is read only for its leading (cfg, geometry) pair. A trial's
-    groups are (unfolded channels, pathloss gains, start phases, indices of
-    the points that see them); the module docstring gives the chunk and the
-    sharing rule.
+    `pairs` holds the (cfg, geometry) of each point. A trial's groups are
+    (unfolded channels, pathloss gains, start phases, indices of the points
+    that see them); the module docstring gives the chunk and the sharing rule.
     """
+    configs = [c for c, _ in pairs]
     gains = [{los: LinkGains(rho_direct=direct_gain(g, los), rho_indirect=indirect_gain(g), los=los)
-              for los in (True, False)} for _, g, *_ in points]
-    plos = [p_los(g) for _, g, *_ in points]
-    chunk = _chunk_trials(points)
+              for los in (True, False)} for _, g in pairs]
+    plos = [p_los(g) for _, g in pairs]
+    chunk = _chunk_trials(configs)
     for start in range(0, len(keys), chunk):
-        yield from _chunk_draws(points, gains, plos, keys[start:start + chunk])
+        yield from _chunk_draws(configs, gains, plos, keys[start:start + chunk])
 
 
-def _chunk_draws(points: list[tuple], gains: list[dict], plos: list[float], keys: list[tuple]):
+def _chunk_draws(configs: list[SystemConfig], gains: list[dict], plos: list[float], keys: list[tuple]):
     """`_trial_draws` of one chunk, each link one `synthesize_link` call over the chunk's trials that need it."""
     states = [[blockage_state(p, u) for p in plos]
               for u in (substream(*key, SITE_BLOCKAGE).uniform() for key in keys)]
-    ris = {}
-    for c, *_ in points:
-        if c.n_ris not in ris:
-            ris[c.n_ris] = (_link_response(c, keys, 1), _link_response(c, keys, 2),
-                            [RisPhases.random(c.n_ris, substream(*key, SITE_PHASES)) for key in keys])
+    h1, h2, phases = {}, {}, {}  # RIS size -> the chunk's BS->RIS and RIS->UE stacks and start phases
+    for c in configs:
+        if c.n_ris not in phases:
+            h1[c.n_ris], h2[c.n_ris] = _link_response(c, keys, 1), _link_response(c, keys, 2)
+            phases[c.n_ris] = [RisPhases.random(c.n_ris, substream(*key, SITE_PHASES)) for key in keys]
     direct = {}  # (trial, blockage state) -> that trial's link-3 stack
     for los in (True, False):
         trials = [t for t, row in enumerate(states) if los in row]
         if trials:
-            h3 = _link_response(points[0][0], [keys[t] for t in trials], 3, los)
+            h3 = _link_response(configs[0], [keys[t] for t in trials], 3, los)
             direct.update(zip([(t, los) for t in trials], h3))
     for t, row in enumerate(states):
         groups = {}  # (RIS size, blockage state, direct gain, indirect gain) -> (gains, member indices)
-        for i, ((c, *_), point_gains, los) in enumerate(zip(points, gains, row)):
+        for i, (c, point_gains, los) in enumerate(zip(configs, gains, row)):
             g = point_gains[los]
-            groups.setdefault((c.n_ris, los, g.rho_direct, g.rho_indirect), (g, []))[1].append(i)
-        yield [(FreqChannelSet(ris[n][0][t], ris[n][1][t], direct[t, los]), g, ris[n][2][t], members)
-               for (n, los, *_), (g, members) in groups.items()]
+            _, members = groups.setdefault((c.n_ris, los, g.rho_direct, g.rho_indirect), (g, []))
+            members.append(i)
+        yield [(FreqChannelSet(h1[n][t], h2[n][t], direct[t, los]), g, phases[n][t], members)
+               for (n, los, _, _), (g, members) in groups.items()]
 
 
 def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[FreqChannelSet, LinkGains]:
@@ -181,21 +211,19 @@ def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[Fre
     return channels, gains
 
 
-def _trial_rates(points: list[tuple], keys: list[tuple], arms=ARMS) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral efficiency (points x arms x trials) of the trials at `keys` at each (cfg, geometry, budget, ...) point.
+def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> TrialSlab:
+    """Spectral efficiency and `pga` run records of the trials at `keys` at each sweep point.
 
     One loop over the trials, their channel groups and the groups' members,
     sharing the algebra as the module docstring states. Each member scores its
     own budget: the waterfill on the start pairs is `random_phases` and, only
     when `arms` holds `pga`, the optimizer's start; the one on the direct
-    pairs is `no_ris`. A lone point (`run_trial`) computes the same bits. Also
-    returns the run records (points x 3 x trials, zeros without `pga`):
-    iterations, gradient passes and wall seconds of each `pga_optimize` call
-    alone.
+    pairs is `no_ris`. A lone point (`run_trial`) computes the same bits.
     """
+    shape = len(points), len(keys)
     se = np.empty((len(points), len(arms), len(keys)))
-    runs = np.zeros((len(points), 3, len(keys)))
-    for t, groups in enumerate(_trial_draws(points, keys)):
+    iterations, gradient_passes, seconds = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int), np.zeros(shape)
+    for t, groups in enumerate(_trial_draws([(p.cfg, p.geometry) for p in points], keys)):
         directs = {}  # (blockage state, direct gain) -> the folded direct channel and its eigenpairs
         for channels, gains, phi0, members in groups:
             folded = fold_gains(channels, gains)
@@ -205,17 +233,18 @@ def _trial_rates(points: list[tuple], keys: list[tuple], arms=ARMS) -> tuple[np.
             heq = equivalent_channel(folded, phi0)
             start = heq, *channel_eigvals(heq, 1.0)
             for i in members:
-                cfg, _, budget = points[i][:3]
+                cfg, budget = points[i].cfg, points[i].budget
                 alloc = waterfill_eigenpairs(*start, budget)
                 rates = {"random_phases": alloc.rate, "no_ris": waterfill_eigenpairs(*directs[direct_key], budget).rate}
                 if "pga" in arms:
                     t0 = time.perf_counter()
                     result = pga_optimize(folded, budget, mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
                                           phi0=phi0, start=alloc)
-                    runs[i, :, t] = result.iterations, result.gradient_passes, time.perf_counter() - t0
+                    seconds[i, t] = time.perf_counter() - t0
+                    iterations[i, t], gradient_passes[i, t] = result.iterations, result.gradient_passes
                     rates["pga"] = result.rate
                 se[i, :, t] = [rates[arm] for arm in arms]
-    return se, runs
+    return TrialSlab(se=se, iterations=iterations, gradient_passes=gradient_passes, seconds=seconds)
 
 
 def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple, snr_db: float) -> float:
@@ -227,7 +256,8 @@ def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple, snr
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}; choose from {ARMS}")
-    return float(_trial_rates([(cfg, geom, total_power_for_snr(cfg, geom, snr_db))], [key], (arm,))[0][0, 0, 0])
+    point = SweepPoint(cfg, geom, total_power_for_snr(cfg, geom, snr_db), "snr_db", snr_db, snr_db)
+    return _trial_rates([point], [key], (arm,)).se.item()
 
 
 def check_scenario_geometry(geom: GeometryConfig, scenario: str) -> None:
@@ -240,8 +270,8 @@ def check_scenario_geometry(geom: GeometryConfig, scenario: str) -> None:
                              f"{getattr(default, key)!r}, got {getattr(geom, key)!r}")
 
 
-def sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[tuple]:
-    """(cfg, geometry, power budget, sweep name, sweep value, SNR) of each sweep point of `scenario`, in row order.
+def sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[SweepPoint]:
+    """The `SweepPoint` of each point of `scenario`, in row order.
 
     se_vs_snr sweeps the SNR grid for each RIS size in cfg.n_ris_list at the
     bs_height=10, d_ris=2.2 geometry; plos_vs_se sweeps the LOS-probability
@@ -253,7 +283,8 @@ def sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
     check_scenario_geometry(geom, scenario)
-    base = replace(geom, **_SCENARIO_GEOMETRY[scenario][0])
+    fixed, _ = _SCENARIO_GEOMETRY[scenario]
+    base = replace(geom, **fixed)
     if scenario == "se_vs_snr":
         points = [(cfg.with_n_ris(n_ris), base, "snr_db", float(snr), float(snr))
                   for n_ris in cfg.n_ris_list for snr in cfg.snr_db]
@@ -262,7 +293,7 @@ def sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list
                   for snr in cfg.snr_db for p in cfg.plos_grid]
     else:  # distance_vs_se
         points = [(cfg, replace(base, d_bs_ue=float(d)), "d_bs_ue", float(d), 5.0) for d in cfg.distance_grid]
-    return [(c, g, total_power_for_snr(c, g, snr), name, value, snr) for c, g, name, value, snr in points]
+    return [SweepPoint(c, g, total_power_for_snr(c, g, snr), name, value, snr) for c, g, name, value, snr in points]
 
 
 def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[ScenarioResult]:
@@ -274,16 +305,16 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list
     """
     points = sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
-    se, _ = _trial_rates(points, keys)
+    se = _trial_rates(points, keys).se
 
     rows: list[ScenarioResult] = []
-    for (c, g, _, sweep_name, sweep_value, snr), per_arm in zip(points, se):
-        _, d2, _ = link_distances(g)
+    for point, per_arm in zip(points, se):
+        _, d2, _ = link_distances(point.geometry)
         for arm, values in zip(ARMS, per_arm):
             stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-            rows.append(ScenarioResult(scenario=scenario, sweep_name=sweep_name,
-                                       sweep_value=sweep_value, arm=arm, n_ris=c.n_ris,
-                                       snr_db=snr, mean_se=float(values.mean()), stderr_se=stderr,
+            rows.append(ScenarioResult(scenario=scenario, sweep_name=point.sweep_name,
+                                       sweep_value=point.sweep_value, arm=arm, n_ris=point.cfg.n_ris,
+                                       snr_db=point.snr_db, mean_se=float(values.mean()), stderr_se=stderr,
                                        trials=cfg.mc_trials, seed=cfg.seed, d2=float(d2)))
     return rows
 
@@ -292,9 +323,10 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
                      trials: int, snr_db: float) -> list[dict]:
     """Mean iterations, FLOPs and optimizer runtime of `pga` trials for each RIS size.
 
-    Each size averages the run records of `trials` trials scored by `_trial_rates`
-    at the one SNR `snr_db` (the CLI passes cfg.mc_trials and the first value
-    of cfg.snr_db). `runtime_s` times the `pga_optimize` call alone; channel
+    One `_trial_rates` call scores `trials` trials at every size, each size a
+    point at the one SNR `snr_db` (the CLI passes cfg.mc_trials and the first
+    value of cfg.snr_db), so each trial is drawn once; each size's row averages
+    its run records. `runtime_s` times the `pga_optimize` call alone; channel
     synthesis, the pathloss fold and the start allocation run outside it.
     `flop_count` prices each run's counters with `flops.pga_run_cost`; the
     counters depend only on the seeded draws, so those columns reproduce. A
@@ -309,9 +341,9 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
     power = total_power_for_snr(cfg, geom, snr_db)
     configs = [cfg.with_n_ris(n_ris) for n_ris in n_ris_list]
     keys = [(seed, _COMPLEXITY_SCENARIO_ID, t) for t in range(trials)]
+    slab = _trial_rates([SweepPoint(c, geom, power, "n_ris", c.n_ris, snr_db) for c in configs], keys, ("pga",))
     rows = []
-    for c in configs:
-        iters, passes, runtimes = _trial_rates([(c, geom, power)], keys, ("pga",))[1][0]
+    for c, iters, passes, runtimes in zip(configs, slab.iterations, slab.gradient_passes, slab.seconds):
         flop_counts = [flops.pga_run_cost(c.n_subcarriers, c.n_r, c.n_t, c.n_ris, int(p), int(i)).flop_total
                        for i, p in zip(iters, passes)]
         rows.append({"n_ris": c.n_ris,

@@ -98,7 +98,9 @@ def waterfill(eigenvalues, total_power: float) -> tuple[np.ndarray, float]:
     flat = lams.reshape(-1)
     active = flat > max(ABS_EIG_FLOOR / total_power, REL_EIG_FLOOR * flat.max(initial=0.0))
     if not active.any():
-        raise ValueError("waterfilling needs at least one positive eigenvalue")
+        raise ValueError(f"no stream can be waterfilled: the largest eigenvalue times the power budget "
+                         f"{total_power!r} is {float(flat.max(initial=0.0)) * total_power:.3g}, at or below the floor "
+                         f"ABS_EIG_FLOOR={ABS_EIG_FLOOR!r}; raise the budget")
 
     inv_lam = 1.0 / flat[active]
     inv_sorted = np.sort(inv_lam)

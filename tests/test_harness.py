@@ -32,6 +32,19 @@ from rislink.rate import RisPhases, equivalent_channel, fold_gains
 from rislink.rng import SITE_BLOCKAGE, SITE_PHASES, substream
 
 
+RECORD_FIELDS = ("iterations", "gradient_passes", "seconds")  # the TrialSlab fields of each pga run
+
+
+def point_pairs(points):
+    """The (cfg, geometry) pairs `harness._trial_draws` reads from sweep points."""
+    return [(p.cfg, p.geometry) for p in points]
+
+
+def blockage_states(points, key):
+    """The blockage states the sweep points see in the trial at `key`."""
+    return {draw_trial(p.cfg, p.geometry, key)[1].los for p in points}
+
+
 def small_config(**kw):
     base = dict(tx_rows=2, tx_cols=2, rx_rows=2, rx_cols=1, ris_rows=2, ris_cols=2,
                 n_subcarriers=6, n_taps=(2, 2, 3), mc_trials=3,
@@ -393,19 +406,19 @@ def test_random_phases_is_read_from_the_pga_start_rate(scenario):
     # with pga scored, random_phases is pga's start rate, bit for bit the lone arm's own waterfill
     cfg, geom = preset_config("desk")
     points = harness.sweep_points(cfg, geom, scenario)
-    assert [p for _, _, p, *_ in points] == [total_power_for_snr(c, g, snr) for c, g, _, _, _, snr in points]
+    assert [p.budget for p in points] == [total_power_for_snr(p.cfg, p.geometry, p.snr_db) for p in points]
     column = harness.ARMS.index("random_phases")
     for t in range(2):
         key = (cfg.seed, SCENARIOS[scenario], t)
-        both = harness._trial_rates(points, [key])[0][:, column, 0]
-        alone = harness._trial_rates(points, [key], arms=("random_phases",))[0][:, 0, 0]
+        both = harness._trial_rates(points, [key]).se[:, column, 0]
+        alone = harness._trial_rates(points, [key], arms=("random_phases",)).se[:, 0, 0]
         assert np.array_equal(both, alone)
         starts = np.full(len(points), np.nan)
-        [groups] = harness._trial_draws(points, [key])
+        [groups] = harness._trial_draws(point_pairs(points), [key])
         for channels, gains, phi0, members in groups:
             for i in members:
-                starts[i] = pga_optimize(fold_gains(channels, gains), points[i][2], mu0=cfg.mu0, epsilon=cfg.epsilon,
-                                         max_iter=cfg.max_iter, phi0=phi0).start_rate
+                starts[i] = pga_optimize(fold_gains(channels, gains), points[i].budget, mu0=cfg.mu0,
+                                         epsilon=cfg.epsilon, max_iter=cfg.max_iter, phi0=phi0).start_rate
         assert np.array_equal(both, starts)
 
 
@@ -448,12 +461,12 @@ def test_trial_rates_cells_equal_lone_point_trials(scenario):
     cfg, geom = preset_config("desk")
     points = harness.sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(3)]
-    se = harness._trial_rates(points, keys)[0]
-    for i, (c, g, _, _, _, snr) in enumerate(points):
+    se = harness._trial_rates(points, keys).se
+    for i, p in enumerate(points):
         for a, arm in enumerate(harness.ARMS):
-            assert se[i, a].tolist() == [run_trial(c, g, arm, key, snr) for key in keys], (i, arm)
+            assert se[i, a].tolist() == [run_trial(p.cfg, p.geometry, arm, key, p.snr_db) for key in keys], (i, arm)
     if scenario == "plos_vs_se":  # some trial sees both blockage states
-        assert any(len({draw_trial(c, g, key)[1].los for c, g, *_ in points}) == 2 for key in keys)
+        assert any(len(blockage_states(points, key)) == 2 for key in keys)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -466,12 +479,12 @@ def test_trial_rates_runs_the_optimizer_only_for_the_pga_arm(monkeypatch, scenar
     optimize = harness.pga_optimize
     monkeypatch.setattr(harness, "pga_optimize", lambda *args, **kwargs: runs.append(1) or optimize(*args, **kwargs))
     for arms in (("random_phases",), ("no_ris",), ("random_phases", "no_ris")):
-        _, records = harness._trial_rates(points, keys, arms)
-        assert runs == [] and not records.any(), arms
-    _, records = harness._trial_rates(points, keys, ("pga",))
+        slab = harness._trial_rates(points, keys, arms)
+        assert runs == [] and not any(getattr(slab, name).any() for name in RECORD_FIELDS), arms
+    slab = harness._trial_rates(points, keys, ("pga",))
     assert len(runs) == len(points) * len(keys)
-    assert records.shape == (len(points), 3, len(keys))
-    assert (records[:, 1] >= 1).all() and (records[:, 2] > 0).all()  # every run takes a gradient pass
+    assert all(getattr(slab, name).shape == (len(points), len(keys)) for name in RECORD_FIELDS)
+    assert (slab.gradient_passes >= 1).all() and (slab.seconds > 0).all()  # every run takes a gradient pass
 
 
 def test_trial_rates_records_each_pga_run():
@@ -479,18 +492,20 @@ def test_trial_rates_records_each_pga_run():
     cfg, geom = preset_config("desk")
     points = harness.sweep_points(cfg, geom, "se_vs_snr")
     keys = [(cfg.seed, SCENARIOS["se_vs_snr"], t) for t in range(2)]
-    _, records = harness._trial_rates(points, keys)
+    slab = harness._trial_rates(points, keys)
+    assert slab.iterations.dtype.kind == slab.gradient_passes.dtype.kind == "i"
     checked = 0
-    for t, groups in enumerate(harness._trial_draws(points, keys)):
+    for t, groups in enumerate(harness._trial_draws(point_pairs(points), keys)):
         for channels, gains, phi0, members in groups:
             for i in members:
-                c, _, budget = points[i][:3]
-                result = pga_optimize(fold_gains(channels, gains), budget, mu0=c.mu0, epsilon=c.epsilon,
+                c = points[i].cfg
+                result = pga_optimize(fold_gains(channels, gains), points[i].budget, mu0=c.mu0, epsilon=c.epsilon,
                                       max_iter=c.max_iter, phi0=phi0)
-                assert records[i, :2, t].tolist() == [result.iterations, result.gradient_passes], (i, t)
+                assert [slab.iterations[i, t], slab.gradient_passes[i, t]] == [result.iterations,
+                                                                              result.gradient_passes], (i, t)
                 checked += 1
     assert checked == len(points) * len(keys)
-    assert len(set(records[:, 0].ravel())) > 1
+    assert len(set(slab.iterations.ravel())) > 1
 
 
 def test_one_trial_kernel_calls_the_optimizer():
@@ -513,15 +528,44 @@ def test_one_trial_kernel_calls_the_optimizer():
     assert meters == []
 
 
+def positional_reads(source: str) -> list[int]:
+    """Lines of `source` that read a sweep point or a trial kernel's result by position.
+
+    Flags a starred unpacking target (`c, *_`, `_, g, *_`) and a constant index or slice into an indexed
+    value or a call result (`points[i][:3]`, `points[0][0]`, `[1][0]`, `[0][0, 0, 0]`).
+    """
+    def constant(index):
+        if isinstance(index, ast.Slice):
+            parts = index.lower, index.upper, index.step
+            return all(part is None or isinstance(part, ast.Constant) for part in parts)
+        if isinstance(index, ast.Tuple):
+            return all(constant(item) for item in index.elts)
+        return isinstance(index, ast.Constant)
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Starred) and isinstance(node.ctx, ast.Store)
+            or isinstance(node, ast.Subscript) and isinstance(node.value, (ast.Subscript, ast.Call))
+            and constant(node.slice)]
+
+
+def test_harness_reads_points_and_slabs_by_name():
+    # a SweepPoint and a TrialSlab are read by field name, so adding a field moves no reader
+    assert positional_reads(Path(harness.__file__).read_text(encoding="utf-8")) == []
+    for pattern in ("c, *_ = p", "for _, g, *_ in points: pass", "points[i][:3]", "points[0][0]",
+                    "f(x)[1][0]", "f(x)[0][0, 0, 0]"):
+        assert set(positional_reads(pattern)) == {1}, pattern
+    assert positional_reads("h1[n][t], se[i, :, t], keys[a:a + n], f(x).se.item()") == []
+
+
 def test_trial_decomposes_each_distinct_channel_once(monkeypatch):
     # one plos_vs_se chunk: the start and the direct channel once per (trial, blockage state), plus one
     # decomposition per optimizer candidate, whichever module makes the call
     cfg, geom = preset_config("desk")
     points = harness.sweep_points(cfg, geom, "plos_vs_se")
     keys = [(cfg.seed, SCENARIOS["plos_vs_se"], t) for t in range(3)]
-    assert len(keys) <= harness._chunk_trials(points)
+    assert len(keys) <= harness._chunk_trials([p.cfg for p in points])
     expected = {}  # (trial, blockage state) -> (start channel, direct channel)
-    for t, groups in enumerate(harness._trial_draws(points, keys)):
+    for t, groups in enumerate(harness._trial_draws(point_pairs(points), keys)):
         for channels, gains, phi0, _ in groups:
             folded = fold_gains(channels, gains)
             expected[t, gains.los] = (equivalent_channel(folded, phi0), folded.h3)
@@ -555,12 +599,12 @@ def test_trial_groups_partition_the_points_by_the_channel_they_see(scenario):
     points = harness.sweep_points(cfg, geom, scenario)
     for seed in range(4):
         keys = [(seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
-        for key, groups in zip(keys, harness._trial_draws(points, keys), strict=True):
+        for key, groups in zip(keys, harness._trial_draws(point_pairs(points), keys), strict=True):
             assert sorted(i for *_, members in groups for i in members) == list(range(len(points)))
             for channels, gains, phi0, members in groups:
                 for i in members:
-                    c, g = points[i][:2]
-                    alone, alone_gains = draw_trial(c, g, key)
+                    c = points[i].cfg
+                    alone, alone_gains = draw_trial(c, points[i].geometry, key)
                     assert alone_gains == gains
                     assert all(np.array_equal(getattr(channels, h), getattr(alone, h)) for h in ("h1", "h2", "h3"))
                     assert np.array_equal(phi0.diag, RisPhases.random(c.n_ris, substream(*key, SITE_PHASES)).diag)
@@ -569,7 +613,7 @@ def test_trial_groups_partition_the_points_by_the_channel_they_see(scenario):
             if scenario == "se_vs_snr":  # two RIS sizes at equal gains
                 assert len(groups) == len(cfg.n_ris_list) and groups[0][1] == groups[1][1]
             elif scenario == "plos_vs_se":  # equal gains within a blockage state
-                assert len(groups) == len({draw_trial(c, g, key)[1].los for c, g, *_ in points})
+                assert len(groups) == len(blockage_states(points, key))
             else:  # distinct gains at each distance
                 assert len(groups) == len(points)
 
@@ -581,14 +625,15 @@ def test_trial_rates_do_not_depend_on_a_split_inside_a_chunk(monkeypatch, scenar
     points = harness.sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
     monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * per_trial_bytes(points))  # chunks [0, 1] and [2, 3]
-    assert harness._chunk_trials(points) == 2
+    assert harness._chunk_trials([p.cfg for p in points]) == 2
     clock = itertools.count()
     monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))  # one tick a run
     whole = harness._trial_rates(points, keys)
     parts = [harness._trial_rates(points, keys[a:b]) for a, b in ((0, 1), (1, 3), (3, 4))]
-    for joined, full in zip((np.concatenate(part, axis=-1) for part in zip(*parts)), whole, strict=True):
-        assert joined.shape == full.shape and np.array_equal(joined, full)
-    assert (whole[1][:, 2] == 1.0).all()
+    for name in ("se", *RECORD_FIELDS):
+        joined, full = np.concatenate([getattr(part, name) for part in parts], axis=-1), getattr(whole, name)
+        assert joined.shape == full.shape and np.array_equal(joined, full), name
+    assert (whole.seconds == 1.0).all()
 
 
 # SHA-256 of the desk CSV text of each scenario at seed 0 with 3 trials, recorded with numpy's bundled
@@ -606,6 +651,22 @@ def test_desk_csv_bytes_are_pinned(scenario):
     cfg, geom = parse_config(None, {"seed": 0, "mc_trials": 3}, preset="desk")
     text = scenario_rows_to_csv(run_scenario(cfg, geom, scenario))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DESK_CSV_SHA256[scenario]
+
+
+# The same pin at the paper shape (N_t=64, N_r=4, K=24): se_vs_snr at seed 0 with 1 trial, N_ris 64 and 256 at
+# -5 and 10 dB, whose four pga runs take 1, 121, 142 and 200 iterations, the last one stopped by the cap.
+PINNED_PAPER_CSV_SHA256 = "e96e9af95b7b07280e9df4e34eceaf20497b61af6317ae1377f57a237841b291"
+
+
+def test_paper_csv_bytes_are_pinned(monkeypatch):
+    slabs = []
+    score = harness._trial_rates
+    monkeypatch.setattr(harness, "_trial_rates", lambda *args: slabs.append(score(*args)) or slabs[-1])
+    cfg, geom = parse_config(None, {"seed": 0, "mc_trials": 1}, preset="paper")
+    text = scenario_rows_to_csv(run_scenario(cfg, geom, "se_vs_snr"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PAPER_CSV_SHA256
+    [slab] = slabs
+    assert sorted(slab.iterations.ravel().tolist()) == [1, 121, 142, cfg.max_iter]
 
 
 def test_run_scenario_builds_its_sweep_once(monkeypatch):
@@ -630,29 +691,36 @@ def test_trial_draws_evaluate_pathloss_once_per_point(monkeypatch):
     counts = []
     for trials in (1, 4):
         calls.clear()
-        list(harness._trial_draws(points, [(cfg.seed, SCENARIOS["plos_vs_se"], t) for t in range(trials)]))
+        list(harness._trial_draws(point_pairs(points), [(cfg.seed, SCENARIOS["plos_vs_se"], t) for t in range(trials)]))
         counts.append({name: calls.count(name) for name in set(calls)})
     assert counts[0] == counts[1]
     assert counts[0]["p_los"] == len(points) and counts[0]["direct_gain"] and counts[0]["indirect_gain"]
 
 
 def test_complexity_table_draws_in_trial_chunks(monkeypatch):
-    # 9 trials: two chunks at N_ris=16 (6 a chunk), five at N_ris=64 (2 a chunk)
+    # 9 trials, every size in one chunk walk: five chunks of 2 trials (the N_ris=64 budget) or fewer
     cfg, geom = preset_config("desk")
-    synthesized = []
-    synthesize = harness.synthesize_link
+    synthesized, blockage = [], []
+    synthesize, make_substream = harness.synthesize_link, harness.substream
 
     def counting_synthesize(link, c, rngs, los=True):
         synthesized.append((link, c.n_ris, len(rngs)))
         return synthesize(link, c, rngs, los=los)
 
+    def counting_substream(*key):
+        if key[3:] == (SITE_BLOCKAGE,):
+            blockage.append(key)
+        return make_substream(*key)
+
     monkeypatch.setattr(harness, "synthesize_link", counting_synthesize)
+    monkeypatch.setattr(harness, "substream", counting_substream)
     chunked = complexity_table(cfg, geom, [16, 64], seed=7, trials=9, snr_db=10.0)
     for link in (1, 2):
-        assert [(n, t) for i, n, t in synthesized if i == link] == [(16, 6), (16, 3)] + [(64, 2)] * 4 + [(64, 1)]
-    # the direct link once per blockage state present in a chunk
-    direct = [(n, t) for i, n, t in synthesized if i == 3]
-    assert 7 <= len(direct) <= 14 and all(sum(t for n, t in direct if n == size) == 9 for size in (16, 64))
+        assert [(n, t) for i, n, t in synthesized if i == link] == [(16, 2), (64, 2)] * 4 + [(16, 1), (64, 1)]
+    # each trial's blockage uniform once and its direct link once, whatever the number of sizes
+    assert sorted(blockage) == [(7, harness._COMPLEXITY_SCENARIO_ID, t, SITE_BLOCKAGE) for t in range(9)]
+    direct = [t for i, _, t in synthesized if i == 3]
+    assert 5 <= len(direct) <= 10 and sum(direct) == 9
     monkeypatch.setattr(harness, "CHUNK_BYTES", 1)  # one trial a chunk
     alone = complexity_table(cfg, geom, [16, 64], seed=7, trials=9, snr_db=10.0)
     for key in ("n_ris", "iter_count", "flop_count"):
@@ -669,7 +737,7 @@ def test_complexity_counters_are_pinned():
 
 def per_trial_bytes(points):
     """One trial's bytes at the largest RIS size, the unit of the chunk budget."""
-    return max(harness._trial_bytes(c) for c, *_ in points)
+    return max(harness._trial_bytes(p.cfg) for p in points)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -679,25 +747,25 @@ def test_run_scenario_csv_does_not_depend_on_the_chunk_size(monkeypatch, scenari
     texts = []
     for trials in (1, 2, cfg.mc_trials):
         monkeypatch.setattr(harness, "CHUNK_BYTES", trials * per_trial_bytes(points))
-        assert harness._chunk_trials(points) == trials
+        assert harness._chunk_trials([p.cfg for p in points]) == trials
         texts.append(scenario_rows_to_csv(run_scenario(cfg, geom, scenario)))
     assert texts[1] == texts[0] and texts[2] == texts[0]
     if scenario == "plos_vs_se":  # some trial needs the direct link in both blockage states
         keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
-        assert any(len({draw_trial(c, g, key)[1].los for c, g, *_ in points}) == 2 for key in keys)
+        assert any(len(blockage_states(points, key)) == 2 for key in keys)
 
 
 def test_chunk_rule_one_paper_trial_and_whole_bench_processes():
-    paper, geom = preset_config("paper")
-    assert harness._chunk_trials([(paper.with_n_ris(256), geom)]) == 1
-    assert harness._chunk_trials([(paper.with_n_ris(n), geom) for n in (64, 256)]) == 1
+    paper, _ = preset_config("paper")
+    assert harness._chunk_trials([paper.with_n_ris(256)]) == 1
+    assert harness._chunk_trials([paper.with_n_ris(n) for n in (64, 256)]) == 1
     # the steering arrays set the desk chunks: bench/run.py's 6-trial desk_blockage_low processes
     # (N_ris 16) are one chunk, its 3-trial desk_snr processes (N_ris 16 and 64) two
     desk, _ = preset_config("desk")
-    assert harness._chunk_trials([(desk.with_n_ris(n), geom) for n in (16, 64)]) == 2
-    assert harness._chunk_trials([(desk.with_n_ris(16), geom)]) == 6
+    assert harness._chunk_trials([desk.with_n_ris(n) for n in (16, 64)]) == 2
+    assert harness._chunk_trials([desk.with_n_ris(16)]) == 6
     # a huge per-trial stack still gets a chunk of one
-    assert harness._chunk_trials([(replace(paper, n_subcarriers=4096).with_n_ris(256), geom)]) == 1
+    assert harness._chunk_trials([replace(paper, n_subcarriers=4096).with_n_ris(256)]) == 1
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -738,6 +806,19 @@ def test_cli_rejects_a_non_finite_budget_before_any_trial(monkeypatch, tmp_path,
     assert cli.main([*command, "--preset", "desk", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "power budget" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# finite, positive budgets whose gain-budget products all fall under the waterfill floor in the first trial
+@pytest.mark.parametrize("command", [["simulate", "--scenario", "plos_vs_se", "--snr-db=-140"],
+                                     ["simulate", "--scenario", "se_vs_snr", "--snr-db=-170"],
+                                     ["complexity", "--snr-db=-170"]], ids=["plos_vs_se", "se_vs_snr", "complexity"])
+def test_cli_reports_a_budget_under_the_waterfill_floor_as_an_error(tmp_path, capsys, command):
+    out = tmp_path / "X"
+    assert cli.main([*command, "--preset", "desk", "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "power budget" in err and "ABS_EIG_FLOOR" in err
     assert not out.exists()
 
 

@@ -166,6 +166,12 @@ def test_waterfill_rejects_degenerate():
         waterfill(np.array([1.0]), 0.0)
 
 
+def test_waterfill_names_the_budget_and_the_floor_when_no_stream_passes():
+    # positive gains whose product with a finite, tiny budget is under ABS_EIG_FLOOR
+    with pytest.raises(ValueError, match=r"power budget 1e-06 is 1e-16, at or below the floor ABS_EIG_FLOOR=1e-15"):
+        waterfill(np.array([1e-10, 5e-11]), 1e-6)
+
+
 @pytest.mark.parametrize("budget", [np.nan, np.inf])
 def test_waterfill_rejects_non_finite_budget(budget):
     with pytest.raises(ValueError, match="positive and finite"):

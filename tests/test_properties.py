@@ -151,11 +151,12 @@ def chunk_case():
 @given(order=st.permutations(range(N_CHUNK_TRIALS)),
        cuts=st.sets(st.integers(1, N_CHUNK_TRIALS - 1)))
 def test_trial_values_do_not_depend_on_the_chunk_partition(order, cuts):
-    points, keys, (whole, whole_runs) = chunk_case()
+    points, keys, whole = chunk_case()
     bounds = [0, *sorted(cuts), N_CHUNK_TRIALS]
     for a, b in zip(bounds, bounds[1:]):
         trials = order[a:b]
-        part, runs = harness._trial_rates(points, [keys[t] for t in trials])
-        assert np.array_equal(part, whole[:, :, trials])
-        # iterations and gradient passes; the third row is wall time
-        assert np.array_equal(runs[:, :2], whole_runs[:, :2, trials])
+        part = harness._trial_rates(points, [keys[t] for t in trials])
+        assert np.array_equal(part.se, whole.se[:, :, trials])
+        # the counters; seconds are wall time
+        assert np.array_equal(part.iterations, whole.iterations[:, trials])
+        assert np.array_equal(part.gradient_passes, whole.gradient_passes[:, trials])
