@@ -37,7 +37,7 @@ import numpy as np
 
 from . import flops
 from .channel import FreqChannelSet, synthesize_link, taps_to_subcarriers
-from .config import DISTANCE_D_RIS, GeometryConfig, SystemConfig, is_integer
+from .config import DISTANCE_D_RIS, GeometryConfig, SystemConfig
 from .config import parse_config, preset_config  # noqa: F401  (the configs' entry points, re-exported here)
 from .pga import pga_optimize
 from .power import channel_eigvals, waterfill_eigenpairs
@@ -184,6 +184,8 @@ def _chunk_draws(configs: list[SystemConfig], gains: list[dict], plos: list[floa
         if c.n_ris not in phases:
             h1[c.n_ris], h2[c.n_ris] = _link_response(c, keys, 1), _link_response(c, keys, 2)
             phases[c.n_ris] = [RisPhases.random(c.n_ris, substream(*key, SITE_PHASES)) for key in keys]
+    # Link 3 may come from configs[0]: every caller builds its points from one
+    # config, varied at most in RIS size, so they share the link-3 arrays.
     direct = {}  # (trial, blockage state) -> that trial's link-3 stack
     for los in (True, False):
         trials = [t for t, row in enumerate(states) if los in row]
@@ -329,18 +331,14 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
     its run records. `runtime_s` times the `pga_optimize` call alone; channel
     synthesis, the pathloss fold and the start allocation run outside it.
     `flop_count` prices each run's counters with `flops.pga_run_cost`; the
-    counters depend only on the seeded draws, so those columns reproduce. A
-    size or trial count that is not an integer >= 1, or a seed that is not an
-    integer >= 0, raises ValueError before any trial runs.
+    counters depend only on the seeded draws, so those columns reproduce. The
+    sizes, trial count and seed replace the config's `n_ris_list`, `mc_trials`
+    and `seed`, whose numeric rule refuses a bad value before any trial runs.
     """
-    if not is_integer(trials) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    seed = cfg.seed if seed is None else seed
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    cfg = replace(cfg, n_ris_list=tuple(n_ris_list), mc_trials=trials, seed=cfg.seed if seed is None else seed)
     power = total_power_for_snr(cfg, geom, snr_db)
-    configs = [cfg.with_n_ris(n_ris) for n_ris in n_ris_list]
-    keys = [(seed, _COMPLEXITY_SCENARIO_ID, t) for t in range(trials)]
+    configs = [cfg.with_n_ris(n_ris) for n_ris in cfg.n_ris_list]
+    keys = [(cfg.seed, _COMPLEXITY_SCENARIO_ID, t) for t in range(cfg.mc_trials)]
     slab = _trial_rates([SweepPoint(c, geom, power, "n_ris", c.n_ris, snr_db) for c in configs], keys, ("pga",))
     rows = []
     for c, iters, passes, runtimes in zip(configs, slab.iterations, slab.gradient_passes, slab.seconds):

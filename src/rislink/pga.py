@@ -30,9 +30,10 @@ _TINY = np.finfo(float).tiny
 class PgaResult:
     """Best iterate of one optimization run.
 
-    `start_rate` is the waterfilled rate at the start phases, trace[0]. It is
-    the same call on the same phases as the `random_phases` arm, so it equals
-    that arm's rate at the same point bit for bit; the harness reads it there.
+    `start_rate` is the waterfilled rate at the start phases, trace[0]. The
+    harness scores the `random_phases` arm from the `alloc.rate` of the
+    allocation it hands to `pga_optimize(start=)`, so that arm's cell equals
+    `start_rate` at the same point bit for bit without reading it.
     `stop_reason` says why the loop ended: "tolerance" (a step moved the rate
     by less than epsilon), "zero_gradient" (no ascent direction), "mu_floor"
     (the learning rate fell below MU_FLOOR) or "max_iter" (the iteration
@@ -93,21 +94,23 @@ def gradient_phi(channels: FreqChannelSet, q: np.ndarray | PowerAllocation, phi:
     return np.einsum("kir,kri->i", channels.h1 @ m, channels.h2) / (noise_var * LN2)
 
 
-def project_unit_modulus(values, fallback: np.ndarray | None = None) -> RisPhases:
-    """Normalize each entry onto the unit circle.
+def project_unit_modulus(values, fallback: np.ndarray | None = None) -> np.ndarray:
+    """Normalize each entry onto the unit circle and return the projected array.
 
     Zero-modulus entries keep the corresponding entry of the unit-modulus
     `fallback` array, or 1+0j when no fallback is given.
     """
     v = np.asarray(values, dtype=complex)
+    mag = np.abs(v)
+    if mag.min(initial=np.inf) >= _TINY:
+        return v / mag
     # complex / real division multiplies by 1/|v|, which overflows for
     # subnormal |v|; an exact power-of-two rescale keeps the angle
-    v = np.where(np.abs(v) < _TINY, v * 2.0**600, v)
+    v = np.where(mag < _TINY, v * 2.0**600, v)
     mag = np.abs(v)
     zero = mag == 0.0
     fb = np.ones_like(v) if fallback is None else fallback
-    out = np.where(zero, fb, v / np.where(zero, 1.0, mag))
-    return RisPhases(out)
+    return np.where(zero, fb, v / np.where(zero, 1.0, mag))
 
 
 def pga_optimize(channels: FreqChannelSet, total_power: float, *,
@@ -136,8 +139,8 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
     added to it; only `bench/tracer.py` and tests pass one.
     The noise variance is 1: for another sigma^2, pass total_power / sigma^2.
     """
-    if not mu0 > 0 or not epsilon > 0 or not is_integer(max_iter) or max_iter < 1:
-        raise ValueError(f"need mu0 > 0, epsilon > 0 and an integer max_iter >= 1, got "
+    if not 0 < mu0 < np.inf or not 0 < epsilon < np.inf or not is_integer(max_iter) or max_iter < 1:
+        raise ValueError(f"need mu0 > 0, epsilon > 0, both finite, and an integer max_iter >= 1, got "
                          f"{mu0!r}, {epsilon!r} and {max_iter!r}")
     n_ris = channels.h1.shape[1]
     if phi0 is None:
@@ -164,12 +167,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
         if scale == 0.0:
             stop_reason = "zero_gradient"
             break
-        candidate = diag + (mu / scale) * grad.conj()
-        mag = np.abs(candidate)
-        if mag.min() < _TINY:  # subnormal or zero entries need the guarded projection
-            new_diag = project_unit_modulus(candidate, fallback=diag).diag
-        else:
-            new_diag = candidate / mag
+        new_diag = project_unit_modulus(diag + (mu / scale) * grad.conj(), fallback=diag)
         new_alloc = waterfill_covariances(combine_links(channels.h1, channels.h2, channels.h3, new_diag),
                                           total_power)
         iterations += 1

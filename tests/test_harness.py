@@ -45,6 +45,15 @@ def blockage_states(points, key):
     return {draw_trial(p.cfg, p.geometry, key)[1].los for p in points}
 
 
+@pytest.fixture
+def no_trial(monkeypatch):
+    """Fail the test if any trial is drawn: for checks that must refuse their input before a trial runs."""
+    def trial_draws(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_trial_draws", trial_draws)
+
+
 def small_config(**kw):
     base = dict(tx_rows=2, tx_cols=2, rx_rows=2, rx_cols=1, ris_rows=2, ris_cols=2,
                 n_subcarriers=6, n_taps=(2, 2, 3), mc_trials=3,
@@ -193,25 +202,19 @@ def test_with_n_ris_rejects_a_size_that_is_not_a_positive_integer(n_ris):
         small_config().with_n_ris(n_ris)
 
 
-@pytest.mark.parametrize("sizes, trials, match", [([0], 1, "n_ris"), ([4, -4], 1, "n_ris"), ([4], 0, "trials"),
-                                                   ([4], 1.5, "trials")])
-def test_complexity_table_rejects_bad_sizes_and_trials_before_any_trial(monkeypatch, sizes, trials, match):
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(harness, "_trial_draws", no_trial)
-    with pytest.raises(ValueError, match=f"{match} must be an integer >= 1"):
+@pytest.mark.parametrize("sizes, trials, field", [([0], 1, "n_ris_list"), ([4, -4], 1, "n_ris_list"),
+                                                   ([4], 0, "mc_trials"), ([4], 1.5, "mc_trials")])
+@pytest.mark.usefixtures("no_trial")
+def test_complexity_table_rejects_bad_sizes_and_trials_before_any_trial(sizes, trials, field):
+    with pytest.raises(ValueError, match=f"^{field} must hold integers >= 1"):
         complexity_table(small_config(), GeometryConfig(), sizes, trials=trials, snr_db=0.0)
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, "3"])
-def test_complexity_table_rejects_a_bad_seed_before_any_trial(monkeypatch, seed):
+@pytest.mark.usefixtures("no_trial")
+def test_complexity_table_rejects_a_bad_seed_before_any_trial(seed):
     # the config's rule for seed: an integer >= 0, never truncated
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(harness, "_trial_draws", no_trial)
-    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+    with pytest.raises(ValueError, match="^seed must hold integers >= 0"):
         complexity_table(small_config(), GeometryConfig(), [4], seed, trials=1, snr_db=0.0)
 
 
@@ -231,14 +234,11 @@ def test_config_rejects_a_wrongly_typed_value_naming_the_field(build, field):
     (lambda: SystemConfig(seed=False), "seed"),
     (lambda: SystemConfig(mu0=True), "mu0"),
     (lambda: complexity_table(small_config(), GeometryConfig(), [4], True, trials=1, snr_db=0.0), "seed"),
-    (lambda: complexity_table(small_config(), GeometryConfig(), [4], trials=True, snr_db=0.0), "trials"),
+    (lambda: complexity_table(small_config(), GeometryConfig(), [4], trials=True, snr_db=0.0), "mc_trials"),
 ], ids=["int-field", "int-tuple-item", "seed", "float-field", "complexity-seed", "complexity-trials"])
-def test_config_rejects_a_bool_in_a_numeric_field(monkeypatch, build, field):
+@pytest.mark.usefixtures("no_trial")
+def test_config_rejects_a_bool_in_a_numeric_field(build, field):
     # bool is a numbers.Integral, but neither a count nor a real parameter
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(harness, "_trial_draws", no_trial)
     with pytest.raises(ValueError, match=f"^{field} must"):
         build()
 
@@ -338,11 +338,8 @@ def test_run_scenario_distance_recomputes_geometry():
     ("distance_vs_se", "bs_height", 3.0),
     ("distance_vs_se", "d_ris", 50.0),
 ])
-def test_run_scenario_refuses_geometry_it_sets(monkeypatch, scenario, key, value):
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(harness, "_trial_draws", no_trial)
+@pytest.mark.usefixtures("no_trial")
+def test_run_scenario_refuses_geometry_it_sets(scenario, key, value):
     geom = replace(GeometryConfig(), **{key: value})
     with pytest.raises(ValueError, match=f"{scenario} sets {key} itself"):
         run_scenario(small_config(), geom, scenario)
@@ -797,11 +794,8 @@ def test_total_power_for_snr_rejects_a_budget_that_is_not_finite_and_positive():
 # simulate checks every sweep point's budget, complexity the first SNR's, the one it runs at
 @pytest.mark.parametrize("command", [["simulate", "--scenario", "se_vs_snr", "--snr-db=0,1e6"],
                                      ["complexity", "--snr-db=1e6"]], ids=["simulate", "complexity"])
-def test_cli_rejects_a_non_finite_budget_before_any_trial(monkeypatch, tmp_path, capsys, command):
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(harness, "_trial_draws", no_trial)
+@pytest.mark.usefixtures("no_trial")
+def test_cli_rejects_a_non_finite_budget_before_any_trial(tmp_path, capsys, command):
     out = tmp_path / "x.csv"
     assert cli.main([*command, "--preset", "desk", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -896,11 +890,8 @@ def test_cli_simulate_and_complexity(tmp_path):
     assert "unknown configuration key" in bad.stderr
 
 
-def test_cli_set_without_value_exits_2_before_any_trial(monkeypatch, capsys):
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(harness, "_trial_draws", no_trial)
+@pytest.mark.usefixtures("no_trial")
+def test_cli_set_without_value_exits_2_before_any_trial(capsys):
     assert cli.main(["simulate", "--scenario", "se_vs_snr", "--preset", "desk", "--set", "foo"]) == 2
     assert "error: --set expects KEY=VALUE, got 'foo'" in capsys.readouterr().err
 
@@ -930,11 +921,8 @@ def test_complexity_reads_sizes_and_trials_from_config(tmp_path):
 
 @pytest.mark.parametrize("command", [["simulate", "--scenario", "distance_vs_se"], ["complexity"]],
                          ids=["simulate", "complexity"])
-def test_cli_rejects_unwritable_out_before_any_trial(monkeypatch, tmp_path, capsys, command):
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(harness, "_trial_draws", no_trial)
+@pytest.mark.usefixtures("no_trial")
+def test_cli_rejects_unwritable_out_before_any_trial(tmp_path, capsys, command):
     for out in (tmp_path / "no" / "such" / "dir" / "x.csv", tmp_path):
         assert cli.main([*command, "--preset", "desk", "--trials", "2", "--out", str(out)]) == 2
         assert str(out) in capsys.readouterr().err

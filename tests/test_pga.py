@@ -106,14 +106,24 @@ def test_gradient_with_noise_variance():
 
 def test_projection_cases():
     unit = np.exp(1j * np.array([0.3, -1.2]))
-    np.testing.assert_allclose(project_unit_modulus(unit).diag, unit, atol=1e-15)
-    np.testing.assert_allclose(project_unit_modulus(np.array([3.0 + 4.0j])).diag, [0.6 + 0.8j],
+    np.testing.assert_allclose(project_unit_modulus(unit), unit, atol=1e-15)
+    np.testing.assert_allclose(project_unit_modulus(np.array([3.0 + 4.0j])), [0.6 + 0.8j],
                                atol=1e-15)
     prev = np.array([1.0j, 1.0])
     out = project_unit_modulus(np.array([0.0, 2.0]), fallback=prev)
-    np.testing.assert_allclose(out.diag, [1.0j, 1.0], atol=1e-15)
+    np.testing.assert_allclose(out, [1.0j, 1.0], atol=1e-15)
     out_default = project_unit_modulus(np.array([0.0]))
-    np.testing.assert_allclose(out_default.diag, [1.0], atol=1e-15)
+    np.testing.assert_allclose(out_default, [1.0], atol=1e-15)
+
+
+def test_projection_is_the_same_on_the_fast_and_the_guarded_path():
+    # an appended 0j sends the whole array down the guarded path; its finite entries must not move a bit
+    rng = substream(97)
+    for values in (crandn(rng, 64), 1e-150 * crandn(rng, 8), np.array([3.0 + 4.0j, -1e100, 1e-300j])):
+        fast = project_unit_modulus(values)
+        guarded = project_unit_modulus(np.append(values, 0j))
+        np.testing.assert_array_equal(guarded[:-1], fast)
+        assert guarded[-1] == 1.0
 
 
 def test_pga_cascade_only_scalar_optimum():
@@ -199,8 +209,8 @@ def test_pga_from_a_given_start_allocation_is_the_same_run():
         pga_optimize(ch, 8.0, rng=rng, start=start)
 
 
-@pytest.mark.parametrize("mu0, epsilon", [(0.0, 1e-3), (-0.1, 1e-3), (np.nan, 1e-3),
-                                          (0.1, 0.0), (0.1, np.nan)])
+@pytest.mark.parametrize("mu0, epsilon", [(0.0, 1e-3), (-0.1, 1e-3), (np.nan, 1e-3), (np.inf, 1e-3),
+                                          (0.1, 0.0), (0.1, np.nan), (0.1, np.inf)])
 def test_pga_rejects_non_positive_or_nan_step_and_tolerance(mu0, epsilon):
     rng = substream(92)
     ch, _, phi = random_instance(rng)
@@ -231,7 +241,7 @@ def reference_pga(channels, total_power, phi0, mu0=0.1, epsilon=1e-3, max_iter=2
         if scale == 0.0:
             stop_reason = "zero_gradient"
             break
-        new_phi = project_unit_modulus(phi.diag + (mu / scale) * grad.conj(), fallback=phi.diag)
+        new_phi = RisPhases(project_unit_modulus(phi.diag + (mu / scale) * grad.conj(), fallback=phi.diag))
         new_alloc = waterfill_covariances(equivalent_channel(channels, new_phi), total_power)
         iterations += 1
         delta = new_alloc.rate - alloc.rate
