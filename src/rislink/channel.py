@@ -3,8 +3,8 @@
 Each link (BS->RIS, RIS->UE, BS->UE) is a frequency-selective Rician channel:
 per delay tap, a deterministic geometric component built from uniform
 rectangular array (URA) steering vectors over clustered rays is mixed with an
-i.i.d. complex Gaussian scatter component, then the taps are DFT-converted to
-per-subcarrier frequency responses.
+i.i.d. complex Gaussian scatter component, then the taps are converted to
+per-subcarrier frequency responses by one product with the DFT matrix.
 
 `synthesize_link` is the one synthesis path. It takes one generator per
 trial and synthesizes the taps of all those trials together: the draw loop,
@@ -13,8 +13,9 @@ tap; the steering vectors, the geometric products, the Rician mix and the tap
 weighting of every (trial, tap) pair then run in one batched pass, so a
 trial's taps are the same whichever trials it is drawn with. Angles stay as
 drawn until `ura_response`, which alone normalizes them. A URA steering
-vector is the Kronecker product of a row response and a column response, so
-it costs rows + cols complex exponentials per ray, not rows * cols.
+vector is the Kronecker product of a row response and a column response,
+each the powers of one complex exponential, so it costs two complex
+exponentials per ray, not rows * cols.
 """
 
 import math
@@ -88,7 +89,8 @@ def ura_response(azimuth, elevation, spec: UraSpec) -> np.ndarray:
     2*pi*spacing*(m*sin(az)*cos(el) + n*sin(el)); the vector is flattened
     row-major and normalized to unit Euclidean norm. The phase is a sum of a
     row term and a column term, so the vector is the Kronecker product of a
-    rows-long and a cols-long response.
+    rows-long and a cols-long response, and each response is the powers
+    z**0, ..., z**(n-1) of one complex exponential z per direction.
 
     This is where angles are normalized: the elevation is clamped into
     [-pi/2, pi/2], and the azimuth needs no wrap, since the phase reads it
@@ -99,13 +101,25 @@ def ura_response(azimuth, elevation, spec: UraSpec) -> np.ndarray:
     """
     el = np.clip(np.asarray(elevation, dtype=float), -np.pi / 2, np.pi / 2)
     k = TWO_PI * spec.spacing_wavelengths
-    row = 1j * np.multiply.outer(k * np.arange(spec.rows), np.sin(azimuth) * np.cos(el))  # (rows, ...)
-    col = 1j * np.multiply.outer(k * np.arange(spec.cols), np.sin(el))  # (cols, ...)
-    # exp and scale in place: over a chunk of trials' taps each copy would be large
-    np.exp(row, out=row)
-    np.exp(col, out=col)
-    row /= np.sqrt(spec.n_elements)
+    row = _powers(k * (np.sin(azimuth) * np.cos(el)), spec.rows, 1.0 / np.sqrt(spec.n_elements))
+    col = _powers(k * np.sin(el), spec.cols, 1.0)
     return (row[:, None] * col[None, :]).reshape((spec.n_elements,) + np.shape(el))
+
+
+def _powers(phase: np.ndarray, n: int, scale: float) -> np.ndarray:
+    """scale * z**m for m = 0, ..., n-1, z = exp(1j * phase), along a new leading axis.
+
+    Entry 0 is scale and entry 1 is scale * z; each further entry is the one
+    before it times z, so a response costs one complex exponential per angle.
+    """
+    out = np.empty((n,) + np.shape(phase), dtype=complex)
+    out[0] = scale
+    if n > 1:
+        z = np.exp(1j * phase)
+        out[1] = z * scale
+        for m in range(2, n):
+            out[m] = out[m - 1] * z
+    return out
 
 
 def geometric_tap(rays: ClusterRaySet, rx_spec: UraSpec, tx_spec: UraSpec) -> np.ndarray:
@@ -140,11 +154,18 @@ def taps_to_subcarriers(taps: np.ndarray, n_subcarriers: int) -> np.ndarray:
     Requires n_subcarriers >= number of taps (taps are zero-padded into the
     DFT window, never truncated). `taps` is an (L, n_rx, n_tx) array or a
     (T, L, n_rx, n_tx) stack of T trials' taps; the tap axis is axis -3, and
-    it becomes the subcarrier axis of the result.
+    it becomes the subcarrier axis of the result. The transform is one
+    product with the K x L DFT matrix, each trial's taps a matrix of L rows;
+    k*l is reduced mod K on integers, so every twiddle is exact to rounding
+    for any K.
     """
-    if n_subcarriers < taps.shape[-3]:
-        raise ValueError(f"need n_subcarriers >= n_taps, got {n_subcarriers} < {taps.shape[-3]}")
-    return np.fft.fft(taps, n=n_subcarriers, axis=-3)
+    n_taps, n_rx, n_tx = taps.shape[-3:]
+    if n_subcarriers < n_taps:
+        raise ValueError(f"need n_subcarriers >= n_taps, got {n_subcarriers} < {n_taps}")
+    kl = np.multiply.outer(np.arange(n_subcarriers), np.arange(n_taps)) % n_subcarriers
+    dft = np.exp(-1j * (TWO_PI / n_subcarriers) * kl)
+    freq = dft @ taps.reshape(taps.shape[:-3] + (n_taps, n_rx * n_tx))
+    return freq.reshape(taps.shape[:-3] + (n_subcarriers, n_rx, n_tx))
 
 
 def tap_power_weights(n_taps: int) -> np.ndarray:

@@ -30,7 +30,8 @@ import csv
 import io
 import math
 import time
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -111,6 +112,7 @@ class ScenarioResult:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ScenarioResult))
+_csv_fields = attrgetter(*CSV_COLUMNS)  # a row's values in column order; astuple would deep-copy each one
 
 def reference_gain(geom: GeometryConfig) -> float:
     """Blockage-averaged direct-path gain used as the SNR reference.
@@ -307,16 +309,17 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list
     """
     points = sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
-    se = _trial_rates(points, keys).se
+    se = _trial_rates(points, keys).se  # (points, arms, trials)
+    means = se.mean(axis=2)
+    stderrs = se.std(axis=2, ddof=1) / np.sqrt(len(keys)) if len(keys) > 1 else np.zeros_like(means)
 
     rows: list[ScenarioResult] = []
-    for point, per_arm in zip(points, se):
+    for point, point_means, point_stderrs in zip(points, means.tolist(), stderrs.tolist()):
         _, d2, _ = link_distances(point.geometry)
-        for arm, values in zip(ARMS, per_arm):
-            stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+        for arm, mean, stderr in zip(ARMS, point_means, point_stderrs):
             rows.append(ScenarioResult(scenario=scenario, sweep_name=point.sweep_name,
                                        sweep_value=point.sweep_value, arm=arm, n_ris=point.cfg.n_ris,
-                                       snr_db=point.snr_db, mean_se=float(values.mean()), stderr_se=stderr,
+                                       snr_db=point.snr_db, mean_se=mean, stderr_se=stderr,
                                        trials=cfg.mc_trials, seed=cfg.seed, d2=float(d2)))
     return rows
 
@@ -362,7 +365,7 @@ def _csv_text(header, lines) -> str:
 
 def scenario_rows_to_csv(rows: list[ScenarioResult]) -> str:
     """RFC-4180 CSV text (header + one line per result row)."""
-    return _csv_text(CSV_COLUMNS, ([f"{v:.10g}" if isinstance(v, float) else v for v in astuple(r)] for r in rows))
+    return _csv_text(CSV_COLUMNS, ([f"{v:.10g}" if isinstance(v, float) else v for v in _csv_fields(r)] for r in rows))
 
 
 def complexity_rows_to_csv(rows: list[dict]) -> str:

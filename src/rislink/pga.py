@@ -105,8 +105,10 @@ def project_unit_modulus(values, fallback: np.ndarray | None = None) -> np.ndarr
     if mag.min(initial=np.inf) >= _TINY:
         return v / mag
     # complex / real division multiplies by 1/|v|, which overflows for
-    # subnormal |v|; an exact power-of-two rescale keeps the angle
-    v = np.where(mag < _TINY, v * 2.0**600, v)
+    # subnormal |v|; an exact power-of-two rescale of those entries alone
+    # keeps their angle and cannot overflow a large entry
+    v = v.copy()  # `values` may be this very array
+    v[mag < _TINY] *= 2.0**600
     mag = np.abs(v)
     zero = mag == 0.0
     fb = np.ones_like(v) if fallback is None else fallback

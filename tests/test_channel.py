@@ -304,6 +304,17 @@ def test_dft_flat_and_dc_and_hand_case():
         taps_to_subcarriers(taps, 2)
 
 
+@pytest.mark.parametrize("n_subcarriers", [None, 8, 24, 4096], ids=["K=L", "K=8", "K=24", "K=4096"])
+def test_dft_matches_numpy_fft(n_subcarriers):
+    rng = substream(29)
+    stack = rng.standard_normal((3, 5, 2, 3)) + 1j * rng.standard_normal((3, 5, 2, 3))
+    k = n_subcarriers or stack.shape[1]
+    for taps in (stack, stack[0]):  # a stack of trials and one trial alone
+        got = taps_to_subcarriers(taps, k)
+        assert got.shape == taps.shape[:-3] + (k, 2, 3)
+        np.testing.assert_allclose(got, np.fft.fft(taps, n=k, axis=-3), rtol=1e-13)
+
+
 def test_dft_round_trip():
     rng = substream(28)
     taps = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))

@@ -890,6 +890,21 @@ def test_cli_simulate_and_complexity(tmp_path):
     assert "unknown configuration key" in bad.stderr
 
 
+def test_run_scenario_never_imports_numpy_fft():
+    # the subcarrier responses are one DFT product, so a run never pays for numpy's lazy FFT import
+    code = """
+import sys
+from rislink.harness import parse_config, run_scenario
+for scenario in ("se_vs_snr", "plos_vs_se"):
+    cfg, geom = parse_config(None, {"mc_trials": 2, "n_ris_list": (16,), "snr_db": (0.0,)}, preset="desk")
+    assert run_scenario(cfg, geom, scenario)
+print("numpy.fft" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.usefixtures("no_trial")
 def test_cli_set_without_value_exits_2_before_any_trial(capsys):
     assert cli.main(["simulate", "--scenario", "se_vs_snr", "--preset", "desk", "--set", "foo"]) == 2

@@ -126,6 +126,16 @@ def test_projection_is_the_same_on_the_fast_and_the_guarded_path():
         assert guarded[-1] == 1.0
 
 
+def test_guarded_projection_does_not_overflow_a_large_entry():
+    # the guarded path rescales the subnormal entries alone, so a huge entry beside a zero projects cleanly
+    values = np.array([-1e300, 0j, 3e-320j, 1e200 + 1e200j])
+    before = values.copy()
+    got = project_unit_modulus(values, fallback=np.full(4, 1j))
+    np.testing.assert_array_equal(got[:3], [-1.0, 1j, 1j])
+    np.testing.assert_allclose(got[3], np.exp(0.25j * np.pi), rtol=1e-15)
+    np.testing.assert_array_equal(values, before)  # the caller's array is left as it was
+
+
 def test_pga_cascade_only_scalar_optimum():
     # with no direct term any phase is optimal: rate = log2(1 + |h1 h2|^2 P)
     rng = substream(85)
