@@ -18,13 +18,12 @@ each the powers of one complex exponential, so it costs two complex
 exponentials per ray, not rows * cols.
 """
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig, UraSpec
+from .config import SystemConfig, UraSpec, require_numbers
 
 TWO_PI = 2.0 * np.pi
 
@@ -138,13 +137,12 @@ def geometric_tap(rays: ClusterRaySet, rx_spec: UraSpec, tx_spec: UraSpec) -> np
 
 
 def rician_tap(los_part: np.ndarray, scatter_part: np.ndarray, rician_k: float) -> np.ndarray:
-    """Mix deterministic and diffuse components with Rician factor `rician_k` (linear)."""
+    """Mix deterministic and diffuse components with Rician factor `rician_k` (linear, `SystemConfig`'s rule)."""
     los_part = np.asarray(los_part)
     scatter_part = np.asarray(scatter_part)
     if los_part.shape != scatter_part.shape:
         raise ValueError(f"shape mismatch: {los_part.shape} vs {scatter_part.shape}")
-    if not rician_k >= 0 or not math.isfinite(rician_k):
-        raise ValueError(f"Rician factor must be finite and nonnegative, got {rician_k!r}")
+    require_numbers(SystemConfig, rician_k=rician_k)
     return np.sqrt(rician_k / (rician_k + 1.0)) * los_part + np.sqrt(1.0 / (rician_k + 1.0)) * scatter_part
 
 

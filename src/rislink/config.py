@@ -1,26 +1,42 @@
 """Validated parameter records: array geometry, deployment geometry and system settings.
 
 `UraSpec`, `GeometryConfig` and `SystemConfig` are frozen dataclasses, so a
-config is a hashable value and every change goes through `replace`. One
-annotation walk per class (`_field_types`) serves every job that reads the
-field types: the numeric rule (through a cached table of the numeric
-fields, `_numeric_fields`), which also stores tuple fields as tuples;
-the routing of configuration keys to their dataclass; and the item type of
-tuple values parsed from text. `SystemConfig.link` is the one table of which
-arrays, ray counts and taps each link uses. This module imports nothing else
-from the package, so every other module can import it.
+config is a hashable value and every change goes through `replace`. Each
+numeric field declares its `Range` (`ranged`), and one numeric rule checks
+type, range and tuple length by it, also for kernel arguments that mirror a
+field (`require_numbers`). One annotation walk per class (`_field_types`)
+serves the rule's table, the routing of configuration keys and the item type
+of parsed tuples. `SystemConfig.link` is the one table of which arrays, ray
+counts and taps each link uses. This module imports nothing else from the
+package, so every other module can import it.
 """
 
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
-from typing import get_args, get_origin, get_type_hints
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 C_LIGHT = 299792458.0  # m/s
 DISTANCE_D_RIS = 30.0  # distance_vs_se's RIS offset (m); its distance_grid must lie beyond it
+
+
+class Range(NamedTuple):
+    """The values a numeric field admits: above `low` (or at it when `closed`) and at most `high`."""
+
+    low: float = -math.inf
+    closed: bool = True
+    high: float = math.inf
+
+
+POSITIVE, NONNEGATIVE, UNIT_INTERVAL, COUNT = Range(0.0, closed=False), Range(0.0), Range(0.0, high=1.0), Range(1)
+
+
+def ranged(valid: Range, default=MISSING):
+    """A dataclass field whose value, or each item of a tuple value, the numeric rule holds to `valid`."""
+    return field(default=default, metadata={"range": valid})
 
 
 @functools.cache
@@ -35,35 +51,56 @@ def is_integer(value) -> bool:
 
 
 @functools.cache
-def _numeric_fields(cls) -> tuple:
-    """(name, admits None, is int, is tuple) of each int- or float-annotated field of dataclass `cls`."""
-    table = []
-    for name, hint in _field_types(cls).items():
+def _numeric_fields(cls) -> dict:
+    """Name -> (admits None, is int, (fewest, most) items or None, `Range`) of each int- or float-annotated field."""
+    table = {}
+    for f in fields(cls):
+        hint = _field_types(cls)[f.name]
         args = get_args(hint)
         if {int, float} & {hint, *args}:
-            table.append((name, type(None) in args, int in (hint, *args), get_origin(hint) is tuple))
-    return tuple(table)
+            is_int = int in (hint, *args)
+            lengths = None if get_origin(hint) is not tuple else (1, math.inf) if Ellipsis in args else (len(args),) * 2
+            table[f.name] = type(None) in args, is_int, lengths, f.metadata.get("range", COUNT if is_int else Range())
+    return table
+
+
+def _check(name: str, value, rule: tuple) -> None:
+    """Raise a ValueError that names field `name` and shows `value` unless `value` keeps the field's `rule`."""
+    admits_none, is_int, lengths, (low, closed, high) = rule
+    if lengths is None or isinstance(value, (tuple, list)) and lengths[0] <= len(value) <= lengths[1]:
+        for v in (value,) if lengths is None else value:
+            # the exact-float test first: the numbers.Real test is an ABC lookup
+            if not (admits_none if v is None else (
+                    is_integer(v) if is_int else (type(v) is float or isinstance(v, numbers.Real)
+                                                  and not isinstance(v, bool)) and math.isfinite(v))
+                    and (v >= low if closed else v > low) and v <= high):
+                break
+        else:
+            return
+    bounds = (f" in {'[' if closed else '('}{low:g}, {high:g}]" if high < math.inf
+              else f" {'>=' if closed else '>'} {low:g}" if low > -math.inf else "")
+    where = "" if lengths is None else f" in a tuple or list of {lengths[0]}{' or more' * (lengths[1] > lengths[0])}"
+    raise ValueError(f"{name} must hold {'integers' if is_int else 'finite numbers'}{bounds}"
+                     f"{' or None' * admits_none}{where}, got {value!r}")
+
+
+def require_numbers(cls, **values) -> None:
+    """Hold loose values, such as `pga_optimize`'s step rule, to the rule of the `cls` fields they are named for."""
+    table = _numeric_fields(cls)
+    for name, value in values.items():
+        _check(name, value, table[name])
 
 
 def require_valid_numbers(config) -> None:
-    """Reject a dataclass whose int- or float-annotated fields break the numeric rule.
+    """Reject a dataclass whose int- or float-annotated fields break the numeric rule; store tuple fields as tuples.
 
-    Float fields must be finite reals, int fields integers >= 1 (`seed` >= 0);
-    a bool is neither. Tuple fields must be tuples or lists, checked item by
-    item, and are stored as tuples; None passes only where the annotation
-    admits it. The ValueError names the field.
+    The rule: finite reals or integers, by annotation, in the field's `Range` (an int field without one: >= 1);
+    no bools; tuples or lists of the annotated length; None only where the annotation admits it.
     """
-    for name, admits_none, is_int, is_tuple in _numeric_fields(type(config)):
+    for name, rule in _numeric_fields(type(config)).items():
         value = getattr(config, name)
-        least = 0 if name == "seed" else 1
-        if is_tuple and not isinstance(value, (tuple, list)) or not all(
-                admits_none if v is None
-                else is_integer(v) and v >= least if is_int
-                else isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-                for v in (value if is_tuple else (value,))):
-            rule = f"integers >= {least}" if is_int else "finite numbers"
-            raise ValueError(f"{name} must hold {rule}{' in a tuple or list' * is_tuple}, got {value!r}")
-        if is_tuple:
+        _check(name, value, rule)
+        if rule[2] is not None:
             object.__setattr__(config, name, tuple(value))
 
 
@@ -73,12 +110,10 @@ class UraSpec:
 
     rows: int
     cols: int
-    spacing_wavelengths: float = 0.5
+    spacing_wavelengths: float = ranged(POSITIVE, 0.5)
 
     def __post_init__(self):
         require_valid_numbers(self)
-        if not self.spacing_wavelengths > 0:
-            raise ValueError("element spacing must be positive")
 
     @property
     def n_elements(self) -> int:
@@ -89,29 +124,22 @@ class UraSpec:
 class GeometryConfig:
     """Deployment geometry and large-scale propagation parameters."""
 
-    d_bs_ue: float = 200.0  # BS-UE ground distance D (m)
-    bs_height: float = 10.0  # l_t (m)
-    ue_height: float = 1.8  # l_r (m)
-    d_ris: float = 2.2  # BS array center to RIS center ground offset (m)
-    carrier_freq_hz: float = 28e9
+    d_bs_ue: float = ranged(POSITIVE, 200.0)  # BS-UE ground distance D (m)
+    bs_height: float = ranged(POSITIVE, 10.0)  # l_t (m)
+    ue_height: float = ranged(POSITIVE, 1.8)  # l_r (m)
+    d_ris: float = ranged(POSITIVE, 2.2)  # BS array center to RIS center ground offset (m)
+    carrier_freq_hz: float = ranged(POSITIVE, 28e9)
     ant_gain_db: float = 62.0  # combined G_t*G_r in dB
-    d_ref: float = 1.0  # reference distance d_0 (m)
-    alpha_los: float = 2.0
-    alpha_nlos: float = 4.0
-    p_los_override: float | None = None
+    d_ref: float = ranged(POSITIVE, 1.0)  # reference distance d_0 (m)
+    alpha_los: float = ranged(NONNEGATIVE, 2.0)
+    alpha_nlos: float = ranged(NONNEGATIVE, 4.0)
+    p_los_override: float | None = ranged(UNIT_INTERVAL, None)
 
     def __post_init__(self):
         require_valid_numbers(self)
-        for name in ("d_bs_ue", "bs_height", "ue_height", "d_ris", "carrier_freq_hz", "d_ref"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.d_bs_ue <= self.d_ris:
             raise ValueError(f"d_bs_ue must exceed d_ris (the UE stands beyond the RIS), "
                              f"got d_bs_ue={self.d_bs_ue!r} <= d_ris={self.d_ris!r}")
-        if self.alpha_los < 0 or self.alpha_nlos < 0:
-            raise ValueError("pathloss exponents must be nonnegative")
-        if self.p_los_override is not None and not 0.0 <= self.p_los_override <= 1.0:
-            raise ValueError("p_los_override must lie in [0, 1]")
 
     @property
     def wavelength(self) -> float:
@@ -141,50 +169,31 @@ class SystemConfig:
     rx_cols: int = 2
     ris_rows: int = 8
     ris_cols: int = 8
-    spacing_wavelengths: float = 0.5
+    spacing_wavelengths: float = ranged(POSITIVE, 0.5)
     n_subcarriers: int = 24
     n_taps: tuple[int, int, int] = (3, 4, 5)
-    rician_k: float = 10.0
+    rician_k: float = ranged(NONNEGATIVE, 10.0)
     ris_clusters: int = 8
     ris_rays: int = 10
     direct_los_clusters: int = 1
     direct_los_rays: int = 1
     direct_nlos_clusters: int = 5
     direct_nlos_rays: int = 10
-    angular_spread_deg: float = 10.0
+    angular_spread_deg: float = ranged(NONNEGATIVE, 10.0)
     snr_db: tuple[float, ...] = (-5.0, 10.0)
     n_ris_list: tuple[int, ...] = (64, 256)  # se_vs_snr sweep
-    plos_grid: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 1.0)
-    distance_grid: tuple[float, ...] = (100.0, 130.0, 160.0, 190.0, 220.0, 250.0)
+    plos_grid: tuple[float, ...] = ranged(UNIT_INTERVAL, (0.1, 0.25, 0.5, 0.75, 1.0))
+    distance_grid: tuple[float, ...] = ranged(Range(DISTANCE_D_RIS, False), (100.0, 130.0, 160.0, 190.0, 220.0, 250.0))
     mc_trials: int = 500
-    seed: int = 0
-    mu0: float = 0.1
-    epsilon: float = 1e-3
+    seed: int = ranged(NONNEGATIVE, 0)
+    mu0: float = ranged(POSITIVE, 0.1)
+    epsilon: float = ranged(POSITIVE, 1e-3)
     max_iter: int = 200
 
     def __post_init__(self):
         require_valid_numbers(self)
-        if len(self.n_taps) != 3:
-            raise ValueError("n_taps must hold three tap counts")
         if self.n_subcarriers < max(self.n_taps):
-            raise ValueError("subcarrier count must be at least the longest tap profile")
-        if self.rician_k < 0:
-            raise ValueError("Rician factor must be nonnegative")
-        if self.angular_spread_deg < 0:
-            raise ValueError("angular_spread_deg must be nonnegative")
-        if not self.spacing_wavelengths > 0:
-            raise ValueError("spacing_wavelengths must be positive")
-        for name in ("mu0", "epsilon"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("snr_db", "n_ris_list", "plos_grid", "distance_grid"):
-            if len(getattr(self, name)) == 0:
-                raise ValueError(f"{name} must hold at least one value")
-        if not all(0.0 <= p <= 1.0 for p in self.plos_grid):
-            raise ValueError("plos_grid entries must lie in [0, 1]")
-        if not all(d > DISTANCE_D_RIS for d in self.distance_grid):
-            raise ValueError(f"distance_grid entries must exceed the distance scenario's "
-                             f"RIS offset of {DISTANCE_D_RIS} m")
+            raise ValueError(f"n_subcarriers must be >= max(n_taps), got {self.n_subcarriers!r} < max{self.n_taps!r}")
 
     @property
     def n_t(self) -> int:
@@ -267,8 +276,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
                  preset: str = "paper") -> tuple[SystemConfig, GeometryConfig]:
     """Build the configs from a preset, an optional key=value file and overrides.
 
-    File format: UTF-8 lines of `key = value`, `#` starts a comment. Keys must
-    name a SystemConfig or GeometryConfig field; anything else is an error.
+    File format: UTF-8 lines of `key = value`, `#` starts a comment; a
+    leading byte-order mark is skipped. Keys must name a SystemConfig or
+    GeometryConfig field; anything else is an error.
     Overrides (already-typed or string values) are applied after the file.
     """
     if preset not in PRESETS:
@@ -285,7 +295,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
             raise ValueError(f"{key}: {exc}") from None
 
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 stripped = line.split("#", 1)[0].strip()
                 if not stripped:

@@ -18,10 +18,9 @@ links and the start phases are drawn once per RIS size, the direct link once
 per blockage state, and each point's pathloss once per call. The points that
 see one channel in a trial (same RIS size, blockage state and pathloss gains,
 compared by value) form one group, in order of first appearance. A group's
-folded stacks and start eigenpairs are computed once, the folded direct
-channel's eigenpairs once per (blockage state, direct gain), and each member
-waterfills only its own budget on them, since the eigenpairs do not depend
-on it. The arms are the full phase/power optimization, the random start
+folded stacks and its start and direct eigenpairs are computed once, and each
+member waterfills only its own budget on them, since the eigenpairs do not
+depend on it. The arms are the full phase/power optimization, the random start
 phases with waterfilling, and a system with the reflected path removed. The
 configs, their presets and their parser are defined in `rislink.config`.
 """
@@ -228,18 +227,15 @@ def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> Tria
     se = np.empty((len(points), len(arms), len(keys)))
     iterations, gradient_passes, seconds = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int), np.zeros(shape)
     for t, groups in enumerate(_trial_draws([(p.cfg, p.geometry) for p in points], keys)):
-        directs = {}  # (blockage state, direct gain) -> the folded direct channel and its eigenpairs
         for channels, gains, phi0, members in groups:
             folded = fold_gains(channels, gains)
-            direct_key = gains.los, gains.rho_direct
-            if direct_key not in directs:
-                directs[direct_key] = folded.h3, *channel_eigvals(folded.h3, 1.0)
+            direct = folded.h3, *channel_eigvals(folded.h3, 1.0)
             heq = equivalent_channel(folded, phi0)
             start = heq, *channel_eigvals(heq, 1.0)
             for i in members:
                 cfg, budget = points[i].cfg, points[i].budget
                 alloc = waterfill_eigenpairs(*start, budget)
-                rates = {"random_phases": alloc.rate, "no_ris": waterfill_eigenpairs(*directs[direct_key], budget).rate}
+                rates = {"random_phases": alloc.rate, "no_ris": waterfill_eigenpairs(*direct, budget).rate}
                 if "pga" in arms:
                     t0 = time.perf_counter()
                     result = pga_optimize(folded, budget, mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,

@@ -19,7 +19,7 @@ import numpy as np
 from . import flops
 from .channel import FreqChannelSet
 from .power import PowerAllocation, waterfill_covariances
-from .config import is_integer
+from .config import SystemConfig, require_numbers
 from .rate import LN2, RisPhases, combine_links, equivalent_channel
 
 MU_FLOOR = 1e-12
@@ -115,8 +115,8 @@ def project_unit_modulus(values, fallback: np.ndarray | None = None) -> np.ndarr
     return np.where(zero, fb, v / np.where(zero, 1.0, mag))
 
 
-def pga_optimize(channels: FreqChannelSet, total_power: float, *,
-                 mu0: float = 0.1, epsilon: float = 1e-3, max_iter: int = 200,
+def pga_optimize(channels: FreqChannelSet, total_power: float, *, mu0: float = SystemConfig.mu0,
+                 epsilon: float = SystemConfig.epsilon, max_iter: int = SystemConfig.max_iter,
                  rng: np.random.Generator | None = None,
                  phi0: RisPhases | None = None, start: PowerAllocation | None = None,
                  meter=None) -> PgaResult:
@@ -141,9 +141,7 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *,
     added to it; only `bench/tracer.py` and tests pass one.
     The noise variance is 1: for another sigma^2, pass total_power / sigma^2.
     """
-    if not 0 < mu0 < np.inf or not 0 < epsilon < np.inf or not is_integer(max_iter) or max_iter < 1:
-        raise ValueError(f"need mu0 > 0, epsilon > 0, both finite, and an integer max_iter >= 1, got "
-                         f"{mu0!r}, {epsilon!r} and {max_iter!r}")
+    require_numbers(SystemConfig, mu0=mu0, epsilon=epsilon, max_iter=max_iter)
     n_ris = channels.h1.shape[1]
     if phi0 is None:
         if start is not None:

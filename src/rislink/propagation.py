@@ -11,22 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GeometryConfig
+from .config import NONNEGATIVE, GeometryConfig, ranged, require_valid_numbers
 
 
 @dataclass
 class LinkGains:
     """Linear power gains of the direct and RIS-reflected paths for one trial."""
 
-    rho_direct: float
-    rho_indirect: float
+    rho_direct: float = ranged(NONNEGATIVE)
+    rho_indirect: float = ranged(NONNEGATIVE)
     los: bool
 
     def __post_init__(self):
-        for name in ("rho_direct", "rho_indirect"):
-            value = getattr(self, name)
-            if not (value >= 0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be nonnegative and finite")
+        require_valid_numbers(self)
 
 
 def link_distances(geom: GeometryConfig) -> tuple[float, float, float]:

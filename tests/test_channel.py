@@ -272,8 +272,13 @@ def test_rician_limits_and_scalar_value():
 
 @pytest.mark.parametrize("rician_k", [np.nan, np.inf, -1.0])
 def test_rician_rejects_non_finite_or_negative_factor(rician_k):
-    with pytest.raises(ValueError, match="Rician factor must be finite and nonnegative"):
+    with pytest.raises(ValueError, match=r"^rician_k must hold finite numbers >= 0, got "):
         rician_tap(np.ones((2, 2)), np.ones((2, 2)), rician_k)
+
+
+def test_rician_rejects_a_bool_factor_naming_it():
+    with pytest.raises(ValueError, match="^rician_k must hold finite numbers >= 0, got True"):
+        rician_tap(np.ones((2, 2)), np.ones((2, 2)), True)
 
 
 def test_rician_energy_split_identity():

@@ -97,6 +97,17 @@ def test_parse_config_file_and_overrides(tmp_path):
     assert geom.d_bs_ue == 150
 
 
+def test_parse_config_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
+    # some editors save UTF-8 with a BOM, which must not become part of the first key
+    text = "seed = 5\nrician_k = 3.5\nd_bs_ue = 150\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_config(str(bom)) == parse_config(str(plain))
+    assert parse_config(str(bom))[0].seed == 5
+
+
 def test_parse_config_rejects_unknown_and_malformed(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 3\n", encoding="utf-8")
@@ -151,6 +162,9 @@ def test_tuple_fields_round_trip_through_overrides():
     ("d_ris", "nan", False),
     ("carrier_freq_hz", "inf", False),
     ("d_bs_ue", "2.2", False),
+    ("rician_k", "-1", False),
+    ("alpha_los", "-0.5", False),
+    ("alpha_nlos", "-1", False),
     ("snr_db", "", True),
     ("seed", "-3", True),
     ("snr_db", "nan", True),
@@ -161,6 +175,10 @@ def test_tuple_fields_round_trip_through_overrides():
     ("n_ris_list", "4,x", True),  # complexity --n-ris
     ("n_ris_list", "0", True),
     ("n_ris_list", "-4", True),
+    ("rician_k", "-1", True),
+    ("alpha_los", "-0.5", True),
+    ("alpha_nlos", "-1", True),
+    ("n_subcarriers", "2", True),  # below the longest tap profile, a cross-field check
 ])
 def test_config_rejects_bad_values_before_any_trial(key, text, via_cli, tmp_path):
     if not via_cli:

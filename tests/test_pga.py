@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from rislink import pga
 from rislink.channel import FreqChannelSet
-from rislink.config import preset_config
+from rislink.config import SystemConfig, preset_config
 from rislink.harness import draw_trial, total_power_for_snr
 from rislink.pga import MU_FLOOR, gradient_phi, pga_optimize, project_unit_modulus
 from rislink.power import waterfill_covariances
@@ -224,7 +225,8 @@ def test_pga_from_a_given_start_allocation_is_the_same_run():
 def test_pga_rejects_non_positive_or_nan_step_and_tolerance(mu0, epsilon):
     rng = substream(92)
     ch, _, phi = random_instance(rng)
-    with pytest.raises(ValueError, match="need mu0 > 0, epsilon > 0"):
+    bad = "epsilon" if mu0 == 0.1 else "mu0"  # each case breaks one of the two
+    with pytest.raises(ValueError, match=f"^{bad} must hold finite numbers > 0, got "):
         pga_optimize(ch, 1.0, mu0=mu0, epsilon=epsilon, phi0=phi)
 
 
@@ -232,9 +234,26 @@ def test_pga_rejects_non_positive_or_nan_step_and_tolerance(mu0, epsilon):
 @pytest.mark.parametrize("max_iter", [0, -1, 2.5, np.float64(3.0), True])
 def test_pga_rejects_an_iteration_cap_that_is_not_an_integer_at_least_one(max_iter):
     ch, _, phi = random_instance(substream(93))
-    with pytest.raises(ValueError, match="integer max_iter >= 1"):
+    with pytest.raises(ValueError, match="^max_iter must hold integers >= 1, got "):
         pga_optimize(ch, 1.0, max_iter=max_iter, phi0=phi)
     assert pga_optimize(ch, 1.0, max_iter=np.int64(1), phi0=phi).iterations <= 1
+
+
+@pytest.mark.parametrize("name", ["mu0", "epsilon"])
+def test_pga_rejects_a_bool_step_or_tolerance_naming_it(name):
+    # True == 1 passes a bare comparison; the config's rule refuses a bool in a float field
+    ch, _, phi = random_instance(substream(94))
+    with pytest.raises(ValueError, match=f"^{name} must hold finite numbers > 0, got True"):
+        pga_optimize(ch, 1.0, phi0=phi, **{name: True})
+
+
+def test_pga_step_rule_defaults_are_the_config_defaults():
+    params = inspect.signature(pga_optimize).parameters
+    cfg = SystemConfig()
+    assert {name: params[name].default for name in ("mu0", "epsilon", "max_iter")} == {
+        "mu0": cfg.mu0, "epsilon": cfg.epsilon, "max_iter": cfg.max_iter}
+    # bench/tracer.py reads the integer cap default and passes `meter=`
+    assert type(params["max_iter"].default) is int and "meter" in params
 
 
 def reference_pga(channels, total_power, phi0, mu0=0.1, epsilon=1e-3, max_iter=200, gradient=gradient_phi):
