@@ -2,10 +2,12 @@
 
 Run: python demos/blockage_and_pathloss.py
 """
+from dataclasses import replace
+
 import numpy as np
 
-from rislink import GeometryConfig, direct_gain, indirect_gain, link_distances, p_los
-from dataclasses import replace
+from rislink.config import GeometryConfig
+from rislink.propagation import direct_gain, indirect_gain, link_distances, p_los
 
 def db(x):
     return 10 * np.log10(x)

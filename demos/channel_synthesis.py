@@ -4,9 +4,9 @@ Run: python demos/channel_synthesis.py
 """
 import numpy as np
 
-from rislink import (ClusterRaySet, SystemConfig, UraSpec, geometric_tap, rician_tap, synthesize_link,
-                     taps_to_subcarriers, ura_response)
-from rislink.channel import tap_power_weights
+from rislink.channel import (ClusterRaySet, geometric_tap, rician_tap, synthesize_link, tap_power_weights,
+                             taps_to_subcarriers, ura_response)
+from rislink.config import SystemConfig, UraSpec
 from rislink.rng import substream
 
 rng = substream(2024)

@@ -4,7 +4,7 @@ Run: python demos/complexity_counts.py
 """
 import numpy as np
 
-from rislink import preset_config
+from rislink.config import preset_config
 from rislink.harness import complexity_table
 
 # The harness records each optimizer run's iterations and gradient passes, and

@@ -5,10 +5,12 @@ Run: python demos/phase_optimization.py
 import numpy as np
 from dataclasses import replace
 
-from rislink import RisPhases, equivalent_channel, fold_gains, pga_optimize, preset_config
+from rislink.config import preset_config
 from rislink.harness import SCENARIOS, draw_trial, total_power_for_snr
+from rislink.pga import pga_optimize
 from rislink.power import waterfill_covariances
 from rislink.propagation import LinkGains
+from rislink.rate import RisPhases, equivalent_channel, fold_gains
 from rislink.rng import SITE_PHASES, substream
 
 cfg, geom = preset_config("desk")

@@ -4,8 +4,8 @@ Run: python demos/snr_sweep.py          (writes demo_results.csv)
 """
 from dataclasses import replace
 
-from rislink import preset_config, run_scenario
-from rislink.harness import scenario_rows_to_csv
+from rislink.config import preset_config
+from rislink.harness import run_scenario, scenario_rows_to_csv
 
 cfg, geom = preset_config("desk")
 cfg = replace(cfg, mc_trials=20, snr_db=(-5.0, 5.0, 10.0), n_ris_list=(16, 64), seed=7)

@@ -4,8 +4,7 @@ Run: python demos/waterfilling.py
 """
 import numpy as np
 
-from rislink import channel_eigvals, waterfill, waterfill_covariances
-from rislink.power import build_covariances
+from rislink.power import build_covariances, channel_eigvals, waterfill, waterfill_covariances
 from rislink.rate import rate_from_heq
 from rislink.rng import substream
 

@@ -5,9 +5,10 @@ Usage:
     rislink complexity --preset desk --n-ris 4,16,36,64 --trials 10 --out table.csv
 
 Both read one config: the preset, the `--config` file, `--set KEY=VALUE`, then
-each override flag that is given. A bad value, an SNR whose power budget is
-not finite and positive, or an unwritable `--out` exits 2 before any trial; a
-budget too small to waterfill any stream exits 2 when a trial meets it. Either
+each override flag that is given. A bad value, a geometry whose reference
+gain or an SNR whose power budget is not finite and positive, or an
+unwritable `--out` exits 2 before any trial; a budget too small to waterfill
+any stream exits 2 when a trial meets it. Either
 way the error is one `error:` line and nothing is written to `--out`.
 Option values starting with '-' (e.g. SNR grids) need the `--opt=value` form.
 """

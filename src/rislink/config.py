@@ -129,7 +129,7 @@ class GeometryConfig:
     ue_height: float = ranged(POSITIVE, 1.8)  # l_r (m)
     d_ris: float = ranged(POSITIVE, 2.2)  # BS array center to RIS center ground offset (m)
     carrier_freq_hz: float = ranged(POSITIVE, 28e9)
-    ant_gain_db: float = 62.0  # combined G_t*G_r in dB
+    ant_gain_db: float = ranged(Range(-300.0, high=300.0), 62.0)  # combined G_t*G_r in dB (linear 1e-30 to 1e30)
     d_ref: float = ranged(POSITIVE, 1.0)  # reference distance d_0 (m)
     alpha_los: float = ranged(NONNEGATIVE, 2.0)
     alpha_nlos: float = ranged(NONNEGATIVE, 4.0)

@@ -127,11 +127,21 @@ def total_power_for_snr(cfg: SystemConfig, geom: GeometryConfig, snr_db: float) 
     """Budget P_t so the dB axis reads as average per-subcarrier received direct SNR.
 
     P_t = K * 10^(snr/10) / reference_gain(geom) with unit noise variance.
-    Raises ValueError when that budget is not a finite positive number.
+    Raises ValueError, naming the geometry keys that set it, when the reference
+    gain is not a finite positive number, and when the budget is not.
     """
     try:
-        power = cfg.n_subcarriers * 10.0 ** (snr_db / 10.0) / reference_gain(geom)
-    except (OverflowError, ZeroDivisionError):
+        gain = reference_gain(geom)
+    except OverflowError:
+        gain = math.inf
+    if not (gain > 0 and math.isfinite(gain)):
+        keys = ("carrier_freq_hz", "ant_gain_db", "d_ref", "alpha_los", "alpha_nlos", "d_bs_ue", "bs_height",
+                "ue_height", "p_los_override")
+        raise ValueError(f"the reference gain is {gain!r}; it must be finite and positive. It is set by "
+                         + ", ".join(f"{key}={getattr(geom, key)!r}" for key in keys))
+    try:
+        power = cfg.n_subcarriers * 10.0 ** (snr_db / 10.0) / gain
+    except OverflowError:
         power = math.inf
     if not (power > 0 and math.isfinite(power)):
         raise ValueError(f"snr_db={snr_db!r} gives a power budget of {power!r}; it must be finite and positive")

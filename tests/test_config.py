@@ -114,7 +114,8 @@ def test_numeric_rule_walk_covers_the_declared_ranges():
                       "LinkGains.rho_indirect"],
         UNIT_INTERVAL: ["GeometryConfig.p_los_override", "SystemConfig.plos_grid"],
         Range(config.DISTANCE_D_RIS, closed=False): ["SystemConfig.distance_grid"],
-        Range(): ["GeometryConfig.ant_gain_db", "SystemConfig.snr_db"],
+        Range(-300.0, high=300.0): ["GeometryConfig.ant_gain_db"],
+        Range(): ["SystemConfig.snr_db"],
     }
     for valid, names in named.items():
         for qualified in names:

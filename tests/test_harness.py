@@ -179,6 +179,9 @@ def test_tuple_fields_round_trip_through_overrides():
     ("alpha_los", "-0.5", True),
     ("alpha_nlos", "-1", True),
     ("n_subcarriers", "2", True),  # below the longest tap profile, a cross-field check
+    ("ant_gain_db", "4000", True),  # 10^(x/10) would overflow, and the refusal would blame snr_db
+    ("ant_gain_db", "-4000", True),
+    ("carrier_freq_hz", "1e300", True),  # the reference gain underflows to 0
 ])
 def test_config_rejects_bad_values_before_any_trial(key, text, via_cli, tmp_path):
     if not via_cli:
@@ -193,6 +196,8 @@ def test_config_rejects_bad_values_before_any_trial(key, text, via_cli, tmp_path
                            "--out", str(out)], capture_output=True, text=True)
     assert proc.returncode == 2
     assert key in proc.stderr
+    if key not in ("d_ris", "noise_var", "n_streams", "carrier_freq_hz"):  # these name the key after the reason
+        assert proc.stderr.startswith(f"error: {key}")
     assert not out.exists()
 
 
@@ -807,6 +812,18 @@ def test_total_power_for_snr_rejects_a_budget_that_is_not_finite_and_positive():
     for snr_db in (1e6, -1e6):  # overflows to inf, underflows to 0
         with pytest.raises(ValueError, match="power budget"):
             total_power_for_snr(cfg, geom, snr_db)
+
+
+@pytest.mark.parametrize("changes", [
+    {"carrier_freq_hz": 1e300},  # the wavelength's square underflows to 0
+    {"carrier_freq_hz": 1e-300},  # the wavelength overflows to inf
+    {"d_ref": 1e5, "alpha_los": 200.0, "p_los_override": 1.0},  # (d_ref/d)^alpha overflows
+])
+def test_total_power_for_snr_names_a_reference_gain_that_is_not_finite_and_positive(changes):
+    cfg, geom = preset_config("desk")
+    with pytest.raises(ValueError, match="^the reference gain is") as refusal:
+        total_power_for_snr(cfg, replace(geom, **changes), 0.0)
+    assert all(f"{key}={value!r}" in str(refusal.value) for key, value in changes.items())
 
 
 # simulate checks every sweep point's budget, complexity the first SNR's, the one it runs at

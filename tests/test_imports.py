@@ -1,0 +1,60 @@
+"""Each name has one import path: its defining module. Importing a module loads only what it imports."""
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rislink"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__"))
+
+
+def relative_imports(module: str) -> set[str]:
+    """Submodules that `module`'s top-level statements import relatively (`from . import m`, `from .m import x`)."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def import_closure(module: str) -> set[str]:
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(relative_imports(name))
+    return seen
+
+
+def test_closure_reads_the_module_graph():
+    assert import_closure("config") == {"config"}
+    assert import_closure("rate") == {"rate", "channel", "propagation", "config"}
+    assert import_closure("harness") == set(MODULES) - {"cli"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_importing_a_module_loads_exactly_its_import_closure(module):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = (f"import sys, rislink.{module}; "
+             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'rislink')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert set(proc.stdout.split()) == {"rislink"} | {f"rislink.{m}" for m in import_closure(module)}
+
+
+def test_no_name_is_imported_from_the_package_root():
+    allowed = {*MODULES, "__main__"}
+    offenders = []
+    for path in sorted(p for folder in ("src", "tests", "demos", "bench") for p in (ROOT / folder).rglob("*.py")):
+        in_package = PACKAGE in path.parents
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            root = isinstance(node, ast.ImportFrom) and (
+                (node.module == "rislink" and node.level == 0) or (in_package and node.level == 1 and not node.module))
+            offenders += [f"{path.relative_to(ROOT)}:{node.lineno} {alias.name}"
+                          for alias in (node.names if root else ()) if alias.name not in allowed]
+    assert offenders == []
