@@ -2,15 +2,12 @@
 
 Run: python demos/phase_optimization.py
 """
-import numpy as np
 from dataclasses import replace
 
 from rislink.config import preset_config
-from rislink.harness import SCENARIOS, draw_trial, total_power_for_snr
+from rislink.harness import SCENARIOS, draw_trial, run_trial, total_power_for_snr
 from rislink.pga import pga_optimize
-from rislink.power import waterfill_covariances
-from rislink.propagation import LinkGains
-from rislink.rate import RisPhases, equivalent_channel, fold_gains
+from rislink.rate import fold_gains
 from rislink.rng import SITE_PHASES, substream
 
 cfg, geom = preset_config("desk")
@@ -29,13 +26,9 @@ print(f"optimizer: {result.iterations} iterations, converged={result.converged}"
 print(f"rate trace (bits/s/Hz): start {result.trace[0]:.4f} -> "
       f"{' '.join(f'{r:.3f}' for r in result.trace[1:9])} ... -> {result.rate:.4f}")
 
-# Baselines on the same channel draw.
-no_ris_gains = LinkGains(gains.rho_direct, 0.0, gains.los)
-heq_no = equivalent_channel(fold_gains(channels, no_ris_gains), RisPhases(np.ones(cfg.n_ris)))
-rate_no = waterfill_covariances(heq_no, power).rate
-
-heq_rand = equivalent_channel(fold_gains(channels, gains), RisPhases.random(cfg.n_ris, substream(*key, SITE_PHASES)))
-rate_rand = waterfill_covariances(heq_rand, power).rate
+# Baselines on the same channel draw, scored by the harness's own arms.
+rate_no = run_trial(cfg, geom, "no_ris", key, 10.0)
+rate_rand = run_trial(cfg, geom, "random_phases", key, 10.0)
 
 print(f"\narm comparison on this draw:")
 print(f"  no reflected path : {rate_no:.4f} bits/s/Hz")

@@ -52,6 +52,7 @@ class ClusterRaySet:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
+            setattr(self, name, arr)
 
 
 @dataclass

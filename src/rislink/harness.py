@@ -48,13 +48,13 @@ from .rng import SITE_BLOCKAGE, SITE_LINK, SITE_PHASES, substream
 ARMS = ("pga", "random_phases", "no_ris")
 SCENARIOS = {"se_vs_snr": 1, "plos_vs_se": 2, "distance_vs_se": 3}
 _COMPLEXITY_SCENARIO_ID = 4  # substream id of the complexity table's trials
-# Geometry each scenario sets itself: the values it fixes and the keys it
-# sweeps. run_scenario refuses a geometry that moves any of these keys off its
-# GeometryConfig default rather than silently overwrite it.
+# Geometry each scenario sets itself: the keys it fixes, then the key it sweeps
+# at its GeometryConfig default. sweep_points refuses a geometry that moves any
+# of these keys off its default rather than silently overwrite it.
 _SCENARIO_GEOMETRY = {
-    "se_vs_snr": ({"bs_height": 10.0, "d_ris": 2.2}, ()),
-    "plos_vs_se": ({"d_bs_ue": 200.0, "bs_height": 5.0, "d_ris": 2.2}, ("p_los_override",)),
-    "distance_vs_se": ({"bs_height": 20.0, "d_ris": DISTANCE_D_RIS}, ("d_bs_ue",)),
+    "se_vs_snr": {"bs_height": 10.0, "d_ris": 2.2},
+    "plos_vs_se": {"d_bs_ue": 200.0, "bs_height": 5.0, "d_ris": 2.2, "p_los_override": None},
+    "distance_vs_se": {"bs_height": 20.0, "d_ris": DISTANCE_D_RIS, "d_bs_ue": GeometryConfig.d_bs_ue},
 }
 
 # Byte budget of one trial chunk, counted per trial by `_trial_bytes` at the
@@ -171,7 +171,7 @@ def _link_response(cfg: SystemConfig, keys: list[tuple], link: int, los: bool = 
 
 
 def _trial_draws(pairs: list[tuple[SystemConfig, GeometryConfig]], keys: list[tuple]):
-    """Yield the channel groups of each trial at `keys`, in trial order, one `_chunk_draws` chunk at a time.
+    """Yield the channel groups of each trial at `keys`, in trial order, one chunk of trials at a time.
 
     `pairs` holds the (cfg, geometry) of each point. A trial's groups are
     (unfolded channels, pathloss gains, start phases, indices of the points
@@ -183,34 +183,30 @@ def _trial_draws(pairs: list[tuple[SystemConfig, GeometryConfig]], keys: list[tu
     plos = [p_los(g) for _, g in pairs]
     chunk = _chunk_trials(configs)
     for start in range(0, len(keys), chunk):
-        yield from _chunk_draws(configs, gains, plos, keys[start:start + chunk])
-
-
-def _chunk_draws(configs: list[SystemConfig], gains: list[dict], plos: list[float], keys: list[tuple]):
-    """`_trial_draws` of one chunk, each link one `synthesize_link` call over the chunk's trials that need it."""
-    states = [[blockage_state(p, u) for p in plos]
-              for u in (substream(*key, SITE_BLOCKAGE).uniform() for key in keys)]
-    h1, h2, phases = {}, {}, {}  # RIS size -> the chunk's BS->RIS and RIS->UE stacks and start phases
-    for c in configs:
-        if c.n_ris not in phases:
-            h1[c.n_ris], h2[c.n_ris] = _link_response(c, keys, 1), _link_response(c, keys, 2)
-            phases[c.n_ris] = [RisPhases.random(c.n_ris, substream(*key, SITE_PHASES)) for key in keys]
-    # Link 3 may come from configs[0]: every caller builds its points from one
-    # config, varied at most in RIS size, so they share the link-3 arrays.
-    direct = {}  # (trial, blockage state) -> that trial's link-3 stack
-    for los in (True, False):
-        trials = [t for t, row in enumerate(states) if los in row]
-        if trials:
-            h3 = _link_response(configs[0], [keys[t] for t in trials], 3, los)
-            direct.update(zip([(t, los) for t in trials], h3))
-    for t, row in enumerate(states):
-        groups = {}  # (RIS size, blockage state, direct gain, indirect gain) -> (gains, member indices)
-        for i, (c, point_gains, los) in enumerate(zip(configs, gains, row)):
-            g = point_gains[los]
-            _, members = groups.setdefault((c.n_ris, los, g.rho_direct, g.rho_indirect), (g, []))
-            members.append(i)
-        yield [(FreqChannelSet(h1[n][t], h2[n][t], direct[t, los]), g, phases[n][t], members)
-               for (n, los, _, _), (g, members) in groups.items()]
+        chunk_keys = keys[start:start + chunk]
+        states = [[blockage_state(p, u) for p in plos]
+                  for u in (substream(*key, SITE_BLOCKAGE).uniform() for key in chunk_keys)]
+        h1, h2, phases = {}, {}, {}  # RIS size -> the chunk's BS->RIS and RIS->UE stacks and start phases
+        for c in configs:
+            if c.n_ris not in phases:
+                h1[c.n_ris], h2[c.n_ris] = _link_response(c, chunk_keys, 1), _link_response(c, chunk_keys, 2)
+                phases[c.n_ris] = [RisPhases.random(c.n_ris, substream(*key, SITE_PHASES)) for key in chunk_keys]
+        # Link 3 may come from configs[0]: every caller builds its points from
+        # one config, varied at most in RIS size, so they share the link-3 arrays.
+        direct = {}  # (trial, blockage state) -> that trial's link-3 stack
+        for los in (True, False):
+            trials = [t for t, row in enumerate(states) if los in row]
+            if trials:
+                h3 = _link_response(configs[0], [chunk_keys[t] for t in trials], 3, los)
+                direct.update(zip([(t, los) for t in trials], h3))
+        for t, row in enumerate(states):
+            groups = {}  # (RIS size, blockage state, direct gain, indirect gain) -> (gains, member indices)
+            for i, (c, point_gains, los) in enumerate(zip(configs, gains, row)):
+                g = point_gains[los]
+                _, members = groups.setdefault((c.n_ris, los, g.rho_direct, g.rho_indirect), (g, []))
+                members.append(i)
+            yield [(FreqChannelSet(h1[n][t], h2[n][t], direct[t, los]), g, phases[n][t], members)
+                   for (n, los, _, _), (g, members) in groups.items()]
 
 
 def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[FreqChannelSet, LinkGains]:
@@ -270,16 +266,6 @@ def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple, snr
     return _trial_rates([point], [key], (arm,)).se.item()
 
 
-def check_scenario_geometry(geom: GeometryConfig, scenario: str) -> None:
-    """Raise ValueError if `geom` moves a key that `scenario` sets itself off its GeometryConfig default."""
-    fixed, swept = _SCENARIO_GEOMETRY[scenario]
-    default = GeometryConfig()
-    for key in (*fixed, *swept):
-        if getattr(geom, key) != getattr(default, key):
-            raise ValueError(f"{scenario} sets {key} itself; leave it at its default "
-                             f"{getattr(default, key)!r}, got {getattr(geom, key)!r}")
-
-
 def sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[SweepPoint]:
     """The `SweepPoint` of each point of `scenario`, in row order.
 
@@ -292,9 +278,13 @@ def sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
-    check_scenario_geometry(geom, scenario)
-    fixed, _ = _SCENARIO_GEOMETRY[scenario]
-    base = replace(geom, **fixed)
+    geometry = _SCENARIO_GEOMETRY[scenario]
+    default = GeometryConfig()
+    for key in geometry:
+        if getattr(geom, key) != getattr(default, key):
+            raise ValueError(f"{scenario} sets {key} itself; leave it at its default "
+                             f"{getattr(default, key)!r}, got {getattr(geom, key)!r}")
+    base = replace(geom, **geometry)
     if scenario == "se_vs_snr":
         points = [(cfg.with_n_ris(n_ris), base, "snr_db", float(snr), float(snr))
                   for n_ris in cfg.n_ris_list for snr in cfg.snr_db]

@@ -161,6 +161,14 @@ def test_cluster_ray_set_rejects_mismatched_shapes():
                       departure_az=rays.departure_az, departure_el=rays.departure_el)
 
 
+def test_cluster_ray_set_stores_list_inputs_as_arrays():
+    rays = ClusterRaySet([1 + 0j, 0.5j], [0.1, 0.2], [0.0, 0.1], [0.3, -0.2], [0.0, 0.05])
+    assert all(isinstance(a, np.ndarray) and a.shape == (2,) for a in astuple(rays))
+    tap = geometric_tap(rays, UraSpec(2, 2), UraSpec(2, 2))
+    arrays = ClusterRaySet(*(np.array(a) for a in astuple(rays)))
+    np.testing.assert_array_equal(tap, geometric_tap(arrays, UraSpec(2, 2), UraSpec(2, 2)))
+
+
 @pytest.mark.parametrize("rows, cols, spacing", [(2.5, 2, 0.5), (2, 2.0, 0.5), (0, 2, 0.5),
                                                  (2, 2, np.nan), (2, 2, np.inf), (2, 2, 0.0)],
                          ids=["fractional-rows", "float-cols", "zero-rows", "nan-spacing", "inf-spacing",

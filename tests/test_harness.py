@@ -368,6 +368,20 @@ def test_run_scenario_refuses_geometry_it_sets(scenario, key, value):
         run_scenario(small_config(), geom, scenario)
 
 
+def test_cli_complexity_honours_the_geometry_keys_the_scenarios_set(tmp_path, capsys):
+    sets = ["--set", "bs_height=3", "--set", "d_ris=50", "--set", "d_bs_ue=150", "--set", "p_los_override=0.5"]
+    out = tmp_path / "table.csv"
+    assert cli.main(["complexity", "--preset", "desk", "--n-ris", "4", "--trials", "1", *sets,
+                     "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        assert [row["n_ris"] for row in csv.DictReader(fh)] == ["4"]
+    for scenario in SCENARIOS:
+        assert cli.main(["simulate", "--scenario", scenario, "--preset", "desk", *sets,
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {scenario} sets ")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_scenario_honours_geometry_it_does_not_set():
     geom = replace(GeometryConfig(), d_bs_ue=150.0)
     rows = run_scenario(small_config(mc_trials=1, seed=1), geom, "se_vs_snr")
@@ -690,11 +704,11 @@ def test_paper_csv_bytes_are_pinned(monkeypatch):
 
 
 def test_run_scenario_builds_its_sweep_once(monkeypatch):
-    checked = []
-    check = harness.check_scenario_geometry
-    monkeypatch.setattr(harness, "check_scenario_geometry", lambda g, s: checked.append(s) or check(g, s))
+    built = []
+    build = harness.sweep_points
+    monkeypatch.setattr(harness, "sweep_points", lambda c, g, s: built.append(s) or build(c, g, s))
     run_scenario(small_config(mc_trials=1), GeometryConfig(), "distance_vs_se")
-    assert checked == ["distance_vs_se"]
+    assert built == ["distance_vs_se"]
 
 
 def test_trial_draws_evaluate_pathloss_once_per_point(monkeypatch):
