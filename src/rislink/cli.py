@@ -5,10 +5,12 @@ Usage:
     rislink complexity --preset desk --n-ris 4,16,36,64 --trials 10 --out table.csv
 
 Both read one config: the preset, the `--config` file, `--set KEY=VALUE`, then
-each override flag that is given. A bad value, a geometry whose reference
-gain or an SNR whose power budget is not finite and positive, or an
-unwritable `--out` exits 2 before any trial; a budget too small to waterfill
-any stream exits 2 when a trial meets it. Either
+each override flag that is given. A bad value, a key set by `--set` or a flag
+that the command does not read (`harness.UNREAD_KEYS`; a `--config` file may
+set any key), a geometry whose reference gain is not finite and positive or
+whose reflected-path gain is not finite, an SNR whose power budget is not
+finite and positive, or an unwritable `--out` exits 2 before any trial; a
+budget too small to waterfill any stream exits 2 when a trial meets it. Either
 way the error is one `error:` line and nothing is written to `--out`.
 Option values starting with '-' (e.g. SNR grids) need the `--opt=value` form.
 """
@@ -20,6 +22,7 @@ import sys
 from .config import PRESETS, parse_config
 from .harness import (
     SCENARIOS,
+    UNREAD_KEYS,
     complexity_rows_to_csv,
     complexity_table,
     run_scenario,
@@ -68,7 +71,12 @@ def _configs_from_args(args) -> tuple:
         value = getattr(args, dest, None)  # simulate has no --n-ris
         if value is not None:
             overrides[key] = value
-    return parse_config(args.config, overrides, preset=args.preset)
+    configs = parse_config(args.config, overrides, preset=args.preset)
+    command = args.scenario if args.command == "simulate" else args.command
+    for key in overrides:
+        if key in UNREAD_KEYS[command]:
+            raise ValueError(f"{key} is not read by {command}; drop it from the command line")
+    return configs
 
 
 def main(argv=None) -> int:

@@ -16,21 +16,21 @@ Sharing (common random numbers): every sweep point and method arm of a trial
 is scored from one draw. One blockage uniform serves every point, the two RIS
 links and the start phases are drawn once per RIS size, the direct link once
 per blockage state, and each point's pathloss once per call. The points that
-see one channel in a trial (same RIS size, blockage state and pathloss gains,
-compared by value) form one group, in order of first appearance. A group's
-folded stacks and its start and direct eigenpairs are computed once, and each
-member waterfills only its own budget on them, since the eigenpairs do not
-depend on it. The arms are the full phase/power optimization, the random start
-phases with waterfilling, and a system with the reflected path removed. The
-configs, their presets and their parser are defined in `rislink.config`.
+see one channel in a trial form one group: one RIS size and one `LinkGains`
+value (blockage state and pathloss gains, compared by value), in order of
+first appearance. A group's folded stacks and its start and direct eigenpairs
+are computed once, and each member waterfills only its own budget on them,
+since the eigenpairs do not depend on it. The arms are the full phase/power
+optimization, the random start phases with waterfilling, and a system with the
+reflected path removed. The configs, their presets and their parser are
+defined in `rislink.config`.
 """
 
 import csv
 import io
 import math
 import time
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +55,15 @@ _SCENARIO_GEOMETRY = {
     "se_vs_snr": {"bs_height": 10.0, "d_ris": 2.2},
     "plos_vs_se": {"d_bs_ue": 200.0, "bs_height": 5.0, "d_ris": 2.2, "p_los_override": None},
     "distance_vs_se": {"bs_height": 20.0, "d_ris": DISTANCE_D_RIS, "d_bs_ue": GeometryConfig.d_bs_ue},
+}
+# Config keys each scenario and the complexity table do not read: se_vs_snr and
+# complexity shape each RIS from its n_ris_list entry, distance_vs_se runs at
+# 5 dB. The CLI refuses these keys when its command line sets them.
+UNREAD_KEYS = {
+    "se_vs_snr": ("ris_rows", "ris_cols", "plos_grid", "distance_grid"),
+    "plos_vs_se": ("n_ris_list", "distance_grid"),
+    "distance_vs_se": ("snr_db", "n_ris_list", "plos_grid"),
+    "complexity": ("ris_rows", "ris_cols", "plos_grid", "distance_grid"),
 }
 
 # Byte budget of one trial chunk, counted per trial by `_trial_bytes` at the
@@ -93,9 +102,8 @@ class TrialSlab:
     seconds: np.ndarray
 
 
-@dataclass
-class ScenarioResult:
-    """Aggregated spectral efficiency for one (scenario, sweep point, arm) cell."""
+class ScenarioResult(NamedTuple):
+    """Aggregated spectral efficiency for one (scenario, sweep point, arm) cell; its fields are the CSV columns."""
 
     scenario: str
     sweep_name: str
@@ -110,8 +118,7 @@ class ScenarioResult:
     d2: float
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(ScenarioResult))
-_csv_fields = attrgetter(*CSV_COLUMNS)  # a row's values in column order; astuple would deep-copy each one
+CSV_COLUMNS = ScenarioResult._fields
 
 def reference_gain(geom: GeometryConfig) -> float:
     """Blockage-averaged direct-path gain used as the SNR reference.
@@ -128,17 +135,28 @@ def total_power_for_snr(cfg: SystemConfig, geom: GeometryConfig, snr_db: float) 
 
     P_t = K * 10^(snr/10) / reference_gain(geom) with unit noise variance.
     Raises ValueError, naming the geometry keys that set it, when the reference
-    gain is not a finite positive number, and when the budget is not.
+    gain is not a finite positive number or the reflected-path gain is not
+    finite (it may underflow to 0), and when the budget is not finite and
+    positive. Every trial's pathloss thus stays finite.
     """
+    def set_by(*keys):
+        return ". It is set by " + ", ".join(f"{key}={getattr(geom, key)!r}" for key in keys)
+
     try:
         gain = reference_gain(geom)
     except OverflowError:
         gain = math.inf
     if not (gain > 0 and math.isfinite(gain)):
-        keys = ("carrier_freq_hz", "ant_gain_db", "d_ref", "alpha_los", "alpha_nlos", "d_bs_ue", "bs_height",
-                "ue_height", "p_los_override")
-        raise ValueError(f"the reference gain is {gain!r}; it must be finite and positive. It is set by "
-                         + ", ".join(f"{key}={getattr(geom, key)!r}" for key in keys))
+        raise ValueError(f"the reference gain is {gain!r}; it must be finite and positive"
+                         + set_by("carrier_freq_hz", "ant_gain_db", "d_ref", "alpha_los", "alpha_nlos", "d_bs_ue",
+                                  "bs_height", "ue_height", "p_los_override"))
+    try:
+        reflected = indirect_gain(geom)
+    except OverflowError:
+        reflected = math.inf
+    if not math.isfinite(reflected):
+        raise ValueError(f"the reflected-path gain is {reflected!r}; it must be finite"
+                         + set_by("carrier_freq_hz", "ant_gain_db", "d_ris", "d_bs_ue", "bs_height", "ue_height"))
     try:
         power = cfg.n_subcarriers * 10.0 ** (snr_db / 10.0) / gain
     except OverflowError:
@@ -178,19 +196,18 @@ def _trial_draws(pairs: list[tuple[SystemConfig, GeometryConfig]], keys: list[tu
     that see them); the module docstring gives the chunk and the sharing rule.
     """
     configs = [c for c, _ in pairs]
-    gains = [{los: LinkGains(rho_direct=direct_gain(g, los), rho_indirect=indirect_gain(g), los=los)
-              for los in (True, False)} for _, g in pairs]
+    ris = {c.n_ris: c for c in configs}  # one config per RIS size, in order of first appearance
+    gains = [{los: LinkGains(rho_direct=direct_gain(g, los), rho_indirect=rho, los=los) for los in (True, False)}
+             for _, g in pairs for rho in (indirect_gain(g),)]
     plos = [p_los(g) for _, g in pairs]
-    chunk = _chunk_trials(configs)
+    chunk = _chunk_trials(list(ris.values()))
     for start in range(0, len(keys), chunk):
         chunk_keys = keys[start:start + chunk]
         states = [[blockage_state(p, u) for p in plos]
                   for u in (substream(*key, SITE_BLOCKAGE).uniform() for key in chunk_keys)]
-        h1, h2, phases = {}, {}, {}  # RIS size -> the chunk's BS->RIS and RIS->UE stacks and start phases
-        for c in configs:
-            if c.n_ris not in phases:
-                h1[c.n_ris], h2[c.n_ris] = _link_response(c, chunk_keys, 1), _link_response(c, chunk_keys, 2)
-                phases[c.n_ris] = [RisPhases.random(c.n_ris, substream(*key, SITE_PHASES)) for key in chunk_keys]
+        # RIS size -> the chunk's BS->RIS and RIS->UE stacks and start phases
+        h1, h2 = ({n: _link_response(c, chunk_keys, link) for n, c in ris.items()} for link in (1, 2))
+        phases = {n: [RisPhases.random(n, substream(*key, SITE_PHASES)) for key in chunk_keys] for n in ris}
         # Link 3 may come from configs[0]: every caller builds its points from
         # one config, varied at most in RIS size, so they share the link-3 arrays.
         direct = {}  # (trial, blockage state) -> that trial's link-3 stack
@@ -200,13 +217,11 @@ def _trial_draws(pairs: list[tuple[SystemConfig, GeometryConfig]], keys: list[tu
                 h3 = _link_response(configs[0], [chunk_keys[t] for t in trials], 3, los)
                 direct.update(zip([(t, los) for t in trials], h3))
         for t, row in enumerate(states):
-            groups = {}  # (RIS size, blockage state, direct gain, indirect gain) -> (gains, member indices)
+            groups = {}  # (RIS size, pathloss gains) -> member indices
             for i, (c, point_gains, los) in enumerate(zip(configs, gains, row)):
-                g = point_gains[los]
-                _, members = groups.setdefault((c.n_ris, los, g.rho_direct, g.rho_indirect), (g, []))
-                members.append(i)
-            yield [(FreqChannelSet(h1[n][t], h2[n][t], direct[t, los]), g, phases[n][t], members)
-                   for (n, los, _, _), (g, members) in groups.items()]
+                groups.setdefault((c.n_ris, point_gains[los]), []).append(i)
+            yield [(FreqChannelSet(h1[n][t], h2[n][t], direct[t, g.los]), g, phases[n][t], members)
+                   for (n, g), members in groups.items()]
 
 
 def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[FreqChannelSet, LinkGains]:
@@ -235,9 +250,9 @@ def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> Tria
     for t, groups in enumerate(_trial_draws([(p.cfg, p.geometry) for p in points], keys)):
         for channels, gains, phi0, members in groups:
             folded = fold_gains(channels, gains)
-            direct = folded.h3, *channel_eigvals(folded.h3, 1.0)
+            direct = folded.h3, *channel_eigvals(folded.h3)
             heq = equivalent_channel(folded, phi0)
-            start = heq, *channel_eigvals(heq, 1.0)
+            start = heq, *channel_eigvals(heq)
             for i in members:
                 cfg, budget = points[i].cfg, points[i].budget
                 alloc = waterfill_eigenpairs(*start, budget)
@@ -361,7 +376,7 @@ def _csv_text(header, lines) -> str:
 
 def scenario_rows_to_csv(rows: list[ScenarioResult]) -> str:
     """RFC-4180 CSV text (header + one line per result row)."""
-    return _csv_text(CSV_COLUMNS, ([f"{v:.10g}" if isinstance(v, float) else v for v in _csv_fields(r)] for r in rows))
+    return _csv_text(CSV_COLUMNS, ([f"{v:.10g}" if isinstance(v, float) else v for v in r] for r in rows))
 
 
 def complexity_rows_to_csv(rows: list[dict]) -> str:

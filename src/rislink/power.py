@@ -60,7 +60,7 @@ class PowerAllocation:
         return build_covariances(self.u, self.p)
 
 
-def channel_eigvals(heq: np.ndarray, noise_var: float) -> tuple[np.ndarray, np.ndarray]:
+def channel_eigvals(heq: np.ndarray, noise_var: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Stream gains and receive-side eigenvectors of a (K, N_r, N_t) channel stack.
 
     One batched `eigh` of the Gram matrices G[k] = H_eq[k] H_eq[k]^H (N_r x N_r)
@@ -71,9 +71,7 @@ def channel_eigvals(heq: np.ndarray, noise_var: float) -> tuple[np.ndarray, np.n
     """
     n_s = min(heq.shape[1], heq.shape[2])
     vals, vecs = np.linalg.eigh(heq @ heq.conj().transpose(0, 2, 1))  # ascending
-    lam = np.maximum(vals[:, ::-1][:, :n_s], 0.0)
-    if noise_var != 1.0:
-        lam /= noise_var
+    lam = np.maximum(vals[:, ::-1][:, :n_s], 0.0) / noise_var
     return lam, vecs[:, :, ::-1][:, :, :n_s]
 
 

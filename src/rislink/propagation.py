@@ -14,7 +14,7 @@ import numpy as np
 from .config import NONNEGATIVE, GeometryConfig, ranged, require_valid_numbers
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkGains:
     """Linear power gains of the direct and RIS-reflected paths for one trial."""
 

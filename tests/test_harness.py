@@ -27,7 +27,7 @@ from rislink.harness import (
     total_power_for_snr,
 )
 from rislink.pga import pga_optimize
-from rislink.propagation import direct_gain, link_distances, p_los
+from rislink.propagation import direct_gain, indirect_gain, link_distances, p_los
 from rislink.rate import RisPhases, equivalent_channel, fold_gains
 from rislink.rng import SITE_BLOCKAGE, SITE_PHASES, substream
 
@@ -182,6 +182,7 @@ def test_tuple_fields_round_trip_through_overrides():
     ("ant_gain_db", "4000", True),  # 10^(x/10) would overflow, and the refusal would blame snr_db
     ("ant_gain_db", "-4000", True),
     ("carrier_freq_hz", "1e300", True),  # the reference gain underflows to 0
+    ("carrier_freq_hz", "1e-80", True),  # the reflected-path gain overflows
 ])
 def test_config_rejects_bad_values_before_any_trial(key, text, via_cli, tmp_path):
     if not via_cli:
@@ -380,6 +381,45 @@ def test_cli_complexity_honours_the_geometry_keys_the_scenarios_set(tmp_path, ca
                          "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {scenario} sets ")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag, key", [
+    ("se_vs_snr", "--set=ris_rows=2", "ris_rows"),
+    ("se_vs_snr", "--set=ris_cols=2", "ris_cols"),
+    ("se_vs_snr", "--set=plos_grid=0.5", "plos_grid"),
+    ("se_vs_snr", "--set=distance_grid=100", "distance_grid"),
+    ("plos_vs_se", "--set=n_ris_list=4", "n_ris_list"),
+    ("plos_vs_se", "--set=distance_grid=100", "distance_grid"),
+    ("distance_vs_se", "--snr-db=20,30", "snr_db"),
+    ("distance_vs_se", "--set=snr_db=20", "snr_db"),
+    ("distance_vs_se", "--set=n_ris_list=4", "n_ris_list"),
+    ("distance_vs_se", "--set=plos_grid=0.5", "plos_grid"),
+    ("complexity", "--set=ris_rows=2", "ris_rows"),
+    ("complexity", "--set=ris_cols=2", "ris_cols"),
+    ("complexity", "--set=plos_grid=0.5", "plos_grid"),
+    ("complexity", "--set=distance_grid=100", "distance_grid"),
+])
+@pytest.mark.usefixtures("no_trial")
+def test_cli_refuses_a_key_the_command_does_not_read(tmp_path, capsys, command, flag, key):
+    out = tmp_path / "x.csv"
+    argv = ["complexity"] if command == "complexity" else ["simulate", "--scenario", command]
+    assert cli.main([*argv, "--preset", "desk", "--trials", "1", flag, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} is not read by {command}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_accepts_unread_keys_from_a_config_file(tmp_path):
+    # one file may serve every scenario, so distance_vs_se runs as if the other scenarios' keys were unset
+    conf = tmp_path / "run.cfg"
+    conf.write_text("snr_db = 20, 30\nn_ris_list = 4\nplos_grid = 0.5\n", encoding="utf-8")
+    texts = []
+    for flags in ((), ("--config", str(conf))):
+        out = tmp_path / f"run{len(texts)}.csv"
+        assert cli.main(["simulate", "--scenario", "distance_vs_se", "--preset", "desk", "--trials", "1", *flags,
+                         "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_run_scenario_honours_geometry_it_does_not_set():
@@ -608,7 +648,7 @@ def test_trial_decomposes_each_distinct_channel_once(monkeypatch):
     decomposed, iterations = [], []
     eigvals, optimize = power.channel_eigvals, harness.pga_optimize
     for module in (power, harness):
-        monkeypatch.setattr(module, "channel_eigvals", lambda heq, noise_var: decomposed.append(heq)
+        monkeypatch.setattr(module, "channel_eigvals", lambda heq, noise_var=1.0: decomposed.append(heq)
                             or eigvals(heq, noise_var), raising=False)
 
     def counting_optimize(*args, **kwargs):
@@ -625,11 +665,14 @@ def test_trial_decomposes_each_distinct_channel_once(monkeypatch):
         assert sum(np.array_equal(heq, direct) for heq in decomposed) == 1
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_trial_groups_partition_the_points_by_the_channel_they_see(scenario):
+@pytest.mark.parametrize("scenario, changes", [*((s, {}) for s in sorted(SCENARIOS)),
+                                               ("distance_vs_se", {"distance_grid": (100.0, 100.0, 130.0)})],
+                         ids=[*sorted(SCENARIOS), "distance_vs_se-repeated"])
+def test_trial_groups_partition_the_points_by_the_channel_they_see(scenario, changes):
     # each trial's groups cover every point once; a group's members see its channels, gains and phases alone,
-    # and points that differ in RIS size, blockage state or gains land in different groups
-    cfg, geom = sweep_config(), GeometryConfig()
+    # points that differ in RIS size, blockage state or gains land in different groups, and points whose
+    # separately computed gains are equal share one
+    cfg, geom = replace(sweep_config(), **changes), GeometryConfig()
     points = harness.sweep_points(cfg, geom, scenario)
     for seed in range(4):
         keys = [(seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
@@ -648,8 +691,13 @@ def test_trial_groups_partition_the_points_by_the_channel_they_see(scenario):
                 assert len(groups) == len(cfg.n_ris_list) and groups[0][1] == groups[1][1]
             elif scenario == "plos_vs_se":  # equal gains within a blockage state
                 assert len(groups) == len(blockage_states(points, key))
-            else:  # distinct gains at each distance
-                assert len(groups) == len(points)
+            else:  # one group per distance, in order of first appearance
+                distances = list(dict.fromkeys(p.sweep_value for p in points))
+                assert [members for *_, members in groups] == [
+                    [i for i, p in enumerate(points) if p.sweep_value == d] for d in distances]
+    if changes:  # the repeated distance's two points write equal rows
+        at_100, arms = [r for r in run_scenario(cfg, geom, scenario) if r.sweep_value == 100.0], len(harness.ARMS)
+        assert len(at_100) == 2 * arms and at_100[:arms] == at_100[arms:]
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -838,6 +886,22 @@ def test_total_power_for_snr_names_a_reference_gain_that_is_not_finite_and_posit
     with pytest.raises(ValueError, match="^the reference gain is") as refusal:
         total_power_for_snr(cfg, replace(geom, **changes), 0.0)
     assert all(f"{key}={value!r}" in str(refusal.value) for key, value in changes.items())
+
+
+@pytest.mark.usefixtures("no_trial")
+def test_a_reflected_path_gain_that_overflows_is_refused_before_any_trial():
+    # lam**4 overflows at 1e-80 Hz while the direct path's lam**2 does not; a gain that underflows to 0 is legal
+    cfg, geom = small_config(), replace(GeometryConfig(), carrier_freq_hz=1e-80)
+    refusals = []
+    for run in (lambda: run_scenario(cfg, geom, "se_vs_snr"), lambda: run_trial(cfg, geom, "pga", (0, 1, 0), 0.0),
+                lambda: complexity_table(cfg, geom, [4], trials=1, snr_db=0.0)):
+        with pytest.raises(ValueError, match="^the reflected-path gain is inf; it must be finite") as refusal:
+            run()
+        refusals.append(str(refusal.value))
+    keys = ("carrier_freq_hz", "ant_gain_db", "d_ris", "d_bs_ue", "bs_height", "ue_height")
+    assert all(f"{key}=" in text for key in keys for text in refusals)
+    far = replace(GeometryConfig(), carrier_freq_hz=1e100)
+    assert indirect_gain(far) == 0.0 and 0 < total_power_for_snr(cfg, far, 0.0) < np.inf
 
 
 # simulate checks every sweep point's budget, complexity the first SNR's, the one it runs at

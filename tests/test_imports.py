@@ -58,3 +58,21 @@ def test_no_name_is_imported_from_the_package_root():
             offenders += [f"{path.relative_to(ROOT)}:{node.lineno} {alias.name}"
                           for alias in (node.names if root else ()) if alias.name not in allowed]
     assert offenders == []
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names that `source`'s module-level imports bind and the module never reads; `# noqa: F401` lines are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{node.lineno} {bound}" for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+            and "# noqa: F401" not in lines[node.lineno - 1]
+            for alias in node.names for bound in [alias.asname or alias.name.split(".")[0]] if bound not in read]
+
+
+def test_every_module_level_import_is_read():
+    assert unread_imports("import os\nfrom a import b as c, d  # noqa: F401\nfrom e import f\nos.sep, f()\n") == []
+    assert unread_imports("import os.path\nfrom a import b, c\nb()\n") == ["1 os", "2 c"]
+    offenders = [f"{path.relative_to(ROOT)}:{entry}" for path in sorted(PACKAGE.glob("*.py"))
+                 for entry in unread_imports(path.read_text(encoding="utf-8"))]
+    assert offenders == []
