@@ -257,13 +257,16 @@ def preset_config(name: str = "paper") -> tuple[SystemConfig, GeometryConfig]:
 
 
 # Config files hold "key = value" lines; these parsers map them onto the two
-# config dataclasses. Tuples are comma-separated, "none" is None, and other
-# values parse as int if they can, else as float.
+# config dataclasses. Tuples are comma-separated with no empty item (a blank
+# value is the empty tuple), "none" is None, and other values parse as int if
+# they can, else as float.
 def _parse_value(hint, text: str):
     text = text.strip()
     if get_origin(hint) is tuple:
-        item_type = get_args(hint)[0]
-        return tuple(item_type(p) for p in text.split(",") if p.strip())
+        items = text.split(",") if text else []
+        if not all(p.strip() for p in items):
+            raise ValueError(f"empty item in {text!r}")
+        return tuple(map(get_args(hint)[0], items))
     if text.lower() == "none":
         return None
     try:
@@ -278,7 +281,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
 
     File format: UTF-8 lines of `key = value`, `#` starts a comment; a
     leading byte-order mark is skipped. Keys must name a SystemConfig or
-    GeometryConfig field; anything else is an error.
+    GeometryConfig field; anything else is an error, which names the file
+    and line.
     Overrides (already-typed or string values) are applied after the file.
     """
     if preset not in PRESETS:
@@ -303,7 +307,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
                 if "=" not in stripped:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
                 key, _, raw = stripped.partition("=")
-                assign(key.strip(), raw)
+                try:
+                    assign(key.strip(), raw)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
     for key, raw in (overrides or {}).items():
         assign(key, raw)
     return SystemConfig(**kwargs[SystemConfig]), GeometryConfig(**kwargs[GeometryConfig])

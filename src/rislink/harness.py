@@ -15,10 +15,11 @@ stacks at a time.
 Sharing (common random numbers): every sweep point and method arm of a trial
 is scored from one draw. One blockage uniform serves every point, the two RIS
 links and the start phases are drawn once per RIS size, the direct link once
-per blockage state, and each point's pathloss once per call. The points that
-see one channel in a trial form one group: one RIS size and one `LinkGains`
-value (blockage state and pathloss gains, compared by value), in order of
-first appearance. A group's folded stacks and its start and direct eigenpairs
+per blockage state, and each point's link budget (`propagation.link_budget`,
+which also sets its power budget) once per call. The points that see one
+channel in a trial form one group: one RIS size and one `LinkGains` value
+(blockage state and pathloss gains, compared by value), in order of first
+appearance. A group's folded stacks and its start and direct eigenpairs
 are computed once, and each member waterfills only its own budget on them,
 since the eigenpairs do not depend on it. The arms are the full phase/power
 optimization, the random start phases with waterfilling, and a system with the
@@ -41,7 +42,7 @@ from .config import DISTANCE_D_RIS, GeometryConfig, SystemConfig
 from .config import parse_config, preset_config  # noqa: F401  (the configs' entry points, re-exported here)
 from .pga import pga_optimize
 from .power import channel_eigvals, waterfill_eigenpairs
-from .propagation import LinkGains, blockage_state, direct_gain, indirect_gain, link_distances, p_los
+from .propagation import LinkGains, blockage_state, link_budget, link_distances
 from .rate import RisPhases, equivalent_channel, fold_gains
 from .rng import SITE_BLOCKAGE, SITE_LINK, SITE_PHASES, substream
 
@@ -120,43 +121,13 @@ class ScenarioResult(NamedTuple):
 
 CSV_COLUMNS = ScenarioResult._fields
 
-def reference_gain(geom: GeometryConfig) -> float:
-    """Blockage-averaged direct-path gain used as the SNR reference.
-
-    p*rho_LOS + (1-p)*rho_NLOS with p = p_los(geom), the effective LOS
-    probability; equals the plain LOS gain when p = 1.
-    """
-    p = p_los(geom)
-    return p * direct_gain(geom, los=True) + (1.0 - p) * direct_gain(geom, los=False)
-
-
 def total_power_for_snr(cfg: SystemConfig, geom: GeometryConfig, snr_db: float) -> float:
     """Budget P_t so the dB axis reads as average per-subcarrier received direct SNR.
 
-    P_t = K * 10^(snr/10) / reference_gain(geom) with unit noise variance.
-    Raises ValueError, naming the geometry keys that set it, when the reference
-    gain is not a finite positive number or the reflected-path gain is not
-    finite (it may underflow to 0), and when the budget is not finite and
-    positive. Every trial's pathloss thus stays finite.
+    P_t = K * 10^(snr/10) / reference gain with unit noise variance. Raises ValueError
+    when `link_budget` refuses the geometry or the budget is not finite and positive.
     """
-    def set_by(*keys):
-        return ". It is set by " + ", ".join(f"{key}={getattr(geom, key)!r}" for key in keys)
-
-    try:
-        gain = reference_gain(geom)
-    except OverflowError:
-        gain = math.inf
-    if not (gain > 0 and math.isfinite(gain)):
-        raise ValueError(f"the reference gain is {gain!r}; it must be finite and positive"
-                         + set_by("carrier_freq_hz", "ant_gain_db", "d_ref", "alpha_los", "alpha_nlos", "d_bs_ue",
-                                  "bs_height", "ue_height", "p_los_override"))
-    try:
-        reflected = indirect_gain(geom)
-    except OverflowError:
-        reflected = math.inf
-    if not math.isfinite(reflected):
-        raise ValueError(f"the reflected-path gain is {reflected!r}; it must be finite"
-                         + set_by("carrier_freq_hz", "ant_gain_db", "d_ris", "d_bs_ue", "bs_height", "ue_height"))
+    _, gain, _ = link_budget(geom)
     try:
         power = cfg.n_subcarriers * 10.0 ** (snr_db / 10.0) / gain
     except OverflowError:
@@ -197,9 +168,7 @@ def _trial_draws(pairs: list[tuple[SystemConfig, GeometryConfig]], keys: list[tu
     """
     configs = [c for c, _ in pairs]
     ris = {c.n_ris: c for c in configs}  # one config per RIS size, in order of first appearance
-    gains = [{los: LinkGains(rho_direct=direct_gain(g, los), rho_indirect=rho, los=los) for los in (True, False)}
-             for _, g in pairs for rho in (indirect_gain(g),)]
-    plos = [p_los(g) for _, g in pairs]
+    plos, _, gains = zip(*(link_budget(g) for _, g in pairs))
     chunk = _chunk_trials(list(ris.values()))
     for start in range(0, len(keys), chunk):
         chunk_keys = keys[start:start + chunk]

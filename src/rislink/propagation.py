@@ -1,10 +1,11 @@
-"""Distances, LOS probability, blockage sampling and link power gains.
+"""Distances, LOS probability, blockage sampling, link power gains and the link budget.
 
 Geometry: the BS (height l_t) and UE (height l_r) are D meters apart on the
 ground; the RIS center sits d_ris meters from the BS array center. Both link
 gains are multiplicative power gains applied to the equivalent channel, so
 received power decreases with distance on both paths. The geometry record
-itself, `GeometryConfig`, is defined in `rislink.config`.
+itself, `GeometryConfig`, is defined in `rislink.config`; `link_budget` is the
+one checked evaluation of the gains, read by the SNR reference and every trial.
 """
 
 from dataclasses import dataclass
@@ -66,6 +67,35 @@ def direct_gain(geom: GeometryConfig, los: bool) -> float:
     k0 = (geom.wavelength / (4.0 * np.pi * geom.d_ref)) ** 2 * geom.ant_gain
     alpha = geom.alpha_los if los else geom.alpha_nlos
     return float(k0 * (geom.d_ref / d_dir) ** alpha)
+
+
+def link_budget(geom: GeometryConfig) -> tuple[float, float, dict[bool, LinkGains]]:
+    """(LOS probability p, SNR reference gain, blockage state -> `LinkGains`) of one geometry.
+
+    The reference gain is the blockage-averaged direct-path gain p*rho_LOS + (1-p)*rho_NLOS. Raises ValueError,
+    naming the geometry keys that set it, when the reference gain is not finite and positive or the reflected-path
+    gain is not finite (it may underflow to 0). A finite reference gain keeps both direct gains finite.
+    """
+    def set_by(*keys):
+        return ". It is set by " + ", ".join(f"{key}={getattr(geom, key)!r}" for key in keys)
+    p = p_los(geom)
+    try:
+        direct = {los: direct_gain(geom, los) for los in (True, False)}
+        reference = p * direct[True] + (1.0 - p) * direct[False]
+    except OverflowError:
+        reference = np.inf
+    if not (reference > 0 and np.isfinite(reference)):
+        raise ValueError(f"the reference gain is {reference!r}; it must be finite and positive"
+                         + set_by("carrier_freq_hz", "ant_gain_db", "d_ref", "alpha_los", "alpha_nlos", "d_bs_ue",
+                                  "bs_height", "ue_height", "p_los_override"))
+    try:
+        reflected = indirect_gain(geom)
+    except OverflowError:
+        reflected = np.inf
+    if not np.isfinite(reflected):
+        raise ValueError(f"the reflected-path gain is {reflected!r}; it must be finite"
+                         + set_by("carrier_freq_hz", "ant_gain_db", "d_ris", "d_bs_ue", "bs_height", "ue_height"))
+    return p, reference, {los: LinkGains(rho, reflected, los) for los, rho in direct.items()}
 
 
 def blockage_state(p: float, u: float) -> bool:

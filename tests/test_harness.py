@@ -13,21 +13,20 @@ from typing import get_origin, get_type_hints
 import numpy as np
 import pytest
 
-from rislink import channel, cli, harness, power
+from rislink import channel, cli, harness, power, propagation
 from rislink.config import GeometryConfig, SystemConfig, parse_config, preset_config
 from rislink.harness import (
     SCENARIOS,
     complexity_rows_to_csv,
     complexity_table,
     draw_trial,
-    reference_gain,
     run_scenario,
     run_trial,
     scenario_rows_to_csv,
     total_power_for_snr,
 )
 from rislink.pga import pga_optimize
-from rislink.propagation import direct_gain, indirect_gain, link_distances, p_los
+from rislink.propagation import direct_gain, indirect_gain, link_budget, link_distances, p_los
 from rislink.rate import RisPhases, equivalent_channel, fold_gains
 from rislink.rng import SITE_BLOCKAGE, SITE_PHASES, substream
 
@@ -111,7 +110,7 @@ def test_parse_config_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
 def test_parse_config_rejects_unknown_and_malformed(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 3\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown configuration key"):
+    with pytest.raises(ValueError, match="bad.cfg:1: unknown configuration key"):
         parse_config(str(bad))
     malformed = tmp_path / "malformed.cfg"
     malformed.write_text("just words\n", encoding="utf-8")
@@ -183,6 +182,8 @@ def test_tuple_fields_round_trip_through_overrides():
     ("ant_gain_db", "-4000", True),
     ("carrier_freq_hz", "1e300", True),  # the reference gain underflows to 0
     ("carrier_freq_hz", "1e-80", True),  # the reflected-path gain overflows
+    ("snr_db", "5,,10", True),  # an empty item is refused, not dropped
+    ("n_ris_list", "16,,64", False),
 ])
 def test_config_rejects_bad_values_before_any_trial(key, text, via_cli, tmp_path):
     if not via_cli:
@@ -282,12 +283,23 @@ def test_snr_reference_gain():
     geom = GeometryConfig()
     p = p_los(geom)
     expected = p * direct_gain(geom, True) + (1 - p) * direct_gain(geom, False)
-    assert reference_gain(geom) == pytest.approx(expected, rel=1e-12)
+    assert link_budget(geom)[1] == pytest.approx(expected, rel=1e-12)
     forced = replace(geom, p_los_override=1.0)
-    assert reference_gain(forced) == pytest.approx(direct_gain(geom, True), rel=1e-12)
+    assert link_budget(forced)[1] == pytest.approx(direct_gain(geom, True), rel=1e-12)
     cfg = small_config()
     assert total_power_for_snr(cfg, forced, 0.0) == pytest.approx(
         cfg.n_subcarriers / direct_gain(geom, True), rel=1e-12)
+
+
+def test_the_snr_reference_cancels_the_antenna_gain():
+    # ant_gain_db scales both paths' gains and the reference alike, so it sets no rate of any arm or scenario
+    cfg = small_config(snr_db=(-5.0, 10.0))
+    keys = [(cfg.seed, 1, t) for t in range(10)]
+    for scenario in SCENARIOS:
+        se = [harness._trial_rates(harness.sweep_points(cfg, replace(GeometryConfig(), ant_gain_db=gain), scenario),
+                                   keys).se for gain in (62.0, 0.0, -30.0)]
+        for other in se[1:]:
+            np.testing.assert_allclose(other, se[0], rtol=1e-12, atol=0)
 
 
 def test_run_trial_deterministic_and_ordered():
@@ -765,11 +777,11 @@ def test_trial_draws_evaluate_pathloss_once_per_point(monkeypatch):
     calls = []
 
     def counting(name):
-        function = getattr(harness, name)
+        function = getattr(propagation, name)
         return lambda *args, **kwargs: calls.append(name) or function(*args, **kwargs)
 
     for name in ("p_los", "direct_gain", "indirect_gain"):
-        monkeypatch.setattr(harness, name, counting(name))
+        monkeypatch.setattr(propagation, name, counting(name))
     counts = []
     for trials in (1, 4):
         calls.clear()
@@ -902,6 +914,17 @@ def test_a_reflected_path_gain_that_overflows_is_refused_before_any_trial():
     assert all(f"{key}=" in text for key in keys for text in refusals)
     far = replace(GeometryConfig(), carrier_freq_hz=1e100)
     assert indirect_gain(far) == 0.0 and 0 < total_power_for_snr(cfg, far, 0.0) < np.inf
+
+
+@pytest.mark.parametrize("changes, refusal", [
+    ({"carrier_freq_hz": 1e-80}, "the reflected-path gain is inf"),  # lam**4 overflows
+    ({"d_ref": 1e5, "alpha_los": 200.0, "p_los_override": 1.0}, "the reference gain is inf"),  # (d_ref/d)^alpha
+])
+def test_draw_trial_refuses_a_gain_that_overflows_by_name(changes, refusal):
+    cfg, geom = preset_config("desk")
+    with pytest.raises(ValueError, match=f"^{refusal}") as raised:
+        draw_trial(cfg, replace(geom, **changes), (0, 1, 0))
+    assert all(f"{key}={value!r}" in str(raised.value) for key, value in changes.items())
 
 
 # simulate checks every sweep point's budget, complexity the first SNR's, the one it runs at

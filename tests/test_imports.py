@@ -76,3 +76,14 @@ def test_every_module_level_import_is_read():
     offenders = [f"{path.relative_to(ROOT)}:{entry}" for path in sorted(PACKAGE.glob("*.py"))
                  for entry in unread_imports(path.read_text(encoding="utf-8"))]
     assert offenders == []
+
+
+def test_harness_reaches_the_pathloss_formulas_only_through_the_link_budget():
+    # one evaluation path, `propagation.link_budget`, so every caller gets its refusals
+    tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {bound for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+              for alias in node.names for bound in (alias.name, alias.asname)}
+    assert "link_budget" in names
+    assert not names & {"p_los", "direct_gain", "indirect_gain"}
