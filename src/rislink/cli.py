@@ -7,9 +7,11 @@ Usage:
 Both read one config: the preset, the `--config` file, `--set KEY=VALUE`, then
 each override flag that is given. A bad value, a key set by `--set` or a flag
 that the command does not read (`harness.UNREAD_KEYS`; a `--config` file may
-set any key), a geometry whose reference gain is not finite and positive or
-whose reflected-path gain is not finite, an SNR whose power budget is not
-finite and positive, or an unwritable `--out` exits 2 before any trial; a
+set any key), a command-line `snr_db` of more than one value for `complexity`
+(which runs at one SNR; a file or preset with several runs at the first), a
+geometry whose reference gain is not finite and positive or whose
+reflected-path gain is not finite, an SNR whose power budget is not finite
+and positive, or an unwritable `--out` exits 2 before any trial; a
 budget too small to waterfill any stream exits 2 when a trial meets it. Either
 way the error is one `error:` line and nothing is written to `--out`.
 Option values starting with '-' (e.g. SNR grids) need the `--opt=value` form.
@@ -71,12 +73,14 @@ def _configs_from_args(args) -> tuple:
         value = getattr(args, dest, None)  # simulate has no --n-ris
         if value is not None:
             overrides[key] = value
-    configs = parse_config(args.config, overrides, preset=args.preset)
+    cfg, geom = parse_config(args.config, overrides, preset=args.preset)
     command = args.scenario if args.command == "simulate" else args.command
     for key in overrides:
         if key in UNREAD_KEYS[command]:
             raise ValueError(f"{key} is not read by {command}; drop it from the command line")
-    return configs
+    if command == "complexity" and "snr_db" in overrides and len(cfg.snr_db) > 1:
+        raise ValueError(f"snr_db must hold one value for complexity, which runs at one SNR, got {cfg.snr_db!r}")
+    return cfg, geom
 
 
 def main(argv=None) -> int:

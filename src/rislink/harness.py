@@ -1,9 +1,9 @@
 """Seeded Monte Carlo experiments over three method arms with CSV output.
 
-A scenario's sweep is built once, as `SweepPoint`s: (cfg, geometry, power
-budget, sweep name, sweep value, SNR). Blockage, link channels and random start
-phases come from counter-based substreams keyed by (seed, scenario, trial,
-site), so results are independent of execution order.
+A scenario's sweep is built once, as `SweepPoint`s from `_sweep_point`: (cfg,
+geometry, power budget, sweep name, sweep value, SNR, link budget). Blockage,
+link channels and random start phases come from counter-based substreams keyed
+by (seed, scenario, trial, site), so results are independent of execution order.
 
 Chunks: `_trial_draws` walks the trials in contiguous chunks, sized by a byte
 budget over each trial's BS->RIS stack and steering vectors (`CHUNK_BYTES`).
@@ -12,19 +12,19 @@ from its own substream exactly as it would be drawn alone, so no value
 depends on the chunk a trial lands in. The generator holds one chunk's
 stacks at a time.
 
-Sharing (common random numbers): every sweep point and method arm of a trial
-is scored from one draw. One blockage uniform serves every point, the two RIS
+Sharing (common random numbers): every sweep point and method arm of a trial is
+scored from one draw. One blockage uniform serves every point, the two RIS
 links and the start phases are drawn once per RIS size, the direct link once
 per blockage state, and each point's link budget (`propagation.link_budget`,
-which also sets its power budget) once per call. The points that see one
-channel in a trial form one group: one RIS size and one `LinkGains` value
-(blockage state and pathloss gains, compared by value), in order of first
-appearance. A group's folded stacks and its start and direct eigenpairs
-are computed once, and each member waterfills only its own budget on them,
-since the eigenpairs do not depend on it. The arms are the full phase/power
-optimization, the random start phases with waterfilling, and a system with the
-reflected path removed. The configs, their presets and their parser are
-defined in `rislink.config`.
+which also sets its power budget) once, when the point is built. The points
+that see one channel in a trial form one group: one RIS size and one
+`LinkGains` value (blockage state and pathloss gains, compared by value), in
+order of first appearance. A group's folded stacks and its start and direct
+eigenpairs are computed once, and each member waterfills only its own budget on
+them, since the eigenpairs do not depend on it. The arms are the full
+phase/power optimization, the random start phases with waterfilling, and a
+system with the reflected path removed. The configs, their presets and their
+parser are defined in `rislink.config`.
 """
 
 import csv
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import flops
 from .channel import FreqChannelSet, synthesize_link, taps_to_subcarriers
-from .config import DISTANCE_D_RIS, GeometryConfig, SystemConfig
+from .config import DISTANCE_D_RIS, GeometryConfig, SystemConfig, require_numbers
 from .config import parse_config, preset_config  # noqa: F401  (the configs' entry points, re-exported here)
 from .pga import pga_optimize
 from .power import channel_eigvals, waterfill_eigenpairs
@@ -76,7 +76,7 @@ CHUNK_BYTES = 2**20
 
 
 class SweepPoint(NamedTuple):
-    """One point of a sweep: its config, geometry and power budget, and the (name, value, SNR) its rows report."""
+    """One point of a sweep: its config, geometry, power and link budgets, and the (name, value, SNR) of its rows."""
 
     cfg: SystemConfig
     geometry: GeometryConfig
@@ -84,6 +84,7 @@ class SweepPoint(NamedTuple):
     sweep_name: str
     sweep_value: float
     snr_db: float
+    link: tuple[float, float, dict[bool, LinkGains]]  # its `propagation.link_budget`
 
 
 @dataclass(frozen=True)
@@ -121,20 +122,27 @@ class ScenarioResult(NamedTuple):
 
 CSV_COLUMNS = ScenarioResult._fields
 
-def total_power_for_snr(cfg: SystemConfig, geom: GeometryConfig, snr_db: float) -> float:
-    """Budget P_t so the dB axis reads as average per-subcarrier received direct SNR.
+def _sweep_point(cfg: SystemConfig, geom: GeometryConfig, sweep_name: str, sweep_value: float,
+                 snr_db: float) -> SweepPoint:
+    """The one builder of a `SweepPoint`: its link budget, evaluated once, and the power budget of `snr_db`.
 
-    P_t = K * 10^(snr/10) / reference gain with unit noise variance. Raises ValueError
-    when `link_budget` refuses the geometry or the budget is not finite and positive.
+    P_t = K * 10^(snr/10) / reference gain with unit noise variance. Raises ValueError when `snr_db` breaks
+    the rule of cfg.snr_db's items, `link_budget` refuses the geometry or the budget is not finite and positive.
     """
-    _, gain, _ = link_budget(geom)
+    require_numbers(SystemConfig, snr_db=(snr_db,))
+    link = link_budget(geom)
     try:
-        power = cfg.n_subcarriers * 10.0 ** (snr_db / 10.0) / gain
+        power = cfg.n_subcarriers * 10.0 ** (snr_db / 10.0) / link[1]
     except OverflowError:
         power = math.inf
     if not (power > 0 and math.isfinite(power)):
         raise ValueError(f"snr_db={snr_db!r} gives a power budget of {power!r}; it must be finite and positive")
-    return power
+    return SweepPoint(cfg, geom, power, sweep_name, sweep_value, snr_db, link)
+
+
+def total_power_for_snr(cfg: SystemConfig, geom: GeometryConfig, snr_db: float) -> float:
+    """Budget P_t so the dB axis reads as average per-subcarrier received direct SNR; see `_sweep_point`."""
+    return _sweep_point(cfg, geom, "snr_db", snr_db, snr_db).budget
 
 
 def _trial_bytes(c: SystemConfig) -> int:
@@ -159,16 +167,16 @@ def _link_response(cfg: SystemConfig, keys: list[tuple], link: int, los: bool = 
     return taps_to_subcarriers(taps, cfg.n_subcarriers)
 
 
-def _trial_draws(pairs: list[tuple[SystemConfig, GeometryConfig]], keys: list[tuple]):
+def _trial_draws(pairs: list[tuple[SystemConfig, tuple]], keys: list[tuple]):
     """Yield the channel groups of each trial at `keys`, in trial order, one chunk of trials at a time.
 
-    `pairs` holds the (cfg, geometry) of each point. A trial's groups are
+    `pairs` holds the (cfg, `link_budget`) of each point. A trial's groups are
     (unfolded channels, pathloss gains, start phases, indices of the points
     that see them); the module docstring gives the chunk and the sharing rule.
     """
     configs = [c for c, _ in pairs]
     ris = {c.n_ris: c for c in configs}  # one config per RIS size, in order of first appearance
-    plos, _, gains = zip(*(link_budget(g) for _, g in pairs))
+    plos, _, gains = zip(*(link for _, link in pairs))
     chunk = _chunk_trials(list(ris.values()))
     for start in range(0, len(keys), chunk):
         chunk_keys = keys[start:start + chunk]
@@ -200,7 +208,7 @@ def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[Fre
     from its own substream, so the RIS links are the same in every blockage
     state and the direct link is the same for every RIS size.
     """
-    [(channels, gains, _, _)] = next(_trial_draws([(cfg, geom)], [key]))
+    [(channels, gains, _, _)] = next(_trial_draws([(cfg, link_budget(geom))], [key]))
     return channels, gains
 
 
@@ -216,7 +224,7 @@ def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> Tria
     shape = len(points), len(keys)
     se = np.empty((len(points), len(arms), len(keys)))
     iterations, gradient_passes, seconds = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int), np.zeros(shape)
-    for t, groups in enumerate(_trial_draws([(p.cfg, p.geometry) for p in points], keys)):
+    for t, groups in enumerate(_trial_draws([(p.cfg, p.link) for p in points], keys)):
         for channels, gains, phi0, members in groups:
             folded = fold_gains(channels, gains)
             direct = folded.h3, *channel_eigvals(folded.h3)
@@ -246,8 +254,7 @@ def run_trial(cfg: SystemConfig, geom: GeometryConfig, arm: str, key: tuple, snr
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}; choose from {ARMS}")
-    point = SweepPoint(cfg, geom, total_power_for_snr(cfg, geom, snr_db), "snr_db", snr_db, snr_db)
-    return _trial_rates([point], [key], (arm,)).se.item()
+    return _trial_rates([_sweep_point(cfg, geom, "snr_db", snr_db, snr_db)], [key], (arm,)).se.item()
 
 
 def sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[SweepPoint]:
@@ -277,7 +284,7 @@ def sweep_points(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list
                   for snr in cfg.snr_db for p in cfg.plos_grid]
     else:  # distance_vs_se
         points = [(cfg, replace(base, d_bs_ue=float(d)), "d_bs_ue", float(d), 5.0) for d in cfg.distance_grid]
-    return [SweepPoint(c, g, total_power_for_snr(c, g, snr), name, value, snr) for c, g, name, value, snr in points]
+    return [_sweep_point(*point) for point in points]
 
 
 def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list[ScenarioResult]:
@@ -319,10 +326,9 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
     and `seed`, whose numeric rule refuses a bad value before any trial runs.
     """
     cfg = replace(cfg, n_ris_list=tuple(n_ris_list), mc_trials=trials, seed=cfg.seed if seed is None else seed)
-    power = total_power_for_snr(cfg, geom, snr_db)
     configs = [cfg.with_n_ris(n_ris) for n_ris in cfg.n_ris_list]
     keys = [(cfg.seed, _COMPLEXITY_SCENARIO_ID, t) for t in range(cfg.mc_trials)]
-    slab = _trial_rates([SweepPoint(c, geom, power, "n_ris", c.n_ris, snr_db) for c in configs], keys, ("pga",))
+    slab = _trial_rates([_sweep_point(c, geom, "n_ris", c.n_ris, snr_db) for c in configs], keys, ("pga",))
     rows = []
     for c, iters, passes, runtimes in zip(configs, slab.iterations, slab.gradient_passes, slab.seconds):
         flop_counts = [flops.pga_run_cost(c.n_subcarriers, c.n_r, c.n_t, c.n_ris, int(p), int(i)).flop_total

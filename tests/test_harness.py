@@ -35,8 +35,8 @@ RECORD_FIELDS = ("iterations", "gradient_passes", "seconds")  # the TrialSlab fi
 
 
 def point_pairs(points):
-    """The (cfg, geometry) pairs `harness._trial_draws` reads from sweep points."""
-    return [(p.cfg, p.geometry) for p in points]
+    """The (cfg, link budget) pairs `harness._trial_draws` reads from sweep points."""
+    return [(p.cfg, p.link) for p in points]
 
 
 def blockage_states(points, key):
@@ -247,7 +247,8 @@ def test_complexity_table_rejects_a_bad_seed_before_any_trial(seed):
     (lambda: SystemConfig(snr_db=5.0), "snr_db"),
     (lambda: parse_config(None, {"n_ris_list": 16}, preset="desk"), "n_ris_list"),
     (lambda: GeometryConfig(d_bs_ue="200"), "d_bs_ue"),
-], ids=["float-for-tuple", "int-override-for-tuple", "str-for-float"])
+    (lambda: run_trial(small_config(), GeometryConfig(), "no_ris", (0, 1, 0), "5"), "snr_db"),
+], ids=["float-for-tuple", "int-override-for-tuple", "str-for-float", "str-for-snr"])
 def test_config_rejects_a_wrongly_typed_value_naming_the_field(build, field):
     with pytest.raises(ValueError, match=f"^{field} must hold"):
         build()
@@ -260,7 +261,11 @@ def test_config_rejects_a_wrongly_typed_value_naming_the_field(build, field):
     (lambda: SystemConfig(mu0=True), "mu0"),
     (lambda: complexity_table(small_config(), GeometryConfig(), [4], True, trials=1, snr_db=0.0), "seed"),
     (lambda: complexity_table(small_config(), GeometryConfig(), [4], trials=True, snr_db=0.0), "mc_trials"),
-], ids=["int-field", "int-tuple-item", "seed", "float-field", "complexity-seed", "complexity-trials"])
+    (lambda: complexity_table(small_config(), GeometryConfig(), [4], trials=1, snr_db=True), "snr_db"),
+    (lambda: run_trial(small_config(), GeometryConfig(), "no_ris", (0, 1, 0), True), "snr_db"),
+    (lambda: total_power_for_snr(small_config(), GeometryConfig(), False), "snr_db"),
+], ids=["int-field", "int-tuple-item", "seed", "float-field", "complexity-seed", "complexity-trials",
+        "complexity-snr", "run-trial-snr", "total-power-snr"])
 @pytest.mark.usefixtures("no_trial")
 def test_config_rejects_a_bool_in_a_numeric_field(build, field):
     # bool is a numbers.Integral, but neither a count nor a real parameter
@@ -418,6 +423,17 @@ def test_cli_refuses_a_key_the_command_does_not_read(tmp_path, capsys, command, 
     assert cli.main([*argv, "--preset", "desk", "--trials", "1", flag, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} is not read by {command}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--snr-db=-5,10", "--set=snr_db=-5,10"])
+@pytest.mark.usefixtures("no_trial")
+def test_cli_complexity_refuses_more_than_one_snr_from_the_command_line(tmp_path, capsys, flag):
+    # complexity runs at one SNR; a config file or preset with several still runs at the first
+    out = tmp_path / "x.csv"
+    assert cli.main(["complexity", "--preset", "desk", "--trials", "1", "--n-ris", "4", flag, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: snr_db") and "(-5.0, 10.0)" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -771,9 +787,8 @@ def test_run_scenario_builds_its_sweep_once(monkeypatch):
     assert built == ["distance_vs_se"]
 
 
-def test_trial_draws_evaluate_pathloss_once_per_point(monkeypatch):
-    cfg, geom = sweep_config(), GeometryConfig()
-    points = harness.sweep_points(cfg, geom, "plos_vs_se")  # budgets read pathloss too; count the draws alone
+def test_each_point_evaluates_pathloss_once_per_run(monkeypatch):
+    # one link budget (a p_los, two direct gains and an indirect gain) per sweep point, however many trials run
     calls = []
 
     def counting(name):
@@ -782,13 +797,22 @@ def test_trial_draws_evaluate_pathloss_once_per_point(monkeypatch):
 
     for name in ("p_los", "direct_gain", "indirect_gain"):
         monkeypatch.setattr(propagation, name, counting(name))
-    counts = []
-    for trials in (1, 4):
+
+    def counts(run):
         calls.clear()
-        list(harness._trial_draws(point_pairs(points), [(cfg.seed, SCENARIOS["plos_vs_se"], t) for t in range(trials)]))
-        counts.append({name: calls.count(name) for name in set(calls)})
-    assert counts[0] == counts[1]
-    assert counts[0]["p_los"] == len(points) and counts[0]["direct_gain"] and counts[0]["indirect_gain"]
+        run()
+        return {name: calls.count(name) for name in set(calls)}
+
+    def budgets(points):
+        return {"p_los": points, "direct_gain": 2 * points, "indirect_gain": points}
+
+    cfg, geom = sweep_config(), GeometryConfig()
+    points = len(cfg.snr_db) * len(cfg.plos_grid)
+    for trials in (1, 4):
+        assert counts(lambda: run_scenario(replace(cfg, mc_trials=trials), geom, "plos_vs_se")) == budgets(points)
+    assert counts(lambda: run_trial(cfg, geom, "pga", (cfg.seed, 1, 0), 0.0)) == budgets(1)
+    sizes = [4, 9, 16]
+    assert counts(lambda: complexity_table(cfg, geom, sizes, trials=2, snr_db=0.0)) == budgets(len(sizes))
 
 
 def test_complexity_table_draws_in_trial_chunks(monkeypatch):

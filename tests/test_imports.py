@@ -87,3 +87,23 @@ def test_harness_reaches_the_pathloss_formulas_only_through_the_link_budget():
               for alias in node.names for bound in (alias.name, alias.asname)}
     assert "link_budget" in names
     assert not names & {"p_los", "direct_gain", "indirect_gain"}
+
+
+def callers(source: str, name: str) -> set[str]:
+    """Top-level functions of `source` that call `name`, bare or as an attribute; `<module>` for a module-level call."""
+    found = set()
+    for node in ast.parse(source).body:
+        scope = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else "<module>"
+        found |= {scope for call in ast.walk(node) if isinstance(call, ast.Call)
+                  and getattr(call.func, "id", getattr(call.func, "attr", None)) == name}
+    return found
+
+
+def test_each_sweep_point_is_built_and_budgeted_in_one_place():
+    assert callers("def f():\n    g(h.link_budget())\nlink_budget()\n", "link_budget") == {"f", "<module>"}
+    harness = (PACKAGE / "harness.py").read_text(encoding="utf-8")
+    assert callers(harness, "SweepPoint") == {"_sweep_point"}
+    assert callers(harness, "link_budget") == {"_sweep_point", "draw_trial"}
+    offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if callers(path.read_text(encoding="utf-8"), "total_power_for_snr")]
+    assert offenders == []
