@@ -3,12 +3,14 @@
 `UraSpec`, `GeometryConfig` and `SystemConfig` are frozen dataclasses, so a
 config is a hashable value and every change goes through `replace`. Each
 numeric field declares its `Range` (`ranged`), and one numeric rule checks
-type, range and tuple length by it, also for kernel arguments that mirror a
-field (`require_numbers`). One annotation walk per class (`_field_types`)
-serves the rule's table, the routing of configuration keys and the item type
-of parsed tuples. `SystemConfig.link` is the one table of which arrays, ray
-counts and taps each link uses. This module imports nothing else from the
-package, so every other module can import it.
+type, range and tuple length by it. It also holds lone values, such as kernel
+arguments, a sweep point's SNR and a RIS size, to the rule of the field they
+mirror or, for a tuple field, to the rule of its items (`require_numbers`).
+One annotation walk per class (`_field_types`) serves the rule's table, the
+routing of configuration keys and the item type of parsed tuples.
+`SystemConfig.link` is the one table of which arrays, ray counts and taps
+each link uses. This module imports nothing else from the package, so every
+other module can import it.
 """
 
 import functools
@@ -85,10 +87,15 @@ def _check(name: str, value, rule: tuple) -> None:
 
 
 def require_numbers(cls, **values) -> None:
-    """Hold loose values, such as `pga_optimize`'s step rule, to the rule of the `cls` fields they are named for."""
+    """Hold loose values, such as `pga_optimize`'s step rule, to the rule of the `cls` fields they are named for.
+
+    Each value is one item: a value named for a tuple field, such as an SNR for `snr_db`, is held to the rule of
+    that field's items, and its refusal names no tuple.
+    """
     table = _numeric_fields(cls)
     for name, value in values.items():
-        _check(name, value, table[name])
+        admits_none, is_int, _, valid = table[name]
+        _check(name, value, (admits_none, is_int, None, valid))
 
 
 def require_valid_numbers(config) -> None:
@@ -239,8 +246,7 @@ class SystemConfig:
         return *links[index], self.n_taps[index - 1]
 
     def with_n_ris(self, n_ris: int) -> "SystemConfig":
-        if not is_integer(n_ris) or n_ris < 1:
-            raise ValueError(f"n_ris must be an integer >= 1, got {n_ris!r}")
+        require_numbers(SystemConfig, n_ris_list=n_ris)
         rows, cols = _square_factorization(n_ris)
         return replace(self, ris_rows=rows, ris_cols=cols)
 

@@ -129,7 +129,7 @@ def _sweep_point(cfg: SystemConfig, geom: GeometryConfig, sweep_name: str, sweep
     P_t = K * 10^(snr/10) / reference gain with unit noise variance. Raises ValueError when `snr_db` breaks
     the rule of cfg.snr_db's items, `link_budget` refuses the geometry or the budget is not finite and positive.
     """
-    require_numbers(SystemConfig, snr_db=(snr_db,))
+    require_numbers(SystemConfig, snr_db=snr_db)
     link = link_budget(geom)
     try:
         power = cfg.n_subcarriers * 10.0 ** (snr_db / 10.0) / link[1]

@@ -91,7 +91,7 @@ def waterfill(eigenvalues, total_power: float) -> tuple[np.ndarray, float]:
     Returns (powers in the input's shape, cutoff).
     """
     lams = np.asarray(eigenvalues, dtype=float)
-    if not (total_power > 0 and math.isfinite(total_power)):
+    if isinstance(total_power, (bool, np.bool_)) or not (total_power > 0 and math.isfinite(total_power)):
         raise ValueError(f"total power budget must be positive and finite, got {total_power!r}")
     flat = lams.reshape(-1)
     active = flat > max(ABS_EIG_FLOOR / total_power, REL_EIG_FLOOR * flat.max(initial=0.0))

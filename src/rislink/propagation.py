@@ -100,8 +100,8 @@ def link_budget(geom: GeometryConfig) -> tuple[float, float, dict[bool, LinkGain
 
 def blockage_state(p: float, u: float) -> bool:
     """LOS (True) when the uniform draw `u` on [0, 1) falls below the LOS probability `p`."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("LOS probability must lie in [0, 1]")
+    if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"LOS probability must lie in [0, 1], got {p!r}")
     return bool(u < p)
 
 

@@ -223,7 +223,7 @@ def test_with_n_ris_factorization():
 
 @pytest.mark.parametrize("n_ris", [0, -4, 2.5, 16.0, True])
 def test_with_n_ris_rejects_a_size_that_is_not_a_positive_integer(n_ris):
-    with pytest.raises(ValueError, match="n_ris must be an integer >= 1"):
+    with pytest.raises(ValueError, match="^n_ris_list must hold integers >= 1"):
         small_config().with_n_ris(n_ris)
 
 
@@ -271,6 +271,15 @@ def test_config_rejects_a_bool_in_a_numeric_field(build, field):
     # bool is a numbers.Integral, but neither a count nor a real parameter
     with pytest.raises(ValueError, match=f"^{field} must"):
         build()
+
+
+@pytest.mark.parametrize("snr_db", [True, "5", None, np.nan, (5.0,), [5.0]])
+@pytest.mark.usefixtures("no_trial")
+def test_a_lone_snr_is_held_to_the_rule_of_one_snr_db_item(snr_db):
+    # a sweep point's SNR is one item of cfg.snr_db: no tuple clause, and a tuple is not one SNR
+    with pytest.raises(ValueError) as refusal:
+        run_trial(small_config(), GeometryConfig(), "no_ris", (0, 1, 0), snr_db)
+    assert str(refusal.value) == f"snr_db must hold finite numbers, got {snr_db!r}"
 
 
 def test_tuple_fields_are_stored_as_tuples():

@@ -7,9 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from rislink import config, propagation
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rislink"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__"))
+RECORDS = {cls.__name__: cls for cls in (config.UraSpec, config.GeometryConfig, config.SystemConfig,
+                                         propagation.LinkGains)}
 
 
 def relative_imports(module: str) -> set[str]:
@@ -106,4 +110,30 @@ def test_each_sweep_point_is_built_and_budgeted_in_one_place():
     assert callers(harness, "link_budget") == {"_sweep_point", "draw_trial"}
     offenders = [path.name for path in sorted(PACKAGE.glob("*.py"))
                  if callers(path.read_text(encoding="utf-8"), "total_power_for_snr")]
+    assert offenders == []
+
+
+def require_numbers_offenses(source: str) -> list[str]:
+    """`require_numbers` calls in `source` that pass a tuple or list literal or name no numeric field of their class."""
+    offenses = []
+    for call in ast.walk(ast.parse(source)):
+        if not (isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None))
+                == "require_numbers"):
+            continue
+        numeric = config._numeric_fields(RECORDS[call.args[0].id])
+        offenses += [f"{call.lineno} {ast.unparse(keyword.value)}" for keyword in call.keywords
+                     if isinstance(keyword.value, (ast.Tuple, ast.List))]
+        offenses += [f"{call.lineno} {keyword.arg}" for keyword in call.keywords if keyword.arg not in numeric]
+    return offenses
+
+
+def test_require_numbers_holds_lone_values_to_numeric_fields():
+    # each value is one item of the field it names, so a literal tuple would only hide a lone value in it
+    assert require_numbers_offenses("require_numbers(SystemConfig, mu0=m, snr_db=s)\n"
+                                    "config.require_numbers(LinkGains, rho_direct=r)\n") == []
+    assert require_numbers_offenses("require_numbers(SystemConfig, snr_db=(s,), n_ris_list=[n])\n"
+                                    "require_numbers(LinkGains, los=l)\nrequire_numbers(SystemConfig, n_ris=n)\n") == [
+        "1 (s,)", "1 [n]", "2 los", "3 n_ris"]
+    offenders = [f"{path.name}:{entry}" for path in sorted(PACKAGE.glob("*.py"))
+                 for entry in require_numbers_offenses(path.read_text(encoding="utf-8"))]
     assert offenders == []

@@ -60,6 +60,15 @@ def test_eigvals_scalar_channel():
     np.testing.assert_allclose(lams, [[abs(h) ** 2 / 0.5]], rtol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigvals_refuse_a_non_finite_gram(bad):
+    # numpy's eigh raises on a Gram that holds a NaN; any faster path to the eigenpairs must keep this refusal
+    heq = crandn(substream(69), 8, 4, 4)
+    heq[3, 1, 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        channel_eigvals(heq)
+
+
 def test_eigvals_match_svd_oracle():
     rng = substream(70)
     sigma2 = 0.9
@@ -176,6 +185,13 @@ def test_waterfill_names_the_budget_and_the_floor_when_no_stream_passes():
 def test_waterfill_rejects_non_finite_budget(budget):
     with pytest.raises(ValueError, match="positive and finite"):
         waterfill(np.array([1.0, 0.5]), budget)
+
+
+@pytest.mark.parametrize("budget", [True, np.True_])
+def test_waterfill_rejects_a_bool_budget(budget):
+    # a bool compares as 1, so without the refusal it would be waterfilled as a unit budget
+    with pytest.raises(ValueError, match=f"^total power budget must be positive and finite, got {budget!r}$"):
+        waterfill(np.array([4.0, 1.0]), budget)
 
 
 def test_waterfill_kkt_and_budget_random():

@@ -6,6 +6,7 @@ import pytest
 from rislink.config import GeometryConfig
 from rislink.propagation import (
     LinkGains,
+    blockage_state,
     direct_gain,
     indirect_gain,
     link_distances,
@@ -141,6 +142,14 @@ def test_sample_blockage():
     assert abs(np.mean(draws) - 0.3) <= 0.01
     with pytest.raises(ValueError):
         sample_blockage(1.5, rng)
+
+
+@pytest.mark.parametrize("p", [True, False, np.True_])
+def test_blockage_refuses_a_bool_los_probability(p):
+    with pytest.raises(ValueError, match=f"^LOS probability must lie in \\[0, 1\\], got {p!r}$"):
+        sample_blockage(p, substream(42))
+    with pytest.raises(ValueError, match="^LOS probability must lie in"):
+        blockage_state(p, 0.3)
 
 
 def test_geometry_validation():
