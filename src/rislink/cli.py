@@ -9,9 +9,10 @@ each override flag that is given. A bad value, a key set by `--set` or a flag
 that the command does not read (`harness.UNREAD_KEYS`; a `--config` file may
 set any key), a command-line `snr_db` of more than one value for `complexity`
 (which runs at one SNR; a file or preset with several runs at the first), a
-geometry whose reference gain is not finite and positive or whose
-reflected-path gain is not finite, an SNR whose power budget is not finite
-and positive, or an unwritable `--out` exits 2 before any trial; a
+geometry with a gain that overflows or that `LinkGains` refuses (a direct
+gain of a blockage state it can draw must be finite and positive, the
+reflected-path gain finite), an SNR whose power budget is not finite and
+positive, or an unwritable `--out` exits 2 before any trial; a
 budget too small to waterfill any stream exits 2 when a trial meets it. Either
 way the error is one `error:` line and nothing is written to `--out`.
 Option values starting with '-' (e.g. SNR grids) need the `--opt=value` form.

@@ -288,7 +288,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     File format: UTF-8 lines of `key = value`, `#` starts a comment; a
     leading byte-order mark is skipped. Keys must name a SystemConfig or
     GeometryConfig field; anything else is an error, which names the file
-    and line.
+    and line. A file that is not UTF-8 is an error that names the file.
     Overrides (already-typed or string values) are applied after the file.
     """
     if preset not in PRESETS:
@@ -306,7 +306,11 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
 
     if path is not None:
         with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, 1):
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            for lineno, line in enumerate(lines, 1):
                 stripped = line.split("#", 1)[0].strip()
                 if not stripped:
                     continue

@@ -20,7 +20,7 @@ from . import flops
 from .channel import FreqChannelSet
 from .power import PowerAllocation, waterfill_covariances
 from .config import SystemConfig, require_numbers
-from .rate import LN2, RisPhases, combine_links, equivalent_channel
+from .rate import LN2, RisPhases, combine_links, equivalent_channel, require_phase_count
 
 MU_FLOOR = 1e-12
 _TINY = np.finfo(float).tiny
@@ -149,9 +149,11 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, mu0: float = S
         if rng is None:
             raise ValueError("rng is required when phi0 is not given")
         phi0 = RisPhases.random(n_ris, rng)
+    require_phase_count(channels, phi0)
 
-    alloc = waterfill_covariances(equivalent_channel(channels, phi0), total_power) if start is None else start
     diag = phi0.diag
+    alloc = waterfill_covariances(combine_links(channels.h1, channels.h2, channels.h3, diag),
+                                  total_power) if start is None else start
 
     trace = [alloc.rate]
     mu = mu0

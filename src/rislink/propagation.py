@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NONNEGATIVE, GeometryConfig, ranged, require_valid_numbers
+from .config import NONNEGATIVE, POSITIVE, GeometryConfig, ranged, require_numbers, require_valid_numbers
 
 
 @dataclass(frozen=True)
 class LinkGains:
     """Linear power gains of the direct and RIS-reflected paths for one trial."""
 
-    rho_direct: float = ranged(NONNEGATIVE)
+    rho_direct: float = ranged(POSITIVE)
     rho_indirect: float = ranged(NONNEGATIVE)
     los: bool
 
@@ -72,30 +72,29 @@ def direct_gain(geom: GeometryConfig, los: bool) -> float:
 def link_budget(geom: GeometryConfig) -> tuple[float, float, dict[bool, LinkGains]]:
     """(LOS probability p, SNR reference gain, blockage state -> `LinkGains`) of one geometry.
 
-    The reference gain is the blockage-averaged direct-path gain p*rho_LOS + (1-p)*rho_NLOS. Raises ValueError,
-    naming the geometry keys that set it, when the reference gain is not finite and positive or the reflected-path
-    gain is not finite (it may underflow to 0). A finite reference gain keeps both direct gains finite.
+    Gains are built for the states the geometry can draw: LOS when p > 0, NLOS when p < 1. The reference gain is
+    their blockage-averaged direct-path gain p*rho_LOS + (1-p)*rho_NLOS. Raises ValueError, naming the state or the
+    reflected path and the geometry keys that set its gain, when `LinkGains` refuses a gain or a gain overflows.
     """
-    def set_by(*keys):
-        return ". It is set by " + ", ".join(f"{key}={getattr(geom, key)!r}" for key in keys)
     p = p_los(geom)
-    try:
-        direct = {los: direct_gain(geom, los) for los in (True, False)}
-        reference = p * direct[True] + (1.0 - p) * direct[False]
-    except OverflowError:
-        reference = np.inf
-    if not (reference > 0 and np.isfinite(reference)):
-        raise ValueError(f"the reference gain is {reference!r}; it must be finite and positive"
-                         + set_by("carrier_freq_hz", "ant_gain_db", "d_ref", "alpha_los", "alpha_nlos", "d_bs_ue",
-                                  "bs_height", "ue_height", "p_los_override"))
+    path, keys = "reflected-path", ("d_ris",)
+    gains, reference = {}, 0.0
     try:
         reflected = indirect_gain(geom)
-    except OverflowError:
-        reflected = np.inf
-    if not np.isfinite(reflected):
-        raise ValueError(f"the reflected-path gain is {reflected!r}; it must be finite"
-                         + set_by("carrier_freq_hz", "ant_gain_db", "d_ris", "d_bs_ue", "bs_height", "ue_height"))
-    return p, reference, {los: LinkGains(rho, reflected, los) for los, rho in direct.items()}
+        require_numbers(LinkGains, rho_indirect=reflected)
+        for los, weight in ((True, p), (False, 1.0 - p)):
+            state = "LOS" if los else "NLOS"
+            path, keys = f"{state} direct-path", ("d_ref", f"alpha_{state.lower()}", "p_los_override")
+            rho = direct_gain(geom, los)
+            if weight > 0:
+                gains[los] = LinkGains(rho, reflected, los)
+                reference += weight * rho
+    except (ValueError, OverflowError) as exc:
+        reason = "it overflows to inf" if isinstance(exc, OverflowError) else exc
+        keys = ("carrier_freq_hz", "ant_gain_db", *keys, "d_bs_ue", "bs_height", "ue_height")
+        raise ValueError(f"the {path} gain is refused: {reason}. It is set by "
+                         + ", ".join(f"{key}={getattr(geom, key)!r}" for key in keys)) from None
+    return p, reference, gains
 
 
 def blockage_state(p: float, u: float) -> bool:

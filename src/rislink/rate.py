@@ -62,15 +62,20 @@ def fold_gains(channels: FreqChannelSet, gains: LinkGains) -> FreqChannelSet:
                           h3=np.sqrt(gains.rho_direct) * channels.h3)
 
 
+def require_phase_count(channels: FreqChannelSet, phi: RisPhases) -> None:
+    """Raise ValueError unless `phi` holds one phase per RIS element of `channels`."""
+    if phi.n_elements != channels.h1.shape[1]:
+        raise ValueError(
+            f"phase count {phi.n_elements} does not match RIS element count {channels.h1.shape[1]}"
+        )
+
+
 def equivalent_channel(channels: FreqChannelSet, phi: RisPhases) -> np.ndarray:
     """The (K, N_r, N_t) equivalent channel of gain-folded link stacks at phases `phi`.
 
     The stacks are used as-is: fold pathloss in with `fold_gains` first.
     """
-    if phi.n_elements != channels.h1.shape[1]:
-        raise ValueError(
-            f"phase count {phi.n_elements} does not match RIS element count {channels.h1.shape[1]}"
-        )
+    require_phase_count(channels, phi)
     return combine_links(channels.h1, channels.h2, channels.h3, phi.diag)
 
 

@@ -108,10 +108,9 @@ def test_numeric_rule_walk_covers_the_declared_ranges():
         POSITIVE: ["UraSpec.spacing_wavelengths", "SystemConfig.spacing_wavelengths", "GeometryConfig.d_bs_ue",
                    "GeometryConfig.bs_height", "GeometryConfig.ue_height", "GeometryConfig.d_ris",
                    "GeometryConfig.carrier_freq_hz", "GeometryConfig.d_ref", "SystemConfig.mu0",
-                   "SystemConfig.epsilon"],
+                   "SystemConfig.epsilon", "LinkGains.rho_direct"],
         NONNEGATIVE: ["SystemConfig.rician_k", "SystemConfig.angular_spread_deg", "GeometryConfig.alpha_los",
-                      "GeometryConfig.alpha_nlos", "SystemConfig.seed", "LinkGains.rho_direct",
-                      "LinkGains.rho_indirect"],
+                      "GeometryConfig.alpha_nlos", "SystemConfig.seed", "LinkGains.rho_indirect"],
         UNIT_INTERVAL: ["GeometryConfig.p_los_override", "SystemConfig.plos_grid"],
         Range(config.DISTANCE_D_RIS, closed=False): ["SystemConfig.distance_grid"],
         Range(-300.0, high=300.0): ["GeometryConfig.ant_gain_db"],

@@ -120,6 +120,16 @@ def test_parse_config_rejects_unknown_and_malformed(tmp_path):
         parse_config(None, overrides={"mc_trials": "0"})
 
 
+def test_cli_names_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    conf = tmp_path / "latin1.cfg"
+    conf.write_bytes(b"seed = 5 \xff\n")
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", "--scenario", "se_vs_snr", "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {conf}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_tuple_fields_round_trip_through_overrides():
     cfg, geom = preset_config("desk")
     hints = {**get_type_hints(SystemConfig), **get_type_hints(GeometryConfig)}
@@ -928,7 +938,7 @@ def test_total_power_for_snr_rejects_a_budget_that_is_not_finite_and_positive():
 ])
 def test_total_power_for_snr_names_a_reference_gain_that_is_not_finite_and_positive(changes):
     cfg, geom = preset_config("desk")
-    with pytest.raises(ValueError, match="^the reference gain is") as refusal:
+    with pytest.raises(ValueError, match="^the (LOS direct|reflected)-path gain is refused") as refusal:
         total_power_for_snr(cfg, replace(geom, **changes), 0.0)
     assert all(f"{key}={value!r}" in str(refusal.value) for key, value in changes.items())
 
@@ -940,7 +950,7 @@ def test_a_reflected_path_gain_that_overflows_is_refused_before_any_trial():
     refusals = []
     for run in (lambda: run_scenario(cfg, geom, "se_vs_snr"), lambda: run_trial(cfg, geom, "pga", (0, 1, 0), 0.0),
                 lambda: complexity_table(cfg, geom, [4], trials=1, snr_db=0.0)):
-        with pytest.raises(ValueError, match="^the reflected-path gain is inf; it must be finite") as refusal:
+        with pytest.raises(ValueError, match="^the reflected-path gain is refused: it overflows to inf") as refusal:
             run()
         refusals.append(str(refusal.value))
     keys = ("carrier_freq_hz", "ant_gain_db", "d_ris", "d_bs_ue", "bs_height", "ue_height")
@@ -950,14 +960,42 @@ def test_a_reflected_path_gain_that_overflows_is_refused_before_any_trial():
 
 
 @pytest.mark.parametrize("changes, refusal", [
-    ({"carrier_freq_hz": 1e-80}, "the reflected-path gain is inf"),  # lam**4 overflows
-    ({"d_ref": 1e5, "alpha_los": 200.0, "p_los_override": 1.0}, "the reference gain is inf"),  # (d_ref/d)^alpha
+    ({"carrier_freq_hz": 1e-80}, "the reflected-path gain is refused: it overflows"),  # lam**4 overflows
+    ({"d_ref": 1e5, "alpha_los": 200.0, "p_los_override": 1.0},
+     "the LOS direct-path gain is refused: it overflows"),  # (d_ref/d)^alpha
 ])
 def test_draw_trial_refuses_a_gain_that_overflows_by_name(changes, refusal):
     cfg, geom = preset_config("desk")
     with pytest.raises(ValueError, match=f"^{refusal}") as raised:
         draw_trial(cfg, replace(geom, **changes), (0, 1, 0))
     assert all(f"{key}={value!r}" in str(raised.value) for key, value in changes.items())
+
+
+def test_cli_refuses_a_drawable_state_whose_gain_underflows_before_any_channel(tmp_path, capsys, monkeypatch):
+    # the NLOS gain underflows to 0 while the blockage-averaged reference gain stays positive
+    def synthesize_link(*args, **kwargs):
+        raise AssertionError("a channel was drawn")
+
+    monkeypatch.setattr(harness, "synthesize_link", synthesize_link)
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", "--scenario", "se_vs_snr", "--preset", "desk", "--set", "alpha_nlos=400",
+                     "--trials", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the NLOS direct-path gain is refused: ") and "got 0.0" in err
+    keys = ("carrier_freq_hz", "ant_gain_db", "d_ref", "alpha_nlos=400", "d_bs_ue", "bs_height", "ue_height")
+    assert all(key in err for key in keys)
+    assert not out.exists()
+
+
+def test_a_state_the_geometry_cannot_draw_is_not_held_to_the_gain_rule():
+    cfg, geom = preset_config("desk")
+    dead_nlos = replace(geom, p_los_override=1.0, alpha_nlos=400.0)
+    p, reference, gains = link_budget(dead_nlos)
+    assert (p, set(gains)) == (1.0, {True}) and reference == gains[True].rho_direct
+    channels, drawn = draw_trial(cfg, dead_nlos, (0, 1, 0))
+    live_channels, live = draw_trial(cfg, replace(geom, p_los_override=1.0), (0, 1, 0))
+    assert drawn == live and drawn.los
+    np.testing.assert_array_equal(channels.h3, live_channels.h3)
 
 
 # simulate checks every sweep point's budget, complexity the first SNR's, the one it runs at

@@ -113,6 +113,13 @@ def test_each_sweep_point_is_built_and_budgeted_in_one_place():
     assert offenders == []
 
 
+def test_link_gains_are_built_only_by_the_link_budget():
+    # the one place where gains meet their rule, so every gain a trial folds has kept it
+    builders = {path.stem: found for path in sorted(PACKAGE.glob("*.py"))
+                if (found := callers(path.read_text(encoding="utf-8"), "LinkGains"))}
+    assert builders == {"propagation": {"link_budget"}}
+
+
 def require_numbers_offenses(source: str) -> list[str]:
     """`require_numbers` calls in `source` that pass a tuple or list literal or name no numeric field of their class."""
     offenses = []

@@ -220,6 +220,41 @@ def test_pga_from_a_given_start_allocation_is_the_same_run():
         pga_optimize(ch, 8.0, rng=rng, start=start)
 
 
+@pytest.mark.parametrize("given", [False, True], ids=["built", "given"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_pga_refuses_start_phases_of_the_wrong_count_on_either_path(count, given):
+    # unchecked, a given start broadcasts one phase over the RIS or fails inside numpy
+    ch, _, phi = random_instance(substream(97), n_ris=4)
+    start = waterfill_covariances(equivalent_channel(ch, phi), 8.0) if given else None
+    with pytest.raises(ValueError, match=f"^phase count {count} does not match RIS element count 4$"):
+        pga_optimize(ch, 8.0, phi0=RisPhases.random(count, substream(98)), start=start)
+
+
+def test_pga_calls_each_kernel_once_per_pass(monkeypatch):
+    # one gradient per pass and one waterfill per step, plus the start's waterfill when no start is given
+    cfg, geom = preset_config("desk")
+    geom = replace(geom, bs_height=10.0, d_ris=2.2)
+    channels, gains = draw_trial(cfg, geom, (0, 99, 0))
+    folded, power = fold_gains(channels, gains), total_power_for_snr(cfg, geom, 10.0)
+    phi0 = RisPhases.random(cfg.n_ris, substream(0, 99, 0, 1))
+    calls = {}
+
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in ("gradient_phi", "waterfill_covariances"):
+        monkeypatch.setattr(pga, name, counted(name, getattr(pga, name)))
+    for start in (waterfill_covariances(equivalent_channel(folded, phi0), power), None):
+        calls.clear()
+        result = pga_optimize(folded, power, phi0=phi0, start=start)
+        assert result.iterations > 1
+        assert calls == {"gradient_phi": result.gradient_passes,
+                         "waterfill_covariances": result.iterations + (start is None)}
+
+
 @pytest.mark.parametrize("mu0, epsilon", [(0.0, 1e-3), (-0.1, 1e-3), (np.nan, 1e-3), (np.inf, 1e-3),
                                           (0.1, 0.0), (0.1, np.nan), (0.1, np.inf)])
 def test_pga_rejects_non_positive_or_nan_step_and_tolerance(mu0, epsilon):

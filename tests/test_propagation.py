@@ -172,9 +172,10 @@ def test_link_gains_validation():
         LinkGains(rho_direct=-1.0, rho_indirect=0.0, los=True)
     with pytest.raises(ValueError):
         LinkGains(rho_direct=1.0, rho_indirect=np.inf, los=True)
-    LinkGains(rho_direct=0.0, rho_indirect=0.0, los=False)
+    with pytest.raises(ValueError):
+        LinkGains(rho_direct=0.0, rho_indirect=0.0, los=False)
 
 
 def test_link_gains_reject_a_bool_gain_naming_it():
-    with pytest.raises(ValueError, match="^rho_direct must hold finite numbers >= 0, got True"):
+    with pytest.raises(ValueError, match="^rho_direct must hold finite numbers > 0, got True"):
         LinkGains(True, 0.0, True)
