@@ -5,12 +5,18 @@ geometry, power budget, sweep name, sweep value, SNR, link budget). Blockage,
 link channels and random start phases come from counter-based substreams keyed
 by (seed, scenario, trial, site), so results are independent of execution order.
 
-Chunks: `_trial_draws` walks the trials in contiguous chunks, sized by a byte
+Chunks: `_trial_rates` walks the trials in contiguous chunks, sized by a byte
 budget over each trial's BS->RIS stack and steering vectors (`CHUNK_BYTES`).
-Each link is synthesized in one batched pass over a chunk's trials, each trial
-from its own substream exactly as it would be drawn alone, so no value
-depends on the chunk a trial lands in. The generator holds one chunk's
-stacks at a time.
+`_trial_draws` synthesizes each link in one batched pass over a chunk's
+trials, each trial from its own substream exactly as it would be drawn alone,
+so no value depends on the chunk a trial lands in. `_trial_rates` then scores
+the chunk in one batched pass: it folds each group, decomposes every
+(K, N_r, N_t) start and direct channel of the chunk in one `channel_eigvals`
+call, and waterfills every (member, arm) row in one `waterfill` call, one
+budget per row, each row with the bits of a lone call. The optimizer then
+runs once per member, from that member's start row. One chunk's draws are
+held at a time; a group is folded again, with the same bits, for its
+optimizer runs, so that only one group's folded stacks are held at a time.
 
 Sharing (common random numbers): every sweep point and method arm of a trial is
 scored from one draw. One blockage uniform serves every point, the two RIS
@@ -19,9 +25,10 @@ per blockage state, and each point's link budget (`propagation.link_budget`,
 which also sets its power budget) once, when the point is built. The points
 that see one channel in a trial form one group: one RIS size and one
 `LinkGains` value (blockage state and pathloss gains, compared by value), in
-order of first appearance. A group's folded stacks and its start and direct
-eigenpairs are computed once, and each member waterfills only its own budget on
-them, since the eigenpairs do not depend on it. The arms are the full
+order of first appearance. A group's start eigenpairs are computed once, its
+direct eigenpairs once per (trial, blockage state, direct gain), which groups
+of different RIS sizes share, and each member waterfills only its own budget
+on them, since the eigenpairs do not depend on it. The arms are the full
 phase/power optimization, the random start phases with waterfilling, and a
 system with the reflected path removed. The configs, their presets and their
 parser are defined in `rislink.config`.
@@ -41,7 +48,7 @@ from .channel import FreqChannelSet, synthesize_link, taps_to_subcarriers
 from .config import DISTANCE_D_RIS, GeometryConfig, SystemConfig, require_numbers
 from .config import parse_config, preset_config  # noqa: F401  (the configs' entry points, re-exported here)
 from .pga import pga_optimize
-from .power import channel_eigvals, waterfill_eigenpairs
+from .power import PowerAllocation, channel_eigvals, stream_rate, waterfill
 from .propagation import LinkGains, blockage_state, link_budget, link_distances
 from .rate import RisPhases, equivalent_channel, fold_gains
 from .rng import SITE_BLOCKAGE, SITE_LINK, SITE_PHASES, substream
@@ -167,8 +174,8 @@ def _link_response(cfg: SystemConfig, keys: list[tuple], link: int, los: bool = 
     return taps_to_subcarriers(taps, cfg.n_subcarriers)
 
 
-def _trial_draws(pairs: list[tuple[SystemConfig, tuple]], keys: list[tuple]):
-    """Yield the channel groups of each trial at `keys`, in trial order, one chunk of trials at a time.
+def _trial_draws(pairs: list[tuple[SystemConfig, tuple]], keys: list[tuple]) -> list[list[tuple]]:
+    """The channel groups of each trial at `keys`, in trial order, each link drawn in one batched pass.
 
     `pairs` holds the (cfg, `link_budget`) of each point. A trial's groups are
     (unfolded channels, pathloss gains, start phases, indices of the points
@@ -177,28 +184,27 @@ def _trial_draws(pairs: list[tuple[SystemConfig, tuple]], keys: list[tuple]):
     configs = [c for c, _ in pairs]
     ris = {c.n_ris: c for c in configs}  # one config per RIS size, in order of first appearance
     plos, _, gains = zip(*(link for _, link in pairs))
-    chunk = _chunk_trials(list(ris.values()))
-    for start in range(0, len(keys), chunk):
-        chunk_keys = keys[start:start + chunk]
-        states = [[blockage_state(p, u) for p in plos]
-                  for u in (substream(*key, SITE_BLOCKAGE).uniform() for key in chunk_keys)]
-        # RIS size -> the chunk's BS->RIS and RIS->UE stacks and start phases
-        h1, h2 = ({n: _link_response(c, chunk_keys, link) for n, c in ris.items()} for link in (1, 2))
-        phases = {n: [RisPhases.random(n, substream(*key, SITE_PHASES)) for key in chunk_keys] for n in ris}
-        # Link 3 may come from configs[0]: every caller builds its points from
-        # one config, varied at most in RIS size, so they share the link-3 arrays.
-        direct = {}  # (trial, blockage state) -> that trial's link-3 stack
-        for los in (True, False):
-            trials = [t for t, row in enumerate(states) if los in row]
-            if trials:
-                h3 = _link_response(configs[0], [chunk_keys[t] for t in trials], 3, los)
-                direct.update(zip([(t, los) for t in trials], h3))
-        for t, row in enumerate(states):
-            groups = {}  # (RIS size, pathloss gains) -> member indices
-            for i, (c, point_gains, los) in enumerate(zip(configs, gains, row)):
-                groups.setdefault((c.n_ris, point_gains[los]), []).append(i)
-            yield [(FreqChannelSet(h1[n][t], h2[n][t], direct[t, g.los]), g, phases[n][t], members)
-                   for (n, g), members in groups.items()]
+    states = [[blockage_state(p, u) for p in plos]
+              for u in (substream(*key, SITE_BLOCKAGE).uniform() for key in keys)]
+    # RIS size -> the trials' BS->RIS and RIS->UE stacks and start phases
+    h1, h2 = ({n: _link_response(c, keys, link) for n, c in ris.items()} for link in (1, 2))
+    phases = {n: [RisPhases.random(n, substream(*key, SITE_PHASES)) for key in keys] for n in ris}
+    # Link 3 may come from configs[0]: every caller builds its points from
+    # one config, varied at most in RIS size, so they share the link-3 arrays.
+    direct = {}  # (trial, blockage state) -> that trial's link-3 stack
+    for los in (True, False):
+        trials = [t for t, row in enumerate(states) if los in row]
+        if trials:
+            h3 = _link_response(configs[0], [keys[t] for t in trials], 3, los)
+            direct.update(zip([(t, los) for t in trials], h3))
+    draws = []
+    for t, row in enumerate(states):
+        groups = {}  # (RIS size, pathloss gains) -> member indices
+        for i, (c, point_gains, los) in enumerate(zip(configs, gains, row)):
+            groups.setdefault((c.n_ris, point_gains[los]), []).append(i)
+        draws.append([(FreqChannelSet(h1[n][t], h2[n][t], direct[t, g.los]), g, phases[n][t], members)
+                      for (n, g), members in groups.items()])
+    return draws
 
 
 def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[FreqChannelSet, LinkGains]:
@@ -208,40 +214,65 @@ def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[Fre
     from its own substream, so the RIS links are the same in every blockage
     state and the direct link is the same for every RIS size.
     """
-    [(channels, gains, _, _)] = next(_trial_draws([(cfg, link_budget(geom))], [key]))
+    [[(channels, gains, _, _)]] = _trial_draws([(cfg, link_budget(geom))], [key])
     return channels, gains
 
 
 def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> TrialSlab:
     """Spectral efficiency and `pga` run records of the trials at `keys` at each sweep point.
 
-    One loop over the trials, their channel groups and the groups' members,
-    sharing the algebra as the module docstring states. Each member scores its
-    own budget: the waterfill on the start pairs is `random_phases` and, only
-    when `arms` holds `pga`, the optimizer's start; the one on the direct
-    pairs is `no_ris`. A lone point (`run_trial`) computes the same bits.
+    Two passes per chunk of `_trial_draws`, sharing the algebra as the
+    module docstring states: the first scores the baseline arms in one
+    batched decomposition and waterfill, the second runs the optimizer. Each
+    member scores its own budget: the waterfill on its group's start pairs
+    is `random_phases` and, only when `arms` holds `pga`, the optimizer's
+    start; the one on its direct pairs is `no_ris`. A lone point
+    (`run_trial`) computes the same bits.
     """
     shape = len(points), len(keys)
     se = np.empty((len(points), len(arms), len(keys)))
     iterations, gradient_passes, seconds = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int), np.zeros(shape)
-    for t, groups in enumerate(_trial_draws([(p.cfg, p.link) for p in points], keys)):
-        for channels, gains, phi0, members in groups:
-            folded = fold_gains(channels, gains)
-            direct = folded.h3, *channel_eigvals(folded.h3)
-            heq = equivalent_channel(folded, phi0)
-            start = heq, *channel_eigvals(heq)
+    pairs = [(p.cfg, p.link) for p in points]
+    chunk = _chunk_trials([p.cfg for p in points])
+    for first in range(0, len(keys), chunk):
+        groups = [(t, draw, gains, phi0, members)
+                  for t, trial in enumerate(_trial_draws(pairs, keys[first:first + chunk]), first)
+                  for draw, gains, phi0, members in trial]
+        # the scoring pass and the optimizer pass each fold the groups as they read them, with the same bits,
+        # so that neither holds more than one group's folded stacks
+        folded_groups = lambda: ((t, fold_gains(draw, gains), gains, phi0, members)  # noqa: E731
+                                 for t, draw, gains, phi0, members in groups)
+        channels, direct_slots = [], {}  # the chunk's (K, N_r, N_t) channels to decompose; direct key -> slot
+        start_rows, direct_rows, budgets = [], [], []  # one entry per member
+        for t, folded, gains, phi0, members in folded_groups():
+            start_rows += [len(channels)] * len(members)
+            channels.append(equivalent_channel(folded, phi0))
+            direct = direct_slots.setdefault((t, gains.los, gains.rho_direct), len(channels))
+            if direct == len(channels):
+                channels.append(folded.h3)
+            direct_rows += [direct] * len(members)
+            budgets += [points[i].budget for i in members]
+        del folded  # the last group's, which the optimizer pass folds again
+        lam, w = channel_eigvals(np.stack(channels))
+        row_lam = lam[start_rows + direct_rows]  # each member's start row, then each member's direct row
+        powers, _ = waterfill(row_lam, budgets * 2)
+        rate = stream_rate(row_lam, powers)
+
+        m = 0  # the member's row
+        for t, folded, _, phi0, members in folded_groups():
             for i in members:
-                cfg, budget = points[i].cfg, points[i].budget
-                alloc = waterfill_eigenpairs(*start, budget)
-                rates = {"random_phases": alloc.rate, "no_ris": waterfill_eigenpairs(*direct, budget).rate}
+                rates = {"random_phases": rate[m], "no_ris": rate[len(budgets) + m]}
                 if "pga" in arms:
+                    s, cfg = start_rows[m], points[i].cfg
+                    start = PowerAllocation(heq=channels[s], lam=lam[s], w=w[s], p=powers[m], rate=float(rate[m]))
                     t0 = time.perf_counter()
-                    result = pga_optimize(folded, budget, mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
-                                          phi0=phi0, start=alloc)
+                    result = pga_optimize(folded, budgets[m], mu0=cfg.mu0, epsilon=cfg.epsilon,
+                                          max_iter=cfg.max_iter, phi0=phi0, start=start)
                     seconds[i, t] = time.perf_counter() - t0
                     iterations[i, t], gradient_passes[i, t] = result.iterations, result.gradient_passes
                     rates["pga"] = result.rate
                 se[i, :, t] = [rates[arm] for arm in arms]
+                m += 1
     return TrialSlab(se=se, iterations=iterations, gradient_passes=gradient_passes, seconds=seconds)
 
 
@@ -291,7 +322,7 @@ def run_scenario(cfg: SystemConfig, geom: GeometryConfig, scenario: str) -> list
     """Run one experiment scenario and return one result row per (sweep point, arm).
 
     The sweep comes from one `sweep_points` call, so its checks run before any
-    trial. Trials run outermost, in `_trial_draws`' chunks; each trial's draws
+    trial. Trials run outermost, in `_trial_rates`' chunks; each trial's draws
     are shared by every sweep point and arm.
     """
     points = sweep_points(cfg, geom, scenario)

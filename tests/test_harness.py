@@ -678,25 +678,29 @@ def test_harness_reads_points_and_slabs_by_name():
     assert positional_reads("h1[n][t], se[i, :, t], keys[a:a + n], f(x).se.item()") == []
 
 
-def test_trial_decomposes_each_distinct_channel_once(monkeypatch):
-    # one plos_vs_se chunk: the start and the direct channel once per (trial, blockage state), plus one
-    # decomposition per optimizer candidate, whichever module makes the call
+@pytest.mark.parametrize("scenario", ["plos_vs_se", "se_vs_snr"])
+def test_trial_decomposes_each_distinct_channel_once(monkeypatch, scenario):
+    # one chunk: each group's start channel once, the direct channel once per (trial, blockage state, direct gain),
+    # plus one decomposition per optimizer candidate, counted per (K, N_r, N_t) slice whichever module makes the call
     cfg, geom = preset_config("desk")
-    points = harness.sweep_points(cfg, geom, "plos_vs_se")
-    keys = [(cfg.seed, SCENARIOS["plos_vs_se"], t) for t in range(3)]
-    assert len(keys) <= harness._chunk_trials([p.cfg for p in points])
-    expected = {}  # (trial, blockage state) -> (start channel, direct channel)
+    points = harness.sweep_points(cfg, geom, scenario)
+    keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(min(3, harness._chunk_trials([p.cfg for p in points])))]
+    starts, directs = {}, {}  # (trial, RIS size, gains) -> start channel, (trial, state, direct gain) -> direct channel
     for t, groups in enumerate(harness._trial_draws(point_pairs(points), keys)):
         for channels, gains, phi0, _ in groups:
             folded = fold_gains(channels, gains)
-            expected[t, gains.los] = (equivalent_channel(folded, phi0), folded.h3)
-    assert len(expected) > len(keys)  # some trial sees both blockage states
+            starts[t, phi0.n_elements, gains] = equivalent_channel(folded, phi0)
+            directs[t, gains.los, gains.rho_direct] = folded.h3
+    if scenario == "plos_vs_se":  # some trial sees both blockage states
+        assert len(directs) > len(keys)
+    else:  # the two RIS sizes of a trial share its direct channel
+        assert len(starts) == 2 * len(directs)
 
     decomposed, iterations = [], []
     eigvals, optimize = power.channel_eigvals, harness.pga_optimize
     for module in (power, harness):
-        monkeypatch.setattr(module, "channel_eigvals", lambda heq, noise_var=1.0: decomposed.append(heq)
-                            or eigvals(heq, noise_var), raising=False)
+        monkeypatch.setattr(module, "channel_eigvals", lambda heq, noise_var=1.0: decomposed.extend(
+            heq.reshape(-1, *heq.shape[-3:])) or eigvals(heq, noise_var), raising=False)
 
     def counting_optimize(*args, **kwargs):
         result = optimize(*args, **kwargs)
@@ -706,10 +710,25 @@ def test_trial_decomposes_each_distinct_channel_once(monkeypatch):
     monkeypatch.setattr(harness, "pga_optimize", counting_optimize)
     harness._trial_rates(points, keys)
     assert len(iterations) == len(points) * len(keys)
-    assert len(decomposed) == 2 * len(expected) + sum(iterations)
-    for start, direct in expected.values():
-        assert sum(np.array_equal(heq, start) for heq in decomposed) == 1
-        assert sum(np.array_equal(heq, direct) for heq in decomposed) == 1
+    assert len(decomposed) == len(starts) + len(directs) + sum(iterations)
+    for heq in (*starts.values(), *directs.values()):
+        assert sum(np.array_equal(slice_, heq) for slice_ in decomposed) == 1
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_baseline_arms_decompose_and_waterfill_once_per_chunk(monkeypatch, scenario):
+    # every start and direct channel of a chunk in one channel_eigvals call, every (member, arm) row in one waterfill
+    cfg, geom = replace(sweep_config(), mc_trials=5), GeometryConfig()
+    points = harness.sweep_points(cfg, geom, scenario)
+    keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * per_trial_bytes(points))  # chunks [0, 1], [2, 3] and [4]
+    calls = []
+    eigvals, fill = power.channel_eigvals, power.waterfill
+    for module in (power, harness):  # whichever module makes the call
+        monkeypatch.setattr(module, "channel_eigvals", lambda *args: calls.append("channel_eigvals") or eigvals(*args))
+        monkeypatch.setattr(module, "waterfill", lambda *args: calls.append("waterfill") or fill(*args))
+    harness._trial_rates(points, keys, ("random_phases", "no_ris"))
+    assert calls == ["channel_eigvals", "waterfill"] * 3
 
 
 @pytest.mark.parametrize("scenario, changes", [*((s, {}) for s in sorted(SCENARIOS)),

@@ -6,6 +6,7 @@ from rislink.power import (
     REL_EIG_FLOOR,
     build_covariances,
     channel_eigvals,
+    stream_rate,
     waterfill,
     waterfill_covariances,
     waterfill_eigenpairs,
@@ -67,6 +68,16 @@ def test_eigvals_refuse_a_non_finite_gram(bad):
     heq[3, 1, 2] = bad
     with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         channel_eigvals(heq)
+
+
+def test_eigvals_of_a_stack_equal_those_of_each_slice():
+    # leading axes broadcast: an (R, K, N_r, N_t) stack gets each slice's lone bits
+    heq = crandn(substream(70), 6, 8, 4, 16)
+    lam, w = channel_eigvals(heq, 0.7)
+    assert lam.shape == (6, 8, 4) and w.shape == (6, 8, 4, 4)
+    for r in range(len(heq)):
+        alone_lam, alone_w = channel_eigvals(heq[r], 0.7)
+        assert np.array_equal(lam[r], alone_lam) and np.array_equal(w[r], alone_w)
 
 
 def test_eigvals_match_svd_oracle():
@@ -192,6 +203,67 @@ def test_waterfill_rejects_a_bool_budget(budget):
     # a bool compares as 1, so without the refusal it would be waterfilled as a unit budget
     with pytest.raises(ValueError, match=f"^total power budget must be positive and finite, got {budget!r}$"):
         waterfill(np.array([4.0, 1.0]), budget)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rows", [False, True], ids=["one-budget", "row-budgets"])
+def test_waterfill_refuses_a_non_finite_eigenvalue_by_name(bad, rows):
+    # a NaN would count as an inactive stream and an inf would be blamed on the budget
+    lam = np.array([[4.0, 1.0], [bad, 1.0]])
+    with pytest.raises(ValueError, match=f"^eigenvalues must be finite, got {bad!r}$"):
+        waterfill(lam, [1.0, 1.0] if rows else 1.0)
+
+
+def test_waterfill_gives_a_negative_eigenvalue_no_power():
+    p, cutoff = waterfill(np.array([-1.0, 1.0]), 1.0)
+    assert p.tolist() == [0.0, 1.0] and cutoff == 0.5
+
+
+def test_waterfill_scores_one_budget_per_row_as_lone_calls():
+    lam = np.array([[[4.0, 1.0]], [[4.0, 1.0]], [[1e-10, 5e-11]]])
+    budgets = np.array([1.0, 30.0, 1e6])
+    p, cutoff = waterfill(lam, budgets)
+    assert p.shape == lam.shape and cutoff.shape == budgets.shape
+    for r, budget in enumerate(budgets.tolist()):
+        alone, alone_cutoff = waterfill(lam[r], budget)
+        assert np.array_equal(p[r], alone) and cutoff[r] == alone_cutoff
+    assert np.array_equal(waterfill(lam, budgets.tolist())[0], p)  # a list of budgets is read the same way
+    # a 0-d budget is one budget
+    assert np.array_equal(waterfill(lam[0], np.array(1.0))[0], waterfill(lam[0], 1.0)[0])
+
+
+@pytest.mark.parametrize("budgets, message", [
+    ([1.0, 0.0], "total power budget of row 1 must be positive and finite, got 0.0"),
+    (np.array([np.inf, 1.0]), "total power budget of row 0 must be positive and finite, got inf"),
+    ([1.0, float("nan")], "total power budget of row 1 must be positive and finite, got nan"),
+    ([2.0, True], "total power budget of row 1 must be positive and finite, got True"),
+    (np.array([True, True]), "total power budget of row 0 must be positive and finite, got True"),
+    (np.array(True), "total power budget must be positive and finite, got True"),
+    ([1.0, 2.0, 3.0], r"3 budgets for 2 rows of eigenvalues of shape \(2, 2\): give one budget per row"),
+    ([[1.0, 2.0]], r"row budgets must form a 1-D sequence, got shape \(1, 2\)"),
+], ids=["zero", "inf", "nan", "bool-in-list", "bool-array", "bool-0d", "count", "2-d"])
+def test_waterfill_refuses_a_bad_row_budget_by_name(budgets, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        waterfill(np.array([[4.0, 1.0], [2.0, 1.0]]), budgets)
+
+
+def test_waterfill_names_the_budget_and_the_floor_when_no_stream_of_a_row_passes():
+    with pytest.raises(ValueError, match=r"^no stream can be waterfilled: the largest eigenvalue times the "
+                                         r"power budget 1e-06 is 1e-16, at or below the floor ABS_EIG_FLOOR=1e-15"):
+        waterfill(np.array([[4.0, 1.0], [1e-10, 5e-11]]), [1.0, 1e-6])
+
+
+def test_stream_rate_rates_each_row_as_a_lone_allocation():
+    rng = substream(121)
+    heq = crandn(rng, 5, 3, 2, 4)
+    lam, w = channel_eigvals(heq)
+    budgets = [0.1, 2.0, 2.0, 300.0, 5.0]
+    p, _ = waterfill(lam, budgets)
+    rates = stream_rate(lam, p)
+    assert rates.shape == (5,)
+    for r, budget in enumerate(budgets):
+        alone = waterfill_eigenpairs(heq[r], lam[r], w[r], budget)
+        assert np.array_equal(p[r], alone.p) and rates[r] == alone.rate
 
 
 def test_waterfill_kkt_and_budget_random():

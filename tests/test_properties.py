@@ -17,7 +17,14 @@ from rislink import harness  # noqa: E402
 from rislink.channel import FreqChannelSet  # noqa: E402
 from rislink.config import GeometryConfig, SystemConfig  # noqa: E402
 from rislink.pga import gradient_phi, project_unit_modulus  # noqa: E402
-from rislink.power import ABS_EIG_FLOOR, REL_EIG_FLOOR, waterfill, waterfill_covariances  # noqa: E402
+from rislink.power import (  # noqa: E402
+    ABS_EIG_FLOOR,
+    REL_EIG_FLOOR,
+    stream_rate,
+    waterfill,
+    waterfill_covariances,
+    waterfill_eigenpairs,
+)
 from rislink.rate import RisPhases, combine_links, equivalent_channel, rate_from_heq  # noqa: E402
 from rislink.rng import substream  # noqa: E402
 
@@ -47,6 +54,29 @@ def test_waterfill_kkt_and_budget(lam, total_power):
     np.testing.assert_allclose(p[on] + 1.0 / lam[on], level, rtol=0, atol=tol)
     off = ~on & (lam > floor)
     assert np.all(1.0 / lam[off] >= level - tol)
+
+
+# a few values, so rows hold ties, and exact zeros
+tied_or_zero = st.one_of(st.just(0.0), st.sampled_from([0.25, 1.0, 3.0]), st.floats(1e-6, 1e6))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), rows=st.integers(1, 5), k=st.integers(1, 4), n_s=st.integers(1, 4))
+def test_row_budgets_waterfill_each_row_as_a_lone_call(data, rows, k, n_s):
+    lam = data.draw(arrays(float, (rows, k, n_s), elements=tied_or_zero))
+    budgets = data.draw(arrays(float, rows, elements=st.floats(1e-3, 1e4)))
+    for r in range(rows):  # streams exactly at either floor, which get no power
+        top = lam[r].max()
+        at_floor = data.draw(st.sampled_from([None, ABS_EIG_FLOOR / budgets[r], REL_EIG_FLOOR * top]))
+        if at_floor is not None:
+            lam[r].flat[data.draw(st.integers(0, k * n_s - 1))] = at_floor
+        hypothesis.assume(lam[r].max() > max(ABS_EIG_FLOOR / budgets[r], REL_EIG_FLOOR * lam[r].max()))
+    p, cutoff = waterfill(lam, budgets)
+    rates = stream_rate(lam, p)
+    for r in range(rows):
+        alone_p, alone_cutoff = waterfill(lam[r], budgets[r])
+        assert np.array_equal(p[r], alone_p) and cutoff[r] == alone_cutoff
+        assert rates[r] == waterfill_eigenpairs(np.zeros((k, 1, 1)), lam[r], np.zeros((k, 1, n_s)), budgets[r]).rate
 
 
 def crandn(rng, *shape):
