@@ -10,13 +10,17 @@ budget over each trial's BS->RIS stack and steering vectors (`CHUNK_BYTES`).
 `_trial_draws` synthesizes each link in one batched pass over a chunk's
 trials, each trial from its own substream exactly as it would be drawn alone,
 so no value depends on the chunk a trial lands in. `_trial_rates` then scores
-the chunk in one batched pass: it folds each group, decomposes every
-(K, N_r, N_t) start and direct channel of the chunk in one `channel_eigvals`
-call, and waterfills every (member, arm) row in one `waterfill` call, one
-budget per row, each row with the bits of a lone call. The optimizer then
-runs once per member, from that member's start row. One chunk's draws are
-held at a time; a group is folded again, with the same bits, for its
-optimizer runs, so that only one group's folded stacks are held at a time.
+the chunk in batched passes. The scoring pass folds each group, decomposes
+the (K, N_r, N_t) start and direct channels of the chunk that its arms read
+in one `channel_eigvals` call, and waterfills every (member, arm) row in one
+`waterfill` call, one budget per row, each row with the bits of a lone call.
+With the `pga` arm, the first-step pass takes every member's first ascent
+step: one `pga.ascent_step` per group on its members' stacked start
+allocations, then one `channel_eigvals` and one row-wise `waterfill` call for
+every candidate of the chunk. The optimizer then runs once per member, from
+its start row and its first step. One chunk's draws are held at a time; each
+pass folds a group again, with the same bits, so that only one group's
+folded stacks are held at a time.
 
 Sharing (common random numbers): every sweep point and method arm of a trial is
 scored from one draw. One blockage uniform serves every point, the two RIS
@@ -28,7 +32,9 @@ that see one channel in a trial form one group: one RIS size and one
 order of first appearance. A group's start eigenpairs are computed once, its
 direct eigenpairs once per (trial, blockage state, direct gain), which groups
 of different RIS sizes share, and each member waterfills only its own budget
-on them, since the eigenpairs do not depend on it. The arms are the full
+on them, since the eigenpairs do not depend on it. Its members' first
+gradients come from one `gradient_phi` call on those start eigenpairs, one
+power row per member. The arms are the full
 phase/power optimization, the random start phases with waterfilling, and a
 system with the reflected path removed. The configs, their presets and their
 parser are defined in `rislink.config`.
@@ -47,7 +53,7 @@ from . import flops
 from .channel import FreqChannelSet, synthesize_link, taps_to_subcarriers
 from .config import DISTANCE_D_RIS, GeometryConfig, SystemConfig, require_numbers
 from .config import parse_config, preset_config  # noqa: F401  (the configs' entry points, re-exported here)
-from .pga import pga_optimize
+from .pga import FirstStep, ascent_step, pga_optimize
 from .power import PowerAllocation, channel_eigvals, stream_rate, waterfill
 from .propagation import LinkGains, blockage_state, link_budget, link_distances
 from .rate import RisPhases, equivalent_channel, fold_gains
@@ -101,8 +107,8 @@ class TrialSlab:
     `se` is points x arms x trials. The run records of each `pga` run are
     points x trials, zeros without `pga`: `iterations` and `gradient_passes`
     are integer counters that depend only on the seeded draws, and `seconds`,
-    the wall time of the `pga_optimize` call alone, is the one field that does
-    not reproduce.
+    the wall time of the `pga_optimize` call plus an equal share of its
+    chunk's first-step pass, is the one field that does not reproduce.
     """
 
     se: np.ndarray
@@ -221,12 +227,15 @@ def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[Fre
 def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> TrialSlab:
     """Spectral efficiency and `pga` run records of the trials at `keys` at each sweep point.
 
-    Two passes per chunk of `_trial_draws`, sharing the algebra as the
-    module docstring states: the first scores the baseline arms in one
-    batched decomposition and waterfill, the second runs the optimizer. Each
-    member scores its own budget: the waterfill on its group's start pairs
-    is `random_phases` and, only when `arms` holds `pga`, the optimizer's
-    start; the one on its direct pairs is `no_ris`. A lone point
+    Per chunk of `_trial_draws`, sharing the algebra as the module docstring
+    states: a scoring pass decomposes and waterfills, in one batched call
+    each, only the rows `arms` read: each member's start row (`random_phases`,
+    and the optimizer's start) and direct row (`no_ris`). With `pga`, a
+    first-step pass takes every member's first ascent step, one stacked
+    `ascent_step` per group and one batched decomposition and waterfill of
+    every candidate, and an optimizer pass runs `pga_optimize` once per
+    member from that step. A member's `seconds` is its `pga_optimize` call
+    plus an equal share of its chunk's first-step pass. A lone point
     (`run_trial`) computes the same bits.
     """
     shape = len(points), len(keys)
@@ -234,44 +243,83 @@ def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> Tria
     iterations, gradient_passes, seconds = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int), np.zeros(shape)
     pairs = [(p.cfg, p.link) for p in points]
     chunk = _chunk_trials([p.cfg for p in points])
+    read_start, read_direct = "pga" in arms or "random_phases" in arms, "no_ris" in arms
     for first in range(0, len(keys), chunk):
         groups = [(t, draw, gains, phi0, members)
                   for t, trial in enumerate(_trial_draws(pairs, keys[first:first + chunk]), first)
                   for draw, gains, phi0, members in trial]
-        # the scoring pass and the optimizer pass each fold the groups as they read them, with the same bits,
-        # so that neither holds more than one group's folded stacks
+        # each pass folds the groups as it reads them, with the same bits, so that none holds more than one
+        # group's folded stacks
         folded_groups = lambda: ((t, fold_gains(draw, gains), gains, phi0, members)  # noqa: E731
                                  for t, draw, gains, phi0, members in groups)
         channels, direct_slots = [], {}  # the chunk's (K, N_r, N_t) channels to decompose; direct key -> slot
-        start_rows, direct_rows, budgets = [], [], []  # one entry per member
+        start_rows, direct_rows = [], []  # each member's channel slot, for the rows `arms` read
+        member_points, member_trials, budgets = [], [], []  # one entry per member
         for t, folded, gains, phi0, members in folded_groups():
-            start_rows += [len(channels)] * len(members)
-            channels.append(equivalent_channel(folded, phi0))
-            direct = direct_slots.setdefault((t, gains.los, gains.rho_direct), len(channels))
-            if direct == len(channels):
-                channels.append(folded.h3)
-            direct_rows += [direct] * len(members)
+            if read_start:
+                start_rows += [len(channels)] * len(members)
+                channels.append(equivalent_channel(folded, phi0))
+            if read_direct:
+                direct = direct_slots.setdefault((t, gains.los, gains.rho_direct), len(channels))
+                if direct == len(channels):
+                    channels.append(folded.h3)
+                direct_rows += [direct] * len(members)
+            member_points += members
+            member_trials += [t] * len(members)
             budgets += [points[i].budget for i in members]
-        del folded  # the last group's, which the optimizer pass folds again
+        del folded  # the last group's, which a later pass folds again
         lam, w = channel_eigvals(np.stack(channels))
-        row_lam = lam[start_rows + direct_rows]  # each member's start row, then each member's direct row
-        powers, _ = waterfill(row_lam, budgets * 2)
-        rate = stream_rate(row_lam, powers)
+        rows = start_rows + direct_rows  # each member's start row, then each member's direct row
+        powers, _ = waterfill(lam[rows], budgets * (len(rows) // len(budgets)))
+        rate = stream_rate(lam[rows], powers)
+        baseline = {"random_phases": rate[:len(start_rows)], "no_ris": rate[len(start_rows):]}
+        for a, arm in enumerate(arms):
+            if arm in baseline:
+                se[member_points, a, member_trials] = baseline[arm]
+        if "pga" not in arms:
+            continue
+        pga_column = arms.index("pga")
 
-        m = 0  # the member's row
-        for t, folded, _, phi0, members in folded_groups():
-            for i in members:
-                rates = {"random_phases": rate[m], "no_ris": rate[len(budgets) + m]}
-                if "pga" in arms:
-                    s, cfg = start_rows[m], points[i].cfg
-                    start = PowerAllocation(heq=channels[s], lam=lam[s], w=w[s], p=powers[m], rate=float(rate[m]))
-                    t0 = time.perf_counter()
-                    result = pga_optimize(folded, budgets[m], mu0=cfg.mu0, epsilon=cfg.epsilon,
-                                          max_iter=cfg.max_iter, phi0=phi0, start=start)
-                    seconds[i, t] = time.perf_counter() - t0
-                    iterations[i, t], gradient_passes[i, t] = result.iterations, result.gradient_passes
-                    rates["pga"] = result.rate
-                se[i, :, t] = [rates[arm] for arm in arms]
+        def start_allocation(member) -> PowerAllocation:
+            """The start allocation of the chunk's `member`, or with a slice the stacked ones of one group's members."""
+            s = start_rows[member.start if isinstance(member, slice) else member]
+            return PowerAllocation(heq=channels[s], lam=lam[s], w=w[s], p=powers[member], rate=rate[member])
+
+        t0 = time.perf_counter()
+        steps, candidates, candidate_budgets = [], [], []  # per group; per member with a nonzero gradient
+        m = 0  # the group's first member
+        for _, folded, _, phi0, members in folded_groups():
+            group = slice(m, m + len(members))
+            mu = np.array([points[i].cfg.mu0 for i in members])
+            grad, scale, new_diag, heq = ascent_step(folded, start_allocation(group), phi0.diag, mu)
+            steps.append((grad, scale, new_diag))
+            live = scale != 0.0  # a zero gradient gets no candidate
+            candidates.append(heq[live])
+            candidate_budgets += [b for b, step in zip(budgets[group], live) if step]
+            m = group.stop
+        if candidate_budgets:
+            candidate = np.concatenate(candidates)
+            candidate_lam, candidate_w = channel_eigvals(candidate)
+            candidate_powers, _ = waterfill(candidate_lam, candidate_budgets)
+            candidate_rate = stream_rate(candidate_lam, candidate_powers)
+        share = (time.perf_counter() - t0) / len(budgets)
+
+        m = c = 0  # the member and its candidate
+        for (t, folded, _, phi0, members), (grad, scale, new_diag) in zip(folded_groups(), steps):
+            for j, i in enumerate(members):
+                alloc = None  # a zero gradient's, which ends the run
+                if scale[j] != 0.0:
+                    alloc = PowerAllocation(heq=candidate[c], lam=candidate_lam[c], w=candidate_w[c],
+                                            p=candidate_powers[c], rate=float(candidate_rate[c]))
+                    c += 1
+                cfg = points[i].cfg
+                t1 = time.perf_counter()
+                result = pga_optimize(folded, budgets[m], mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
+                                      phi0=phi0, start=start_allocation(m),
+                                      first=FirstStep(grad[j], scale[j], new_diag[j], alloc))
+                seconds[i, t] = time.perf_counter() - t1 + share
+                iterations[i, t], gradient_passes[i, t] = result.iterations, result.gradient_passes
+                se[i, pga_column, t] = result.rate
                 m += 1
     return TrialSlab(se=se, iterations=iterations, gradient_passes=gradient_passes, seconds=seconds)
 
@@ -349,7 +397,8 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
     One `_trial_rates` call scores `trials` trials at every size, each size a
     point at the one SNR `snr_db` (the CLI passes cfg.mc_trials and the first
     value of cfg.snr_db), so each trial is drawn once; each size's row averages
-    its run records. `runtime_s` times the `pga_optimize` call alone; channel
+    its run records. `runtime_s` is the optimizer's time: the `pga_optimize`
+    call plus an equal share of the chunk's stacked first-step pass; channel
     synthesis, the pathloss fold and the start allocation run outside it.
     `flop_count` prices each run's counters with `flops.pga_run_cost`; the
     counters depend only on the seeded draws, so those columns reproduce. The

@@ -10,9 +10,18 @@ diagonal: `RisPhases` is validated only at its boundary, for the start phases
 on entry and the returned best iterate on exit. The loop runs at unit noise
 variance: rates depend only on P/sigma^2, so scale the power budget for any
 other sigma^2.
+
+`ascent_step` is the one way to take a step (gradient, scale-free step,
+projection, candidate channel). It takes one member or a stack of members
+that share a channel, start phases and start eigenpairs and differ only in
+their budget, each member's slice with the bits of a lone call. The loop
+calls it on its one member; the harness calls it once per group on the
+members' start allocations, waterfills every candidate of a trial chunk in
+one pass, and hands each member its first step through `pga_optimize(first=)`.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +69,20 @@ class PgaResult:
         return self.stop_reason in ("tolerance", "zero_gradient")
 
 
+class FirstStep(NamedTuple):
+    """One member's first ascent step from its start allocation, as `pga_optimize(first=)` takes it.
+
+    `grad`, `scale` and `diag` are the member's slice of `ascent_step` at
+    the start; `alloc` is the waterfilled candidate at `diag`, or None when
+    the gradient is zero (`scale` 0.0), which ends the run before any step.
+    """
+
+    grad: np.ndarray  # (N_RIS,) gradient at the start allocation
+    scale: float  # max |grad|
+    diag: np.ndarray  # (N_RIS,) candidate phase diagonal
+    alloc: PowerAllocation | None
+
+
 def gradient_phi(channels: FreqChannelSet, q: np.ndarray | PowerAllocation, phi: RisPhases | None = None,
                  noise_var: float = 1.0) -> np.ndarray:
     """Wirtinger gradient of sum_k log2 det A_k w.r.t. the phase diagonal.
@@ -77,13 +100,15 @@ def gradient_phi(channels: FreqChannelSet, q: np.ndarray | PowerAllocation, phi:
     covariance form needs `phi`. For the allocation, with
     c = p / (1 + lam p), Q H_eq^H A^{-1} = H_eq^H W diag(c) W^H in its
     receive-side eigenbasis W (Telatar, ETT 1999), so neither Q nor an
-    inverse is formed. The simulator runs at unit noise; `noise_var` serves
-    the reference checks.
+    inverse is formed. An allocation whose `p` carries leading member axes
+    (..., K, N_s) on its one channel and eigenpairs gives one (..., N_RIS)
+    gradient per member, each with the bits of a lone call. The simulator
+    runs at unit noise; `noise_var` serves the reference checks.
     """
     if isinstance(q, PowerAllocation):
         heqh = q.heq.conj().transpose(0, 2, 1)
         c = q.p / (1.0 + q.lam * q.p)
-        m = heqh @ ((q.w * c[:, None, :]) @ q.w.conj().transpose(0, 2, 1))
+        m = heqh @ ((q.w * c[..., None, :]) @ q.w.conj().transpose(0, 2, 1))
     else:
         if phi is None:
             raise ValueError("the covariance form of the gradient needs the phases phi")
@@ -91,7 +116,7 @@ def gradient_phi(channels: FreqChannelSet, q: np.ndarray | PowerAllocation, phi:
         q_heqh = q @ heq.conj().transpose(0, 2, 1)
         # A_k = I + PSD is well conditioned and only N_r x N_r
         m = q_heqh @ np.linalg.inv(np.eye(heq.shape[1]) + (heq @ q_heqh) / noise_var)
-    return np.einsum("kir,kri->i", channels.h1 @ m, channels.h2) / (noise_var * LN2)
+    return np.einsum("...kir,kri->...i", channels.h1 @ m, channels.h2) / (noise_var * LN2)
 
 
 def project_unit_modulus(values, fallback: np.ndarray | None = None) -> np.ndarray:
@@ -115,11 +140,35 @@ def project_unit_modulus(values, fallback: np.ndarray | None = None) -> np.ndarr
     return np.where(zero, fb, v / np.where(zero, 1.0, mag))
 
 
+def ascent_step(channels: FreqChannelSet, alloc: PowerAllocation, diag: np.ndarray, mu) -> tuple:
+    """One ascent step of one member, or of a stack of members on one channel: gradient, step, projection, channel.
+
+    `alloc` is the waterfilled allocation at the phase diagonal `diag` on the
+    folded `channels`; for a stack, its `p` carries a leading member axis
+    (M, K, N_s) over the shared channel and eigenpairs, and `mu` holds one
+    learning rate per member. Returns the gradient (..., N_RIS), its scale
+    max |g| (...), the projected phases (..., N_RIS) and their equivalent
+    channels, the candidates (..., K, N_r, N_t). A member whose scale is 0
+    has no ascent direction: its step is zero, and its phases and candidate
+    are not a step to take. Each member's values equal a lone call's bit for
+    bit.
+    """
+    grad = gradient_phi(channels, alloc)
+    # Scale-free step: mu bounds the largest per-element phase rotation, so
+    # progress per step does not collapse at low-rate operating points where
+    # the raw gradient is far below the stopping threshold. A zero gradient
+    # divides by 1 instead of 0; its step is zero either way.
+    scale = np.abs(grad).max(axis=-1)
+    rotation = mu / (scale + (scale == 0.0))
+    new_diag = project_unit_modulus(diag + rotation[..., None] * grad.conj(), fallback=diag)
+    return grad, scale, new_diag, combine_links(channels.h1, channels.h2, channels.h3, new_diag)
+
+
 def pga_optimize(channels: FreqChannelSet, total_power: float, *, mu0: float = SystemConfig.mu0,
                  epsilon: float = SystemConfig.epsilon, max_iter: int = SystemConfig.max_iter,
                  rng: np.random.Generator | None = None,
                  phi0: RisPhases | None = None, start: PowerAllocation | None = None,
-                 meter=None) -> PgaResult:
+                 first: FirstStep | None = None, meter=None) -> PgaResult:
     """Jointly optimize RIS phases and per-subcarrier covariances.
 
     `channels` must carry the pathloss-folded link stacks. Phases initialize
@@ -137,6 +186,10 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, mu0: float = S
     channels, phi0), total_power)`; the loop starts from it instead of
     building it. The harness passes the allocation it waterfilled on the
     start eigenpairs that the sweep points seeing one channel share.
+    `first`, when given with `start`, must be this member's `ascent_step`
+    from `start` at mu0, its candidate waterfilled at `total_power`; the loop
+    takes it as its first step instead of computing it. The harness takes
+    every member's first step of a trial chunk in one stacked pass.
     A given `meter` gets the run's analytical cost (`flops.pga_run_cost`)
     added to it; only `bench/tracer.py` and tests pass one.
     The noise variance is 1: for another sigma^2, pass total_power / sigma^2.
@@ -149,6 +202,8 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, mu0: float = S
         if rng is None:
             raise ValueError("rng is required when phi0 is not given")
         phi0 = RisPhases.random(n_ris, rng)
+    if first is not None and start is None:
+        raise ValueError("a first step needs the start allocation it was taken from")
     require_phase_count(channels, phi0)
 
     diag = phi0.diag
@@ -160,18 +215,15 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, mu0: float = S
     iterations = 0
     stop_reason = "max_iter"
     while iterations < max_iter:
-        grad = gradient_phi(channels, alloc)
         grad_diag = diag  # the phases the gradient was taken at
-        # Scale-free step: mu bounds the largest per-element phase rotation,
-        # so progress per iteration does not collapse at low-rate operating
-        # points where the raw gradient is far below the stopping threshold.
-        scale = np.abs(grad).max()
-        if scale == 0.0:
+        if first is None:
+            grad, scale, new_diag, heq = ascent_step(channels, alloc, diag, mu)
+            new_alloc = None if scale == 0.0 else waterfill_covariances(heq, total_power)
+        else:
+            (grad, scale, new_diag, new_alloc), first = first, None
+        if new_alloc is None:
             stop_reason = "zero_gradient"
             break
-        new_diag = project_unit_modulus(diag + (mu / scale) * grad.conj(), fallback=diag)
-        new_alloc = waterfill_covariances(combine_links(channels.h1, channels.h2, channels.h3, new_diag),
-                                          total_power)
         iterations += 1
 
         delta = new_alloc.rate - alloc.rate

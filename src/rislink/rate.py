@@ -52,8 +52,12 @@ class RisPhases:
 
 
 def combine_links(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, phi_diag: np.ndarray) -> np.ndarray:
-    """h3 + h2 diag(phi) h1 per subcarrier, on already gain-folded stacks."""
-    return h3 + (h2 * phi_diag[None, None, :]) @ h1
+    """h3 + h2 diag(phi) h1 per subcarrier, on already gain-folded stacks.
+
+    A (..., N_RIS) stack of phase diagonals gives a (..., K, N_r, N_t) stack
+    of channels, each slice with the bits of a lone call.
+    """
+    return h3 + (h2 * phi_diag[..., None, None, :]) @ h1
 
 
 def fold_gains(channels: FreqChannelSet, gains: LinkGains) -> FreqChannelSet:

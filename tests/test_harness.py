@@ -5,6 +5,7 @@ import itertools
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -608,25 +609,48 @@ def test_trial_rates_runs_the_optimizer_only_for_the_pga_arm(monkeypatch, scenar
     assert (slab.gradient_passes >= 1).all() and (slab.seconds > 0).all()  # every run takes a gradient pass
 
 
-def test_trial_rates_records_each_pga_run():
-    # the records of a draw are the counters of the optimizer run on that folded draw
+def record_points(case):
+    """The desk sweep points of a scenario, or "zero_gradient": one chunk whose groups alternate between a geometry
+    whose reflected gain underflows to 0 (a 1e100 Hz carrier), which zeroes the folded BS->RIS stack and every
+    gradient, and the default geometry."""
     cfg, geom = preset_config("desk")
-    points = harness.sweep_points(cfg, geom, "se_vs_snr")
-    keys = [(cfg.seed, SCENARIOS["se_vs_snr"], t) for t in range(2)]
-    slab = harness._trial_rates(points, keys)
-    assert slab.iterations.dtype.kind == slab.gradient_passes.dtype.kind == "i"
-    checked = 0
-    for t, groups in enumerate(harness._trial_draws(point_pairs(points), keys)):
-        for channels, gains, phi0, members in groups:
-            for i in members:
-                c = points[i].cfg
-                result = pga_optimize(fold_gains(channels, gains), points[i].budget, mu0=c.mu0, epsilon=c.epsilon,
-                                      max_iter=c.max_iter, phi0=phi0)
-                assert [slab.iterations[i, t], slab.gradient_passes[i, t]] == [result.iterations,
-                                                                              result.gradient_passes], (i, t)
-                checked += 1
-    assert checked == len(points) * len(keys)
-    assert len(set(slab.iterations.ravel())) > 1
+    if case in SCENARIOS:
+        return harness.sweep_points(cfg, geom, case)
+    far = replace(geom, carrier_freq_hz=1e100)
+    assert indirect_gain(far) == 0.0
+    return [harness._sweep_point(cfg, g, "snr_db", snr, snr) for snr in (-5.0, 10.0) for g in (far, geom)]
+
+
+def test_trial_rates_records_each_pga_run():
+    # the rate and records of a draw are those of the lone optimizer run on that folded draw, whether the
+    # chunk took its first step or the run did
+    for case in ("plos_vs_se", "se_vs_snr", "zero_gradient"):
+        points = record_points(case)
+        keys = [(0, SCENARIOS["se_vs_snr"], t) for t in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slab = harness._trial_rates(points, keys)
+        assert slab.iterations.dtype.kind == slab.gradient_passes.dtype.kind == "i"
+        column = harness.ARMS.index("pga")
+        checked = 0
+        for t, groups in enumerate(harness._trial_draws(point_pairs(points), keys)):
+            for channels, gains, phi0, members in groups:
+                for i in members:
+                    c = points[i].cfg
+                    result = pga_optimize(fold_gains(channels, gains), points[i].budget, mu0=c.mu0,
+                                          epsilon=c.epsilon, max_iter=c.max_iter, phi0=phi0)
+                    assert [slab.iterations[i, t], slab.gradient_passes[i, t]] == [
+                        result.iterations, result.gradient_passes], (case, i, t)
+                    assert slab.se[i, column, t] == result.rate, (case, i, t)
+                    if gains.rho_indirect == 0.0:
+                        assert (result.stop_reason, result.iterations, result.gradient_passes) == (
+                            "zero_gradient", 0, 1)
+                    checked += 1
+        assert checked == len(points) * len(keys)
+        assert len(set(slab.iterations.ravel())) > 1
+    # zero and live gradients interleave in the last case's one chunk
+    assert harness._chunk_trials([p.cfg for p in points]) >= len(keys)
+    assert slab.iterations[0::2].tolist() == [[0, 0]] * 2 and (slab.iterations[1::2] > 0).all()
 
 
 def test_one_trial_kernel_calls_the_optimizer():
@@ -731,6 +755,37 @@ def test_baseline_arms_decompose_and_waterfill_once_per_chunk(monkeypatch, scena
     assert calls == ["channel_eigvals", "waterfill"] * 3
 
 
+@pytest.mark.parametrize("arms", [("pga",), ("random_phases",), ("no_ris",), ("random_phases", "no_ris"),
+                                  harness.ARMS])
+@pytest.mark.parametrize("scenario", ["plos_vs_se", "se_vs_snr"])
+def test_trial_rates_build_only_the_rows_their_arms_read(monkeypatch, scenario, arms):
+    # a start channel and row only for random_phases or pga, a direct channel and row only for no_ris, one
+    # candidate per optimizer step, counted per (K, N_r, N_t) slice and per waterfilled row; a group is folded once
+    # without pga, and three times with it (the scoring, first-step and optimizer passes)
+    cfg, geom = preset_config("desk")
+    points = harness.sweep_points(cfg, geom, scenario)
+    keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(2)]
+    assert harness._chunk_trials([p.cfg for p in points]) >= len(keys)
+    trials = harness._trial_draws(point_pairs(points), keys)
+    groups = sum(len(trial) for trial in trials)
+    directs = {(t, gains.los, gains.rho_direct) for t, trial in enumerate(trials) for _, gains, _, _ in trial}
+    slices, rows, folds = [], [], []
+    eigvals, fill, fold = power.channel_eigvals, power.waterfill, harness.fold_gains
+    for module in (power, harness):  # whichever module makes the call
+        monkeypatch.setattr(module, "channel_eigvals", lambda heq, noise_var=1.0: slices.append(
+            int(np.prod(heq.shape[:-3]))) or eigvals(heq, noise_var), raising=False)
+        monkeypatch.setattr(module, "waterfill", lambda lams, budgets: rows.append(
+            len(budgets) if np.ndim(budgets) else 1) or fill(lams, budgets), raising=False)
+    monkeypatch.setattr(harness, "fold_gains", lambda *args: folds.append(1) or fold(*args))
+    slab = harness._trial_rates(points, keys, arms)
+    members = len(points) * len(keys)
+    start, direct, steps = ("pga" in arms or "random_phases" in arms), "no_ris" in arms, int(slab.iterations.sum())
+    assert sum(slices) == start * groups + direct * len(directs) + steps
+    assert sum(rows) == (start + direct) * members + steps
+    assert len(folds) == groups * (3 if "pga" in arms else 1)
+    assert ("pga" in arms) == (steps > 0)
+
+
 @pytest.mark.parametrize("scenario, changes", [*((s, {}) for s in sorted(SCENARIOS)),
                                                ("distance_vs_se", {"distance_grid": (100.0, 100.0, 130.0)})],
                          ids=[*sorted(SCENARIOS), "distance_vs_se-repeated"])
@@ -768,20 +823,24 @@ def test_trial_groups_partition_the_points_by_the_channel_they_see(scenario, cha
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_trial_rates_do_not_depend_on_a_split_inside_a_chunk(monkeypatch, scenario):
-    # a pool that scores contiguous trial ranges apart and joins them in trial order gets the same arrays
+    # a pool that scores contiguous trial ranges apart and joins them in trial order gets the same arrays, but for
+    # the wall seconds, which add an equal share of the chunk's first-step pass to each run
     cfg, geom = replace(sweep_config(), seed=8), GeometryConfig()
     points = harness.sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
     monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * per_trial_bytes(points))  # chunks [0, 1] and [2, 3]
     assert harness._chunk_trials([p.cfg for p in points]) == 2
     clock = itertools.count()
-    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))  # one tick a run
+    # one tick a pga_optimize call and one a chunk's first-step pass
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
     whole = harness._trial_rates(points, keys)
     parts = [harness._trial_rates(points, keys[a:b]) for a, b in ((0, 1), (1, 3), (3, 4))]
-    for name in ("se", *RECORD_FIELDS):
+    for name in ("se", "iterations", "gradient_passes"):
         joined, full = np.concatenate([getattr(part, name) for part in parts], axis=-1), getattr(whole, name)
         assert joined.shape == full.shape and np.array_equal(joined, full), name
-    assert (whole.seconds == 1.0).all()
+    assert (whole.seconds == 1.0 + 1.0 / (2 * len(points))).all()
+    for part, trials in zip(parts, (1, 2, 1)):
+        assert (part.seconds == 1.0 + 1.0 / (trials * len(points))).all()
 
 
 # SHA-256 of the desk CSV text of each scenario at seed 0 with 3 trials, recorded with numpy's bundled

@@ -144,3 +144,23 @@ def test_require_numbers_holds_lone_values_to_numeric_fields():
     offenders = [f"{path.name}:{entry}" for path in sorted(PACKAGE.glob("*.py"))
                  for entry in require_numbers_offenses(path.read_text(encoding="utf-8"))]
     assert offenders == []
+
+
+def definitions(source: str, name: str) -> int:
+    """How many functions named `name` `source` defines, at any depth."""
+    return sum(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_one_way_to_take_a_pga_step():
+    # the optimizer loop and the harness's stacked first step take their steps through one function, and only it
+    # takes a gradient, so a stacked step cannot drift from a lone one
+    assert definitions("def f():\n    def g(): pass\nclass C:\n    def g(self): pass\n", "g") == 2
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+    def sites(name):
+        return {f"{module}.{scope}" for module, source in sources.items() for scope in callers(source, name)}
+
+    assert {module: n for module, source in sources.items() if (n := definitions(source, "ascent_step"))} == {"pga": 1}
+    assert sites("ascent_step") == {"pga.pga_optimize", "harness._trial_rates"}
+    assert sites("gradient_phi") == {"pga.ascent_step"}

@@ -8,7 +8,7 @@ from rislink import pga
 from rislink.channel import FreqChannelSet
 from rislink.config import SystemConfig, preset_config
 from rislink.harness import draw_trial, total_power_for_snr
-from rislink.pga import MU_FLOOR, gradient_phi, pga_optimize, project_unit_modulus
+from rislink.pga import MU_FLOOR, FirstStep, ascent_step, gradient_phi, pga_optimize, project_unit_modulus
 from rislink.power import waterfill_covariances
 from rislink.rate import RisPhases, combine_links, equivalent_channel, fold_gains, rate_from_heq
 from rislink.rng import substream
@@ -218,6 +218,14 @@ def test_pga_from_a_given_start_allocation_is_the_same_run():
     np.testing.assert_array_equal(given.phi.diag, built.phi.diag)
     with pytest.raises(ValueError, match="needs the phases phi0"):
         pga_optimize(ch, 8.0, rng=rng, start=start)
+    # a first step taken elsewhere is this run's only with the start allocation it was taken from
+    grad, scale, diag, heq = ascent_step(ch, start, phi.diag, 0.1)
+    first = FirstStep(grad, scale, diag, waterfill_covariances(heq, 8.0))
+    taken = pga_optimize(ch, 8.0, phi0=phi, start=start, first=first)
+    np.testing.assert_array_equal(taken.trace, built.trace)
+    np.testing.assert_array_equal(taken.phi.diag, built.phi.diag)
+    with pytest.raises(ValueError, match="needs the start allocation"):
+        pga_optimize(ch, 8.0, phi0=phi, first=first)
 
 
 @pytest.mark.parametrize("given", [False, True], ids=["built", "given"])

@@ -1,5 +1,5 @@
-"""Property-based checks of the waterfilling, waterfilled-rate, phase-gradient and projection kernels,
-and of the harness's trial chunks.
+"""Property-based checks of the waterfilling, waterfilled-rate, phase-gradient, projection and ascent-step
+kernels, and of the harness's trial chunks.
 
 Examples are derandomized so the suite draws the same cases on every run.
 """
@@ -16,10 +16,12 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from rislink import harness  # noqa: E402
 from rislink.channel import FreqChannelSet  # noqa: E402
 from rislink.config import GeometryConfig, SystemConfig  # noqa: E402
-from rislink.pga import gradient_phi, project_unit_modulus  # noqa: E402
+from rislink.pga import ascent_step, gradient_phi, project_unit_modulus  # noqa: E402
 from rislink.power import (  # noqa: E402
     ABS_EIG_FLOOR,
     REL_EIG_FLOOR,
+    PowerAllocation,
+    channel_eigvals,
     stream_rate,
     waterfill,
     waterfill_covariances,
@@ -162,6 +164,104 @@ def test_projection_unit_modulus_fallback_and_angle(values, angles):
     zero = values == 0
     np.testing.assert_array_equal(out[zero], fallback[zero])
     np.testing.assert_allclose(out[~zero], np.exp(1j * np.angle(values[~zero])), rtol=0, atol=1e-12)
+
+
+# channel entries from a few values, so that eigenvalues tie and channels lose rank, or drawn freely
+tied_entries = st.one_of(st.sampled_from([0j, 1 + 0j, -1j, 0.5 + 0.5j]),
+                         st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+
+
+def member_stack(data, reflected):
+    """A folded channel, start phases, and the start allocations of 1-4 members on it, one budget each.
+
+    `reflected` is "on", "off" (the reflected gain underflowed to 0, so every gradient is zero) or "last" (only the
+    last subcarrier reflects, and weakly, so a small budget leaves it dark and that member's gradient zero).
+    Budgets span ten decades, so weak streams get zero power.
+    """
+    k, n_r, n_t, n_ris = (data.draw(st.integers(1, 4)) for _ in range(4))
+    h1, h2, h3 = (data.draw(arrays(complex, shape, elements=tied_entries))
+                  for shape in ((k, n_ris, n_t), (k, n_r, n_ris), (k, n_r, n_t)))
+    if reflected == "off":
+        h1[:] = 0.0
+    elif reflected == "last":
+        h2[:-1] = 0.0
+        h1[-1] *= 1e-2
+        h3[-1] *= 1e-2
+    channels = FreqChannelSet(h1=h1, h2=h2, h3=h3)
+    diag = np.exp(1j * data.draw(arrays(float, n_ris, elements=st.sampled_from([0.0, 0.5 * np.pi, 1.0, 2.0]))))
+    budgets = data.draw(arrays(float, data.draw(st.integers(1, 4)), elements=st.floats(1e-3, 1e7)))
+    heq = combine_links(h1, h2, h3, diag)
+    lam, w = channel_eigvals(heq)
+    top = lam.max(initial=0.0)
+    hypothesis.assume(all(top > max(ABS_EIG_FLOOR / b, REL_EIG_FLOOR * top) for b in budgets))
+    p, _ = waterfill(np.repeat(lam[None], budgets.size, axis=0), budgets)
+    stack = PowerAllocation(heq=heq, lam=lam, w=w, p=p, rate=stream_rate(lam, p))
+    return channels, diag, budgets, stack
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), reflected=st.sampled_from(["on", "off", "last"]))
+def test_stacked_gradient_equals_lone_calls(data, reflected):
+    # the members of a group share its channel and start eigenpairs and differ only in their powers
+    channels, diag, budgets, stack = member_stack(data, reflected)
+    grads = gradient_phi(channels, stack)
+    assert grads.shape == (budgets.size, channels.h1.shape[1])
+    for j, budget in enumerate(budgets):
+        alone = waterfill_eigenpairs(stack.heq, stack.lam, stack.w, budget)
+        assert np.array_equal(stack.p[j], alone.p)
+        assert np.array_equal(grads[j], gradient_phi(channels, alone))
+    if reflected == "off":
+        assert not grads.any()
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), reflected=st.sampled_from(["on", "off", "last"]))
+def test_stacked_candidate_allocations_equal_lone_steps(data, reflected):
+    # one stacked step and one row-wise waterfill of the live members' candidates give each member the step the
+    # loop takes alone: the scale-free step, the projection and the waterfilled candidate; a zero gradient gets none
+    channels, diag, budgets, stack = member_stack(data, reflected)
+    mus = data.draw(arrays(float, budgets.size, elements=st.sampled_from([1e-3, 0.1, 1.0])))
+    grads, scales, diags, candidates = ascent_step(channels, stack, diag, mus)
+    live = scales != 0.0
+    if live.any():
+        lam, w = channel_eigvals(candidates[live])
+        hypothesis.assume(all(top > ABS_EIG_FLOOR / b for top, b in zip(lam.max(axis=(1, 2)), budgets[live])))
+        p, _ = waterfill(lam, budgets[live])
+        rates = stream_rate(lam, p)
+    c = 0
+    for j, (budget, mu) in enumerate(zip(budgets, mus)):
+        grad = gradient_phi(channels, waterfill_eigenpairs(stack.heq, stack.lam, stack.w, budget))
+        scale = np.abs(grad).max()
+        assert np.array_equal(grads[j], grad) and scales[j] == scale
+        if scale == 0.0:
+            assert not live[j]
+            continue
+        new_diag = project_unit_modulus(diag + (mu / scale) * grad.conj(), fallback=diag)
+        alone = waterfill_covariances(combine_links(channels.h1, channels.h2, channels.h3, new_diag), budget)
+        assert np.array_equal(diags[j], new_diag) and np.array_equal(candidates[j], alone.heq)
+        assert np.array_equal(lam[c], alone.lam) and np.array_equal(w[c], alone.w)
+        assert np.array_equal(p[c], alone.p) and rates[c] == alone.rate
+        c += 1
+    assert c == live.sum()
+    if reflected == "off":
+        assert not live.any()
+
+
+def test_a_stack_mixes_zero_and_live_gradients():
+    # a budget too small to light the one reflecting subcarrier has a zero gradient beside live members
+    rng = substream(31)
+    channels = FreqChannelSet(h1=crandn(rng, 2, 3, 2), h2=crandn(rng, 2, 2, 3), h3=crandn(rng, 2, 2, 2))
+    channels.h2[0] = 0.0
+    channels.h1[1] *= 1e-3
+    channels.h3[1] *= 1e-3
+    diag = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 3))
+    heq = combine_links(channels.h1, channels.h2, channels.h3, diag)
+    lam, w = channel_eigvals(heq)
+    budgets = np.array([1e-3, 1e9, 1e-2])
+    p, _ = waterfill(np.repeat(lam[None], 3, axis=0), budgets)
+    stack = PowerAllocation(heq=heq, lam=lam, w=w, p=p, rate=stream_rate(lam, p))
+    _, scales, _, _ = ascent_step(channels, stack, diag, np.full(3, 0.1))
+    assert (scales != 0.0).tolist() == [False, True, False]
 
 
 N_CHUNK_TRIALS = 6
