@@ -13,8 +13,9 @@ geometry with a gain that overflows or that `LinkGains` refuses (a direct
 gain of a blockage state it can draw must be finite and positive, the
 reflected-path gain finite), an SNR whose power budget is not finite and
 positive, or an unwritable `--out` exits 2 before any trial; a
-budget too small to waterfill any stream exits 2 when a trial meets it. Either
-way the error is one `error:` line and nothing is written to `--out`.
+budget too small to waterfill any stream exits 2 when a trial meets it, and a
+failed write of `--out` (a full disk) after the trials. Each way the error is
+one `error:` line, and only the failed write leaves anything in `--out`.
 Option values starting with '-' (e.g. SNR grids) need the `--opt=value` form.
 """
 
@@ -98,12 +99,11 @@ def main(argv=None) -> int:
         else:
             rows = complexity_table(cfg, geom, cfg.n_ris_list, trials=cfg.mc_trials, snr_db=cfg.snr_db[0])
             text = complexity_rows_to_csv(rows)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -18,9 +18,9 @@ With the `pga` arm, the first-step pass takes every member's first ascent
 step: one `pga.ascent_step` per group on its members' stacked start
 allocations, then one `channel_eigvals` and one row-wise `waterfill` call for
 every candidate of the chunk. The optimizer then runs once per member, from
-its start row and its first step. One chunk's draws are held at a time; each
-pass folds a group again, with the same bits, so that only one group's
-folded stacks are held at a time.
+its `pga.FirstStep`: its start row and its first step. One chunk's draws are
+held at a time; each pass folds a group again, with the same bits, so that
+only one group's folded stacks are held at a time.
 
 Sharing (common random numbers): every sweep point and method arm of a trial is
 scored from one draw. One blockage uniform serves every point, the two RIS
@@ -233,16 +233,21 @@ def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> Tria
     and the optimizer's start) and direct row (`no_ris`). With `pga`, a
     first-step pass takes every member's first ascent step, one stacked
     `ascent_step` per group and one batched decomposition and waterfill of
-    every candidate, and an optimizer pass runs `pga_optimize` once per
-    member from that step. A member's `seconds` is its `pga_optimize` call
-    plus an equal share of its chunk's first-step pass. A lone point
-    (`run_trial`) computes the same bits.
+    every candidate, and an optimizer pass builds each member's `FirstStep`
+    just before its one `pga_optimize` run, so that no member's record
+    outlives its run. A member's `seconds` is its `pga_optimize` call plus an
+    equal share of its chunk's first-step pass. A lone point (`run_trial`)
+    computes the same bits. The points must share one step rule (`mu0`,
+    `epsilon`, `max_iter`), read once from the first point: every caller
+    builds its points from one config, varied at most in RIS size, the
+    precondition that lets `_trial_draws` take link 3 from the first config.
     """
     shape = len(points), len(keys)
     se = np.empty((len(points), len(arms), len(keys)))
     iterations, gradient_passes, seconds = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int), np.zeros(shape)
     pairs = [(p.cfg, p.link) for p in points]
     chunk = _chunk_trials([p.cfg for p in points])
+    mu0, epsilon, max_iter = points[0].cfg.mu0, points[0].cfg.epsilon, points[0].cfg.max_iter
     read_start, read_direct = "pga" in arms or "random_phases" in arms, "no_ris" in arms
     for first in range(0, len(keys), chunk):
         groups = [(t, draw, gains, phi0, members)
@@ -280,18 +285,13 @@ def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> Tria
             continue
         pga_column = arms.index("pga")
 
-        def start_allocation(member) -> PowerAllocation:
-            """The start allocation of the chunk's `member`, or with a slice the stacked ones of one group's members."""
-            s = start_rows[member.start if isinstance(member, slice) else member]
-            return PowerAllocation(heq=channels[s], lam=lam[s], w=w[s], p=powers[member], rate=rate[member])
-
         t0 = time.perf_counter()
         steps, candidates, candidate_budgets = [], [], []  # per group; per member with a nonzero gradient
         m = 0  # the group's first member
         for _, folded, _, phi0, members in folded_groups():
-            group = slice(m, m + len(members))
-            mu = np.array([points[i].cfg.mu0 for i in members])
-            grad, scale, new_diag, heq = ascent_step(folded, start_allocation(group), phi0.diag, mu)
+            s, group = start_rows[m], slice(m, m + len(members))
+            stack = PowerAllocation(heq=channels[s], lam=lam[s], w=w[s], p=powers[group], rate=rate[group])
+            grad, scale, new_diag, heq = ascent_step(folded, stack, phi0.diag, mu0)
             steps.append((grad, scale, new_diag))
             live = scale != 0.0  # a zero gradient gets no candidate
             candidates.append(heq[live])
@@ -307,16 +307,16 @@ def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> Tria
         m = c = 0  # the member and its candidate
         for (t, folded, _, phi0, members), (grad, scale, new_diag) in zip(folded_groups(), steps):
             for j, i in enumerate(members):
+                s = start_rows[m]
+                start = PowerAllocation(heq=channels[s], lam=lam[s], w=w[s], p=powers[m], rate=rate[m])
                 alloc = None  # a zero gradient's, which ends the run
                 if scale[j] != 0.0:
                     alloc = PowerAllocation(heq=candidate[c], lam=candidate_lam[c], w=candidate_w[c],
                                             p=candidate_powers[c], rate=float(candidate_rate[c]))
                     c += 1
-                cfg = points[i].cfg
                 t1 = time.perf_counter()
-                result = pga_optimize(folded, budgets[m], mu0=cfg.mu0, epsilon=cfg.epsilon, max_iter=cfg.max_iter,
-                                      phi0=phi0, start=start_allocation(m),
-                                      first=FirstStep(grad[j], scale[j], new_diag[j], alloc))
+                result = pga_optimize(folded, budgets[m], mu0=mu0, epsilon=epsilon, max_iter=max_iter, phi0=phi0,
+                                      first=FirstStep(start, grad[j], scale[j], new_diag[j], alloc))
                 seconds[i, t] = time.perf_counter() - t1 + share
                 iterations[i, t], gradient_passes[i, t] = result.iterations, result.gradient_passes
                 se[i, pga_column, t] = result.rate

@@ -15,9 +15,10 @@ other sigma^2.
 projection, candidate channel). It takes one member or a stack of members
 that share a channel, start phases and start eigenpairs and differ only in
 their budget, each member's slice with the bits of a lone call. The loop
-calls it on its one member; the harness calls it once per group on the
-members' start allocations, waterfills every candidate of a trial chunk in
-one pass, and hands each member its first step through `pga_optimize(first=)`.
+calls it on its one member, through `_step`; the harness calls it once per
+group on the members' start allocations, waterfills every candidate of a
+trial chunk in one pass, and hands each member its start allocation and first
+step as one `FirstStep` through `pga_optimize(first=)`.
 """
 
 from dataclasses import dataclass
@@ -40,8 +41,8 @@ class PgaResult:
     """Best iterate of one optimization run.
 
     `start_rate` is the waterfilled rate at the start phases, trace[0]. The
-    harness scores the `random_phases` arm from the `alloc.rate` of the
-    allocation it hands to `pga_optimize(start=)`, so that arm's cell equals
+    harness scores the `random_phases` arm from the rate of the start
+    allocation it hands to `pga_optimize(first=)`, so that arm's cell equals
     `start_rate` at the same point bit for bit without reading it.
     `stop_reason` says why the loop ended: "tolerance" (a step moved the rate
     by less than epsilon), "zero_gradient" (no ascent direction), "mu_floor"
@@ -70,13 +71,15 @@ class PgaResult:
 
 
 class FirstStep(NamedTuple):
-    """One member's first ascent step from its start allocation, as `pga_optimize(first=)` takes it.
+    """A run's start allocation and its first ascent step from it, as `pga_optimize(first=)` takes it.
 
-    `grad`, `scale` and `diag` are the member's slice of `ascent_step` at
-    the start; `alloc` is the waterfilled candidate at `diag`, or None when
-    the gradient is zero (`scale` 0.0), which ends the run before any step.
+    `start` is the waterfilled allocation at phi0; `grad`, `scale` and `diag`
+    are `ascent_step` from it at mu0, or one member's slice of a stacked call;
+    `alloc` is the waterfilled candidate at `diag`, or None when the gradient
+    is zero (`scale` 0.0), which ends the run before any step.
     """
 
+    start: PowerAllocation
     grad: np.ndarray  # (N_RIS,) gradient at the start allocation
     scale: float  # max |grad|
     diag: np.ndarray  # (N_RIS,) candidate phase diagonal
@@ -145,7 +148,7 @@ def ascent_step(channels: FreqChannelSet, alloc: PowerAllocation, diag: np.ndarr
 
     `alloc` is the waterfilled allocation at the phase diagonal `diag` on the
     folded `channels`; for a stack, its `p` carries a leading member axis
-    (M, K, N_s) over the shared channel and eigenpairs, and `mu` holds one
+    (M, K, N_s) over the shared channel and eigenpairs, and `mu` may hold one
     learning rate per member. Returns the gradient (..., N_RIS), its scale
     max |g| (...), the projected phases (..., N_RIS) and their equivalent
     channels, the candidates (..., K, N_r, N_t). A member whose scale is 0
@@ -164,10 +167,15 @@ def ascent_step(channels: FreqChannelSet, alloc: PowerAllocation, diag: np.ndarr
     return grad, scale, new_diag, combine_links(channels.h1, channels.h2, channels.h3, new_diag)
 
 
+def _step(channels: FreqChannelSet, alloc: PowerAllocation, diag: np.ndarray, mu: float, total_power: float) -> tuple:
+    """The loop's step from `alloc` at `diag`: `ascent_step`, its candidate waterfilled or None at a zero gradient."""
+    grad, scale, new_diag, heq = ascent_step(channels, alloc, diag, mu)
+    return grad, scale, new_diag, None if scale == 0.0 else waterfill_covariances(heq, total_power)
+
+
 def pga_optimize(channels: FreqChannelSet, total_power: float, *, mu0: float = SystemConfig.mu0,
                  epsilon: float = SystemConfig.epsilon, max_iter: int = SystemConfig.max_iter,
-                 rng: np.random.Generator | None = None,
-                 phi0: RisPhases | None = None, start: PowerAllocation | None = None,
+                 rng: np.random.Generator | None = None, phi0: RisPhases | None = None,
                  first: FirstStep | None = None, meter=None) -> PgaResult:
     """Jointly optimize RIS phases and per-subcarrier covariances.
 
@@ -181,15 +189,12 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, mu0: float = S
     its floor, or at the iteration cap (`stop_reason` says which); the best
     (last accepted) iterate is returned either way, with the rate at the
     start phases as `start_rate`.
-    `start`, when given, must be the waterfilled allocation at `phi0` on
-    these channels and budget, `waterfill_covariances(equivalent_channel(
-    channels, phi0), total_power)`; the loop starts from it instead of
-    building it. The harness passes the allocation it waterfilled on the
-    start eigenpairs that the sweep points seeing one channel share.
-    `first`, when given with `start`, must be this member's `ascent_step`
-    from `start` at mu0, its candidate waterfilled at `total_power`; the loop
-    takes it as its first step instead of computing it. The harness takes
-    every member's first step of a trial chunk in one stacked pass.
+    The run starts from a `FirstStep`: its start allocation at `phi0` and the
+    first step from it. `first`, when given, must be that record for these
+    channels and budget at `phi0` and `mu0` (see `FirstStep`), and the run
+    equals one that builds it, bit for bit; the harness takes every member's
+    first step of a trial chunk in one stacked pass. Each iteration takes its
+    step, checks the stop rules, and only then computes the next step.
     A given `meter` gets the run's analytical cost (`flops.pga_run_cost`)
     added to it; only `bench/tracer.py` and tests pass one.
     The noise variance is 1: for another sigma^2, pass total_power / sigma^2.
@@ -197,35 +202,26 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, mu0: float = S
     require_numbers(SystemConfig, mu0=mu0, epsilon=epsilon, max_iter=max_iter)
     n_ris = channels.h1.shape[1]
     if phi0 is None:
-        if start is not None:
-            raise ValueError("a start allocation needs the phases phi0 it was built at")
+        if first is not None:
+            raise ValueError("a first step needs the phases phi0 its start allocation was built at")
         if rng is None:
             raise ValueError("rng is required when phi0 is not given")
         phi0 = RisPhases.random(n_ris, rng)
-    if first is not None and start is None:
-        raise ValueError("a first step needs the start allocation it was taken from")
     require_phase_count(channels, phi0)
 
     diag = phi0.diag
-    alloc = waterfill_covariances(combine_links(channels.h1, channels.h2, channels.h3, diag),
-                                  total_power) if start is None else start
+    if first is None:
+        start = waterfill_covariances(combine_links(channels.h1, channels.h2, channels.h3, diag), total_power)
+        first = FirstStep(start, *_step(channels, start, diag, mu0, total_power))
+    alloc, grad, scale, new_diag, new_alloc = first
+    grad_diag = diag  # the phases the gradient was taken at
 
     trace = [alloc.rate]
     mu = mu0
     iterations = 0
-    stop_reason = "max_iter"
-    while iterations < max_iter:
-        grad_diag = diag  # the phases the gradient was taken at
-        if first is None:
-            grad, scale, new_diag, heq = ascent_step(channels, alloc, diag, mu)
-            new_alloc = None if scale == 0.0 else waterfill_covariances(heq, total_power)
-        else:
-            (grad, scale, new_diag, new_alloc), first = first, None
-        if new_alloc is None:
-            stop_reason = "zero_gradient"
-            break
+    stop_reason = "zero_gradient"  # the reason when a step has no candidate
+    while new_alloc is not None:
         iterations += 1
-
         delta = new_alloc.rate - alloc.rate
         if delta > 0:
             diag, alloc = new_diag, new_alloc
@@ -238,6 +234,11 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, mu0: float = S
         if mu < MU_FLOOR:
             stop_reason = "mu_floor"
             break
+        if iterations >= max_iter:
+            stop_reason = "max_iter"
+            break
+        grad_diag = diag
+        grad, scale, new_diag, new_alloc = _step(channels, alloc, diag, mu, total_power)
 
     gradient_passes = iterations + (stop_reason == "zero_gradient")
     stationarity = float(np.abs((grad_diag * grad).imag).max() / scale) if scale > 0.0 else 0.0

@@ -10,11 +10,10 @@ Fonollosa, IEEE TSP 2005), so the allocated powers meet the total budget. The
 allocation carries its rate, (1/K) sum log2(1 + lam p) (Telatar, ETT 1999),
 and builds the transmit covariances only when they are read.
 
-The eigenpairs do not depend on the budget, so an allocation is always built
-from given eigenpairs (`waterfill_eigenpairs`): `waterfill_covariances`
-decomposes its channel and passes the result on, and a caller that scores one
-channel at several budgets (the harness, for sweep points that differ only in
-their budget) decomposes it once and waterfills each budget on the same pairs.
+The eigenpairs do not depend on the budget. `waterfill_covariances`, the
+optimizer loop's call, decomposes one channel and waterfills one budget on it;
+the harness decomposes each channel once with `channel_eigvals` and waterfills
+every sweep point's budget on the same pairs with the row-wise `waterfill`.
 
 Rows: `channel_eigvals` decomposes a stack with any leading axes in one call,
 and `waterfill` takes either one budget, one pool over all the eigenvalues
@@ -204,23 +203,14 @@ def stream_rate(lams: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.log1p(lams * p).sum(axis=(-2, -1)) / (LN2 * p.shape[-2])
 
 
-def waterfill_eigenpairs(heq: np.ndarray, lams: np.ndarray, w: np.ndarray, total_power: float) -> PowerAllocation:
-    """Waterfill a budget across all (subcarrier, stream) pairs of given eigenpairs and rate the result.
-
-    `lams` and `w` are `channel_eigvals(heq, noise_var)`. They do not depend
-    on the budget, so one decomposition serves every budget `heq` is scored
-    at. The rate needs no Q: det(I + heq Q heq^H / noise_var) is the product
-    of 1 + lam p.
-    """
-    p, _ = waterfill(lams, total_power)
-    return PowerAllocation(heq=heq, lam=lams, w=w, p=p, rate=float(stream_rate(lams, p)))
-
-
 def waterfill_covariances(heq: np.ndarray, total_power: float, noise_var: float = 1.0) -> PowerAllocation:
     """Eigen-decompose, waterfill across all (subcarrier, stream) pairs and rate the result.
 
     One stream per eigenmode, N_s = min(N_r, N_t), the capacity optimum
     (Telatar, ETT 1999); waterfilling may still give a stream zero power.
-    Equals `waterfill_eigenpairs` on `channel_eigvals(heq, noise_var)`.
+    The rate needs no Q: det(I + heq Q heq^H / noise_var) is the product of
+    1 + lam p.
     """
-    return waterfill_eigenpairs(heq, *channel_eigvals(heq, noise_var), total_power)
+    lams, w = channel_eigvals(heq, noise_var)
+    p, _ = waterfill(lams, total_power)
+    return PowerAllocation(heq=heq, lam=lams, w=w, p=p, rate=float(stream_rate(lams, p)))

@@ -1227,3 +1227,13 @@ def test_cli_rejects_unwritable_out_before_any_trial(tmp_path, capsys, command):
         assert cli.main([*command, "--preset", "desk", "--trials", "2", "--out", str(out)]) == 2
         assert str(out) in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full, a device on which every write fails")
+@pytest.mark.parametrize("command", [["simulate", "--scenario", "distance_vs_se"], ["complexity", "--n-ris", "4"]],
+                         ids=["simulate", "complexity"])
+def test_cli_reports_a_failed_write_of_out_as_an_error(capsys, command):
+    # the write comes after the trials, and its failure takes the same error path as a refusal before them
+    assert cli.main([*command, "--preset", "desk", "--trials", "1", "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

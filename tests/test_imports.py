@@ -162,5 +162,6 @@ def test_one_way_to_take_a_pga_step():
         return {f"{module}.{scope}" for module, source in sources.items() for scope in callers(source, name)}
 
     assert {module: n for module, source in sources.items() if (n := definitions(source, "ascent_step"))} == {"pga": 1}
-    assert sites("ascent_step") == {"pga.pga_optimize", "harness._trial_rates"}
+    assert sites("ascent_step") == {"pga._step", "harness._trial_rates"}
+    assert sites("_step") == {"pga.pga_optimize"}
     assert sites("gradient_phi") == {"pga.ascent_step"}

@@ -209,42 +209,64 @@ def test_pga_requires_rng_or_phi0():
     assert res.trace[0] > 0
 
 
+def first_step(channels, total_power, phi0, mu0=SystemConfig.mu0):
+    """The `FirstStep` a run at these arguments builds, taken by the public kernels."""
+    start = waterfill_covariances(equivalent_channel(channels, phi0), total_power)
+    grad, scale, diag, heq = ascent_step(channels, start, phi0.diag, mu0)
+    return FirstStep(start, grad, scale, diag, None if scale == 0.0 else waterfill_covariances(heq, total_power))
+
+
 def test_pga_from_a_given_start_allocation_is_the_same_run():
     rng = substream(93)
     ch, _, phi = random_instance(rng, k=3, n_r=2, n_t=4, n_ris=6)
-    start = waterfill_covariances(equivalent_channel(ch, phi), 8.0)
-    given, built = pga_optimize(ch, 8.0, phi0=phi, start=start), pga_optimize(ch, 8.0, phi0=phi)
+    first = first_step(ch, 8.0, phi, 0.1)
+    given, built = pga_optimize(ch, 8.0, phi0=phi, first=first), pga_optimize(ch, 8.0, phi0=phi)
     np.testing.assert_array_equal(given.trace, built.trace)
     np.testing.assert_array_equal(given.phi.diag, built.phi.diag)
     with pytest.raises(ValueError, match="needs the phases phi0"):
-        pga_optimize(ch, 8.0, rng=rng, start=start)
-    # a first step taken elsewhere is this run's only with the start allocation it was taken from
-    grad, scale, diag, heq = ascent_step(ch, start, phi.diag, 0.1)
-    first = FirstStep(grad, scale, diag, waterfill_covariances(heq, 8.0))
-    taken = pga_optimize(ch, 8.0, phi0=phi, start=start, first=first)
-    np.testing.assert_array_equal(taken.trace, built.trace)
-    np.testing.assert_array_equal(taken.phi.diag, built.phi.diag)
-    with pytest.raises(ValueError, match="needs the start allocation"):
-        pga_optimize(ch, 8.0, phi0=phi, first=first)
+        pga_optimize(ch, 8.0, rng=rng, first=first)
+
+
+@pytest.mark.parametrize("stop_reason, kw", [("tolerance", {}),
+                                              ("mu_floor", {"mu0": 0.5 * MU_FLOOR, "epsilon": 1e-300}),
+                                              ("max_iter", {"epsilon": 1e-300, "max_iter": 1}),
+                                              ("zero_gradient", {})])
+def test_pga_given_its_first_step_is_the_run_that_builds_it(stop_reason, kw):
+    # the loop consumes a given first step as it does the one it builds, whichever rule ends the run
+    ch, _, phi = random_instance(substream(99), k=3, n_r=2, n_t=4, n_ris=6)
+    if stop_reason == "zero_gradient":
+        ch = FreqChannelSet(h1=ch.h1, h2=0.0 * ch.h2, h3=ch.h3)
+    first = first_step(ch, 8.0, phi, kw.get("mu0", SystemConfig.mu0))
+    given, built = pga_optimize(ch, 8.0, phi0=phi, first=first, **kw), pga_optimize(ch, 8.0, phi0=phi, **kw)
+    assert built.stop_reason == stop_reason
+    if stop_reason == "tolerance":
+        assert built.iterations > 1
+    np.testing.assert_array_equal(given.trace, built.trace)
+    np.testing.assert_array_equal(given.phi.diag, built.phi.diag)
+    assert (given.rate, given.start_rate, given.stop_reason, given.iterations, given.gradient_passes,
+            given.stationarity) == (built.rate, built.start_rate, built.stop_reason, built.iterations,
+                                    built.gradient_passes, built.stationarity)
 
 
 @pytest.mark.parametrize("given", [False, True], ids=["built", "given"])
 @pytest.mark.parametrize("count", [1, 3])
 def test_pga_refuses_start_phases_of_the_wrong_count_on_either_path(count, given):
-    # unchecked, a given start broadcasts one phase over the RIS or fails inside numpy
+    # unchecked, a given first step broadcasts one phase over the RIS or fails inside numpy
     ch, _, phi = random_instance(substream(97), n_ris=4)
-    start = waterfill_covariances(equivalent_channel(ch, phi), 8.0) if given else None
+    first = first_step(ch, 8.0, phi) if given else None
     with pytest.raises(ValueError, match=f"^phase count {count} does not match RIS element count 4$"):
-        pga_optimize(ch, 8.0, phi0=RisPhases.random(count, substream(98)), start=start)
+        pga_optimize(ch, 8.0, phi0=RisPhases.random(count, substream(98)), first=first)
 
 
 def test_pga_calls_each_kernel_once_per_pass(monkeypatch):
-    # one gradient per pass and one waterfill per step, plus the start's waterfill when no start is given
+    # a built run takes one gradient a pass and one waterfill a step, plus its start's waterfill; a given first
+    # step carries the start and the first step, so its run takes one gradient and two waterfills fewer
     cfg, geom = preset_config("desk")
     geom = replace(geom, bs_height=10.0, d_ris=2.2)
     channels, gains = draw_trial(cfg, geom, (0, 99, 0))
     folded, power = fold_gains(channels, gains), total_power_for_snr(cfg, geom, 10.0)
     phi0 = RisPhases.random(cfg.n_ris, substream(0, 99, 0, 1))
+    first = first_step(folded, power, phi0)
     calls = {}
 
     def counted(name, kernel):
@@ -255,12 +277,15 @@ def test_pga_calls_each_kernel_once_per_pass(monkeypatch):
 
     for name in ("gradient_phi", "waterfill_covariances"):
         monkeypatch.setattr(pga, name, counted(name, getattr(pga, name)))
-    for start in (waterfill_covariances(equivalent_channel(folded, phi0), power), None):
+    for kw, stop_reason in (({}, "tolerance"), ({"max_iter": 2}, "max_iter")):  # a run at its cap takes no step past it
         calls.clear()
-        result = pga_optimize(folded, power, phi0=phi0, start=start)
-        assert result.iterations > 1
-        assert calls == {"gradient_phi": result.gradient_passes,
-                         "waterfill_covariances": result.iterations + (start is None)}
+        result = pga_optimize(folded, power, phi0=phi0, **kw)
+        assert result.iterations > 1 and result.stop_reason == stop_reason
+        assert calls == {"gradient_phi": result.gradient_passes, "waterfill_covariances": result.iterations + 1}
+        calls.clear()
+        result = pga_optimize(folded, power, phi0=phi0, first=first, **kw)
+        assert result.iterations > 1 and result.stop_reason == stop_reason
+        assert calls == {"gradient_phi": result.gradient_passes - 1, "waterfill_covariances": result.iterations - 1}
 
 
 @pytest.mark.parametrize("mu0, epsilon", [(0.0, 1e-3), (-0.1, 1e-3), (np.nan, 1e-3), (np.inf, 1e-3),
@@ -297,6 +322,13 @@ def test_pga_step_rule_defaults_are_the_config_defaults():
         "mu0": cfg.mu0, "epsilon": cfg.epsilon, "max_iter": cfg.max_iter}
     # bench/tracer.py reads the integer cap default and passes `meter=`
     assert type(params["max_iter"].default) is int and "meter" in params
+
+
+def test_pga_takes_prior_work_only_as_a_first_step():
+    # one hand-off, `first=`, so a second way into the loop cannot return unnoticed
+    params = inspect.signature(pga_optimize).parameters
+    assert [name for name, p in params.items() if p.kind is p.KEYWORD_ONLY] == [
+        "mu0", "epsilon", "max_iter", "rng", "phi0", "first", "meter"]
 
 
 def reference_pga(channels, total_power, phi0, mu0=0.1, epsilon=1e-3, max_iter=200, gradient=gradient_phi):

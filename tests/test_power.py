@@ -9,7 +9,6 @@ from rislink.power import (
     stream_rate,
     waterfill,
     waterfill_covariances,
-    waterfill_eigenpairs,
 )
 from rislink.rng import substream
 
@@ -256,13 +255,13 @@ def test_waterfill_names_the_budget_and_the_floor_when_no_stream_of_a_row_passes
 def test_stream_rate_rates_each_row_as_a_lone_allocation():
     rng = substream(121)
     heq = crandn(rng, 5, 3, 2, 4)
-    lam, w = channel_eigvals(heq)
+    lam, _ = channel_eigvals(heq)
     budgets = [0.1, 2.0, 2.0, 300.0, 5.0]
     p, _ = waterfill(lam, budgets)
     rates = stream_rate(lam, p)
     assert rates.shape == (5,)
     for r, budget in enumerate(budgets):
-        alone = waterfill_eigenpairs(heq[r], lam[r], w[r], budget)
+        alone = waterfill_covariances(heq[r], budget)
         assert np.array_equal(p[r], alone.p) and rates[r] == alone.rate
 
 
@@ -334,15 +333,3 @@ def test_waterfilled_rate_beats_uniform():
         n_s = alloc.p.shape[1]
         uniform = build_covariances(alloc.u, np.full((k, n_s), pt / (k * n_s)))
         assert rate_from_heq(heq, alloc.q, 1.0) >= rate_from_heq(heq, uniform, 1.0) - 1e-12
-
-
-def test_waterfill_eigenpairs_serves_every_budget_from_one_decomposition():
-    # the eigenpairs do not depend on the budget: waterfilling them equals decomposing anew
-    rng = substream(120)
-    heq = crandn(rng, 3, 2, 5)
-    pairs = channel_eigvals(heq, 1.0)
-    for budget in (0.1, 2.0, 300.0):
-        shared, alone = waterfill_eigenpairs(heq, *pairs, budget), waterfill_covariances(heq, budget)
-        assert shared.rate == alone.rate
-        np.testing.assert_array_equal(shared.p, alone.p)
-        np.testing.assert_array_equal(shared.w, alone.w)
