@@ -12,8 +12,9 @@ set any key), a command-line `snr_db` of more than one value for `complexity`
 geometry with a gain that overflows or that `LinkGains` refuses (a direct
 gain of a blockage state it can draw must be finite and positive, the
 reflected-path gain finite), an SNR whose power budget is not finite and
-positive, or an unwritable `--out` exits 2 before any trial; a
-budget too small to waterfill any stream exits 2 when a trial meets it, and a
+positive, or an unwritable `--out` (an existing file judged by its own
+mode, a new one by its directory's) exits 2 before any trial; a budget too
+small to waterfill any stream exits 2 when a trial meets it, and a
 failed write of `--out` (a full disk) after the trials. Each way the error is
 one `error:` line, and only the failed write leaves anything in `--out`.
 Option values starting with '-' (e.g. SNR grids) need the `--opt=value` form.
@@ -90,8 +91,9 @@ def main(argv=None) -> int:
     try:
         cfg, geom = _configs_from_args(args)
         out_dir = os.path.dirname(os.path.abspath(args.out))
-        if os.path.isdir(args.out) or not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
-            raise OSError(f"cannot write --out {args.out!r}: not a file in an existing, writable directory")
+        target = args.out if os.path.exists(args.out) else out_dir  # an existing file is judged by its own mode
+        if os.path.isdir(args.out) or not (os.path.isdir(out_dir) and os.access(target, os.W_OK)):
+            raise OSError(f"cannot write --out {args.out!r}: not a writable file or a new file in a writable directory")
         # both check their sweep's budgets before any trial
         if args.command == "simulate":
             rows = run_scenario(cfg, geom, args.scenario)

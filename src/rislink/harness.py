@@ -9,17 +9,22 @@ Chunks: `_trial_rates` walks the trials in contiguous chunks, sized by a byte
 budget over each trial's BS->RIS stack and steering vectors (`CHUNK_BYTES`).
 `_trial_draws` synthesizes each link in one batched pass over a chunk's
 trials, each trial from its own substream exactly as it would be drawn alone,
-so no value depends on the chunk a trial lands in. `_trial_rates` then scores
-the chunk in batched passes. The scoring pass folds each group, decomposes
-the (K, N_r, N_t) start and direct channels of the chunk that its arms read
-in one `channel_eigvals` call, and waterfills every (member, arm) row in one
-`waterfill` call, one budget per row, each row with the bits of a lone call.
-With the `pga` arm, the first-step pass takes every member's first ascent
-step: one `pga.ascent_step` per group on its members' stacked start
-allocations, then one `channel_eigvals` and one row-wise `waterfill` call for
-every candidate of the chunk. The optimizer then runs once per member, from
-its `pga.FirstStep`: its start row and its first step. One chunk's draws are
-held at a time; each pass folds a group again, with the same bits, so that
+so no value depends on the chunk a trial lands in. `_trial_rates` then builds
+the chunk's member table: integer arrays with one row per member (a point in
+one group of one trial), in group order. `point` is its sweep point, `trial`
+its trial, `group` its group and start-channel slot, `direct` its direct
+channel slot (one per distinct (trial, blockage state, direct gain), in order
+of first appearance); group g's rows are `bounds[g]:bounds[g + 1]`, and a
+row's budget is `budget[point]`. The scoring pass decomposes, in one
+`channel_eigvals` call, the start channels and then the direct channels that
+its arms read, and waterfills the start rows (`group`) and then the direct
+rows (`len(starts) + direct`) in one `waterfill` call, one budget per row,
+each row with the bits of a lone call. With `pga`, the first-step pass runs
+one `pga.ascent_step` per group on the stacked start allocations of its rows,
+then one `channel_eigvals` and one row-wise `waterfill` call for every
+nonzero-gradient (`live`) row's candidate, at slot `cumsum(live) - 1`, and the
+optimizer pass runs once per row from its `pga.FirstStep`. One chunk's draws
+are held at a time; each pass folds a group again, with the same bits, so that
 only one group's folded stacks are held at a time.
 
 Sharing (common random numbers): every sweep point and method arm of a trial is
@@ -30,14 +35,13 @@ which also sets its power budget) once, when the point is built. The points
 that see one channel in a trial form one group: one RIS size and one
 `LinkGains` value (blockage state and pathloss gains, compared by value), in
 order of first appearance. A group's start eigenpairs are computed once, its
-direct eigenpairs once per (trial, blockage state, direct gain), which groups
-of different RIS sizes share, and each member waterfills only its own budget
-on them, since the eigenpairs do not depend on it. Its members' first
-gradients come from one `gradient_phi` call on those start eigenpairs, one
-power row per member. The arms are the full
-phase/power optimization, the random start phases with waterfilling, and a
-system with the reflected path removed. The configs, their presets and their
-parser are defined in `rislink.config`.
+direct eigenpairs once per direct slot, which groups of different RIS sizes
+share, and each member waterfills only its own budget on them, since the
+eigenpairs do not depend on it. Its members' first gradients come from one
+`gradient_phi` call on those start eigenpairs, one power row per member. The
+arms are the full phase/power optimization, the random start phases with
+waterfilling, and a system with the reflected path removed. The configs,
+their presets and their parser are defined in `rislink.config`.
 """
 
 import csv
@@ -227,100 +231,94 @@ def draw_trial(cfg: SystemConfig, geom: GeometryConfig, key: tuple) -> tuple[Fre
 def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> TrialSlab:
     """Spectral efficiency and `pga` run records of the trials at `keys` at each sweep point.
 
-    Per chunk of `_trial_draws`, sharing the algebra as the module docstring
-    states: a scoring pass decomposes and waterfills, in one batched call
-    each, only the rows `arms` read: each member's start row (`random_phases`,
-    and the optimizer's start) and direct row (`no_ris`). With `pga`, a
-    first-step pass takes every member's first ascent step, one stacked
-    `ascent_step` per group and one batched decomposition and waterfill of
-    every candidate, and an optimizer pass builds each member's `FirstStep`
-    just before its one `pga_optimize` run, so that no member's record
-    outlives its run. A member's `seconds` is its `pga_optimize` call plus an
-    equal share of its chunk's first-step pass. A lone point (`run_trial`)
-    computes the same bits. The points must share one step rule (`mu0`,
-    `epsilon`, `max_iter`), read once from the first point: every caller
-    builds its points from one config, varied at most in RIS size, the
-    precondition that lets `_trial_draws` take link 3 from the first config.
+    Per chunk of `_trial_draws`, three passes over the chunk's member table,
+    which the module docstring states with the sharing rule, build only the
+    rows `arms` read: each member's start row (`random_phases`, and the
+    optimizer's start) and direct row (`no_ris`). With `pga`, each member's
+    `FirstStep` is built just before its one `pga_optimize` run, so that no
+    member's record outlives its run. A member's `seconds` is its
+    `pga_optimize` call plus an equal share of its chunk's first-step pass.
+    A lone point (`run_trial`) computes the same bits. The points must share
+    one step rule (`mu0`, `epsilon`, `max_iter`), read once from the first
+    point: every caller builds its points from one config, varied at most in
+    RIS size, the precondition that lets `_trial_draws` take link 3 from the
+    first config.
     """
     shape = len(points), len(keys)
     se = np.empty((len(points), len(arms), len(keys)))
     iterations, gradient_passes, seconds = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int), np.zeros(shape)
-    pairs = [(p.cfg, p.link) for p in points]
+    pairs, budget = [(p.cfg, p.link) for p in points], np.array([p.budget for p in points])
     chunk = _chunk_trials([p.cfg for p in points])
     mu0, epsilon, max_iter = points[0].cfg.mu0, points[0].cfg.epsilon, points[0].cfg.max_iter
     read_start, read_direct = "pga" in arms or "random_phases" in arms, "no_ris" in arms
     for first in range(0, len(keys), chunk):
         groups = [(t, draw, gains, phi0, members)
-                  for t, trial in enumerate(_trial_draws(pairs, keys[first:first + chunk]), first)
-                  for draw, gains, phi0, members in trial]
+                  for t, drawn in enumerate(_trial_draws(pairs, keys[first:first + chunk]), first)
+                  for draw, gains, phi0, members in drawn]
         # each pass folds the groups as it reads them, with the same bits, so that none holds more than one
         # group's folded stacks
-        folded_groups = lambda: ((t, fold_gains(draw, gains), gains, phi0, members)  # noqa: E731
-                                 for t, draw, gains, phi0, members in groups)
-        channels, direct_slots = [], {}  # the chunk's (K, N_r, N_t) channels to decompose; direct key -> slot
-        start_rows, direct_rows = [], []  # each member's channel slot, for the rows `arms` read
-        member_points, member_trials, budgets = [], [], []  # one entry per member
-        for t, folded, gains, phi0, members in folded_groups():
+        folded_groups = lambda: ((fold_gains(draw, gains), phi0) for _, draw, gains, phi0, _ in groups)  # noqa: E731
+        # the chunk's member table, as the module docstring states it
+        group_trials, _, group_gains, _, group_members = zip(*groups)
+        sizes = [len(members) for members in group_members]
+        bounds, group = np.cumsum([0, *sizes]), np.repeat(np.arange(len(groups)), sizes)
+        point, trial = np.concatenate(group_members), np.repeat(group_trials, sizes)
+        slots = {}  # (trial, blockage state, direct gain) -> direct slot
+        group_direct = [slots.setdefault((t, g.los, g.rho_direct), len(slots))
+                        for t, g in zip(group_trials, group_gains)]
+        direct = np.repeat(group_direct, sizes)
+
+        starts, directs = [], []  # the channels `arms` read: each group's start, each direct slot's at its first group
+        for (folded, phi0), d in zip(folded_groups(), group_direct):
             if read_start:
-                start_rows += [len(channels)] * len(members)
-                channels.append(equivalent_channel(folded, phi0))
-            if read_direct:
-                direct = direct_slots.setdefault((t, gains.los, gains.rho_direct), len(channels))
-                if direct == len(channels):
-                    channels.append(folded.h3)
-                direct_rows += [direct] * len(members)
-            member_points += members
-            member_trials += [t] * len(members)
-            budgets += [points[i].budget for i in members]
+                starts.append(equivalent_channel(folded, phi0))
+            if read_direct and d == len(directs):
+                directs.append(folded.h3)
         del folded  # the last group's, which a later pass folds again
-        lam, w = channel_eigvals(np.stack(channels))
-        rows = start_rows + direct_rows  # each member's start row, then each member's direct row
-        powers, _ = waterfill(lam[rows], budgets * (len(rows) // len(budgets)))
+        lam, w = channel_eigvals(np.stack(starts + directs))
+        rows = np.concatenate([group] * read_start + [len(starts) + direct] * read_direct)  # start, then direct
+        powers, _ = waterfill(lam[rows], np.tile(budget[point], len(rows) // len(point)))
         rate = stream_rate(lam[rows], powers)
-        baseline = {"random_phases": rate[:len(start_rows)], "no_ris": rate[len(start_rows):]}
+        baseline = {"random_phases": rate[:len(point)], "no_ris": rate[-len(point):]}
         for a, arm in enumerate(arms):
             if arm in baseline:
-                se[member_points, a, member_trials] = baseline[arm]
+                se[point, a, trial] = baseline[arm]
         if "pga" not in arms:
             continue
         pga_column = arms.index("pga")
 
         t0 = time.perf_counter()
-        steps, candidates, candidate_budgets = [], [], []  # per group; per member with a nonzero gradient
-        m = 0  # the group's first member
-        for _, folded, _, phi0, members in folded_groups():
-            s, group = start_rows[m], slice(m, m + len(members))
-            stack = PowerAllocation(heq=channels[s], lam=lam[s], w=w[s], p=powers[group], rate=rate[group])
+        steps, candidates = [], []  # per group: its first step, and the candidates of its nonzero gradients
+        for g, (folded, phi0) in enumerate(folded_groups()):
+            span = slice(bounds[g], bounds[g + 1])
+            stack = PowerAllocation(heq=starts[g], lam=lam[g], w=w[g], p=powers[span], rate=rate[span])
             grad, scale, new_diag, heq = ascent_step(folded, stack, phi0.diag, mu0)
             steps.append((grad, scale, new_diag))
-            live = scale != 0.0  # a zero gradient gets no candidate
-            candidates.append(heq[live])
-            candidate_budgets += [b for b, step in zip(budgets[group], live) if step]
-            m = group.stop
-        if candidate_budgets:
+            candidates.append(heq[scale != 0.0])  # a zero gradient gets no candidate
+        live = np.concatenate([scale for _, scale, _ in steps]) != 0.0
+        if live.any():
             candidate = np.concatenate(candidates)
             candidate_lam, candidate_w = channel_eigvals(candidate)
-            candidate_powers, _ = waterfill(candidate_lam, candidate_budgets)
+            candidate_powers, _ = waterfill(candidate_lam, budget[point[live]])
             candidate_rate = stream_rate(candidate_lam, candidate_powers)
-        share = (time.perf_counter() - t0) / len(budgets)
+        share = (time.perf_counter() - t0) / len(point)
 
-        m = c = 0  # the member and its candidate
-        for (t, folded, _, phi0, members), (grad, scale, new_diag) in zip(folded_groups(), steps):
-            for j, i in enumerate(members):
-                s = start_rows[m]
-                start = PowerAllocation(heq=channels[s], lam=lam[s], w=w[s], p=powers[m], rate=rate[m])
+        slot = np.cumsum(live) - 1  # the candidate of each live row
+        for g, (folded, phi0) in enumerate(folded_groups()):
+            grad, scale, new_diag = steps[g]
+            for j, r in enumerate(range(bounds[g], bounds[g + 1])):
+                i, t, c = point[r], trial[r], slot[r]
+                start = PowerAllocation(heq=starts[g], lam=lam[g], w=w[g], p=powers[r], rate=rate[r])
                 alloc = None  # a zero gradient's, which ends the run
-                if scale[j] != 0.0:
+                if live[r]:
                     alloc = PowerAllocation(heq=candidate[c], lam=candidate_lam[c], w=candidate_w[c],
                                             p=candidate_powers[c], rate=float(candidate_rate[c]))
-                    c += 1
                 t1 = time.perf_counter()
-                result = pga_optimize(folded, budgets[m], mu0=mu0, epsilon=epsilon, max_iter=max_iter, phi0=phi0,
-                                      first=FirstStep(start, grad[j], scale[j], new_diag[j], alloc))
+                result = pga_optimize(folded, points[i].budget, mu0=mu0, epsilon=epsilon, max_iter=max_iter,
+                                      phi0=phi0, first=FirstStep(start, grad[j], scale[j], new_diag[j], alloc))
                 seconds[i, t] = time.perf_counter() - t1 + share
                 iterations[i, t], gradient_passes[i, t] = result.iterations, result.gradient_passes
                 se[i, pga_column, t] = result.rate
-                m += 1
     return TrialSlab(se=se, iterations=iterations, gradient_passes=gradient_passes, seconds=seconds)
 
 

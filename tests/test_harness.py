@@ -756,16 +756,18 @@ def test_baseline_arms_decompose_and_waterfill_once_per_chunk(monkeypatch, scena
 
 
 @pytest.mark.parametrize("arms", [("pga",), ("random_phases",), ("no_ris",), ("random_phases", "no_ris"),
-                                  harness.ARMS])
+                                  ("no_ris", "pga"), harness.ARMS])
 @pytest.mark.parametrize("scenario", ["plos_vs_se", "se_vs_snr"])
 def test_trial_rates_build_only_the_rows_their_arms_read(monkeypatch, scenario, arms):
     # a start channel and row only for random_phases or pga, a direct channel and row only for no_ris, one
     # candidate per optimizer step, counted per (K, N_r, N_t) slice and per waterfilled row; a group is folded once
-    # without pga, and three times with it (the scoring, first-step and optimizer passes)
+    # without pga, and three times with it (the scoring, first-step and optimizer passes); each arm's column is
+    # the one it has when every arm is scored, whichever others are scored and in whatever order
     cfg, geom = preset_config("desk")
     points = harness.sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(2)]
     assert harness._chunk_trials([p.cfg for p in points]) >= len(keys)
+    full = harness._trial_rates(points, keys)
     trials = harness._trial_draws(point_pairs(points), keys)
     groups = sum(len(trial) for trial in trials)
     directs = {(t, gains.los, gains.rho_direct) for t, trial in enumerate(trials) for _, gains, _, _ in trial}
@@ -784,6 +786,11 @@ def test_trial_rates_build_only_the_rows_their_arms_read(monkeypatch, scenario, 
     assert sum(rows) == (start + direct) * members + steps
     assert len(folds) == groups * (3 if "pga" in arms else 1)
     assert ("pga" in arms) == (steps > 0)
+    for a, arm in enumerate(arms):
+        assert np.array_equal(slab.se[:, a], full.se[:, harness.ARMS.index(arm)]), arm
+    if "pga" in arms:
+        assert np.array_equal(slab.iterations, full.iterations)
+        assert np.array_equal(slab.gradient_passes, full.gradient_passes)
 
 
 @pytest.mark.parametrize("scenario, changes", [*((s, {}) for s in sorted(SCENARIOS)),
@@ -1222,11 +1229,36 @@ def test_complexity_reads_sizes_and_trials_from_config(tmp_path):
 @pytest.mark.parametrize("command", [["simulate", "--scenario", "distance_vs_se"], ["complexity"]],
                          ids=["simulate", "complexity"])
 @pytest.mark.usefixtures("no_trial")
-def test_cli_rejects_unwritable_out_before_any_trial(tmp_path, capsys, command):
+def test_cli_rejects_unwritable_out_before_any_trial(tmp_path, capsys, monkeypatch, command):
     for out in (tmp_path / "no" / "such" / "dir" / "x.csv", tmp_path):
         assert cli.main([*command, "--preset", "desk", "--trials", "2", "--out", str(out)]) == 2
         assert str(out) in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+    # an existing read-only file in a writable directory; write access is denied by patching os.access, since
+    # root ignores mode bits
+    out = tmp_path / "read_only.csv"
+    out.write_text("kept", encoding="utf-8")
+    deny_path_write_access(monkeypatch, out)
+    assert cli.main([*command, "--preset", "desk", "--trials", "2", "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "kept"
+
+
+@pytest.mark.usefixtures("no_trial")
+def test_cli_judges_an_existing_out_by_its_own_mode(tmp_path, monkeypatch):
+    # a writable file in a read-only directory passes the check, so the run reaches its first trial
+    out = tmp_path / "x.csv"
+    out.write_text("", encoding="utf-8")
+    deny_path_write_access(monkeypatch, tmp_path)
+    with pytest.raises(AssertionError, match="a trial ran"):
+        cli.main(["simulate", "--scenario", "distance_vs_se", "--preset", "desk", "--trials", "2", "--out", str(out)])
+
+
+def deny_path_write_access(monkeypatch, path):
+    """Make `os.access`, as the CLI calls it, deny write access to `path` alone."""
+    access = cli.os.access
+    monkeypatch.setattr(cli.os, "access", lambda p, mode, **kw: not (str(p) == str(path) and mode & cli.os.W_OK)
+                        and access(p, mode, **kw))
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full, a device on which every write fails")
