@@ -21,9 +21,10 @@ given, or one budget per leading row, each row its own pool; `stream_rate`
 rates each row. A row's powers, cutoff and rate equal those of a lone call on
 that row bit for bit, so the harness scores a whole chunk of trials' baseline
 arms in one decomposition and one waterfill, and the candidates of every
-member's first optimizer step in one more. The one-budget case, which the
-optimizer's loop calls on every later step, keeps its own code: the row-wise
-code costs about twice as much on one row.
+member's first optimizer step in one more; the optimizer's lockstep loop
+waterfills each later step's candidates in one call. The one-budget case,
+which that loop calls for a stack of one row, keeps its own code: the
+row-wise code costs about twice as much on one row.
 """
 
 import math
@@ -48,10 +49,12 @@ class PowerAllocation:
     q[k] = u[k] diag(p[k]) u[k]^H, and the sum of all powers equals the budget.
     `rate` is the spectral efficiency of q on `heq`. The optimizer reads only
     `lam`, `w` and `p`; `u` and `q` are built from a thin SVD of `heq` on
-    first access. The harness also stacks the members of a group, who share
-    `heq`, `lam` and `w`, into one allocation whose `p` (M, K, N_s) and
-    `rate` (M,) carry a leading member axis; only `pga.ascent_step` and the
-    `gradient_phi` call it makes read such a stack.
+    first access. The optimizer also stacks members on a leading member
+    axis: the members of a group, who share `heq`, `lam` and `w`, in one
+    allocation whose `p` (M, K, N_s) and `rate` (M,) carry that axis, or
+    members with their own channels, whose every field carries it; only
+    `pga`'s loop, `pga.ascent_step` and the `gradient_phi` call it makes
+    read such a stack.
     """
 
     heq: np.ndarray  # (K, N_r, N_t) channel the powers were waterfilled for

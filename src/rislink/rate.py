@@ -32,9 +32,10 @@ class RisPhases:
         self.diag = np.asarray(self.diag, dtype=complex)
         if self.diag.ndim != 1:
             raise ValueError("phase diagonal must be one-dimensional")
-        if not np.isfinite(self.diag).all():
-            raise ValueError("phase diagonal entries must be finite")
-        if np.max(np.abs(np.abs(self.diag) - 1.0), initial=0.0) > UNIT_MODULUS_TOL:
+        # one pass over the moduli: a NaN or infinite entry also fails the bound, and only then is it named
+        if not np.abs(np.abs(self.diag) - 1.0).max(initial=0.0) <= UNIT_MODULUS_TOL:
+            if not np.isfinite(self.diag).all():
+                raise ValueError("phase diagonal entries must be finite")
             raise ValueError("phase diagonal entries must have unit modulus")
 
     @property

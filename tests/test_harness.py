@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ from typing import get_origin, get_type_hints
 import numpy as np
 import pytest
 
-from rislink import channel, cli, harness, power, propagation
+from rislink import channel, cli, harness, pga, power, propagation
 from rislink.config import GeometryConfig, SystemConfig, parse_config, preset_config
 from rislink.harness import (
     SCENARIOS,
@@ -705,7 +706,8 @@ def test_harness_reads_points_and_slabs_by_name():
 @pytest.mark.parametrize("scenario", ["plos_vs_se", "se_vs_snr"])
 def test_trial_decomposes_each_distinct_channel_once(monkeypatch, scenario):
     # one chunk: each group's start channel once, the direct channel once per (trial, blockage state, direct gain),
-    # plus one decomposition per optimizer candidate, counted per (K, N_r, N_t) slice whichever module makes the call
+    # plus one decomposition per optimizer candidate, counted per (K, N_r, N_t) slice whichever module makes the call:
+    # the harness's first-step pass or the optimizer's loop
     cfg, geom = preset_config("desk")
     points = harness.sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(min(3, harness._chunk_trials([p.cfg for p in points])))]
@@ -722,7 +724,7 @@ def test_trial_decomposes_each_distinct_channel_once(monkeypatch, scenario):
 
     decomposed, iterations = [], []
     eigvals, optimize = power.channel_eigvals, harness.pga_optimize
-    for module in (power, harness):
+    for module in (power, harness, pga):
         monkeypatch.setattr(module, "channel_eigvals", lambda heq, noise_var=1.0: decomposed.extend(
             heq.reshape(-1, *heq.shape[-3:])) or eigvals(heq, noise_var), raising=False)
 
@@ -761,8 +763,9 @@ def test_baseline_arms_decompose_and_waterfill_once_per_chunk(monkeypatch, scena
 def test_trial_rates_build_only_the_rows_their_arms_read(monkeypatch, scenario, arms):
     # a start channel and row only for random_phases or pga, a direct channel and row only for no_ris, one
     # candidate per optimizer step, counted per (K, N_r, N_t) slice and per waterfilled row; a group is folded once
-    # without pga, and three times with it (the scoring, first-step and optimizer passes); each arm's column is
-    # the one it has when every arm is scored, whichever others are scored and in whatever order
+    # without pga, and twice with it (the scoring and first-step passes; the lockstep pass and the optimizer runs
+    # read the first-step pass's folds); each arm's column is the one it has when every arm is scored, whichever
+    # others are scored and in whatever order
     cfg, geom = preset_config("desk")
     points = harness.sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(2)]
@@ -773,7 +776,7 @@ def test_trial_rates_build_only_the_rows_their_arms_read(monkeypatch, scenario, 
     directs = {(t, gains.los, gains.rho_direct) for t, trial in enumerate(trials) for _, gains, _, _ in trial}
     slices, rows, folds = [], [], []
     eigvals, fill, fold = power.channel_eigvals, power.waterfill, harness.fold_gains
-    for module in (power, harness):  # whichever module makes the call
+    for module in (power, harness, pga):  # whichever module makes the call
         monkeypatch.setattr(module, "channel_eigvals", lambda heq, noise_var=1.0: slices.append(
             int(np.prod(heq.shape[:-3]))) or eigvals(heq, noise_var), raising=False)
         monkeypatch.setattr(module, "waterfill", lambda lams, budgets: rows.append(
@@ -784,7 +787,7 @@ def test_trial_rates_build_only_the_rows_their_arms_read(monkeypatch, scenario, 
     start, direct, steps = ("pga" in arms or "random_phases" in arms), "no_ris" in arms, int(slab.iterations.sum())
     assert sum(slices) == start * groups + direct * len(directs) + steps
     assert sum(rows) == (start + direct) * members + steps
-    assert len(folds) == groups * (3 if "pga" in arms else 1)
+    assert len(folds) == groups * (2 if "pga" in arms else 1)
     assert ("pga" in arms) == (steps > 0)
     for a, arm in enumerate(arms):
         assert np.array_equal(slab.se[:, a], full.se[:, harness.ARMS.index(arm)]), arm
@@ -828,26 +831,77 @@ def test_trial_groups_partition_the_points_by_the_channel_they_see(scenario, cha
         assert len(at_100) == 2 * arms and at_100[:arms] == at_100[arms:]
 
 
+def expected_seconds(slab, points, chunks):
+    """Each run's seconds at one tick a clock read, added in the harness's order: an equal share of its chunk's
+    first-step pass, plus the running sum of its stack's lockstep iterations, each split evenly over the runs it
+    stepped, up to the iteration it ends in (iterations 1 .. gradient_passes - 1 of its stack), plus its
+    pga_optimize call. `chunks` holds each chunk's trial count and stacks, a stack the (points, trials) of its
+    runs."""
+    seconds = np.zeros(slab.seconds.shape)
+    for n_trials, stacks in chunks:
+        for stack_points, stack_trials in stacks:
+            rows = np.ix_(stack_points, stack_trials)
+            steps, share, total = slab.gradient_passes[rows] - 1, np.zeros(seconds[rows].shape), 0.0
+            for j in range(1, steps.max() + 1):
+                total += 1.0 / (steps >= j).sum()
+                share[steps == j] = total
+            seconds[rows] = 1.0 / (n_trials * len(points)) + (share + 1.0)
+    return seconds
+
+
+def size_stacks(points, trials):
+    """A chunk of several trials as the harness stacks it: its trial count, and one stack per RIS size across its
+    trials."""
+    sizes = np.array([p.cfg.n_ris for p in points])
+    return len(trials), [(np.flatnonzero(sizes == n), trials) for n in dict.fromkeys(sizes.tolist())]
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_trial_rates_do_not_depend_on_a_split_inside_a_chunk(monkeypatch, scenario):
     # a pool that scores contiguous trial ranges apart and joins them in trial order gets the same arrays, but for
-    # the wall seconds, which add an equal share of the chunk's first-step pass to each run
+    # the wall seconds: each run's pga_optimize call, plus an equal share of its chunk's first-step pass and of each
+    # lockstep iteration it takes a step in
     cfg, geom = replace(sweep_config(), seed=8), GeometryConfig()
     points = harness.sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
     monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * per_trial_bytes(points))  # chunks [0, 1] and [2, 3]
     assert harness._chunk_trials([p.cfg for p in points]) == 2
     clock = itertools.count()
-    # one tick a pga_optimize call and one a chunk's first-step pass
+    # one tick a pga_optimize call, a chunk's first-step pass and a lockstep iteration
     monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
     whole = harness._trial_rates(points, keys)
     parts = [harness._trial_rates(points, keys[a:b]) for a, b in ((0, 1), (1, 3), (3, 4))]
     for name in ("se", "iterations", "gradient_passes"):
         joined, full = np.concatenate([getattr(part, name) for part in parts], axis=-1), getattr(whole, name)
         assert joined.shape == full.shape and np.array_equal(joined, full), name
-    assert (whole.seconds == 1.0 + 1.0 / (2 * len(points))).all()
+    chunks = [size_stacks(points, trials) for trials in ([0, 1], [2, 3])]
+    assert np.array_equal(whole.seconds, expected_seconds(whole, points, chunks))
     for part, trials in zip(parts, (1, 2, 1)):
-        assert (part.seconds == 1.0 + 1.0 / (trials * len(points))).all()
+        assert np.array_equal(part.seconds, expected_seconds(part, points, [size_stacks(points, list(range(trials)))]))
+    if scenario == "se_vs_snr":  # two runs of one RIS size share some lockstep iteration
+        assert (whole.seconds % 1.0 != (1.0 / (2 * len(points))) % 1.0).any()
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_one_trial_chunks_stack_each_group_apart(monkeypatch, scenario):
+    # where one trial fills a chunk (paper scale), a lockstep stack is one group, whose runs share its channel, in
+    # place of one RIS size across the chunk; the seconds rule holds within those stacks. A tolerance this tight
+    # takes the runs past their first step
+    cfg, geom = replace(sweep_config(), seed=8, epsilon=1e-9, max_iter=20), GeometryConfig()
+    points = harness.sweep_points(cfg, geom, scenario)
+    keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 1)
+    clock = itertools.count()
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
+    slab = harness._trial_rates(points, keys)
+    groups = [(1, [(members, [t]) for *_, members in trial])
+              for t, trial in enumerate(harness._trial_draws(point_pairs(points), keys))]
+    assert np.array_equal(slab.seconds, expected_seconds(slab, points, groups))
+    assert (slab.gradient_passes > 2).all()
+    # a se_vs_snr trial's points of one RIS size, which differ only in SNR, are one group; the other scenarios
+    # split a RIS size into several groups, which one stack per RIS size would have stepped together
+    by_size = expected_seconds(slab, points, [size_stacks(points, [t]) for t in range(len(keys))])
+    assert np.array_equal(slab.seconds, by_size) == (scenario == "se_vs_snr")
 
 
 # SHA-256 of the desk CSV text of each scenario at seed 0 with 3 trials, recorded with numpy's bundled
@@ -920,7 +974,7 @@ def test_each_point_evaluates_pathloss_once_per_run(monkeypatch):
 
 
 def test_complexity_table_draws_in_trial_chunks(monkeypatch):
-    # 9 trials, every size in one chunk walk: five chunks of 2 trials (the N_ris=64 budget) or fewer
+    # 9 trials, every size in one chunk walk: chunks of 4, 4 and 1 trials (the N_ris=64 budget)
     cfg, geom = preset_config("desk")
     synthesized, blockage = [], []
     synthesize, make_substream = harness.synthesize_link, harness.substream
@@ -938,11 +992,11 @@ def test_complexity_table_draws_in_trial_chunks(monkeypatch):
     monkeypatch.setattr(harness, "substream", counting_substream)
     chunked = complexity_table(cfg, geom, [16, 64], seed=7, trials=9, snr_db=10.0)
     for link in (1, 2):
-        assert [(n, t) for i, n, t in synthesized if i == link] == [(16, 2), (64, 2)] * 4 + [(16, 1), (64, 1)]
+        assert [(n, t) for i, n, t in synthesized if i == link] == [(16, 4), (64, 4)] * 2 + [(16, 1), (64, 1)]
     # each trial's blockage uniform once and its direct link once, whatever the number of sizes
     assert sorted(blockage) == [(7, harness._COMPLEXITY_SCENARIO_ID, t, SITE_BLOCKAGE) for t in range(9)]
     direct = [t for i, _, t in synthesized if i == 3]
-    assert 5 <= len(direct) <= 10 and sum(direct) == 9
+    assert 3 <= len(direct) <= 6 and sum(direct) == 9
     monkeypatch.setattr(harness, "CHUNK_BYTES", 1)  # one trial a chunk
     alone = complexity_table(cfg, geom, [16, 64], seed=7, trials=9, snr_db=10.0)
     for key in ("n_ris", "iter_count", "flop_count"):
@@ -977,15 +1031,37 @@ def test_run_scenario_csv_does_not_depend_on_the_chunk_size(monkeypatch, scenari
         assert any(len(blockage_states(points, key)) == 2 for key in keys)
 
 
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_one_trial_chunks_hold_at_most_two_groups_folds(monkeypatch, scenario):
+    # where one trial fills a chunk (paper scale, whose folded BS->RIS stacks reach 6.3 MB), each pass folds a group
+    # as it reaches it and drops the one before, so at most two groups' folded stacks are alive at once: the one in
+    # use and the next, being folded
+    cfg, geom = replace(sweep_config(), mc_trials=2, epsilon=1e-9, max_iter=5), GeometryConfig()
+    points = harness.sweep_points(cfg, geom, scenario)
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 1)
+    alive, most = [0], [0]
+
+    def tracked_fold(channels, gains):
+        folded = fold_gains(channels, gains)
+        alive[0] += 1
+        most[0] = max(most[0], alive[0])
+        weakref.finalize(folded, lambda: alive.__setitem__(0, alive[0] - 1))
+        return folded
+
+    monkeypatch.setattr(harness, "fold_gains", tracked_fold)
+    harness._trial_rates(points, [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)])
+    assert most[0] == 2
+
+
 def test_chunk_rule_one_paper_trial_and_whole_bench_processes():
     paper, _ = preset_config("paper")
     assert harness._chunk_trials([paper.with_n_ris(256)]) == 1
     assert harness._chunk_trials([paper.with_n_ris(n) for n in (64, 256)]) == 1
     # the steering arrays set the desk chunks: bench/run.py's 6-trial desk_blockage_low processes
-    # (N_ris 16) are one chunk, its 3-trial desk_snr processes (N_ris 16 and 64) two
+    # (N_ris 16) and its 3-trial desk_snr processes (N_ris 16 and 64) are one chunk each
     desk, _ = preset_config("desk")
-    assert harness._chunk_trials([desk.with_n_ris(n) for n in (16, 64)]) == 2
-    assert harness._chunk_trials([desk.with_n_ris(16)]) == 6
+    assert harness._chunk_trials([desk.with_n_ris(n) for n in (16, 64)]) == 4
+    assert harness._chunk_trials([desk.with_n_ris(16)]) == 13
     # a huge per-trial stack still gets a chunk of one
     assert harness._chunk_trials([replace(paper, n_subcarriers=4096).with_n_ris(256)]) == 1
 

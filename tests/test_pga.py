@@ -432,7 +432,7 @@ def test_pga_matches_reference_loop_on_a_step_onto_zero(monkeypatch):
     grad = np.array([-1.0, 1.0, 0.5, 0.25j])  # phi0 + conj(grad) = [0, 0, 0.5+1j, -1.25j]
 
     def fixed_gradient(channels, alloc, phi=None):
-        return grad
+        return np.broadcast_to(grad, (*alloc.p.shape[:-2], grad.size))  # one row per member of a stack
 
     monkeypatch.setattr(pga, "gradient_phi", fixed_gradient)
     assert_matches_reference(ch, 5.0, phi0, gradient=fixed_gradient, mu0=1.0, epsilon=1e-300, max_iter=4)
