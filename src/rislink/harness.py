@@ -19,25 +19,22 @@ row's budget is `budget[point]`. The scoring pass decomposes, in one
 `channel_eigvals` call, the start channels and then the direct channels that
 its arms read, and waterfills the start rows (`group`) and then the direct
 rows (`len(starts) + direct`) in one `waterfill` call, one budget per row,
-each row with the bits of a lone call. With `pga`, the first-step pass runs
-one `pga.ascent_step` per group on the stacked start allocations of its rows,
-then one `channel_eigvals` and one row-wise `waterfill` call for every
-nonzero-gradient (`live`) row's candidate, at slot `cumsum(live) - 1`. The
-lockstep pass then runs the rows of each stack through one `pga.ascend`: one
-stacked step per iteration for every row still running, in place of one step
-per row. Where a chunk holds several trials (desk scale), a stack holds the
-rows of one RIS size across the chunk's groups and trials; where one trial
-fills a chunk (paper scale), it holds one group's rows, which share its link
-stacks, since copies of several groups' megabyte stacks step slower than the
-groups one at a time. Each row's `pga.FirstStep` is built as the stack reads
-it, and the `pga.RunEnd` the row reaches goes to its one `pga_optimize` call
-as soon as it ends. One chunk's draws are held at a time; the scoring pass
-folds each group as it reads it, holding one group's folded stacks at a
-time, and the first-step pass folds each group again, with the same bits.
-Where a chunk holds several trials, it keeps those folds for the lockstep
-pass, whose stacks add a copy of each running row's, or none while the
-running rows all share one group; where one trial fills a chunk, the
-lockstep pass folds each group a third time as it reaches it.
+each row with the bits of a lone call. With `pga`, the lockstep pass runs
+each stack's groups through one `pga.ascend`, each group from its start
+eigenpairs and its rows' start powers and rates, which the scoring pass
+computed: `ascend` takes every step of every row, the first included, one
+stacked step per iteration for every row still running. Where a chunk holds
+several trials (desk scale), a stack holds the groups of one RIS size
+across the chunk's trials; where one trial fills a chunk (paper scale), it
+holds one group, whose rows share its link stacks, since copies of several
+groups' megabyte stacks step slower than the groups one at a time. The
+`pga.RunEnd` a row reaches goes to its one `pga_optimize` call as soon as
+it ends. One chunk's draws are held at a time. Where a chunk holds several
+trials, each group is folded once: the scoring pass keeps its folds for the
+lockstep pass, whose stacks add a copy of each running row's, or none while
+the running rows all share one group. Where one trial fills a chunk, the
+scoring and lockstep passes each fold a group as they reach it, so that one
+group's folded stacks are held at a time.
 
 Sharing (common random numbers): every sweep point and method arm of a trial is
 scored from one draw. One blockage uniform serves every point, the two RIS
@@ -69,7 +66,7 @@ from . import flops
 from .channel import FreqChannelSet, synthesize_link, taps_to_subcarriers
 from .config import DISTANCE_D_RIS, GeometryConfig, SystemConfig, require_numbers
 from .config import parse_config, preset_config  # noqa: F401  (the configs' entry points, re-exported here)
-from .pga import FirstStep, ascend, ascent_step, pga_optimize
+from .pga import ascend, pga_optimize
 from .power import PowerAllocation, channel_eigvals, stream_rate, waterfill
 from .propagation import LinkGains, blockage_state, link_budget, link_distances
 from .rate import RisPhases, equivalent_channel, fold_gains
@@ -123,9 +120,9 @@ class TrialSlab:
     `se` is points x arms x trials. The run records of each `pga` run are
     points x trials, zeros without `pga`: `iterations` and `gradient_passes`
     are integer counters that depend only on the seeded draws, and `seconds`,
-    the wall time of the `pga_optimize` call plus an equal share of its
-    chunk's first-step pass and of each lockstep iteration it took a step in,
-    is the one field that does not reproduce.
+    an equal share of each lockstep iteration the run took a step in, the
+    first included, plus its `pga_optimize` call, is the one field that does
+    not reproduce.
     """
 
     se: np.ndarray
@@ -247,15 +244,13 @@ def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> Tria
     Per chunk of `_trial_draws`, passes over the chunk's member table, which
     the module docstring states with the sharing rule, build only the rows
     `arms` read: each member's start row (`random_phases`, and the
-    optimizer's start) and direct row (`no_ris`). With `pga`, the first-step
-    pass takes every member's first step, and the lockstep pass runs each
-    stack of members (the module docstring states which members share one)
-    through one `pga.ascend` and hands each member's `pga.RunEnd` to its one
-    `pga_optimize` call as soon as it ends, so
-    that no record outlives its run. A member's `seconds` is its
-    `pga_optimize` call plus an equal share of its chunk's first-step pass
-    and, for each lockstep iteration it takes a step in, an equal share of
-    that iteration among the members that take it. A lone point
+    optimizer's start) and direct row (`no_ris`). With `pga`, the lockstep
+    pass runs each stack's groups (the module docstring states which groups
+    share one) through one `pga.ascend` from those start rows and hands each
+    member's `pga.RunEnd` to its one `pga_optimize` call as soon as it ends,
+    so that no record outlives its run. A member's `seconds` is an equal
+    share, among the members stepped, of each lockstep iteration it takes a
+    step in, the first included, plus its `pga_optimize` call. A lone point
     (`run_trial`) computes the same bits. The points must share
     one step rule (`mu0`, `epsilon`, `max_iter`), read once from the first
     point: every caller builds its points from one config, varied at most in
@@ -273,11 +268,9 @@ def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> Tria
         groups = [(t, draw, gains, phi0, members)
                   for t, drawn in enumerate(_trial_draws(pairs, keys[first:first + chunk]), first)
                   for draw, gains, phi0, members in drawn]
-        # the scoring pass folds the groups as it reads them, so that it holds one group's folded stacks at a time;
-        # the first-step pass folds them again, with the same bits, and keeps them for the lockstep pass
-        folded_groups = lambda: ((fold_gains(draw, gains), phi0) for _, draw, gains, phi0, _ in groups)  # noqa: E731
         # the chunk's member table, as the module docstring states it
-        group_trials, _, group_gains, group_phases, group_members = zip(*groups)
+        group_trials, group_draws, group_gains, group_phases, group_members = zip(*groups)
+        fold = lambda g: fold_gains(group_draws[g], group_gains[g])  # noqa: E731
         sizes = [len(members) for members in group_members]
         bounds, group = np.cumsum([0, *sizes]), np.repeat(np.arange(len(groups)), sizes)
         point, trial = np.concatenate(group_members), np.repeat(group_trials, sizes)
@@ -287,12 +280,16 @@ def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> Tria
         direct = np.repeat(group_direct, sizes)
 
         starts, directs = [], []  # the channels `arms` read: each group's start, each direct slot's at its first group
-        for (folded, phi0), d in zip(folded_groups(), group_direct):
+        kept = []  # the folds, kept for the lockstep pass where a chunk holds several trials
+        for g, d in enumerate(group_direct):
+            folded = fold(g)
             if read_start:
-                starts.append(equivalent_channel(folded, phi0))
+                starts.append(equivalent_channel(folded, group_phases[g]))
             if read_direct and d == len(directs):
                 directs.append(folded.h3)
-        del folded  # the last group's, which a later pass folds again
+            if chunk > 1 and "pga" in arms:
+                kept.append(folded)
+        del folded  # the last group's, which the lockstep pass reads from `kept` or folds again
         lam, w = channel_eigvals(np.stack(starts + directs))
         rows = np.concatenate([group] * read_start + [len(starts) + direct] * read_direct)  # start, then direct
         powers, _ = waterfill(lam[rows], np.tile(budget[point], len(rows) // len(point)))
@@ -305,69 +302,37 @@ def _trial_rates(points: list[SweepPoint], keys: list[tuple], arms=ARMS) -> Tria
             continue
         pga_column = arms.index("pga")
 
-        t0 = time.perf_counter()
-        steps, candidates = [], []  # per group: its first step, and the candidates of its nonzero gradients
-        kept = []  # per group: its folded stacks, for the lockstep pass where a chunk holds several trials
-        for g, (folded, phi0) in enumerate(folded_groups()):
-            span = slice(bounds[g], bounds[g + 1])
-            stack = PowerAllocation(heq=starts[g], lam=lam[g], w=w[g], p=powers[span], rate=rate[span])
-            grad, scale, new_diag, heq = ascent_step(folded, stack, phi0.diag, mu0)
-            steps.append((grad, scale, new_diag))
-            candidates.append(heq[scale != 0.0])  # a zero gradient gets no candidate
-            if chunk > 1:
-                kept.append(folded)
-        del folded  # the last group's, which the lockstep pass reads from `kept` or folds again
-        live = np.concatenate([scale for _, scale, _ in steps]) != 0.0
-        if live.any():
-            candidate = np.concatenate(candidates)
-            candidate_lam, candidate_w = channel_eigvals(candidate)
-            candidate_powers, _ = waterfill(candidate_lam, budget[point[live]])
-            candidate_rate = stream_rate(candidate_lam, candidate_powers)
-        seconds[point, trial] = (time.perf_counter() - t0) / len(point)
-        slot = np.cumsum(live) - 1  # the candidate of each live row
-
-        def first_steps(rows):
-            """Each row's start phases and `FirstStep`, built as the lockstep reads them."""
-            for r in rows:
-                g, c = group[r], slot[r]
-                grad, scale, new_diag = steps[g]
-                j = r - bounds[g]
-                start = PowerAllocation(heq=starts[g], lam=lam[g], w=w[g], p=powers[r], rate=rate[r])
-                alloc = None  # a zero gradient's, which ends the run
-                if live[r]:
-                    alloc = PowerAllocation(heq=candidate[c], lam=candidate_lam[c], w=candidate_w[c],
-                                            p=candidate_powers[c], rate=float(candidate_rate[c]))
-                yield group_phases[g].diag, FirstStep(start, grad[j], scale[j], new_diag[j], alloc)
-
-        # the lockstep pass: the rows of each stack, from their first steps; each iteration's time is split evenly
-        # over the rows it stepped, which are all the rows still running, so a row's share is the running sum of
-        # those splits when it ends, and it hands the state it ended in to its one pga_optimize call as soon as it
-        # ends. Where a chunk holds several trials, a stack holds the rows of one RIS size across its groups and
-        # trials, on the folds the first-step pass kept. Where one trial fills a chunk (paper scale), a stack holds
-        # one group's rows, which share its stacks uncopied, folded again here: at that size copies of several
-        # groups' stacks outgrow the core's cache and step slower than the groups one at a time
-        n_ris = np.array([phi0.n_elements for phi0 in group_phases])[group]
-        stacks = (((np.arange(bounds[g], bounds[g + 1]), [folded] * sizes[g])
-                   for g, (folded, _) in enumerate(folded_groups())) if chunk == 1 else
-                  ((rows, [kept[g] for g in group[rows]])
-                   for rows in (np.flatnonzero(n_ris == n) for n in dict.fromkeys(n_ris.tolist()))))
-        for rows, links in stacks:
+        # the lockstep pass: each stack's groups through one ascend, from the start allocations scored above. Each
+        # iteration's time is split evenly over the rows it stepped, which are all the rows still running, so a
+        # row's share is the running sum of those splits when it ends, and it hands the state it ended in to its one
+        # pga_optimize call as soon as it ends. Where a chunk holds several trials, a stack holds the groups of one
+        # RIS size across its trials, on the scoring pass's folds. Where one trial fills a chunk (paper scale), a
+        # stack is one group, whose rows share its stacks uncopied, folded again here: at that size copies of
+        # several groups' stacks outgrow the core's cache and step slower than the groups one at a time
+        n_ris = [phi0.n_elements for phi0 in group_phases]
+        stacks = ([[g] for g in range(len(groups))] if chunk == 1 else
+                  [[g for g, n in enumerate(n_ris) if n == size] for size in dict.fromkeys(n_ris)])
+        for stack in stacks:
+            links = {g: kept[g] if chunk > 1 else fold(g) for g in stack}
+            spans = [slice(bounds[g], bounds[g + 1]) for g in stack]
+            runs = [(links[g], group_phases[g].diag,
+                     PowerAllocation(heq=starts[g], lam=lam[g], w=w[g], p=powers[span], rate=rate[span]),
+                     budget[point[span]]) for g, span in zip(stack, spans)]
+            rows = np.flatnonzero(np.isin(group, stack))  # the stack's rows, in the order ascend numbers them
             share, t1 = 0.0, time.perf_counter()
-            for ended, stepped in ascend(links, budget[point[rows]].tolist(), first_steps(rows), mu0=mu0,
-                                         epsilon=epsilon, max_iter=max_iter):
-                if stepped:
-                    share += (time.perf_counter() - t1) / stepped
+            for ended, stepped in ascend(runs, mu0=mu0, epsilon=epsilon, max_iter=max_iter):
+                share += (time.perf_counter() - t1) / stepped
                 for m, state in ended:
                     r = rows[m]
                     i, t, g = point[r], trial[r], group[r]
                     t2 = time.perf_counter()
-                    result = pga_optimize(links[m], points[i].budget, mu0=mu0, epsilon=epsilon, max_iter=max_iter,
-                                          phi0=group_phases[g], first=state)
+                    result = pga_optimize(links[g], points[i].budget, mu0=mu0, epsilon=epsilon, max_iter=max_iter,
+                                          phi0=group_phases[g], end=state)
                     seconds[i, t] += share + (time.perf_counter() - t2)
                     iterations[i, t], gradient_passes[i, t] = result.iterations, result.gradient_passes
                     se[i, pga_column, t] = result.rate
                 t1 = time.perf_counter()
-        del kept, links  # the chunk's folds, which the next chunk's passes need not hold
+        del kept, links, runs  # the chunk's folds, which the next chunk's passes need not hold
     return TrialSlab(se=se, iterations=iterations, gradient_passes=gradient_passes, seconds=seconds)
 
 
@@ -444,10 +409,10 @@ def complexity_table(cfg: SystemConfig, geom: GeometryConfig, n_ris_list, seed: 
     One `_trial_rates` call scores `trials` trials at every size, each size a
     point at the one SNR `snr_db` (the CLI passes cfg.mc_trials and the first
     value of cfg.snr_db), so each trial is drawn once; each size's row averages
-    its run records. `runtime_s` is the optimizer's time: the `pga_optimize`
-    call plus its shares of the chunk's stacked first-step pass and lockstep
-    iterations (see `_trial_rates`); channel synthesis, the pathloss fold and
-    the start allocation run outside it.
+    its run records. `runtime_s` is the optimizer's time: the run's shares of
+    the lockstep iterations it took a step in, the first included, plus its
+    `pga_optimize` call (see `_trial_rates`); channel synthesis, the pathloss
+    fold and the start allocation run outside it.
     `flop_count` prices each run's counters with `flops.pga_run_cost`; the
     counters depend only on the seeded draws, so those columns reproduce. The
     sizes, trial count and seed replace the config's `n_ris_list`, `mc_trials`

@@ -18,19 +18,18 @@ only in their budget, or each on its own channel, phases and eigenpairs;
 each member's slice has the bits of a lone call.
 
 There is one ascent loop, `ascend`: it runs a stack of members of one RIS
-size in lockstep, each with its own folded channels, budget, learning rate,
-held allocation and phases. Each iteration takes the next step of every
-running member in one `_step` (one `ascent_step`, then one candidate
-decomposition and one waterfill), judges each member's step, and drops the
-members whose runs ended. `pga_optimize` is `ascend` on a stack of one. The
-harness takes the first step of every member of a trial chunk in one pass
-per group, runs the chunk's members in stacks of one RIS size through one
-`ascend` each (`rislink.harness` states which members share a stack), and
-hands each member the `RunEnd` it reached to `pga_optimize(first=)`, which
-returns the run's result from it.
+size in lockstep, given as groups whose members share one folded channel,
+start phases and start eigenpairs and differ in their budget. It takes
+every step of every member: the first in one `ascent_step` per group, each
+later one in one `_step` over the members still running, each followed by
+one candidate decomposition and one waterfill; it judges each member's step
+and drops the members whose runs ended, handing each back as a `RunEnd`.
+`pga_optimize` is `ascend` on one group of one member; given the `RunEnd` a
+stack reached (`end=`), it returns that run's result. `rislink.harness`
+states which members share a stack.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -50,9 +49,9 @@ class PgaResult:
     """Best iterate of one optimization run.
 
     `start_rate` is the waterfilled rate at the start phases, trace[0]. The
-    harness scores the `random_phases` arm from the rate of the start
-    allocation of the `FirstStep` it hands to `ascend`, so that arm's cell equals
-    `start_rate` at the same point bit for bit without reading it.
+    harness scores the `random_phases` arm from the start allocation it hands
+    to `ascend`, so that arm's cell equals `start_rate` at the same point bit
+    for bit without reading it.
     `stop_reason` says why the loop ended: "tolerance" (a step moved the rate
     by less than epsilon), "zero_gradient" (no ascent direction), "mu_floor"
     (the learning rate fell below MU_FLOOR) or "max_iter" (the iteration
@@ -79,24 +78,8 @@ class PgaResult:
         return self.stop_reason in ("tolerance", "zero_gradient")
 
 
-class FirstStep(NamedTuple):
-    """A run's start allocation and its first ascent step from it, as `pga_optimize(first=)` and `ascend` take it.
-
-    `start` is the waterfilled allocation at phi0; `grad`, `scale` and `diag`
-    are `ascent_step` from it at mu0, or one member's slice of a stacked call;
-    `alloc` is the waterfilled candidate at `diag`, or None when the gradient
-    is zero (`scale` 0.0), which ends the run before any step.
-    """
-
-    start: PowerAllocation
-    grad: np.ndarray  # (N_RIS,) gradient at the start allocation
-    scale: float  # max |grad|
-    diag: np.ndarray  # (N_RIS,) candidate phase diagonal
-    alloc: PowerAllocation | None
-
-
 class RunEnd(NamedTuple):
-    """The state a run ended in, as `ascend` hands it on and `pga_optimize(first=)` takes it: its result's fields.
+    """The state a run ended in, as `ascend` hands it on and `pga_optimize(end=)` takes it: its result's fields.
 
     `phases` and `rate` are the best (last accepted) iterate's, `trace` the
     accepted rates from the start, index 0 = initialization, and
@@ -218,8 +201,15 @@ def _gather(channels: list[FreqChannelSet]) -> _Stack:
     return _Stack(*(np.array([getattr(c, name) for c in channels]) for name in ("h1", "h2", "h3")))
 
 
+def _waterfilled(heq: np.ndarray, budgets: list) -> PowerAllocation:
+    """Candidate channels (M, K, N_r, N_t) decomposed in one call and waterfilled row-wise, one budget a member."""
+    lam, w = channel_eigvals(heq)
+    p, _ = waterfill(lam, np.array(budgets))
+    return PowerAllocation(heq=heq, lam=lam, w=w, p=p, rate=stream_rate(lam, p))
+
+
 def _step(links, held: PowerAllocation, phases: np.ndarray, mu: list, budgets: list) -> tuple:
-    """Every running member's step from the allocation it holds.
+    """Every running member's later step from the allocation it holds.
 
     `held` stacks the members' allocations on a leading member axis, or is a
     lone member's own; `phases` (M, N_RIS) are theirs, with one learning
@@ -227,45 +217,52 @@ def _step(links, held: PowerAllocation, phases: np.ndarray, mu: list, budgets: l
     (M, N_RIS), the candidate allocations, stacked as `held` is, and the
     scales and candidate rates as lists, row j member j's, each with the
     bits of a lone step. A stack takes one `ascent_step` on the `_Stack`
-    `links`, then one candidate decomposition and one row-wise waterfill; a
-    zero gradient's row is waterfilled at its unmoved phases too, and the
-    loop does not read that candidate. A lone member steps on its own
-    channels `links` and unstacked arrays with the one-budget
-    `waterfill_covariances`: a lone desk run of 40 iterations (N_RIS 16 and
-    64, 2-core x86) took 8-10% longer than a plain one-member loop as a
-    stack of one, and takes about 4% longer this way.
+    `links`, then `_waterfilled`; a zero gradient's row is waterfilled at its
+    unmoved phases too, and the loop does not read that candidate. A lone
+    member steps on its own channels `links` and unstacked arrays with the
+    one-budget `waterfill_covariances`: a lone desk run of 40 iterations
+    (N_RIS 16 and 64, 2-core x86) took 8-10% longer than a plain one-member
+    loop as a stack of one, and takes about 4% longer this way.
     """
     if len(phases) == 1:
         grad, scale, diag, heq = ascent_step(links, held, phases[0], mu[0])
         cand = waterfill_covariances(heq, budgets[0])
         return grad[None], diag[None], cand, [scale], [cand.rate]
     grad, scale, diag, heq = ascent_step(links, held, phases, np.array(mu))
-    lam, w = channel_eigvals(heq)
-    p, _ = waterfill(lam, np.array(budgets))
-    rate = stream_rate(lam, p)
-    return grad, diag, PowerAllocation(heq=heq, lam=lam, w=w, p=p, rate=rate), scale.tolist(), rate.tolist()
+    cand = _waterfilled(heq, budgets)
+    return grad, diag, cand, scale.tolist(), cand.rate.tolist()
 
 
-def _judge(new: float, old: float, scale: float, mu: float, trace: list, epsilon: float, max_iter: int) -> tuple:
-    """One member's judgment of its pending step: (accepted, mu, stop reason or None).
+def _judge(new_rates: list, scale: list, rates: list, mu: list, trace: list, epsilon: float, max_iter: int) -> tuple:
+    """Judge every member's pending step, updating `rates`, `mu` and `trace` in place: (accepted, ended).
 
-    A zero gradient (`scale` 0) ends the run. Otherwise a candidate rate
-    `new` above the held rate `old` is accepted, else mu is cut by 10; the
-    held rate joins `trace`, and the tolerance, the mu floor and the cap are
-    checked, in that order.
+    Member j steps from its held rate `rates[j]` to the candidate rate
+    `new_rates[j]`. A zero gradient (`scale[j]` 0) ends the run. Otherwise a
+    better candidate is accepted and its rate held, else mu[j] is cut by 10;
+    the held rate joins `trace[j]`, and the tolerance, the mu floor and the
+    cap are checked, in that order. `accepted` holds each member's verdict,
+    `ended` the (j, stop reason) of each member whose run ended.
     """
-    if scale == 0.0:
-        return False, mu, "zero_gradient"
-    delta = new - old
-    accepted = delta > 0
-    if not accepted:
-        mu /= 10.0
-    trace.append(new if accepted else old)
-    if abs(delta) < epsilon:
-        return accepted, mu, "tolerance"
-    if mu < MU_FLOOR:
-        return accepted, mu, "mu_floor"
-    return accepted, mu, "max_iter" if len(trace) > max_iter else None
+    accepted, ended = [], []
+    for j, (new, g) in enumerate(zip(new_rates, scale)):
+        if g == 0.0:
+            accepted.append(False)
+            ended.append((j, "zero_gradient"))
+            continue
+        delta = new - rates[j]
+        accepted.append(delta > 0)
+        if delta > 0:
+            rates[j] = new
+        else:
+            mu[j] /= 10.0
+        trace[j].append(rates[j])
+        if abs(delta) < epsilon:
+            ended.append((j, "tolerance"))
+        elif mu[j] < MU_FLOOR:
+            ended.append((j, "mu_floor"))
+        elif len(trace[j]) > max_iter:
+            ended.append((j, "max_iter"))
+    return accepted, ended
 
 
 def _end(phases: np.ndarray, rate: float, trace: list, stop_reason: str, grad_phases: np.ndarray, grad: np.ndarray,
@@ -275,54 +272,53 @@ def _end(phases: np.ndarray, rate: float, trace: list, stop_reason: str, grad_ph
     return RunEnd(phases, float(rate), tuple(trace), stop_reason, stationarity)
 
 
-def ascend(channels: list[FreqChannelSet], budgets: list, starts, *, mu0: float, epsilon: float, max_iter: int):
+def ascend(groups: list, *, mu0: float, epsilon: float, max_iter: int):
     """The ascent loop, on a stack of members of one RIS size in lockstep: a generator.
 
-    Member m has its own folded `channels[m]` and budget `budgets[m]`, and
-    starts from the m-th item of the iterable `starts`, a pair (phi0 phase
-    diagonal, `FirstStep` at phi0 and `mu0`). The first steps are judged
-    (`_judge`) as they come, and a member that ends there is handed back at
-    once; then each iteration takes the next step of every running member
-    in one `_step`, judges each, and drops the members that ended. It yields
-    (ended, stepped): the (m, `RunEnd`) of the members that ended, and the
-    number of members the iteration stepped, 0 for the first steps. A
-    member is stepped in every iteration from the first to the one it ends
-    in. Link stacks are gathered once; when members drop out, the running
-    members past the new end of the stack move into the places they left,
-    so a drop-out copies at most one member's link stacks per member gone.
-    Every end state has the bits of a lone run's.
+    `groups` holds (folded channels, start phase diagonal, start allocation,
+    budgets) tuples. A group's members share its channels, start phases and
+    start eigenpairs; its start allocation holds one power row and one rate
+    per member, waterfilled at the member's entry of `budgets`. The stack's
+    members are the groups' rows, in order. Each iteration steps every
+    running member, judges each step (`_judge`) and drops the members whose
+    runs ended, and yields (ended, stepped): the (m, `RunEnd`) of the
+    members that ended and the number of members it stepped. The first
+    iteration steps every member: one `ascent_step` per group, then one
+    `_waterfilled` over the stack. Only the members still running after it
+    are gathered (`_gather`), and each later iteration steps them in one
+    `_step`; when members drop out, the running members past the new end of
+    the stack move into the places they left, so a drop-out copies at most
+    one member's link stacks per member gone. Every end state has the bits
+    of a lone run's.
     """
-    going = []
-    for m, (phases, s) in enumerate(starts):
-        trace = [s.start.rate]
-        accepted, mu, stop_reason = _judge(s.alloc.rate if s.scale else None, s.start.rate, s.scale, mu0, trace,
-                                           epsilon, max_iter)
-        held, new_phases = (s.alloc, s.diag) if accepted else (s.start, phases)
-        if stop_reason is None:
-            going.append((m, held, new_phases, mu, trace))
-        else:
-            yield [(m, _end(new_phases, held.rate, trace, stop_reason, phases, s.grad, s.scale))], 0
-    if not going:
+    steps = [ascent_step(folded, start, phases, mu0) for folded, phases, start, _ in groups]
+    grad, scale, diag, heq = (np.concatenate(column) for column in zip(*steps))
+    channels, phases, held = zip(*((folded, phases, (start.heq, start.lam, start.w, p, rate))
+                                   for folded, phases, start, _ in groups
+                                   for p, rate in zip(start.p, start.rate.tolist())))
+    budgets = [b for *_, group_budgets in groups for b in group_budgets]
+    cand = _waterfilled(heq, budgets)
+    rates, mu = [rate for *_, rate in held], [mu0] * len(held)
+    trace = [[rate] for rate in rates]
+    accepted, ended = _judge(cand.rate.tolist(), scale.tolist(), rates, mu, trace, epsilon, max_iter)
+    held = [c if a else h for c, h, a in zip(zip(cand.heq, cand.lam, cand.w, cand.p, cand.rate), held, accepted)]
+    grad_phases, phases = phases, [d if a else old for d, old, a in zip(diag, phases, accepted)]
+    yield [(m, _end(phases[m], rates[m], trace[m], stop_reason, grad_phases[m], grad[m], scale[m]))
+           for m, stop_reason in ended], len(mu)
+    gone = {m for m, _ in ended}
+    members = [m for m in range(len(mu)) if m not in gone]
+    if not members:
         return
-    members, held, phases, mu, trace = (list(column) for column in zip(*going))
-    rates, budgets = [a.rate for a in held], [budgets[m] for m in members]
+    held, phases, mu, trace, rates, budgets = ([column[m] for m in members]
+                                               for column in (held, phases, mu, trace, rates, budgets))
     if len(members) == 1:
-        held, links = held[0], channels[members[0]]
+        held, links = PowerAllocation(*held[0]), channels[members[0]]
     else:
-        held = PowerAllocation(*(np.array([getattr(a, name) for a in held])
-                                 for name in ("heq", "lam", "w", "p", "rate")))
-        links = _gather([channels[m] for m in members])
+        held, links = PowerAllocation(*map(np.array, zip(*held))), _gather([channels[m] for m in members])
     phases = np.array(phases)
     while True:
         grad, diag, cand, scale, new_rates = _step(links, held, phases, mu, budgets)
-        accepted, ended = [], []
-        for j, (new, g) in enumerate(zip(new_rates, scale)):
-            verdict, mu[j], stop_reason = _judge(new, rates[j], g, mu[j], trace[j], epsilon, max_iter)
-            accepted.append(verdict)
-            if verdict:
-                rates[j] = new
-            if stop_reason is not None:
-                ended.append((j, stop_reason))
+        accepted, ended = _judge(new_rates, scale, rates, mu, trace, epsilon, max_iter)
         grad_phases = phases  # the phases each gradient was taken at
         if all(accepted):
             held, phases = cand, diag
@@ -365,7 +361,7 @@ def ascend(channels: list[FreqChannelSet], budgets: list, starts, *, mu0: float,
 def pga_optimize(channels: FreqChannelSet, total_power: float, *, mu0: float = SystemConfig.mu0,
                  epsilon: float = SystemConfig.epsilon, max_iter: int = SystemConfig.max_iter,
                  rng: np.random.Generator | None = None, phi0: RisPhases | None = None,
-                 first: FirstStep | RunEnd | None = None, meter=None) -> PgaResult:
+                 end: RunEnd | None = None, meter=None) -> PgaResult:
     """Jointly optimize RIS phases and per-subcarrier covariances.
 
     `channels` must carry the pathloss-folded link stacks. Phases initialize
@@ -378,15 +374,11 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, mu0: float = S
     its floor, or at the iteration cap (`stop_reason` says which); the best
     (last accepted) iterate is returned either way, with the rate at the
     start phases as `start_rate`.
-    The loop is `ascend` on a stack of this one member, from a `FirstStep`:
-    its start allocation at `phi0` and the first step from it. `first`, when
-    given, must be that record for these channels and budget at `phi0` and
-    `mu0`, and the run equals one that builds it, bit for bit; or the
-    `RunEnd` that `ascend` reached from it with this `epsilon` and
-    `max_iter`, whose result this call returns. The harness takes every
-    member's first step of a trial chunk in one stacked pass and the later
-    ones in one lockstep `ascend` per stack. Each iteration takes its
-    step, checks the stop rules, and only then computes the next step.
+    The loop is `ascend` on one group of this one member. `end`, when given,
+    must be the `RunEnd` that `ascend` reached for these channels and budget
+    from `phi0` with this `mu0`, `epsilon` and `max_iter`; the call returns
+    that run's result and takes no step. The harness runs a trial chunk's
+    members through one `ascend` per stack and hands each its end state.
     A given `meter` gets the run's analytical cost (`flops.pga_run_cost`)
     added to it; only `bench/tracer.py` and tests pass one.
     The noise variance is 1: for another sigma^2, pass total_power / sigma^2.
@@ -394,26 +386,18 @@ def pga_optimize(channels: FreqChannelSet, total_power: float, *, mu0: float = S
     require_numbers(SystemConfig, mu0=mu0, epsilon=epsilon, max_iter=max_iter)
     n_ris = channels.h1.shape[1]
     if phi0 is None:
-        if first is not None:
-            raise ValueError("a first step needs the phases phi0 its start allocation was built at")
+        if end is not None:
+            raise ValueError("an end state needs the phases phi0 its run started from")
         if rng is None:
             raise ValueError("rng is required when phi0 is not given")
         phi0 = RisPhases.random(n_ris, rng)
     require_phase_count(channels, phi0)
 
-    if isinstance(first, RunEnd):
-        end = first
-    else:
-        if first is None:
-            start = waterfill_covariances(combine_links(channels.h1, channels.h2, channels.h3, phi0.diag),
-                                          total_power)
-            grad, diag, cand, (scale,), _ = _step(channels, start, phi0.diag[None], [mu0], [total_power])
-            first = FirstStep(start, grad[0], scale, diag[0], cand if scale else None)
-        for ended, _ in ascend([channels], [total_power], [(phi0.diag, first)], mu0=mu0, epsilon=epsilon,
-                               max_iter=max_iter):
-            if ended:
-                (_, end), = ended
-                break
+    if end is None:
+        start = waterfill_covariances(combine_links(channels.h1, channels.h2, channels.h3, phi0.diag), total_power)
+        group = channels, phi0.diag, replace(start, p=start.p[None], rate=np.array([start.rate])), [total_power]
+        end = next(state for ended, _ in ascend([group], mu0=mu0, epsilon=epsilon, max_iter=max_iter)
+                   for _, state in ended)
 
     iterations = len(end.trace) - 1
     gradient_passes = iterations + (end.stop_reason == "zero_gradient")

@@ -20,11 +20,11 @@ and `waterfill` takes either one budget, one pool over all the eigenvalues
 given, or one budget per leading row, each row its own pool; `stream_rate`
 rates each row. A row's powers, cutoff and rate equal those of a lone call on
 that row bit for bit, so the harness scores a whole chunk of trials' baseline
-arms in one decomposition and one waterfill, and the candidates of every
-member's first optimizer step in one more; the optimizer's lockstep loop
-waterfills each later step's candidates in one call. The one-budget case,
-which that loop calls for a stack of one row, keeps its own code: the
-row-wise code costs about twice as much on one row.
+arms in one decomposition and one waterfill, and the optimizer's lockstep
+loop decomposes and waterfills the candidates of each of its steps, the
+first included, in one call each. The one-budget case, which that loop calls
+for a lone member's later steps, keeps its own code: the row-wise code costs
+about 2.2 times as much on one row.
 """
 
 import math

@@ -623,8 +623,7 @@ def record_points(case):
 
 
 def test_trial_rates_records_each_pga_run():
-    # the rate and records of a draw are those of the lone optimizer run on that folded draw, whether the
-    # chunk took its first step or the run did
+    # the rate and records of a draw are those of the lone optimizer run on that folded draw
     for case in ("plos_vs_se", "se_vs_snr", "zero_gradient"):
         points = record_points(case)
         keys = [(0, SCENARIOS["se_vs_snr"], t) for t in range(2)]
@@ -706,8 +705,7 @@ def test_harness_reads_points_and_slabs_by_name():
 @pytest.mark.parametrize("scenario", ["plos_vs_se", "se_vs_snr"])
 def test_trial_decomposes_each_distinct_channel_once(monkeypatch, scenario):
     # one chunk: each group's start channel once, the direct channel once per (trial, blockage state, direct gain),
-    # plus one decomposition per optimizer candidate, counted per (K, N_r, N_t) slice whichever module makes the call:
-    # the harness's first-step pass or the optimizer's loop
+    # plus one decomposition per optimizer candidate, counted per (K, N_r, N_t) slice whichever module makes the call
     cfg, geom = preset_config("desk")
     points = harness.sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(min(3, harness._chunk_trials([p.cfg for p in points])))]
@@ -762,10 +760,9 @@ def test_baseline_arms_decompose_and_waterfill_once_per_chunk(monkeypatch, scena
 @pytest.mark.parametrize("scenario", ["plos_vs_se", "se_vs_snr"])
 def test_trial_rates_build_only_the_rows_their_arms_read(monkeypatch, scenario, arms):
     # a start channel and row only for random_phases or pga, a direct channel and row only for no_ris, one
-    # candidate per optimizer step, counted per (K, N_r, N_t) slice and per waterfilled row; a group is folded once
-    # without pga, and twice with it (the scoring and first-step passes; the lockstep pass and the optimizer runs
-    # read the first-step pass's folds); each arm's column is the one it has when every arm is scored, whichever
-    # others are scored and in whatever order
+    # candidate per optimizer step, counted per (K, N_r, N_t) slice and per waterfilled row; a desk chunk folds each
+    # group once, whatever the arms (the lockstep pass and the optimizer runs read the scoring pass's folds); each
+    # arm's column is the one it has when every arm is scored, whichever others are scored and in whatever order
     cfg, geom = preset_config("desk")
     points = harness.sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(2)]
@@ -787,7 +784,7 @@ def test_trial_rates_build_only_the_rows_their_arms_read(monkeypatch, scenario, 
     start, direct, steps = ("pga" in arms or "random_phases" in arms), "no_ris" in arms, int(slab.iterations.sum())
     assert sum(slices) == start * groups + direct * len(directs) + steps
     assert sum(rows) == (start + direct) * members + steps
-    assert len(folds) == groups * (2 if "pga" in arms else 1)
+    assert len(folds) == groups
     assert ("pga" in arms) == (steps > 0)
     for a, arm in enumerate(arms):
         assert np.array_equal(slab.se[:, a], full.se[:, harness.ARMS.index(arm)]), arm
@@ -831,43 +828,40 @@ def test_trial_groups_partition_the_points_by_the_channel_they_see(scenario, cha
         assert len(at_100) == 2 * arms and at_100[:arms] == at_100[arms:]
 
 
-def expected_seconds(slab, points, chunks):
-    """Each run's seconds at one tick a clock read, added in the harness's order: an equal share of its chunk's
-    first-step pass, plus the running sum of its stack's lockstep iterations, each split evenly over the runs it
-    stepped, up to the iteration it ends in (iterations 1 .. gradient_passes - 1 of its stack), plus its
-    pga_optimize call. `chunks` holds each chunk's trial count and stacks, a stack the (points, trials) of its
-    runs."""
+def expected_seconds(slab, stacks):
+    """Each run's seconds at one tick a clock read, added in the harness's order: the running sum of its stack's
+    lockstep iterations, each split evenly over the runs it stepped, up to the iteration it ends in (iterations
+    1 .. gradient_passes of its stack, the first stepping every run), plus its pga_optimize call. `stacks` holds
+    the (points, trials) of each stack's runs."""
     seconds = np.zeros(slab.seconds.shape)
-    for n_trials, stacks in chunks:
-        for stack_points, stack_trials in stacks:
-            rows = np.ix_(stack_points, stack_trials)
-            steps, share, total = slab.gradient_passes[rows] - 1, np.zeros(seconds[rows].shape), 0.0
-            for j in range(1, steps.max() + 1):
-                total += 1.0 / (steps >= j).sum()
-                share[steps == j] = total
-            seconds[rows] = 1.0 / (n_trials * len(points)) + (share + 1.0)
+    for stack_points, stack_trials in stacks:
+        rows = np.ix_(stack_points, stack_trials)
+        steps, share, total = slab.gradient_passes[rows], np.zeros(seconds[rows].shape), 0.0
+        for j in range(1, steps.max() + 1):
+            total += 1.0 / (steps >= j).sum()
+            share[steps == j] = total
+        seconds[rows] = share + 1.0
     return seconds
 
 
 def size_stacks(points, trials):
-    """A chunk of several trials as the harness stacks it: its trial count, and one stack per RIS size across its
-    trials."""
+    """The stacks of a chunk of several trials as the harness takes them: one per RIS size across its trials."""
     sizes = np.array([p.cfg.n_ris for p in points])
-    return len(trials), [(np.flatnonzero(sizes == n), trials) for n in dict.fromkeys(sizes.tolist())]
+    return [(np.flatnonzero(sizes == n), trials) for n in dict.fromkeys(sizes.tolist())]
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_trial_rates_do_not_depend_on_a_split_inside_a_chunk(monkeypatch, scenario):
     # a pool that scores contiguous trial ranges apart and joins them in trial order gets the same arrays, but for
-    # the wall seconds: each run's pga_optimize call, plus an equal share of its chunk's first-step pass and of each
-    # lockstep iteration it takes a step in
+    # the wall seconds: each run's pga_optimize call, plus an equal share of each lockstep iteration it takes a step
+    # in, the first included
     cfg, geom = replace(sweep_config(), seed=8), GeometryConfig()
     points = harness.sweep_points(cfg, geom, scenario)
     keys = [(cfg.seed, SCENARIOS[scenario], t) for t in range(cfg.mc_trials)]
     monkeypatch.setattr(harness, "CHUNK_BYTES", 2 * per_trial_bytes(points))  # chunks [0, 1] and [2, 3]
     assert harness._chunk_trials([p.cfg for p in points]) == 2
     clock = itertools.count()
-    # one tick a pga_optimize call, a chunk's first-step pass and a lockstep iteration
+    # one tick a pga_optimize call and a lockstep iteration
     monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
     whole = harness._trial_rates(points, keys)
     parts = [harness._trial_rates(points, keys[a:b]) for a, b in ((0, 1), (1, 3), (3, 4))]
@@ -875,11 +869,12 @@ def test_trial_rates_do_not_depend_on_a_split_inside_a_chunk(monkeypatch, scenar
         joined, full = np.concatenate([getattr(part, name) for part in parts], axis=-1), getattr(whole, name)
         assert joined.shape == full.shape and np.array_equal(joined, full), name
     chunks = [size_stacks(points, trials) for trials in ([0, 1], [2, 3])]
-    assert np.array_equal(whole.seconds, expected_seconds(whole, points, chunks))
+    assert np.array_equal(whole.seconds, expected_seconds(whole, sum(chunks, [])))
     for part, trials in zip(parts, (1, 2, 1)):
-        assert np.array_equal(part.seconds, expected_seconds(part, points, [size_stacks(points, list(range(trials)))]))
-    if scenario == "se_vs_snr":  # two runs of one RIS size share some lockstep iteration
-        assert (whole.seconds % 1.0 != (1.0 / (2 * len(points))) % 1.0).any()
+        assert np.array_equal(part.seconds, expected_seconds(part, size_stacks(points, list(range(trials)))))
+    # the runs share their iterations: each run stepped alone would read other seconds
+    alone = [([i], [t]) for i in range(len(points)) for t in range(len(keys))]
+    assert not np.array_equal(whole.seconds, expected_seconds(whole, alone))
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -894,13 +889,13 @@ def test_one_trial_chunks_stack_each_group_apart(monkeypatch, scenario):
     clock = itertools.count()
     monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
     slab = harness._trial_rates(points, keys)
-    groups = [(1, [(members, [t]) for *_, members in trial])
-              for t, trial in enumerate(harness._trial_draws(point_pairs(points), keys))]
-    assert np.array_equal(slab.seconds, expected_seconds(slab, points, groups))
+    groups = [(members, [t]) for t, trial in enumerate(harness._trial_draws(point_pairs(points), keys))
+              for *_, members in trial]
+    assert np.array_equal(slab.seconds, expected_seconds(slab, groups))
     assert (slab.gradient_passes > 2).all()
     # a se_vs_snr trial's points of one RIS size, which differ only in SNR, are one group; the other scenarios
     # split a RIS size into several groups, which one stack per RIS size would have stepped together
-    by_size = expected_seconds(slab, points, [size_stacks(points, [t]) for t in range(len(keys))])
+    by_size = expected_seconds(slab, [stack for t in range(len(keys)) for stack in size_stacks(points, [t])])
     assert np.array_equal(slab.seconds, by_size) == (scenario == "se_vs_snr")
 
 

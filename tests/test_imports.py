@@ -153,9 +153,9 @@ def definitions(source: str, name: str) -> int:
 
 
 def test_one_way_to_take_a_pga_step():
-    # the optimizer loop and the harness's stacked first step take their steps through one function, and only it
-    # takes a gradient, so a stacked step cannot drift from a lone one; the loop is `ascend`, which a lone run and
-    # the harness's lockstep both run
+    # the optimizer loop takes every step, the first included, through one function, and only it takes a gradient,
+    # so a stacked step cannot drift from a lone one; the loop is `ascend`, which a lone run and the harness's
+    # lockstep both run
     assert definitions("def f():\n    def g(): pass\nclass C:\n    def g(self): pass\n", "g") == 2
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -163,7 +163,7 @@ def test_one_way_to_take_a_pga_step():
         return {f"{module}.{scope}" for module, source in sources.items() for scope in callers(source, name)}
 
     assert {module: n for module, source in sources.items() if (n := definitions(source, "ascent_step"))} == {"pga": 1}
-    assert sites("ascent_step") == {"pga._step", "harness._trial_rates"}
-    assert sites("_step") == {"pga.pga_optimize", "pga.ascend"}
+    assert sites("ascent_step") == {"pga._step", "pga.ascend"}
+    assert sites("_step") == {"pga.ascend"}
     assert sites("ascend") == {"pga.pga_optimize", "harness._trial_rates"}
     assert sites("gradient_phi") == {"pga.ascent_step"}

@@ -8,8 +8,8 @@ from rislink import pga
 from rislink.channel import FreqChannelSet
 from rislink.config import SystemConfig, preset_config
 from rislink.harness import draw_trial, total_power_for_snr
-from rislink.pga import MU_FLOOR, FirstStep, ascent_step, gradient_phi, pga_optimize, project_unit_modulus
-from rislink.power import waterfill_covariances
+from rislink.pga import MU_FLOOR, ascend, gradient_phi, pga_optimize, project_unit_modulus
+from rislink.power import PowerAllocation, channel_eigvals, stream_rate, waterfill, waterfill_covariances
 from rislink.rate import RisPhases, combine_links, equivalent_channel, fold_gains, rate_from_heq
 from rislink.rng import substream
 
@@ -209,35 +209,50 @@ def test_pga_requires_rng_or_phi0():
     assert res.trace[0] > 0
 
 
-def first_step(channels, total_power, phi0, mu0=SystemConfig.mu0):
-    """The `FirstStep` a run at these arguments builds, taken by the public kernels."""
+def run_end(channels, total_power, phi0, mu0=SystemConfig.mu0, epsilon=SystemConfig.epsilon,
+            max_iter=SystemConfig.max_iter):
+    """The `RunEnd` that `ascend` reaches on one group of one member at these arguments."""
     start = waterfill_covariances(equivalent_channel(channels, phi0), total_power)
-    grad, scale, diag, heq = ascent_step(channels, start, phi0.diag, mu0)
-    return FirstStep(start, grad, scale, diag, None if scale == 0.0 else waterfill_covariances(heq, total_power))
+    group = channels, phi0.diag, replace(start, p=start.p[None], rate=np.array([start.rate])), [total_power]
+    [[(_, end)]] = [ended for ended, _ in ascend([group], mu0=mu0, epsilon=epsilon, max_iter=max_iter) if ended]
+    return end
 
 
 def test_pga_from_a_given_start_allocation_is_the_same_run():
-    rng = substream(93)
-    ch, _, phi = random_instance(rng, k=3, n_r=2, n_t=4, n_ris=6)
-    first = first_step(ch, 8.0, phi, 0.1)
-    given, built = pga_optimize(ch, 8.0, phi0=phi, first=first), pga_optimize(ch, 8.0, phi0=phi)
-    np.testing.assert_array_equal(given.trace, built.trace)
-    np.testing.assert_array_equal(given.phi.diag, built.phi.diag)
-    with pytest.raises(ValueError, match="needs the phases phi0"):
-        pga_optimize(ch, 8.0, rng=rng, first=first)
+    # as the harness builds a group: one channel and start phases, its start rows waterfilled in one row-wise call
+    # on shared eigenpairs. Each member's end state, handed on, is the reference loop's run at its budget
+    ch, _, phi = random_instance(substream(93), k=3, n_r=2, n_t=4, n_ris=6)
+    budgets = [1e-2, 8.0, 1e4]
+    heq = equivalent_channel(ch, phi)
+    lam, w = channel_eigvals(heq)
+    p, _ = waterfill(np.repeat(lam[None], len(budgets), axis=0), np.array(budgets))
+    start = PowerAllocation(heq=heq, lam=lam, w=w, p=p, rate=stream_rate(lam, p))
+    ends = {}
+    for ended, _ in ascend([(ch, phi.diag, start, budgets)], mu0=SystemConfig.mu0, epsilon=SystemConfig.epsilon,
+                           max_iter=SystemConfig.max_iter):
+        ends.update(ended)
+    assert sorted(ends) == [0, 1, 2]
+    for m, budget in enumerate(budgets):
+        given, built = pga_optimize(ch, budget, phi0=phi, end=ends[m]), assert_matches_reference(ch, budget, phi)
+        np.testing.assert_array_equal(given.trace, built.trace)
+        np.testing.assert_array_equal(given.phi.diag, built.phi.diag)
+        assert (given.rate, given.stop_reason, given.gradient_passes, given.stationarity) == (
+            built.rate, built.stop_reason, built.gradient_passes, built.stationarity)
+    assert max(len(end.trace) for end in ends.values()) > 2
 
 
 @pytest.mark.parametrize("stop_reason, kw", [("tolerance", {}),
                                               ("mu_floor", {"mu0": 0.5 * MU_FLOOR, "epsilon": 1e-300}),
                                               ("max_iter", {"epsilon": 1e-300, "max_iter": 1}),
                                               ("zero_gradient", {})])
-def test_pga_given_its_first_step_is_the_run_that_builds_it(stop_reason, kw):
-    # the loop consumes a given first step as it does the one it builds, whichever rule ends the run
+def test_pga_given_its_end_state_is_the_run_that_builds_it(stop_reason, kw):
+    # the hand-off returns the run that ended in the given state, whichever rule ends it, and that run is the
+    # reference loop's
     ch, _, phi = random_instance(substream(99), k=3, n_r=2, n_t=4, n_ris=6)
     if stop_reason == "zero_gradient":
         ch = FreqChannelSet(h1=ch.h1, h2=0.0 * ch.h2, h3=ch.h3)
-    first = first_step(ch, 8.0, phi, kw.get("mu0", SystemConfig.mu0))
-    given, built = pga_optimize(ch, 8.0, phi0=phi, first=first, **kw), pga_optimize(ch, 8.0, phi0=phi, **kw)
+    given = pga_optimize(ch, 8.0, phi0=phi, end=run_end(ch, 8.0, phi, **kw), **kw)
+    built = assert_matches_reference(ch, 8.0, phi, **kw)
     assert built.stop_reason == stop_reason
     if stop_reason == "tolerance":
         assert built.iterations > 1
@@ -251,22 +266,24 @@ def test_pga_given_its_first_step_is_the_run_that_builds_it(stop_reason, kw):
 @pytest.mark.parametrize("given", [False, True], ids=["built", "given"])
 @pytest.mark.parametrize("count", [1, 3])
 def test_pga_refuses_start_phases_of_the_wrong_count_on_either_path(count, given):
-    # unchecked, a given first step broadcasts one phase over the RIS or fails inside numpy
+    # unchecked, a given end state's phases need not fit the RIS, and a built run fails inside numpy
     ch, _, phi = random_instance(substream(97), n_ris=4)
-    first = first_step(ch, 8.0, phi) if given else None
+    end = run_end(ch, 8.0, phi) if given else None
     with pytest.raises(ValueError, match=f"^phase count {count} does not match RIS element count 4$"):
-        pga_optimize(ch, 8.0, phi0=RisPhases.random(count, substream(98)), first=first)
+        pga_optimize(ch, 8.0, phi0=RisPhases.random(count, substream(98)), end=end)
+    if given:
+        with pytest.raises(ValueError, match="needs the phases phi0"):
+            pga_optimize(ch, 8.0, rng=substream(98), end=end)
 
 
 def test_pga_calls_each_kernel_once_per_pass(monkeypatch):
-    # a built run takes one gradient a pass and one waterfill a step, plus its start's waterfill; a given first
-    # step carries the start and the first step, so its run takes one gradient and two waterfills fewer
+    # a built run takes one gradient a pass; its start and every step after the first take one one-budget waterfill
+    # each, and its first step's candidate one row-wise waterfill. A given end state takes no kernel call
     cfg, geom = preset_config("desk")
     geom = replace(geom, bs_height=10.0, d_ris=2.2)
     channels, gains = draw_trial(cfg, geom, (0, 99, 0))
     folded, power = fold_gains(channels, gains), total_power_for_snr(cfg, geom, 10.0)
     phi0 = RisPhases.random(cfg.n_ris, substream(0, 99, 0, 1))
-    first = first_step(folded, power, phi0)
     calls = {}
 
     def counted(name, kernel):
@@ -275,17 +292,17 @@ def test_pga_calls_each_kernel_once_per_pass(monkeypatch):
             return kernel(*args, **kwargs)
         return wrapper
 
-    for name in ("gradient_phi", "waterfill_covariances"):
+    end = run_end(folded, power, phi0)
+    for name in ("gradient_phi", "waterfill_covariances", "waterfill"):
         monkeypatch.setattr(pga, name, counted(name, getattr(pga, name)))
     for kw, stop_reason in (({}, "tolerance"), ({"max_iter": 2}, "max_iter")):  # a run at its cap takes no step past it
         calls.clear()
         result = pga_optimize(folded, power, phi0=phi0, **kw)
         assert result.iterations > 1 and result.stop_reason == stop_reason
-        assert calls == {"gradient_phi": result.gradient_passes, "waterfill_covariances": result.iterations + 1}
-        calls.clear()
-        result = pga_optimize(folded, power, phi0=phi0, first=first, **kw)
-        assert result.iterations > 1 and result.stop_reason == stop_reason
-        assert calls == {"gradient_phi": result.gradient_passes - 1, "waterfill_covariances": result.iterations - 1}
+        assert calls == {"gradient_phi": result.gradient_passes, "waterfill_covariances": result.iterations,
+                         "waterfill": 1}
+    calls.clear()
+    assert pga_optimize(folded, power, phi0=phi0, end=end).iterations > 1 and calls == {}
 
 
 @pytest.mark.parametrize("mu0, epsilon", [(0.0, 1e-3), (-0.1, 1e-3), (np.nan, 1e-3), (np.inf, 1e-3),
@@ -324,11 +341,11 @@ def test_pga_step_rule_defaults_are_the_config_defaults():
     assert type(params["max_iter"].default) is int and "meter" in params
 
 
-def test_pga_takes_prior_work_only_as_a_first_step():
-    # one hand-off, `first=`, so a second way into the loop cannot return unnoticed
+def test_pga_takes_prior_work_only_as_an_end_state():
+    # one hand-off, `end=`, the state a stack's run ended in, so a second way into the loop cannot return unnoticed
     params = inspect.signature(pga_optimize).parameters
     assert [name for name, p in params.items() if p.kind is p.KEYWORD_ONLY] == [
-        "mu0", "epsilon", "max_iter", "rng", "phi0", "first", "meter"]
+        "mu0", "epsilon", "max_iter", "rng", "phi0", "end", "meter"]
 
 
 def reference_pga(channels, total_power, phi0, mu0=0.1, epsilon=1e-3, max_iter=200, gradient=gradient_phi):

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from rislink import harness, pga  # noqa: E402
 from rislink.channel import FreqChannelSet  # noqa: E402
 from rislink.config import GeometryConfig, SystemConfig  # noqa: E402
-from rislink.pga import FirstStep, ascend, ascent_step, gradient_phi, pga_optimize, project_unit_modulus  # noqa: E402
+from rislink.pga import ascend, ascent_step, gradient_phi, pga_optimize, project_unit_modulus  # noqa: E402
 from rislink.power import (  # noqa: E402
     ABS_EIG_FLOOR,
     REL_EIG_FLOOR,
@@ -264,7 +264,7 @@ def test_a_stack_mixes_zero_and_live_gradients():
 
 
 def lockstep_members(rng, k, n_r, n_t, n_ris, reflected, budgets):
-    """Members of one RIS size, each with its own folded channels, start phases and budget.
+    """Members of one RIS size, each a group of its own: (folded channels, start phases, [budget]).
 
     Member j's reflected path is `reflected[j]`: "on", "off" (a zero BS->RIS stack, so its first gradient is zero)
     or "last" (only the last subcarrier reflects, and weakly, so a small budget leaves it dark).
@@ -278,27 +278,28 @@ def lockstep_members(rng, k, n_r, n_t, n_ris, reflected, budgets):
             h2[:-1] = 0.0
             h1[-1] *= 1e-2
             h3[-1] *= 1e-2
-        members.append((FreqChannelSet(h1=h1, h2=h2, h3=h3), RisPhases.random(n_ris, rng), float(budget)))
+        members.append((FreqChannelSet(h1=h1, h2=h2, h3=h3), RisPhases.random(n_ris, rng), [float(budget)]))
     return members
 
 
-def assert_stack_runs_each_member_alone(members, epsilon, max_iter):
-    """Run `ascend` on the members' first steps, hand each end state to `pga_optimize(first=)`, and require every
-    field of its result to equal a lone run's bit for bit; returns the lone results."""
-    firsts = []
-    for channels, phi0, budget in members:
-        start = waterfill_covariances(equivalent_channel(channels, phi0), budget)
-        grad, scale, diag, heq = ascent_step(channels, start, phi0.diag, SystemConfig.mu0)
-        alloc = None if scale == 0.0 else waterfill_covariances(heq, budget)
-        firsts.append((phi0.diag, FirstStep(start, grad, scale, diag, alloc)))
+def assert_stack_runs_each_member_alone(groups, epsilon, max_iter):
+    """Run `ascend` on the groups, each (channels, start phases, budgets) with its start allocation waterfilled by
+    lone calls, hand each member's end state to `pga_optimize(end=)`, and require every field of its result to equal
+    a lone run's bit for bit; returns the lone results, in member order."""
+    stack = []
+    for channels, phi0, budgets in groups:
+        alone = [waterfill_covariances(equivalent_channel(channels, phi0), budget) for budget in budgets]
+        start = PowerAllocation(heq=alone[0].heq, lam=alone[0].lam, w=alone[0].w, p=np.array([a.p for a in alone]),
+                                rate=np.array([a.rate for a in alone]))
+        stack.append((channels, phi0.diag, start, budgets))
     ends, steps = {}, []
-    for ended, stepped in ascend([c for c, _, _ in members], [b for _, _, b in members], firsts,
-                                 mu0=SystemConfig.mu0, epsilon=epsilon, max_iter=max_iter):
+    for ended, stepped in ascend(stack, mu0=SystemConfig.mu0, epsilon=epsilon, max_iter=max_iter):
         ends.update(ended)
-        steps += [stepped] if stepped else []
+        steps.append(stepped)
     results = []
+    members = [(channels, phi0, budget) for channels, phi0, budgets in groups for budget in budgets]
     for m, (channels, phi0, budget) in enumerate(members):
-        stacked_run = pga_optimize(channels, budget, epsilon=epsilon, max_iter=max_iter, phi0=phi0, first=ends[m])
+        stacked_run = pga_optimize(channels, budget, epsilon=epsilon, max_iter=max_iter, phi0=phi0, end=ends[m])
         alone = pga_optimize(channels, budget, epsilon=epsilon, max_iter=max_iter, phi0=phi0)
         assert np.array_equal(stacked_run.phi.diag, alone.phi.diag) and np.array_equal(stacked_run.trace, alone.trace)
         assert (stacked_run.rate, stacked_run.start_rate, stacked_run.iterations, stacked_run.stop_reason,
@@ -306,31 +307,40 @@ def assert_stack_runs_each_member_alone(members, epsilon, max_iter):
             alone.rate, alone.start_rate, alone.iterations, alone.stop_reason, alone.gradient_passes,
             alone.stationarity)
         results.append(alone)
-    # the stack takes every later step of a run, one member of each iteration's stack per run still going
-    assert steps == [sum(r.gradient_passes > j for r in results) for j in range(1, len(steps) + 1)]
+    # the stack takes every step of a run, one member of each iteration's stack per run still going: the first
+    # iteration steps every member
+    assert steps == [sum(r.gradient_passes > j for r in results) for j in range(len(steps))]
+    assert steps[0] == len(members)
     return results
 
 
 @PROPERTY_SETTINGS
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
        reflected=st.lists(st.sampled_from(["on", "on", "off", "last"]), min_size=1, max_size=6),
-       epsilon=st.sampled_from([1e-3, 1e-300]), max_iter=st.integers(1, 30), shared=st.booleans())
-def test_a_stack_runs_each_member_as_a_lone_run(data, seed, reflected, epsilon, max_iter, shared):
-    # budgets over ten decades; a cap small enough that some runs end on it; members on their own channels, whose
-    # stacks the loop copies and compacts as runs end, or all on the first member's, which they share uncopied
+       epsilon=st.sampled_from([1e-3, 1e-300]), max_iter=st.integers(1, 30),
+       layout=st.sampled_from(["own channels", "shared channel", "groups"]))
+def test_a_stack_runs_each_member_as_a_lone_run(data, seed, reflected, epsilon, max_iter, layout):
+    # budgets over ten decades; a cap small enough that some runs end on it. Members on their own channels, whose
+    # stacks the loop copies and compacts as runs end; a group each on the first member's channel, which they share
+    # uncopied; or, as the harness stacks its points, runs of consecutive members in groups that each share the
+    # channel and start phases of their first member
     k, n_r, n_t, n_ris = (data.draw(st.integers(1, 4)) for _ in range(4))
     budgets = data.draw(arrays(float, len(reflected), elements=st.floats(1e-3, 1e7)))
-    members = lockstep_members(substream(seed), k, n_r, n_t, n_ris, reflected, budgets)
-    if shared:
-        members = [(members[0][0], phi0, budget) for _, phi0, budget in members]
-    assert_stack_runs_each_member_alone(members, epsilon, max_iter)
+    groups = lockstep_members(substream(seed), k, n_r, n_t, n_ris, reflected, budgets)
+    if layout == "shared channel":
+        groups = [(groups[0][0], phi0, group_budgets) for _, phi0, group_budgets in groups]
+    elif layout == "groups":
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(groups) - 1))) if len(groups) > 1 else [])
+        groups = [(*groups[a][:2], [budget for *_, [budget] in groups[a:b]])
+                  for a, b in zip([0, *cuts], [*cuts, len(groups)])]
+    assert_stack_runs_each_member_alone(groups, epsilon, max_iter)
 
 
 def test_a_stack_ends_its_members_at_different_iterations_for_different_reasons():
     # the dark and the unlit member end at their first gradient, one run at the tolerance and the rest at the cap
-    members = lockstep_members(substream(154), 3, 2, 4, 6, ["on", "off", "on", "last", "on", "on"],
-                               [1e-2, 1.0, 1e6, 1e-3, 30.0, 1e3])
-    results = assert_stack_runs_each_member_alone(members, 1e-3, 20)
+    groups = lockstep_members(substream(154), 3, 2, 4, 6, ["on", "off", "on", "last", "on", "on"],
+                              [1e-2, 1.0, 1e6, 1e-3, 30.0, 1e3])
+    results = assert_stack_runs_each_member_alone(groups, 1e-3, 20)
     assert [(r.stop_reason, r.iterations) for r in results] == [
         ("tolerance", 17), ("zero_gradient", 0), ("max_iter", 20), ("zero_gradient", 0), ("max_iter", 20),
         ("max_iter", 20)]
@@ -345,9 +355,9 @@ def test_a_stack_ends_a_run_at_a_later_zero_gradient(monkeypatch):
         return np.where((np.asarray(alloc.rate) > 44.3)[..., None], 0.0, gradient(channels, alloc))
 
     monkeypatch.setattr(pga, "gradient_phi", vanishing)
-    members = lockstep_members(substream(154), 3, 2, 4, 6, ["on", "off", "on", "last", "on", "on"],
-                               [1e-2, 1.0, 1e6, 1e-3, 30.0, 1e3])
-    results = assert_stack_runs_each_member_alone(members, 1e-3, 20)
+    groups = lockstep_members(substream(154), 3, 2, 4, 6, ["on", "off", "on", "last", "on", "on"],
+                              [1e-2, 1.0, 1e6, 1e-3, 30.0, 1e3])
+    results = assert_stack_runs_each_member_alone(groups, 1e-3, 20)
     assert [(r.stop_reason, r.iterations, r.gradient_passes) for r in results] == [
         ("tolerance", 17, 17), ("zero_gradient", 0, 1), ("zero_gradient", 3, 4), ("zero_gradient", 0, 1),
         ("max_iter", 20, 20), ("max_iter", 20, 20)]
