@@ -22,8 +22,9 @@ size in lockstep, given as groups whose members share one folded channel,
 start phases and start eigenpairs and differ in their budget. It takes
 every step of every member: the first in one `ascent_step` per group, each
 later one in one `_step` over the members still running, each followed by
-one candidate decomposition and one waterfill; it judges each member's step
-and drops the members whose runs ended, handing each back as a `RunEnd`.
+one candidate decomposition and one row-wise waterfill; it judges each
+member's step and drops the members whose runs ended, handing each back as
+a `RunEnd`. A lone member is a stack of one and takes the same steps.
 `pga_optimize` is `ascend` on one group of one member; given the `RunEnd` a
 stack reached (`end=`), it returns that run's result. `rislink.harness`
 states which members share a stack.
@@ -208,26 +209,18 @@ def _waterfilled(heq: np.ndarray, budgets: list) -> PowerAllocation:
     return PowerAllocation(heq=heq, lam=lam, w=w, p=p, rate=stream_rate(lam, p))
 
 
-def _step(links, held: PowerAllocation, phases: np.ndarray, mu: list, budgets: list) -> tuple:
-    """Every running member's later step from the allocation it holds.
+def _step(links: _Stack, held: PowerAllocation, phases: np.ndarray, mu: list, budgets: list) -> tuple:
+    """Every running member's later step from the allocation it holds: one `ascent_step`, then `_waterfilled`.
 
-    `held` stacks the members' allocations on a leading member axis, or is a
-    lone member's own; `phases` (M, N_RIS) are theirs, with one learning
-    rate and budget each. Returns the gradients and candidate phases
-    (M, N_RIS), the candidate allocations, stacked as `held` is, and the
-    scales and candidate rates as lists, row j member j's, each with the
-    bits of a lone step. A stack takes one `ascent_step` on the `_Stack`
-    `links`, then `_waterfilled`; a zero gradient's row is waterfilled at its
-    unmoved phases too, and the loop does not read that candidate. A lone
-    member steps on its own channels `links` and unstacked arrays with the
-    one-budget `waterfill_covariances`: a lone desk run of 40 iterations
-    (N_RIS 16 and 64, 2-core x86) took 8-10% longer than a plain one-member
-    loop as a stack of one, and takes about 4% longer this way.
+    `held` stacks the members' allocations on a leading member axis, a lone
+    member's as a stack of one, and `links` their `_Stack`; `phases`
+    (M, N_RIS) are theirs, with one learning rate and budget each. Returns
+    the gradients and candidate phases (M, N_RIS), the candidate
+    allocations, stacked as `held` is, and the scales and candidate rates as
+    lists, row j member j's, each with the bits of a lone step. A zero
+    gradient's row is waterfilled at its unmoved phases too, and the loop
+    does not read that candidate.
     """
-    if len(phases) == 1:
-        grad, scale, diag, heq = ascent_step(links, held, phases[0], mu[0])
-        cand = waterfill_covariances(heq, budgets[0])
-        return grad[None], diag[None], cand, [scale], [cand.rate]
     grad, scale, diag, heq = ascent_step(links, held, phases, np.array(mu))
     cand = _waterfilled(heq, budgets)
     return grad, diag, cand, scale.tolist(), cand.rate.tolist()
@@ -286,10 +279,10 @@ def ascend(groups: list, *, mu0: float, epsilon: float, max_iter: int):
     iteration steps every member: one `ascent_step` per group, then one
     `_waterfilled` over the stack. Only the members still running after it
     are gathered (`_gather`), and each later iteration steps them in one
-    `_step`; when members drop out, the running members past the new end of
-    the stack move into the places they left, so a drop-out copies at most
-    one member's link stacks per member gone. Every end state has the bits
-    of a lone run's.
+    `_step`, a lone member as a stack of one; when members drop out, the
+    running members past the new end of the stack move into the places they
+    left, so a drop-out copies at most one member's link stacks per member
+    gone. Every end state has the bits of a lone run's.
     """
     steps = [ascent_step(folded, start, phases, mu0) for folded, phases, start, _ in groups]
     grad, scale, diag, heq = (np.concatenate(column) for column in zip(*steps))
@@ -311,10 +304,7 @@ def ascend(groups: list, *, mu0: float, epsilon: float, max_iter: int):
         return
     held, phases, mu, trace, rates, budgets = ([column[m] for m in members]
                                                for column in (held, phases, mu, trace, rates, budgets))
-    if len(members) == 1:
-        held, links = PowerAllocation(*held[0]), channels[members[0]]
-    else:
-        held, links = PowerAllocation(*map(np.array, zip(*held))), _gather([channels[m] for m in members])
+    held, links = PowerAllocation(*map(np.array, zip(*held))), _gather([channels[m] for m in members])
     phases = np.array(phases)
     while True:
         grad, diag, cand, scale, new_rates = _step(links, held, phases, mu, budgets)
@@ -342,16 +332,11 @@ def ascend(groups: list, *, mu0: float, epsilon: float, max_iter: int):
             order[hole] = mover
         members, mu, trace, rates, budgets = ([column[j] for j in order]
                                               for column in (members, mu, trace, rates, budgets))
-        if n > 1:
-            held = PowerAllocation(*(x[order] for x in (held.heq, held.lam, held.w, held.p, held.rate)))
-            if links.h1.ndim == 4:  # a member axis of its own, not one shared channel
-                for stack in links:
-                    stack[holes] = stack[movers]
-                links = _Stack(*(stack[:n] for stack in links))
-        elif n == 1:
-            j, = order
-            held = PowerAllocation(heq=held.heq[j], lam=held.lam[j], w=held.w[j], p=held.p[j], rate=held.rate[j])
-            links = channels[members[0]]
+        held = PowerAllocation(*(x[order] for x in (held.heq, held.lam, held.w, held.p, held.rate)))
+        if links.h1.ndim == 4:  # a member axis of its own, not one shared channel
+            for stack in links:
+                stack[holes] = stack[movers]
+            links = _Stack(*(stack[:n] for stack in links))
         phases = phases[order]
         yield ends, stepped
         if not n:

@@ -10,21 +10,21 @@ Fonollosa, IEEE TSP 2005), so the allocated powers meet the total budget. The
 allocation carries its rate, (1/K) sum log2(1 + lam p) (Telatar, ETT 1999),
 and builds the transmit covariances only when they are read.
 
-The eigenpairs do not depend on the budget. `waterfill_covariances`, the
-optimizer loop's call, decomposes one channel and waterfills one budget on it;
-the harness decomposes each channel once with `channel_eigvals` and waterfills
-every sweep point's budget on the same pairs with the row-wise `waterfill`.
+The eigenpairs do not depend on the budget. `waterfill_covariances`
+decomposes one channel and waterfills one budget on it, as a lone optimizer
+run's start does; the harness decomposes each channel once with
+`channel_eigvals` and waterfills every sweep point's budget on the same pairs
+with the row-wise `waterfill`.
 
 Rows: `channel_eigvals` decomposes a stack with any leading axes in one call,
 and `waterfill` takes either one budget, one pool over all the eigenvalues
-given, or one budget per leading row, each row its own pool; `stream_rate`
-rates each row. A row's powers, cutoff and rate equal those of a lone call on
-that row bit for bit, so the harness scores a whole chunk of trials' baseline
-arms in one decomposition and one waterfill, and the optimizer's lockstep
-loop decomposes and waterfills the candidates of each of its steps, the
-first included, in one call each. The one-budget case, which that loop calls
-for a lone member's later steps, keeps its own code: the row-wise code costs
-about 2.2 times as much on one row.
+given, or one budget per leading row, each row its own pool; one budget is
+waterfilled as one row. `stream_rate` rates each row. A row's powers, cutoff
+and rate equal those of a lone call on that row bit for bit, so the harness
+scores a whole chunk of trials' baseline arms in one decomposition and one
+waterfill, and the optimizer's lockstep loop decomposes and waterfills the
+candidates of each of its steps in one call each, a lone run's steps as a
+stack of one.
 """
 
 import math
@@ -49,12 +49,12 @@ class PowerAllocation:
     q[k] = u[k] diag(p[k]) u[k]^H, and the sum of all powers equals the budget.
     `rate` is the spectral efficiency of q on `heq`. The optimizer reads only
     `lam`, `w` and `p`; `u` and `q` are built from a thin SVD of `heq` on
-    first access. The optimizer also stacks members on a leading member
-    axis: the members of a group, who share `heq`, `lam` and `w`, in one
-    allocation whose `p` (M, K, N_s) and `rate` (M,) carry that axis, or
-    members with their own channels, whose every field carries it; only
-    `pga`'s loop, `pga.ascent_step` and the `gradient_phi` call it makes
-    read such a stack.
+    first access. The optimizer's loop holds its members, a lone run's one
+    included, on a leading member axis: the members of a group, who share
+    `heq`, `lam` and `w`, in one allocation whose `p` (M, K, N_s) and `rate`
+    (M,) carry that axis, or members with their own channels, whose every
+    field carries it; only `pga`'s loop, `pga.ascent_step` and the
+    `gradient_phi` call it makes read such a stack.
     """
 
     heq: np.ndarray  # (K, N_r, N_t) channel the powers were waterfilled for
@@ -128,53 +128,26 @@ def waterfill(eigenvalues, total_power) -> tuple[np.ndarray, float | np.ndarray]
     `total_power` is one budget, for one pool over every eigenvalue given, or
     a 1-D sequence of one budget per row along the first axis, each row its
     own pool, with the powers and cutoff of a lone call on it bit for bit.
-    Every budget must be positive and finite, and not a bool.
+    One budget is one row of every eigenvalue given. Every budget must be
+    positive and finite, and not a bool.
 
     Returns (powers in the input's shape, cutoff: a float, or one per row).
     """
     lams = np.asarray(eigenvalues, dtype=float)
-    if isinstance(total_power, (np.ndarray, list, tuple)):
-        if np.ndim(total_power):
-            return _waterfill_rows(lams, total_power)
-        total_power = np.asarray(total_power).item()
-    _require_budget(total_power)
-    flat = lams.reshape(-1)
-    top = flat.max(initial=0.0)  # NaN when any eigenvalue is NaN
-    active = flat > max(ABS_EIG_FLOOR / total_power, REL_EIG_FLOOR * top)
-    inv_lam = 1.0 / flat[active]
-    # a -inf is never active, so it is looked for only when some stream is not
-    if not math.isfinite(top) or inv_lam.size < flat.size and flat.min() == -math.inf:
-        _require_finite(flat)
-    if not inv_lam.size:
-        raise _no_stream(float(top), total_power)
-
-    inv_sorted = np.sort(inv_lam)
-    levels = (total_power + inv_sorted.cumsum()) / np.arange(1, inv_sorted.size + 1)
-    # the strongest stream always passes (total_power > 0); a tie at the
-    # boundary gives the same level with or without that stream
-    level = levels[(inv_sorted <= levels).nonzero()[0][-1]]
-
-    out = np.zeros(lams.shape)
-    out.reshape(-1)[active] = np.maximum(0.0, level - inv_lam)
-    return out, float(1.0 / level)
-
-
-def _waterfill_rows(lams: np.ndarray, total_power) -> tuple[np.ndarray, np.ndarray]:
-    """`waterfill` with one budget per row along the first axis of `lams`.
-
-    Each row runs the one-budget arithmetic on its own: its inactive streams
-    take a NaN inverse gain, which sorts after its active ones and never
-    passes, and the level is read at the last stream that passes, so every
-    value equals the lone call's.
-    """
-    if np.ndim(total_power) != 1:
-        raise ValueError(f"row budgets must form a 1-D sequence, got shape {np.shape(total_power)}")
-    if lams.ndim == 0 or len(total_power) != lams.shape[0]:
-        raise ValueError(f"{len(total_power)} budgets for {lams.shape[0] if lams.ndim else 0} rows of eigenvalues "
-                         f"of shape {lams.shape}: give one budget per row")
-    for r, budget in enumerate(total_power.tolist() if isinstance(total_power, np.ndarray) else total_power):
-        _require_budget(budget, f" of row {r}")
-    budgets = np.asarray(total_power, dtype=float)
+    rows = isinstance(total_power, (np.ndarray, list, tuple)) and np.ndim(total_power) > 0
+    if rows:
+        if np.ndim(total_power) != 1:
+            raise ValueError(f"row budgets must form a 1-D sequence, got shape {np.shape(total_power)}")
+        if lams.ndim == 0 or len(total_power) != lams.shape[0]:
+            raise ValueError(f"{len(total_power)} budgets for {lams.shape[0] if lams.ndim else 0} rows of "
+                             f"eigenvalues of shape {lams.shape}: give one budget per row")
+        for r, budget in enumerate(total_power.tolist() if isinstance(total_power, np.ndarray) else total_power):
+            _require_budget(budget, f" of row {r}")
+    else:
+        if isinstance(total_power, np.ndarray):
+            total_power = total_power.item()
+        _require_budget(total_power)
+    budgets = np.asarray(total_power if rows else [total_power], dtype=float)
     flat = lams.reshape(budgets.size, -1)
     _require_finite(flat)
     top = flat.max(axis=1, initial=0.0)
@@ -182,15 +155,20 @@ def _waterfill_rows(lams: np.ndarray, total_power) -> tuple[np.ndarray, np.ndarr
     has_stream = active.any(axis=1)
     if not has_stream.all():
         r = int(np.argmin(has_stream))
-        raise _no_stream(float(top[r]), float(budgets[r]))
+        raise _no_stream(float(top[r]), float(budgets[r]) if rows else total_power)
 
+    # a row's inactive streams take a NaN inverse gain, which sorts after its active ones and never passes, so its
+    # level is read at the last stream that passes
     inv = np.divide(1.0, flat, out=np.full(flat.shape, np.nan), where=active)
     inv_sorted = np.sort(inv, axis=1)
     levels = (budgets[:, None] + inv_sorted.cumsum(axis=1)) / np.arange(1, flat.shape[1] + 1)
+    # the strongest stream always passes (a budget > 0); a tie at the boundary gives the same level with or
+    # without that stream
     passes = inv_sorted <= levels
     last = flat.shape[1] - 1 - np.argmax(passes[:, ::-1], axis=1)
     level = levels[np.arange(budgets.size), last]
-    return np.fmax(0.0, level[:, None] - inv).reshape(lams.shape), 1.0 / level
+    powers = np.fmax(0.0, level[:, None] - inv).reshape(lams.shape)
+    return (powers, 1.0 / level) if rows else (powers, float(1.0 / level[0]))
 
 
 def build_covariances(u: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -58,7 +58,10 @@ def combine_links(h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, phi_diag: np.n
     A (..., N_RIS) stack of phase diagonals gives a (..., K, N_r, N_t) stack
     of channels, each slice with the bits of a lone call.
     """
-    return h3 + (h2 * phi_diag[..., None, None, :]) @ h1
+    diag = phi_diag[..., None, None, :]
+    # h2 takes the diagonals' leading axes explicitly: numpy runs a one-element product of operands of unequal
+    # rank on another loop, whose bits differ, so a stack of one channel of one entry would not be a lone call
+    return h3 + (h2.reshape((1,) * (diag.ndim - h2.ndim) + h2.shape) * diag) @ h1
 
 
 def fold_gains(channels: FreqChannelSet, gains: LinkGains) -> FreqChannelSet:

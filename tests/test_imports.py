@@ -65,21 +65,22 @@ def test_no_name_is_imported_from_the_package_root():
 
 
 def unread_imports(source: str) -> list[str]:
-    """Names that `source`'s module-level imports bind and the module never reads; `# noqa: F401` lines are exempt."""
+    """Names that `source`'s imports, at any depth, bind and the module never reads, as "line name"."""
     tree = ast.parse(source)
-    lines = source.splitlines()
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return [f"{node.lineno} {bound}" for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
-            and "# noqa: F401" not in lines[node.lineno - 1]
+    return [f"{node.lineno} {bound}" for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
             for alias in node.names for bound in [alias.asname or alias.name.split(".")[0]] if bound not in read]
 
 
-def test_every_module_level_import_is_read():
-    assert unread_imports("import os\nfrom a import b as c, d  # noqa: F401\nfrom e import f\nos.sep, f()\n") == []
+def test_every_import_in_src_is_used():
+    # a deletion can strand an import anywhere in a module; the only names imported and not read are the configs'
+    # entry points that `harness` re-exports, which bench/ reads from it
+    assert unread_imports("import os\nfrom a import b as c, d  # noqa: F401\nfrom e import f\nos.sep, f()\n"
+                          "def g():\n    from h import i\n") == ["2 c", "2 d", "6 i"]
     assert unread_imports("import os.path\nfrom a import b, c\nb()\n") == ["1 os", "2 c"]
-    offenders = [f"{path.relative_to(ROOT)}:{entry}" for path in sorted(PACKAGE.glob("*.py"))
-                 for entry in unread_imports(path.read_text(encoding="utf-8"))]
-    assert offenders == []
+    unread = {path.stem: {entry.split()[1] for entry in entries} for path in sorted(PACKAGE.glob("*.py"))
+              if (entries := unread_imports(path.read_text(encoding="utf-8")))}
+    assert unread == {"harness": {"parse_config", "preset_config"}}
 
 
 def test_harness_reaches_the_pathloss_formulas_only_through_the_link_budget():
@@ -167,3 +168,6 @@ def test_one_way_to_take_a_pga_step():
     assert sites("_step") == {"pga.ascend"}
     assert sites("ascend") == {"pga.pga_optimize", "harness._trial_rates"}
     assert sites("gradient_phi") == {"pga.ascent_step"}
+    # every step's candidates are waterfilled row-wise, a lone run's as a stack of one; only a run's start, built
+    # from its start phases, waterfills one channel on its own
+    assert sites("waterfill_covariances") == {"pga.pga_optimize"}

@@ -13,6 +13,8 @@ from rislink.power import PowerAllocation, channel_eigvals, stream_rate, waterfi
 from rislink.rate import RisPhases, combine_links, equivalent_channel, fold_gains, rate_from_heq
 from rislink.rng import substream
 
+from pga_reference import assert_is_reference_run
+
 
 def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
@@ -277,8 +279,8 @@ def test_pga_refuses_start_phases_of_the_wrong_count_on_either_path(count, given
 
 
 def test_pga_calls_each_kernel_once_per_pass(monkeypatch):
-    # a built run takes one gradient a pass; its start and every step after the first take one one-budget waterfill
-    # each, and its first step's candidate one row-wise waterfill. A given end state takes no kernel call
+    # a built run takes one gradient a pass; its start takes one `waterfill_covariances`, and every step's candidate
+    # one row-wise waterfill, as a stack of one. A given end state takes no kernel call
     cfg, geom = preset_config("desk")
     geom = replace(geom, bs_height=10.0, d_ris=2.2)
     channels, gains = draw_trial(cfg, geom, (0, 99, 0))
@@ -299,8 +301,8 @@ def test_pga_calls_each_kernel_once_per_pass(monkeypatch):
         calls.clear()
         result = pga_optimize(folded, power, phi0=phi0, **kw)
         assert result.iterations > 1 and result.stop_reason == stop_reason
-        assert calls == {"gradient_phi": result.gradient_passes, "waterfill_covariances": result.iterations,
-                         "waterfill": 1}
+        assert calls == {"gradient_phi": result.gradient_passes, "waterfill_covariances": 1,
+                         "waterfill": result.iterations}
     calls.clear()
     assert pga_optimize(folded, power, phi0=phi0, end=end).iterations > 1 and calls == {}
 
@@ -348,49 +350,9 @@ def test_pga_takes_prior_work_only_as_an_end_state():
         "mu0", "epsilon", "max_iter", "rng", "phi0", "end", "meter"]
 
 
-def reference_pga(channels, total_power, phi0, mu0=0.1, epsilon=1e-3, max_iter=200, gradient=gradient_phi):
-    """The ascent loop on the public kernels, with a validated RisPhases at every iterate."""
-    phi = phi0
-    alloc = waterfill_covariances(equivalent_channel(channels, phi), total_power)
-    trace = [alloc.rate]
-    mu, iterations, stop_reason = mu0, 0, "max_iter"
-    while iterations < max_iter:
-        grad = gradient(channels, alloc, phi)
-        scale = np.max(np.abs(grad))
-        # the phase derivative d rate / d theta_i is -2 Im(phi_i g_i), relative to the gradient's scale
-        stationarity = np.max(np.abs(np.imag(phi.diag * grad))) / scale if scale > 0.0 else 0.0
-        if scale == 0.0:
-            stop_reason = "zero_gradient"
-            break
-        new_phi = RisPhases(project_unit_modulus(phi.diag + (mu / scale) * grad.conj(), fallback=phi.diag))
-        new_alloc = waterfill_covariances(equivalent_channel(channels, new_phi), total_power)
-        iterations += 1
-        delta = new_alloc.rate - alloc.rate
-        if delta > 0:
-            phi, alloc = new_phi, new_alloc
-        else:
-            mu /= 10.0
-        trace.append(alloc.rate)
-        if abs(delta) < epsilon:
-            stop_reason = "tolerance"
-            break
-        if mu < MU_FLOOR:
-            stop_reason = "mu_floor"
-            break
-    return phi, np.asarray(trace), iterations, stop_reason, stationarity
-
-
 def assert_matches_reference(channels, total_power, phi0, gradient=gradient_phi, **kw):
     result = pga_optimize(channels, total_power, phi0=phi0, **kw)
-    phi, trace, iterations, stop_reason, stationarity = reference_pga(channels, total_power, phi0,
-                                                                      gradient=gradient, **kw)
-    assert np.array_equal(result.trace, trace)
-    assert np.array_equal(result.phi.diag, phi.diag)
-    assert (result.iterations, result.stop_reason) == (iterations, stop_reason)
-    assert result.converged == (stop_reason in ("tolerance", "zero_gradient"))
-    assert result.gradient_passes == iterations + (stop_reason == "zero_gradient")
-    assert result.rate == trace[-1] and result.start_rate == trace[0]
-    np.testing.assert_allclose(result.stationarity, stationarity, rtol=1e-12, atol=0.0)
+    assert_is_reference_run(result, channels, total_power, phi0, gradient=gradient, **kw)
     return result
 
 

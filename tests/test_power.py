@@ -193,7 +193,8 @@ def test_waterfill_names_the_budget_and_the_floor_when_no_stream_passes():
 
 @pytest.mark.parametrize("budget", [np.nan, np.inf])
 def test_waterfill_rejects_non_finite_budget(budget):
-    with pytest.raises(ValueError, match="positive and finite"):
+    # one budget is waterfilled as one row, but is refused as one budget, not as a row's
+    with pytest.raises(ValueError, match=f"^total power budget must be positive and finite, got {budget!r}$"):
         waterfill(np.array([1.0, 0.5]), budget)
 
 

@@ -29,6 +29,8 @@ from rislink.power import (  # noqa: E402
 from rislink.rate import RisPhases, combine_links, equivalent_channel, rate_from_heq  # noqa: E402
 from rislink.rng import substream  # noqa: E402
 
+from pga_reference import assert_is_reference_run  # noqa: E402
+
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 eigenvalue_grids = arrays(
@@ -282,10 +284,10 @@ def lockstep_members(rng, k, n_r, n_t, n_ris, reflected, budgets):
     return members
 
 
-def assert_stack_runs_each_member_alone(groups, epsilon, max_iter):
+def assert_stack_runs_each_member_alone(groups, epsilon, max_iter, gradient=gradient_phi):
     """Run `ascend` on the groups, each (channels, start phases, budgets) with its start allocation waterfilled by
-    lone calls, hand each member's end state to `pga_optimize(end=)`, and require every field of its result to equal
-    a lone run's bit for bit; returns the lone results, in member order."""
+    lone calls, hand each member's end state to `pga_optimize(end=)`, and require its result to be the reference
+    loop's lone run, which takes its gradients from `gradient`; returns the results, in member order."""
     stack = []
     for channels, phi0, budgets in groups:
         alone = [waterfill_covariances(equivalent_channel(channels, phi0), budget) for budget in budgets]
@@ -299,14 +301,10 @@ def assert_stack_runs_each_member_alone(groups, epsilon, max_iter):
     results = []
     members = [(channels, phi0, budget) for channels, phi0, budgets in groups for budget in budgets]
     for m, (channels, phi0, budget) in enumerate(members):
-        stacked_run = pga_optimize(channels, budget, epsilon=epsilon, max_iter=max_iter, phi0=phi0, end=ends[m])
-        alone = pga_optimize(channels, budget, epsilon=epsilon, max_iter=max_iter, phi0=phi0)
-        assert np.array_equal(stacked_run.phi.diag, alone.phi.diag) and np.array_equal(stacked_run.trace, alone.trace)
-        assert (stacked_run.rate, stacked_run.start_rate, stacked_run.iterations, stacked_run.stop_reason,
-                stacked_run.gradient_passes, stacked_run.stationarity) == (
-            alone.rate, alone.start_rate, alone.iterations, alone.stop_reason, alone.gradient_passes,
-            alone.stationarity)
-        results.append(alone)
+        result = pga_optimize(channels, budget, epsilon=epsilon, max_iter=max_iter, phi0=phi0, end=ends[m])
+        assert_is_reference_run(result, channels, budget, phi0, gradient=gradient, mu0=SystemConfig.mu0,
+                                epsilon=epsilon, max_iter=max_iter)
+        results.append(result)
     # the stack takes every step of a run, one member of each iteration's stack per run still going: the first
     # iteration steps every member
     assert steps == [sum(r.gradient_passes > j for r in results) for j in range(len(steps))]
@@ -357,7 +355,7 @@ def test_a_stack_ends_a_run_at_a_later_zero_gradient(monkeypatch):
     monkeypatch.setattr(pga, "gradient_phi", vanishing)
     groups = lockstep_members(substream(154), 3, 2, 4, 6, ["on", "off", "on", "last", "on", "on"],
                               [1e-2, 1.0, 1e6, 1e-3, 30.0, 1e3])
-    results = assert_stack_runs_each_member_alone(groups, 1e-3, 20)
+    results = assert_stack_runs_each_member_alone(groups, 1e-3, 20, gradient=vanishing)
     assert [(r.stop_reason, r.iterations, r.gradient_passes) for r in results] == [
         ("tolerance", 17, 17), ("zero_gradient", 0, 1), ("zero_gradient", 3, 4), ("zero_gradient", 0, 1),
         ("max_iter", 20, 20), ("max_iter", 20, 20)]

@@ -5,6 +5,7 @@ from rislink.channel import FreqChannelSet
 from rislink.propagation import LinkGains
 from rislink.rate import (
     RisPhases,
+    combine_links,
     equivalent_channel,
     fold_gains,
     rate_from_heq,
@@ -64,6 +65,22 @@ def test_equivalent_channel_matches_bruteforce():
         expected = (np.sqrt(0.3) * ch.h3[k]
                     + np.sqrt(0.05) * ch.h2[k] @ big_phi @ ch.h1[k])
         np.testing.assert_allclose(heq[k], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("members", [1, 2, 3])
+@pytest.mark.parametrize("k, n_r, n_t, n_ris", [(1, 1, 1, 1), (1, 1, 3, 1), (2, 1, 3, 1), (8, 4, 16, 16)])
+def test_a_stack_of_phase_diagonals_gives_each_channel_a_lone_calls_bits(k, n_r, n_t, n_ris, members):
+    # a lone optimizer run steps as a stack of one, so its candidate channels must have a lone call's bits even where
+    # the channel has a single entry per subcarrier, on one shared channel or on each member's own
+    rng = substream(55, k, n_ris, members)
+    for _ in range(20):
+        ch = [random_setup(rng, k, n_r, n_t, n_ris)[0] for _ in range(members)]
+        diags = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (members, n_ris)))
+        shared = combine_links(ch[0].h1, ch[0].h2, ch[0].h3, diags)
+        own = combine_links(*(np.array([getattr(c, name) for c in ch]) for name in ("h1", "h2", "h3")), diags)
+        for j, c in enumerate(ch):
+            assert np.array_equal(shared[j], combine_links(ch[0].h1, ch[0].h2, ch[0].h3, diags[j]))
+            assert np.array_equal(own[j], combine_links(c.h1, c.h2, c.h3, diags[j]))
 
 
 def test_equivalent_channel_shape_mismatch():
