@@ -34,12 +34,14 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,13 +56,24 @@ PAPER_CHILD = ("import resource, sys\n"
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Seeds from a comma-separated list of integers and inclusive ranges, e.g. "0-9" or "0,3,7919"."""
+    """Distinct seeds from a comma-separated list of integers and inclusive ranges, e.g. "0-9" or "0,3,7919".
+
+    A seed given twice is refused: both its runs would go into the JSON, but the summary would read one of them
+    twice as two pairs and never read the other.
+    """
     seeds = []
     for part in text.split(","):
-        low, _, high = part.partition("-")
-        seeds += range(int(low), int(high or low) + 1)
-    if not seeds or min(seeds) < 0:
-        raise argparse.ArgumentTypeError(f"seeds must be nonnegative integers, got {text!r}")
+        match = re.fullmatch(r"\s*(\d+)\s*(?:-\s*(\d+)\s*)?", part)
+        if not match:
+            raise argparse.ArgumentTypeError(f"seeds must be nonnegative integers, got {text!r}")
+        low, high = int(match[1]), int(match[2] or match[1])
+        if high < low:
+            raise argparse.ArgumentTypeError(f"seed range {part.strip()!r} runs backwards; write it as {high}-{low}")
+        seeds += range(low, high + 1)
+    repeated = sorted(seed for seed, count in Counter(seeds).items() if count > 1)
+    if repeated:
+        raise argparse.ArgumentTypeError(f"seeds must be distinct; {', '.join(map(str, repeated))} given twice "
+                                         f"or more in {text!r}")
     return seeds
 
 

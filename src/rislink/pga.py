@@ -19,12 +19,14 @@ each member's slice has the bits of a lone call.
 
 There is one ascent loop, `ascend`: it runs a stack of members of one RIS
 size in lockstep, given as groups whose members share one folded channel,
-start phases and start eigenpairs and differ in their budget. It takes
-every step of every member: the first in one `ascent_step` per group, each
-later one in one `_step` over the members still running, each followed by
-one candidate decomposition and one row-wise waterfill; it judges each
-member's step and drops the members whose runs ended, handing each back as
-a `RunEnd`. A lone member is a stack of one and takes the same steps.
+start phases and start eigenpairs and differ in their budget, and holds
+their state on one member axis. It takes every step of every member: the
+first in one `ascent_step` per group, each later one in one `_step` over the
+members still running, each followed by one candidate decomposition and one
+row-wise waterfill. Every iteration ends in one block: it judges each
+member's step, keeps the accepted candidates and drops the members whose
+runs ended, handing each back as a `RunEnd`. A lone member is a stack of one
+and takes the same steps.
 `pga_optimize` is `ascend` on one group of one member; given the `RunEnd` a
 stack reached (`end=`), it returns that run's result. `rislink.harness`
 states which members share a stack.
@@ -194,8 +196,8 @@ def _gather(channels: list[FreqChannelSet]) -> _Stack:
     Members that all sit on one channel (a group's members, as in the
     paper's `se_vs_snr`, whose points differ only in SNR) share its stacks,
     which broadcast over the member axis, uncopied. Other members' stacks
-    are copied onto a member axis, which `ascend` owns and compacts in place
-    as members drop out.
+    are copied onto a member axis; `ascend` gathers its running members anew
+    whenever members drop out.
     """
     if all(c is channels[0] for c in channels):
         return _Stack(channels[0].h1, channels[0].h2, channels[0].h3)
@@ -272,42 +274,34 @@ def ascend(groups: list, *, mu0: float, epsilon: float, max_iter: int):
     budgets) tuples. A group's members share its channels, start phases and
     start eigenpairs; its start allocation holds one power row and one rate
     per member, waterfilled at the member's entry of `budgets`. The stack's
-    members are the groups' rows, in order. Each iteration steps every
-    running member, judges each step (`_judge`) and drops the members whose
-    runs ended, and yields (ended, stepped): the (m, `RunEnd`) of the
-    members that ended and the number of members it stepped. The first
-    iteration steps every member: one `ascent_step` per group, then one
-    `_waterfilled` over the stack. Only the members still running after it
-    are gathered (`_gather`), and each later iteration steps them in one
-    `_step`, a lone member as a stack of one; when members drop out, the
-    running members past the new end of the stack move into the places they
-    left, so a drop-out copies at most one member's link stacks per member
-    gone. Every end state has the bits of a lone run's.
+    members are the groups' rows, in order, and their state sits on one
+    member axis: each group's start eigenpairs and phases are repeated over
+    its members. Each iteration steps every running member, judges each step
+    (`_judge`), selects the accepted candidates, yields (ended, stepped): the
+    (m, `RunEnd`) of the members that ended and the number of members it
+    stepped, and drops the members that ended. The first iteration takes
+    one `ascent_step` per group, then one `_waterfilled` over the stack; each
+    later one is one `_step` over the members still running, a lone member
+    as a stack of one. After the first iteration and whenever members drop
+    out, the running members' link stacks are gathered anew (`_gather`).
+    Nothing `groups` holds is written to. Every end state has the bits of a
+    lone run's.
     """
-    steps = [ascent_step(folded, start, phases, mu0) for folded, phases, start, _ in groups]
+    folded, phases, starts, budgets = zip(*groups)
+    steps = [ascent_step(channels, start, diag0, mu0) for channels, diag0, start in zip(folded, phases, starts)]
     grad, scale, diag, heq = (np.concatenate(column) for column in zip(*steps))
-    channels, phases, held = zip(*((folded, phases, (start.heq, start.lam, start.w, p, rate))
-                                   for folded, phases, start, _ in groups
-                                   for p, rate in zip(start.p, start.rate.tolist())))
-    budgets = [b for *_, group_budgets in groups for b in group_budgets]
+    sizes = [len(group_budgets) for group_budgets in budgets]
+    held = PowerAllocation(*(np.array([getattr(start, name) for start in starts]).repeat(sizes, axis=0)
+                             for name in ("heq", "lam", "w")),
+                           *(np.concatenate([getattr(start, name) for start in starts]) for name in ("p", "rate")))
+    phases = np.array(phases).repeat(sizes, axis=0)
+    channels = [channel for channel, n in zip(folded, sizes) for _ in range(n)]
+    budgets = [b for group_budgets in budgets for b in group_budgets]
     cand = _waterfilled(heq, budgets)
-    rates, mu = [rate for *_, rate in held], [mu0] * len(held)
-    trace = [[rate] for rate in rates]
-    accepted, ended = _judge(cand.rate.tolist(), scale.tolist(), rates, mu, trace, epsilon, max_iter)
-    held = [c if a else h for c, h, a in zip(zip(cand.heq, cand.lam, cand.w, cand.p, cand.rate), held, accepted)]
-    grad_phases, phases = phases, [d if a else old for d, old, a in zip(diag, phases, accepted)]
-    yield [(m, _end(phases[m], rates[m], trace[m], stop_reason, grad_phases[m], grad[m], scale[m]))
-           for m, stop_reason in ended], len(mu)
-    gone = {m for m, _ in ended}
-    members = [m for m in range(len(mu)) if m not in gone]
-    if not members:
-        return
-    held, phases, mu, trace, rates, budgets = ([column[m] for m in members]
-                                               for column in (held, phases, mu, trace, rates, budgets))
-    held, links = PowerAllocation(*map(np.array, zip(*held))), _gather([channels[m] for m in members])
-    phases = np.array(phases)
+    scale, new_rates = scale.tolist(), cand.rate.tolist()
+    members, rates, mu = list(range(len(budgets))), held.rate.tolist(), [mu0] * len(budgets)
+    trace, links = [[rate] for rate in rates], None
     while True:
-        grad, diag, cand, scale, new_rates = _step(links, held, phases, mu, budgets)
         accepted, ended = _judge(new_rates, scale, rates, mu, trace, epsilon, max_iter)
         grad_phases = phases  # the phases each gradient was taken at
         if all(accepted):
@@ -318,29 +312,18 @@ def ascend(groups: list, *, mu0: float, epsilon: float, max_iter: int):
                                      zip((cand.heq, cand.lam, cand.w, cand.p, cand.rate),
                                          (held.heq, held.lam, held.w, held.p, held.rate))))
             phases = np.where(mask[:, None], diag, phases)
-        if not ended:
-            yield (), len(mu)
-            continue
-        ends = [(members[j], _end(phases[j], rates[j], trace[j], stop_reason, grad_phases[j], grad[j], scale[j]))
-                for j, stop_reason in ended]
-        # the running members past the new end n move into the places of those that ended before it
-        stepped, gone = len(mu), {j for j, _ in ended}
-        n = stepped - len(gone)
-        holes, movers = [j for j in range(n) if j in gone], [j for j in range(n, stepped) if j not in gone]
-        order = list(range(n))
-        for hole, mover in zip(holes, movers):
-            order[hole] = mover
-        members, mu, trace, rates, budgets = ([column[j] for j in order]
-                                              for column in (members, mu, trace, rates, budgets))
-        held = PowerAllocation(*(x[order] for x in (held.heq, held.lam, held.w, held.p, held.rate)))
-        if links.h1.ndim == 4:  # a member axis of its own, not one shared channel
-            for stack in links:
-                stack[holes] = stack[movers]
-            links = _Stack(*(stack[:n] for stack in links))
-        phases = phases[order]
-        yield ends, stepped
-        if not n:
+        yield [(members[j], _end(phases[j], rates[j], trace[j], stop_reason, grad_phases[j], grad[j], scale[j]))
+               for j, stop_reason in ended], len(members)
+        if len(ended) == len(members):
             return
+        if links is None or ended:
+            gone = {j for j, _ in ended}
+            keep = [j for j in range(len(members)) if j not in gone]
+            members, mu, trace, rates, budgets, channels = ([column[j] for j in keep] for column in
+                                                            (members, mu, trace, rates, budgets, channels))
+            held = PowerAllocation(*(x[keep] for x in (held.heq, held.lam, held.w, held.p, held.rate)))
+            phases, links = phases[keep], _gather(channels)
+        grad, diag, cand, scale, new_rates = _step(links, held, phases, mu, budgets)
 
 
 def pga_optimize(channels: FreqChannelSet, total_power: float, *, mu0: float = SystemConfig.mu0,

@@ -104,6 +104,13 @@ def callers(source: str, name: str) -> set[str]:
     return found
 
 
+def calls(source: str, scope: str, name: str) -> int:
+    """How many calls of `name`, bare or as an attribute, the top-level function `scope` of `source` makes."""
+    node = next(node for node in ast.parse(source).body if getattr(node, "name", None) == scope)
+    return sum(isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == name
+               for call in ast.walk(node))
+
+
 def test_each_sweep_point_is_built_and_budgeted_in_one_place():
     assert callers("def f():\n    g(h.link_budget())\nlink_budget()\n", "link_budget") == {"f", "<module>"}
     harness = (PACKAGE / "harness.py").read_text(encoding="utf-8")
@@ -166,6 +173,12 @@ def test_one_way_to_take_a_pga_step():
     assert {module: n for module, source in sources.items() if (n := definitions(source, "ascent_step"))} == {"pga": 1}
     assert sites("ascent_step") == {"pga._step", "pga.ascend"}
     assert sites("_step") == {"pga.ascend"}
+    # one judge-and-drop block: every iteration's steps are judged, and the running members' links gathered, in one
+    # place of the loop
+    assert calls("def f():\n    g(g(1))\n    h.g()\ndef g():\n    g()\n", "f", "g") == 3
+    assert calls(sources["pga"], "ascend", "_judge") == 1
+    assert calls(sources["pga"], "ascend", "_gather") == 1
+    assert sites("_gather") == {"pga.ascend"}
     assert sites("ascend") == {"pga.pga_optimize", "harness._trial_rates"}
     assert sites("gradient_phi") == {"pga.ascent_step"}
     # every step's candidates are waterfilled row-wise, a lone run's as a stack of one; only a run's start, built

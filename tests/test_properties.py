@@ -284,18 +284,24 @@ def lockstep_members(rng, k, n_r, n_t, n_ris, reflected, budgets):
     return members
 
 
-def assert_stack_runs_each_member_alone(groups, epsilon, max_iter, gradient=gradient_phi):
-    """Run `ascend` on the groups, each (channels, start phases, budgets) with its start allocation waterfilled by
-    lone calls, hand each member's end state to `pga_optimize(end=)`, and require its result to be the reference
-    loop's lone run, which takes its gradients from `gradient`; returns the results, in member order."""
+def ascend_input(groups):
+    """`ascend`'s groups for groups of (channels, start phases, budgets), each start allocation waterfilled by lone
+    calls."""
     stack = []
     for channels, phi0, budgets in groups:
         alone = [waterfill_covariances(equivalent_channel(channels, phi0), budget) for budget in budgets]
         start = PowerAllocation(heq=alone[0].heq, lam=alone[0].lam, w=alone[0].w, p=np.array([a.p for a in alone]),
                                 rate=np.array([a.rate for a in alone]))
         stack.append((channels, phi0.diag, start, budgets))
+    return stack
+
+
+def assert_stack_runs_each_member_alone(groups, epsilon, max_iter, gradient=gradient_phi):
+    """Run `ascend` on the groups, each (channels, start phases, budgets) with its start allocation waterfilled by
+    lone calls, hand each member's end state to `pga_optimize(end=)`, and require its result to be the reference
+    loop's lone run, which takes its gradients from `gradient`; returns the results, in member order."""
     ends, steps = {}, []
-    for ended, stepped in ascend(stack, mu0=SystemConfig.mu0, epsilon=epsilon, max_iter=max_iter):
+    for ended, stepped in ascend(ascend_input(groups), mu0=SystemConfig.mu0, epsilon=epsilon, max_iter=max_iter):
         ends.update(ended)
         steps.append(stepped)
     results = []
@@ -319,25 +325,38 @@ def assert_stack_runs_each_member_alone(groups, epsilon, max_iter, gradient=grad
        layout=st.sampled_from(["own channels", "shared channel", "groups"]))
 def test_a_stack_runs_each_member_as_a_lone_run(data, seed, reflected, epsilon, max_iter, layout):
     # budgets over ten decades; a cap small enough that some runs end on it. Members on their own channels, whose
-    # stacks the loop copies and compacts as runs end; a group each on the first member's channel, which they share
+    # stacks the loop copies anew as runs end; a group each on the first member's channel, which they share
     # uncopied; or, as the harness stacks its points, runs of consecutive members in groups that each share the
     # channel and start phases of their first member
     k, n_r, n_t, n_ris = (data.draw(st.integers(1, 4)) for _ in range(4))
     budgets = data.draw(arrays(float, len(reflected), elements=st.floats(1e-3, 1e7)))
     groups = lockstep_members(substream(seed), k, n_r, n_t, n_ris, reflected, budgets)
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(groups) - 1)))) if layout == "groups" and len(groups) > 1 else []
+    assert_stack_runs_each_member_alone(laid_out(groups, layout, cuts), epsilon, max_iter)
+
+
+def laid_out(members, layout, cuts):
+    """Members, each a group of its own, in `layout`: "own channels" as they are, "shared channel" one group each on
+    the first member's channel, or "groups", the runs of members between `cuts` in one group each on the channel and
+    start phases of its first member."""
     if layout == "shared channel":
-        groups = [(groups[0][0], phi0, group_budgets) for _, phi0, group_budgets in groups]
-    elif layout == "groups":
-        cuts = sorted(data.draw(st.sets(st.integers(1, len(groups) - 1))) if len(groups) > 1 else [])
-        groups = [(*groups[a][:2], [budget for *_, [budget] in groups[a:b]])
-                  for a, b in zip([0, *cuts], [*cuts, len(groups)])]
-    assert_stack_runs_each_member_alone(groups, epsilon, max_iter)
+        return [(members[0][0], phi0, budgets) for _, phi0, budgets in members]
+    if layout == "groups":
+        return [(*members[a][:2], [budget for *_, [budget] in members[a:b]])
+                for a, b in zip([0, *cuts], [*cuts, len(members)])]
+    return members
+
+
+def stack_members():
+    """The six members of the stack tests, each on its own channel: at epsilon 1e-3 and a cap of 20 iterations, one
+    ends at the tolerance, two at their first gradient and three at the cap."""
+    return lockstep_members(substream(154), 3, 2, 4, 6, ["on", "off", "on", "last", "on", "on"],
+                            [1e-2, 1.0, 1e6, 1e-3, 30.0, 1e3])
 
 
 def test_a_stack_ends_its_members_at_different_iterations_for_different_reasons():
     # the dark and the unlit member end at their first gradient, one run at the tolerance and the rest at the cap
-    groups = lockstep_members(substream(154), 3, 2, 4, 6, ["on", "off", "on", "last", "on", "on"],
-                              [1e-2, 1.0, 1e6, 1e-3, 30.0, 1e3])
+    groups = stack_members()
     results = assert_stack_runs_each_member_alone(groups, 1e-3, 20)
     assert [(r.stop_reason, r.iterations) for r in results] == [
         ("tolerance", 17), ("zero_gradient", 0), ("max_iter", 20), ("zero_gradient", 0), ("max_iter", 20),
@@ -353,12 +372,27 @@ def test_a_stack_ends_a_run_at_a_later_zero_gradient(monkeypatch):
         return np.where((np.asarray(alloc.rate) > 44.3)[..., None], 0.0, gradient(channels, alloc))
 
     monkeypatch.setattr(pga, "gradient_phi", vanishing)
-    groups = lockstep_members(substream(154), 3, 2, 4, 6, ["on", "off", "on", "last", "on", "on"],
-                              [1e-2, 1.0, 1e6, 1e-3, 30.0, 1e3])
+    groups = stack_members()
     results = assert_stack_runs_each_member_alone(groups, 1e-3, 20, gradient=vanishing)
     assert [(r.stop_reason, r.iterations, r.gradient_passes) for r in results] == [
         ("tolerance", 17, 17), ("zero_gradient", 0, 1), ("zero_gradient", 3, 4), ("zero_gradient", 0, 1),
         ("max_iter", 20, 20), ("max_iter", 20, 20)]
+
+
+@pytest.mark.parametrize("layout", ["own channels", "shared channel", "groups"])
+def test_ascend_writes_into_no_array_it_is_given(layout):
+    # the loop shares a group's channels uncopied and starts from its phases and start allocation, so none of them
+    # may be written as members step, take or revert their candidates and drop out
+    stack = ascend_input(laid_out(stack_members(), layout, [2, 3]))
+    inputs = [(folded.h1, folded.h2, folded.h3, phases, start.heq, start.lam, start.w, start.p, start.rate)
+              for folded, phases, start, _ in stack]
+    before = [[x.copy() for x in group] for group in inputs]
+    runs = [(len(state.trace), state.stop_reason) for ended, _ in
+            ascend(stack, mu0=SystemConfig.mu0, epsilon=1e-3, max_iter=20) for _, state in ended]
+    assert len(runs) == 6 and len({n for n, _ in runs}) > 1 and len({reason for _, reason in runs}) > 1
+    for group, copies in zip(inputs, before):
+        for x, copy in zip(group, copies):
+            assert np.array_equal(x, copy)
 
 
 N_CHUNK_TRIALS = 6
